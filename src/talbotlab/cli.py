@@ -286,6 +286,8 @@ def _write_outputs(result, config: dict, args: argparse.Namespace) -> None:
         fh.write("\n")
     status = "pass" if result.passed else "FAIL"
     print(f"{result.name}: {status}")
+    if result.failure:
+        print(f"  {result.failure}")
     for key, value in result.measured.items():
         print(f"  {key} = {value}")
     print(f"  wrote {csv_path}, {json_path}")

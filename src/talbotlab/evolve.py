@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_torus",
     "evaluate_zonal",
     "evaluate_zonal_circle",
-    "evaluate_fiber",
     "evaluate_beam_equator",
     "QuantizationResult",
     "quantization_check",
@@ -294,10 +293,19 @@ def evaluate_torus(spec: TorusSpectrum, grid_sizes, method: str = "fft") -> Samp
     return SampledField(domain=domain, t=0.0, axes=axes, values=values)
 
 
+def _zonal_cosine_series(spec: ZonalSpectrum) -> np.ndarray:
+    return sf.zonal_cosine_blocks(spec.coef, spec.d, [0, spec.coef.size])[0]
+
+
 def evaluate_zonal(spec: ZonalSpectrum, n_theta: int) -> SampledField:
-    """Sample sum a_n Y_n(theta) on a uniform theta-grid of [0, pi]."""
+    """Sample sum a_n Y_n(theta) on a uniform theta-grid of [0, pi].
+
+    The grid is the first half of a circle of 2 (n_theta - 1) points,
+    so the expansion is summed as a cosine series by one FFT.
+    """
     theta = np.linspace(0.0, math.pi, n_theta)
-    values = sf.zonal_series(spec.coef, spec.d, np.cos(theta))
+    period = max(2 * (n_theta - 1), 1)
+    values = sf.cosine_series_fft(_zonal_cosine_series(spec), period)[:n_theta]
     return SampledField(
         domain="sphere-polar-section", t=0.0, axes=(theta,), values=values
     )
@@ -307,23 +315,12 @@ def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> SampledField:
     """Sample a zonal expansion along a great circle through the poles.
 
     The circle is parameterized by arclength s in [0, 2 pi); the polar
-    angle along it satisfies cos(theta(s)) = cos(s).
+    angle along it satisfies cos(theta(s)) = cos(s), so the samples are
+    the cosine series of the expansion, summed by one FFT.
     """
     s = 2.0 * math.pi * np.arange(n_points) / n_points
-    values = sf.zonal_series(spec.coef, spec.d, np.cos(s))
+    values = sf.cosine_series_fft(_zonal_cosine_series(spec), n_points)
     return SampledField(domain="sphere-greatcircle", t=0.0, axes=(s,), values=values)
-
-
-def evaluate_fiber(spec: FiberSpectrum, n_theta: int, phi: float = 0.0) -> SampledField:
-    """Sample sum a_n Y_n^k(theta, phi) on a theta-grid of [0, pi]."""
-    theta = np.linspace(0.0, math.pi, n_theta)
-    values = np.zeros(n_theta, dtype=complex)
-    for n, a in zip(spec.degrees(), spec.coef):
-        if a != 0:
-            values += a * sf.sph_harmonic_s2(int(n), spec.k, theta, phi)
-    return SampledField(
-        domain="sphere-polar-section", t=0.0, axes=(theta,), values=values
-    )
 
 
 def evaluate_beam_equator(spec: BeamSpectrum, n_points: int) -> SampledField:

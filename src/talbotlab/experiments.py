@@ -11,7 +11,7 @@ the median across the panel as the reported statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,9 @@ class ExperimentResult:
         The thresholds the verdict was evaluated against.
     rows : tuple
         Per-row dicts for CSV export (shared key set).
+    failure : str
+        Why the verdict failed regardless of the criteria; set when a
+        measured value is NaN or infinite, which always fails.
     """
 
     name: str
@@ -92,9 +95,19 @@ class ExperimentResult:
     measured: dict
     criteria: dict
     rows: tuple
+    failure: str = field(default="", init=False)
+
+    def __post_init__(self) -> None:
+        bad = [k for k, v in self.measured.items()
+               if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            object.__setattr__(self, "passed", False)
+            object.__setattr__(
+                self, "failure", "non-finite measured value: " + ", ".join(bad)
+            )
 
     def summary(self, config: dict, seed: int, config_hash: str) -> dict:
-        return {
+        out = {
             "subcommand": self.name,
             "version": __version__,
             "seed": seed,
@@ -104,6 +117,18 @@ class ExperimentResult:
             "criteria": self.criteria,
             "passed": self.passed,
         }
+        if self.failure:
+            out["failure"] = self.failure
+        return out
+
+
+def _nan_max(values) -> float:
+    """Largest of 0.0 and the values; NaN if any value is NaN.
+
+    Python's ``max`` keeps whichever operand compares larger, and every
+    comparison with NaN is false, so it can silently drop a NaN.
+    """
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 def _fmt(value) -> str:
@@ -155,7 +180,6 @@ def run_quantization(
             if math.gcd(pp, qq) == 1
         ]
     rows = []
-    worst = 0.0
     for pp, qq in pairs:
         check = quantization_check(spec, pp, qq)
         rows.append(
@@ -166,7 +190,7 @@ def run_quantization(
                 "residual": check.residual,
             }
         )
-        worst = max(worst, check.residual)
+    worst = _nan_max(row["residual"] for row in rows)
     return ExperimentResult(
         name="quantize",
         passed=worst < tol,
@@ -424,25 +448,25 @@ def run_kappa_suite(
     for d in dims:
         table = KappaTable.build(n_max, d)
         min_entry = table.min_entry()
-        support_max = 0.0
-        for key, value in {**table.triples, **table.quads}.items():
-            if not admissible(key):
-                support_max = max(support_max, abs(value))
+        support_max = _nan_max(
+            abs(value)
+            for key, value in {**table.triples, **table.quads}.items()
+            if not admissible(key)
+        )
         # Permutation exactness: canonical storage vs shuffled queries.
-        perm_defect = 0.0
+        defects = []
         keys = list(table.quads.keys())
         for key in [keys[int(i)] for i in rng.integers(0, len(keys), 12)]:
             shuffled = list(key)
             rng.shuffle(shuffled)
-            perm_defect = max(
-                perm_defect, abs(table.value(shuffled) - table.value(key))
-            )
+            defects.append(abs(table.value(shuffled) - table.value(key)))
+        perm_defect = _nan_max(defects)
         # Parseval composition across every canonical 4-tuple.
-        parseval_max = 0.0
         triple = _triple_tensor(n_max, d)
-        for (a, b, c, e), direct in table.quads.items():
-            composed = float(triple[:, a, b] @ triple[:, c, e])
-            parseval_max = max(parseval_max, abs(composed - direct))
+        parseval_max = _nan_max(
+            abs(float(triple[:, a, b] @ triple[:, c, e]) - direct)
+            for (a, b, c, e), direct in table.quads.items()
+        )
         unclassified = count_unclassified(scan_n_max, d)
         c1, c2 = FROZEN_LAMBDA_CONSTANTS[d]
         ok = (
@@ -678,7 +702,6 @@ def run_specialfun_checks(
     ortho_defect = float(np.max(np.abs(gram - np.eye(ortho_n_max + 1))))
     envelope_c = SZEGO_REMAINDER_C[d]
     rows = []
-    fitted_c = 0.0
     for n in szego_degrees:
         lo = SZEGO_WINDOW_C / n
         theta = np.linspace(lo, math.pi - lo, theta_points)
@@ -686,8 +709,8 @@ def run_specialfun_checks(
         approx, _ = jacobi_asymptotic(n, d, theta)
         scaled = np.abs(exact - approx) * float(n) ** 1.5 * np.sin(theta)
         c_n = float(scaled.max())
-        fitted_c = max(fitted_c, c_n)
         rows.append({"n": int(n), "envelope_constant": c_n})
+    fitted_c = _nan_max(row["envelope_constant"] for row in rows)
     passed = ortho_defect < ortho_tol and fitted_c <= envelope_c
     return ExperimentResult(
         name="specfun-check",

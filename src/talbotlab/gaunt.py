@@ -226,7 +226,7 @@ class KappaTable:
 
     def min_entry(self) -> float:
         vals = list(self.triples.values()) + list(self.quads.values())
-        return min(vals) if vals else 0.0
+        return float(np.min(vals)) if vals else 0.0
 
     def save(self, json_path, csv_path) -> None:
         """Persist as a JSON header plus a CSV body (indices, value)."""

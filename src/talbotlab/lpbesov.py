@@ -231,12 +231,20 @@ def _zonal_block_norms(
     if grid_points is None:
         grid_points = min(max(512, oversample * int(edges[-1])), 1 << 17)
     theta = np.linspace(0.0, math.pi, grid_points)
-    blocks = sf.zonal_series_blocks(spec.coef, spec.d, np.cos(theta), edges)
-    if p == math.inf:
-        return np.max(np.abs(blocks), axis=1)
-    constants = sf.SphereConstants.for_dimension(spec.d)
     weight = np.sin(theta) ** (spec.d - 1)
-    return constants.weight_ratio * np.trapezoid(np.abs(blocks) * weight, theta, axis=1)
+    ratio = sf.SphereConstants.for_dimension(spec.d).weight_ratio
+    period = max(2 * (grid_points - 1), 1)
+    norms = []
+    # Reduce each block's samples before the next FFT: the samples are
+    # far larger than the cosine coefficients, and holding every
+    # block's at once would set the peak memory.
+    for beta in sf.zonal_cosine_blocks(spec.coef, spec.d, edges):
+        block = np.abs(sf.cosine_series_fft(beta, period)[:grid_points])
+        if p == math.inf:
+            norms.append(float(np.max(block)))
+        else:
+            norms.append(ratio * float(np.trapezoid(block * weight, theta)))
+    return np.array(norms)
 
 
 def _torus_block_norms(
@@ -285,7 +293,11 @@ def block_norm_table(
         propagated).
     p : {1, 2, "inf"}
         L^2 norms come exactly from coefficients; L^1 and L^infinity
-        are computed on an alias-free physical grid.
+        are computed on an alias-free physical grid.  Torus blocks are
+        sampled by inverse FFT; a zonal block is turned into its
+        Gegenbauer cosine series (``specialfun.zonal_cosine_blocks``)
+        and sampled on the uniform theta grid of [0, pi] by one FFT
+        (``specialfun.cosine_series_fft``), one block at a time.
     j_max : int
         Largest probe level.
     grid_points : int, optional

@@ -1,9 +1,15 @@
 """Special functions on the round sphere S^d.
 
-Recurrence-based evaluation of symmetric Jacobi polynomials, zonal
-reproducing kernels, unit-norm zonal harmonics, explicit S^2 harmonics,
-and Gaussian beams, together with the large-degree asymptotic form and
-its magnitude envelope.
+Symmetric Jacobi polynomials, zonal reproducing kernels, unit-norm
+zonal harmonics, explicit S^2 harmonics, and Gaussian beams, together
+with the large-degree asymptotic form and its magnitude envelope.
+
+Zonal expansions are evaluated two ways.  At scattered points (such as
+quadrature nodes) the unit-norm three-term recurrence of
+``zonal_harmonic_table`` gives every degree.  On uniform grids in the
+polar angle, each degree block is rewritten as a cosine series through
+the Gegenbauer cosine expansion (``zonal_cosine_blocks``) and summed
+by one FFT (``cosine_series_fft``).
 
 Conventions
 -----------
@@ -41,6 +47,8 @@ __all__ = [
     "zonal_harmonic_table",
     "zonal_series",
     "zonal_series_blocks",
+    "zonal_cosine_blocks",
+    "cosine_series_fft",
     "sph_harmonic_s2",
     "gaussian_beam",
     "jacobi_asymptotic",
@@ -389,13 +397,23 @@ def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
     return rows
 
 
+def _block_ranges(edges, n_max: int):
+    """Validated degree ranges [lo, hi) of each block, clipped to n_max."""
+    edges = np.asarray(edges, dtype=int)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be strictly increasing with length >= 2")
+    clipped = np.clip(edges, 0, n_max + 1)
+    return list(zip(clipped[:-1].tolist(), clipped[1:].tolist()))
+
+
 def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     """Partial sums of a zonal expansion over contiguous degree blocks.
 
-    Runs the normalized recurrence once, streaming over degrees, and
-    accumulates sum(coef[n] * Y_n(arccos x)) separately for each block
-    edges[b] <= n < edges[b+1].  Accumulation is compensated (Kahan)
-    so long high-degree expansions do not lose digits.
+    Sums coef[n] * Y_n(arccos x) over each block
+    edges[b] <= n < edges[b+1], using the rows of
+    ``zonal_harmonic_table``.  Meant for scattered points such as
+    quadrature nodes; uniform grids go through ``zonal_cosine_blocks``
+    and ``cosine_series_fft``.
 
     Parameters
     ----------
@@ -416,41 +434,99 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     """
     coef = np.asarray(coef, dtype=complex)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(x)
-    edges = np.asarray(edges, dtype=int)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with length >= 2")
-    n_max = coef.size - 1
-    nblocks = edges.size - 1
-    block_of = np.full(n_max + 1, -1, dtype=int)
-    degrees = np.arange(n_max + 1)
-    idx = np.searchsorted(edges, degrees, side="right") - 1
-    inside = (idx >= 0) & (idx < nblocks) & (degrees >= edges[0]) & (degrees < edges[-1])
-    block_of[inside] = idx[inside]
-
-    sums = np.zeros((nblocks, x.size), dtype=complex)
-    comp = np.zeros_like(sums)
-
-    def accumulate(n: int, row: np.ndarray) -> None:
-        b = block_of[n]
-        if b < 0 or coef[n] == 0:
-            return
-        y = coef[n] * row - comp[b]
-        t = sums[b] + y
-        comp[b] = (t - sums[b]) - y
-        sums[b] = t
-
-    prev2 = np.ones_like(x)
-    accumulate(0, prev2)
-    if n_max >= 1:
-        prev1 = math.sqrt(eigenspace_dimension(1, d)) * x
-        accumulate(1, prev1)
-    if n_max >= 2:
-        A, B = _normalized_recurrence_coeffs(n_max, d)
-        for n in range(2, n_max + 1):
-            prev2, prev1 = prev1, A[n - 2] * x * prev1 - B[n - 2] * prev2
-            accumulate(n, prev1)
+    ranges = _block_ranges(edges, coef.size - 1)
+    table = zonal_harmonic_table(max(ranges[-1][1] - 1, 0), d, x)
+    sums = np.zeros((len(ranges), x.size), dtype=complex)
+    for b, (lo, hi) in enumerate(ranges):
+        sums[b] = coef[lo:hi] @ table[lo:hi]
     return sums
+
+
+def zonal_cosine_blocks(coef, d: int, edges) -> list:
+    """Cosine-series coefficients of each degree block of a zonal expansion.
+
+    With lambda = (d-1)/2, Y_n(theta) = sqrt(dim_n) C_n^lambda(cos theta)
+    / C_n^lambda(1), and the Gegenbauer cosine expansion (DLMF 18.5.11)
+    C_n^lambda(cos theta) = sum_k g_k g_{n-k} cos((n-2k) theta) with
+    g_k = (lambda)_k / k! turns the block sum of coef[n] * Y_n into
+    sum_m beta_m cos(m theta), where
+    beta_m = (2 - delta_{m0}) sum_j w_{m+2j} g_j g_{m+j} and
+    w_n = coef[n] sqrt(dim_n) / C_n^lambda(1).  Every term of the
+    expansion is non-negative, so the sum has no cancellation.
+
+    Parameters
+    ----------
+    coef : array_like
+        Complex coefficients a_0 .. a_{n_max}.
+    d : int
+        Sphere dimension, at least 2.
+    edges : array_like
+        Strictly increasing degree breakpoints; degrees outside
+        [edges[0], edges[-1]) are skipped.
+
+    Returns
+    -------
+    list of ndarray
+        One complex array per block edges[b] <= n < edges[b+1]; entry m
+        is beta_m, and its length is min(edges[b+1], n_max + 1); a
+        block past n_max is all zeros.
+    """
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
+    coef = np.asarray(coef, dtype=complex)
+    ranges = _block_ranges(edges, coef.size - 1)
+    top = max(ranges[-1][1], 1)
+    lam = (d - 1) / 2.0
+    k = np.arange(top, dtype=float)
+    log_g = gammaln(k + lam) - gammaln(lam) - gammaln(k + 1.0)
+    # log of sqrt(dim_n) / C_n^lambda(1), with C_n^lambda(1) = (2 lambda)_n / n!.
+    dims = [eigenspace_dimension(n, d) for n in range(top)]
+    log_c1 = gammaln(k + 2.0 * lam) - gammaln(2.0 * lam) - gammaln(k + 1.0)
+    log_norm = 0.5 * np.log(dims) - log_c1
+    blocks = []
+    for lo, hi in ranges:
+        beta = np.zeros(hi, dtype=complex)
+        # Term j pairs degree n = m + 2j with g_j g_{n-j}, for the
+        # block degrees n >= 2j.
+        for j in range((hi + 1) // 2 if lo < hi else 0):
+            n = np.arange(max(lo, 2 * j), hi)
+            scale = np.exp(log_norm[n] + log_g[j] + log_g[n - j])
+            beta[n - 2 * j] += coef[n] * scale
+        beta[1:] *= 2.0
+        blocks.append(beta)
+    return blocks
+
+
+def cosine_series_fft(beta, period: int) -> np.ndarray:
+    """Values of sum_m beta_m cos(m s) at s_k = 2 pi k / period.
+
+    Indices are folded modulo ``period`` before one FFT, so the samples
+    are exact for any number of terms, including more than the period.
+    The polar grid linspace(0, pi, G) is the first G samples of the
+    period 2 (G - 1).
+
+    Parameters
+    ----------
+    beta : array_like
+        Complex cosine coefficients beta_0, beta_1, ...
+    period : int
+        Number of samples on the full circle, at least 1.
+
+    Returns
+    -------
+    ndarray
+        Complex, length ``period``.
+    """
+    if period < 1:
+        raise ValueError("period must be at least 1")
+    beta = np.asarray(beta, dtype=complex)
+    padded = np.zeros(-(-max(beta.size, 1) // period) * period, dtype=complex)
+    padded[: beta.size] = beta
+    folded = padded.reshape(-1, period).sum(axis=0)
+    # Splitting each cos(m s) into e^{ims}/2 + e^{-ims}/2 makes the
+    # folded sequence even, so one forward FFT gives the cosine sums.
+    even = 0.5 * (folded + np.roll(folded[::-1], 1))
+    return np.fft.fft(even)
 
 
 def zonal_series(coef, d: int, x) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Experiment drivers at reduced scale: pass flags, rows, determinism."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
 from talbotlab import __version__
+from talbotlab import experiments
 from talbotlab.experiments import (
     ExperimentResult,
     run_bilinear_contrast,
@@ -106,6 +109,31 @@ def test_specialfun_driver():
     assert result.passed
     assert result.measured["orthonormality_defect"] < 1e-10
     assert 0.0 < result.measured["fitted_envelope_constant"] <= 2.0
+
+
+def test_nan_residual_fails_the_verdict(monkeypatch):
+    real_check = experiments.quantization_check
+
+    def nan_check(spec, p, q):
+        check = real_check(spec, p, q)
+        return dataclasses.replace(check, residual=math.nan) if (p, q) == (1, 2) else check
+
+    monkeypatch.setattr(experiments, "quantization_check", nan_check)
+    result = run_quantization(m_max=64, q_max=3)
+    assert result.passed is False
+    assert math.isnan(result.measured["max_residual"])
+    assert "max_residual" in result.failure
+    summary = result.summary(config={}, seed=0, config_hash="")
+    assert summary["passed"] is False and "max_residual" in summary["failure"]
+
+
+def test_non_finite_measured_value_fails_any_verdict():
+    result = ExperimentResult("x", True, {"a": 1.0, "b": math.inf, "n": 3}, {}, ())
+    assert result.passed is False
+    assert result.failure == "non-finite measured value: b"
+    clean = ExperimentResult("x", True, {"a": 1.0, "n": 3}, {}, ())
+    assert clean.passed is True
+    assert "failure" not in clean.summary(config={}, seed=0, config_hash="")
 
 
 def test_summary_embeds_reproducibility_fields():

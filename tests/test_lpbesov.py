@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from talbotlab.lpbesov import (
     smooth_block,
     smooth_block_weights,
 )
+from talbotlab.evolve import propagate_sphere, time_panel
+from talbotlab.specialfun import cosine_series_fft, zonal_cosine_blocks
 from talbotlab.spectra import ZonalSpectrum, random_phase, zonal_decay_family
 
 
@@ -177,3 +180,34 @@ def test_shift_operator_input_validation():
         shift_operator_s2(zonal_decay_family(1.0, 4, d=3), 0.5)
     with pytest.raises(ValueError):
         shift_operator_s2(zonal_decay_family(1.0, 4), -0.1)
+
+
+def _mpmath_legendre_block(coef, lo, hi, theta):
+    """sum_{lo <= n < hi} coef[n] sqrt(2n+1) P_n(cos theta) by the Bonnet
+    recurrence in 40-digit arithmetic."""
+    x = mpmath.cos(theta)
+    p_prev, p_cur = mpmath.mpf(0), mpmath.mpf(1)
+    total = mpmath.mpc(0)
+    for n in range(hi):
+        if n >= lo:
+            total += mpmath.mpc(coef[n]) * mpmath.sqrt(2 * n + 1) * p_cur
+        p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
+    return complex(total)
+
+
+def test_zonal_grid_block_matches_mpmath_at_acceptance_scale():
+    """Top block (j = 12, degrees 4096..8191) of the criterion-4 data at
+    n_max = 8191 on the 65,536-point theta grid, checked at both poles
+    and two interior grid points against a 40-digit recurrence."""
+    n_max, j_max, grid = 8191, 12, 65536
+    spec = propagate_sphere(zonal_decay_family(1.5, n_max), time_panel()[0])
+    edges = probe_edges(j_max)
+    samples = cosine_series_fft(zonal_cosine_blocks(spec.coef, 2, edges)[j_max],
+                                2 * (grid - 1))[:grid]
+    block_sup = block_norm_table(spec, "inf", j_max).norms[j_max]
+    assert block_sup == pytest.approx(float(np.max(np.abs(samples))), rel=1e-14)
+    with mpmath.workdps(40):
+        for k in (0, 1, 21845, grid - 1):
+            theta = mpmath.pi * k / (grid - 1)
+            exact = _mpmath_legendre_block(spec.coef, edges[j_max], edges[j_max + 1], theta)
+            assert abs(samples[k] - exact) < 1e-10 * block_sup

@@ -13,6 +13,7 @@ from talbotlab.specialfun import (
     ENVELOPE_C,
     SZEGO_REMAINDER_C,
     HarmonicIndex,
+    cosine_series_fft,
     eigenspace_dimension,
     envelope_magnitude,
     gaussian_beam,
@@ -22,10 +23,12 @@ from talbotlab.specialfun import (
     sph_harmonic_s2,
     surface_area,
     zonal_harmonic,
+    zonal_cosine_blocks,
     zonal_harmonic_table,
     zonal_kernel,
     zonal_kernel_constant,
     zonal_series,
+    zonal_series_blocks,
 )
 
 X_GRID = np.linspace(-1.0, 1.0, 201)
@@ -194,3 +197,66 @@ def test_parity_property(n, d, x):
     left = zonal_harmonic(n, d, math.pi - theta)
     right = (-1) ** n * zonal_harmonic(n, d, theta)
     assert abs(left - right) <= 1e-9 * (1 + abs(left))
+
+
+@st.composite
+def _zonal_blocks_case(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n_max = draw(st.integers(0, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cuts = draw(st.sets(st.integers(0, 2 * n_max + 8), min_size=2, max_size=8))
+    n_points = draw(st.integers(1, 2 * n_max + 40))
+    return d, n_max, seed, sorted(cuts), n_points
+
+
+def _table_block_sums(coef, d, x, edges):
+    """Block sums straight from the rows of zonal_harmonic_table."""
+    table = zonal_harmonic_table(coef.size - 1, d, x)
+    return np.array([coef[lo:hi] @ table[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_zonal_blocks_case())
+def test_cosine_fft_blocks_match_recurrence_table(case):
+    """Grid samples of each block agree with the recurrence rows, on the
+    polar grid [0, pi] and on the great circle, for any grid length
+    (short circles fold high cosine indices)."""
+    d, n_max, seed, edges, n_points = case
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+    scale = 1.0 + np.sum(np.abs(coef) * np.sqrt(
+        [eigenspace_dimension(n, d) for n in range(n_max + 1)]))
+    betas = zonal_cosine_blocks(coef, d, edges)
+    assert len(betas) == len(edges) - 1
+
+    theta = np.linspace(0.0, math.pi, n_points)
+    polar = np.array([cosine_series_fft(b, max(2 * (n_points - 1), 1))[:n_points]
+                      for b in betas])
+    ref = _table_block_sums(coef, d, np.cos(theta), edges)
+    np.testing.assert_allclose(polar, ref, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(zonal_series_blocks(coef, d, np.cos(theta), edges),
+                               ref, rtol=0, atol=1e-12 * scale)
+
+    s = 2.0 * math.pi * np.arange(n_points) / n_points
+    circle = np.array([cosine_series_fft(b, n_points) for b in betas])
+    ref = _table_block_sums(coef, d, np.cos(s), edges)
+    np.testing.assert_allclose(circle, ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_cosine_series_fft_folds_indices_past_the_period():
+    beta = np.array([0.5, 1.0, -2.0, 0.25j, 3.0, 1.5])
+    for period in (1, 2, 3, 4, 5, 7, 12):
+        s = 2.0 * math.pi * np.arange(period) / period
+        direct = np.cos(np.outer(s, np.arange(beta.size))) @ beta
+        np.testing.assert_allclose(cosine_series_fft(beta, period), direct, atol=1e-13)
+    with pytest.raises(ValueError):
+        cosine_series_fft(beta, 0)
+
+
+def test_zonal_blocks_reject_bad_edges():
+    coef = np.ones(5)
+    for edges in ([0], [0, 3, 3], [4, 2]):
+        with pytest.raises(ValueError):
+            zonal_cosine_blocks(coef, 2, edges)
+        with pytest.raises(ValueError):
+            zonal_series_blocks(coef, 2, [0.5], edges)
