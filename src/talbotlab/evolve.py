@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specialfun as sf
-from .spectra import BeamSpectrum, FiberSpectrum, TorusSpectrum, ZonalSpectrum
+from .spectra import BeamSpectrum, TorusSpectrum, ZonalSpectrum
 
 __all__ = [
     "TimePoint",
@@ -171,10 +171,9 @@ def propagate_torus(spec: TorusSpectrum, t) -> TorusSpectrum:
 def propagate_sphere(spec, t):
     """Free evolution on S^d: a_n gains e^{i t n (n + d - 1)}.
 
-    Accepts ZonalSpectrum, FiberSpectrum, or BeamSpectrum and returns
-    the same kind.
+    Accepts ZonalSpectrum or BeamSpectrum and returns the same kind.
     """
-    if not isinstance(spec, (ZonalSpectrum, FiberSpectrum, BeamSpectrum)):
+    if not isinstance(spec, (ZonalSpectrum, BeamSpectrum)):
         raise TypeError("propagate_sphere expects a sphere spectrum")
     n = spec.degrees().astype(np.int64)
     eigs = n * (n + spec.d - 1)

@@ -85,6 +85,10 @@ class ExperimentResult:
         The thresholds the verdict was evaluated against.
     rows : tuple
         Per-row dicts for CSV export (shared key set).
+    tables : dict
+        Tables the study built, by output stem, for the caller to save
+        next to the summary with ``table.save(json_path, csv_path)``;
+        not part of ``summary()``.
     failure : str
         Why the verdict failed regardless of the criteria; set when a
         measured value is NaN or infinite, which always fails.
@@ -95,6 +99,7 @@ class ExperimentResult:
     measured: dict
     criteria: dict
     rows: tuple
+    tables: dict = field(default_factory=dict)
     failure: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
@@ -200,12 +205,11 @@ def run_quantization(
     )
 
 
-def _dimension_panel(spec, grid: int, window, seed: int, tol_center, tol_width):
-    panel = time_panel(seed=seed)
+def _dimension_panel(spec, grid: int, window, seed: int):
+    """Per-time graph dimensions over the panel and their median maximum."""
     config = DomainConfig(grid_size=grid, window=tuple(window))
     rows = []
-    maxima = []
-    for tp in panel:
+    for tp in time_panel(seed=seed):
         report = dim_t(spec, tp, config)
         rows.append(
             {
@@ -216,26 +220,23 @@ def _dimension_panel(spec, grid: int, window, seed: int, tol_center, tol_width):
                 "dim_max": report.max_slope,
             }
         )
-        maxima.append(report.max_slope)
-    median = float(np.median(maxima))
-    passed = abs(median - tol_center) <= tol_width
-    return rows, median, passed
+    return rows, float(np.median([row["dim_max"] for row in rows]))
 
 
 def run_torus_step_dimension(
     m_max: int = 2**14,
     grid: int = 2**16,
-    window=(5, 11),
+    window: tuple[int, int] = (5, 11),
     seed: int = 1729,
     expected: float = 1.5,
     tol: float = 0.1,
 ) -> ExperimentResult:
     """Panel-median graph dimension of evolved step data on T^1."""
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
-    rows, median, passed = _dimension_panel(spec, grid, window, seed, expected, tol)
+    rows, median = _dimension_panel(spec, grid, window, seed)
     return ExperimentResult(
         name="dimension-torus-step",
-        passed=passed,
+        passed=abs(median - expected) <= tol,
         measured={"median_dim": median},
         criteria={"expected": expected, "tol": tol, "m_max": m_max,
                   "grid": grid, "window": list(window)},
@@ -244,20 +245,20 @@ def run_torus_step_dimension(
 
 
 def run_polygon_dimension(
-    vertices=DEFAULT_TRIANGLE,
+    vertices: tuple[tuple[float, float], ...] = DEFAULT_TRIANGLE,
     m_max: int = 2**9,
     grid: int = 2048,
-    window=(3, 8),
+    window: tuple[int, int] = (3, 8),
     seed: int = 1729,
     expected: float = 2.5,
     tol: float = 0.2,
 ) -> ExperimentResult:
     """Panel-median graph dimension of an evolved polygon indicator on T^2."""
     spec = torus_polygon_indicator(list(vertices), m_max=m_max)
-    rows, median, passed = _dimension_panel(spec, grid, window, seed, expected, tol)
+    rows, median = _dimension_panel(spec, grid, window, seed)
     return ExperimentResult(
         name="dimension-torus-polygon",
-        passed=passed,
+        passed=abs(median - expected) <= tol,
         measured={"median_dim": median},
         criteria={"expected": expected, "tol": tol, "m_max": m_max,
                   "grid": grid, "window": list(window)},
@@ -269,9 +270,9 @@ def run_zonal_dimension(
     p: float = 1.5,
     n_max: int = 2047,
     grid: int = 2**14,
-    window=(4, 10),
+    window: tuple[int, int] = (4, 10),
     seed: int = 1729,
-    band=(1.0, 2.0),
+    band: tuple[float, float] = (1.0, 2.0),
 ) -> ExperimentResult:
     """Great-circle graph dimension of evolved zonal power-law data.
 
@@ -279,27 +280,10 @@ def run_zonal_dimension(
     the verdict only checks the curve-dimension sanity band.
     """
     spec = zonal_decay_family(p, n_max, d=2)
-    panel = time_panel(seed=seed)
-    config = DomainConfig(grid_size=grid, window=tuple(window))
-    rows = []
-    maxima = []
-    for tp in panel:
-        report = dim_t(spec, tp, config)
-        rows.append(
-            {
-                "t": tp.t,
-                "kind": tp.kind,
-                "dim_real": report.real.slope,
-                "dim_imag": report.imag.slope,
-                "dim_max": report.max_slope,
-            }
-        )
-        maxima.append(report.max_slope)
-    median = float(np.median(maxima))
-    passed = band[0] <= median <= band[1]
+    rows, median = _dimension_panel(spec, grid, window, seed)
     return ExperimentResult(
         name="dimension-zonal",
-        passed=passed,
+        passed=band[0] <= median <= band[1],
         measured={"median_dim": median},
         criteria={"band": list(band), "p": p, "n_max": n_max,
                   "grid": grid, "window": list(window)},
@@ -310,35 +294,18 @@ def run_zonal_dimension(
 def run_beam_dimension(
     degree: int = 64,
     grid: int = 2**14,
-    window=(4, 10),
+    window: tuple[int, int] = (4, 10),
     seed: int = 1729,
-    band=(1.0, 2.0),
+    band: tuple[float, float] = (1.0, 2.0),
 ) -> ExperimentResult:
     """Equator graph dimension of an evolved single Gaussian beam."""
     coef = np.zeros(degree + 1, dtype=complex)
     coef[degree] = 1.0
     spec = BeamSpectrum(sign=1, coef=coef)
-    panel = time_panel(seed=seed)
-    config = DomainConfig(grid_size=grid, window=tuple(window))
-    rows = []
-    maxima = []
-    for tp in panel:
-        report = dim_t(spec, tp, config)
-        rows.append(
-            {
-                "t": tp.t,
-                "kind": tp.kind,
-                "dim_real": report.real.slope,
-                "dim_imag": report.imag.slope,
-                "dim_max": report.max_slope,
-            }
-        )
-        maxima.append(report.max_slope)
-    median = float(np.median(maxima))
-    passed = band[0] <= median <= band[1]
+    rows, median = _dimension_panel(spec, grid, window, seed)
     return ExperimentResult(
         name="dimension-beam",
-        passed=passed,
+        passed=band[0] <= median <= band[1],
         measured={"median_dim": median},
         criteria={"band": list(band), "degree": degree,
                   "grid": grid, "window": list(window)},
@@ -351,7 +318,7 @@ def run_zonal_holder(
     n_max: int = 8191,
     j_max: int = 12,
     weight_exponent: float = 0.4,
-    window=(2, 12),
+    window: tuple[int, int] = (2, 12),
     seed: int = 1729,
     slope_tol: float = 0.02,
 ) -> ExperimentResult:
@@ -395,7 +362,7 @@ def run_zonal_holder(
 
 def run_weyl_decay(
     p: float = 1.5,
-    exponent_range=(4, 11),
+    exponent_range: tuple[int, int] = (4, 11),
     grid_factor: int = 16,
     seed: int = 1729,
     expected: float = -1.0,
@@ -434,7 +401,7 @@ def run_weyl_decay(
 
 def run_kappa_suite(
     n_max: int = 12,
-    dims=(2, 3),
+    dims: tuple[int, ...] = (2, 3),
     scan_n_max: int = 64,
     nonneg_tol: float = -1e-10,
     support_tol: float = 1e-10,
@@ -444,9 +411,11 @@ def run_kappa_suite(
     rows = []
     passed = True
     measured = {}
+    tables = {}
     rng = np.random.default_rng(0)
     for d in dims:
         table = KappaTable.build(n_max, d)
+        tables[f"kappa-values-d{d}"] = table
         min_entry = table.min_entry()
         support_max = _nan_max(
             abs(value)
@@ -506,6 +475,7 @@ def run_kappa_suite(
             "n_max": n_max,
         },
         rows=tuple(rows),
+        tables=tables,
     )
 
 
@@ -530,7 +500,7 @@ def run_resonance_decay(
     n2: int = 3,
     n3: int = 5,
     d: int = 2,
-    degrees=(16, 32, 64, 128, 256),
+    degrees: tuple[int, ...] = (16, 32, 64, 128, 256),
     max_exponent: float = -0.9,
 ) -> ExperimentResult:
     """Decay of kappa(n, n, n2, n3) toward its meridian line integral."""
@@ -554,8 +524,8 @@ def run_resonance_decay(
 def run_bilinear_contrast(
     p: float = 1.5,
     block_n: int = 128,
-    m_blocks=(4, 8, 16, 32, 64),
-    beam_degrees=(8, 16, 32, 64, 128, 256, 512),
+    m_blocks: tuple[int, ...] = (4, 8, 16, 32, 64),
+    beam_degrees: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512),
     bilinear_tol: float = 0.15,
     beam_expected: float = 0.5,
     beam_tol: float = 0.1,
@@ -682,7 +652,7 @@ def run_nls_smoothing(
 
 def run_specialfun_checks(
     ortho_n_max: int = 48,
-    szego_degrees=(64, 128, 256, 512),
+    szego_degrees: tuple[int, ...] = (64, 128, 256, 512),
     theta_points: int = 512,
     d: int = 2,
     ortho_tol: float = 1e-10,

@@ -12,7 +12,6 @@ of log2 N(k) against k over a scale window, reported per component
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "DomainConfig",
     "box_count_curve",
     "box_count_surface",
-    "box_count_sphere_surface",
     "box_count_series",
     "dimension_fit",
     "dim_t",
@@ -163,36 +161,6 @@ def box_count_surface(samples, k: int) -> int:
     mx = blocks.max(axis=(1, 3))
     mn = blocks.min(axis=(1, 3))
     return int(_column_counts(mx - mn, eps))
-
-
-def box_count_sphere_surface(samples, k: int, theta_axis) -> float:
-    """Area-weighted box count for a graph over a (theta, phi) grid.
-
-    Each of the 4^k parameter cells is weighted by the number of
-    intrinsic epsilon-columns it represents, proportional to
-    sin(theta) at the cell center; with the grid over
-    [0, pi] x [0, 2 pi) the weight is 2 pi^2 sin(theta), independent
-    of k.  This is a labeled heuristic for graphs over S^2, not a
-    theorem-grade covering count.
-    """
-    values = np.asarray(samples, dtype=float)
-    theta = np.asarray(theta_axis, dtype=float)
-    if values.ndim != 2 or values.shape[0] != theta.size:
-        raise ValueError("samples must be (theta, phi)-indexed")
-    cols = 1 << k
-    if values.shape[0] % cols != 0 or values.shape[1] % cols != 0:
-        raise ValueError("grid sizes must be divisible by 2^k")
-    eps = 2.0 ** (-k)
-    r0 = values.shape[0] // cols
-    r1 = values.shape[1] // cols
-    blocks = values.reshape(cols, r0, cols, r1)
-    mx = blocks.max(axis=(1, 3))
-    mn = blocks.min(axis=(1, 3))
-    centers = theta.reshape(cols, r0).mean(axis=1)
-    weights = 2.0 * math.pi**2 * np.sin(centers)
-    weights = np.maximum(weights, 1e-9)
-    per_cell = np.floor((mx - mn) / eps) + 1.0
-    return float(np.sum(weights[:, None] * per_cell))
 
 
 def box_count_series(samples, k_values, counter=box_count_curve) -> BoxCountSeries:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import specialfun as sf
 from .fitting import LineFit, fit_line
-from .spectra import FiberSpectrum, TorusSpectrum, ZonalSpectrum
+from .spectra import TorusSpectrum, ZonalSpectrum
 
 __all__ = [
     "BumpProfile",
@@ -139,8 +139,6 @@ def smooth_block(spec, j: int, bump: BumpProfile | None = None):
     if bump is None:
         bump = default_bump()
     weights = smooth_block_weights(bump, j, int(spec.degrees().max()))
-    if isinstance(spec, FiberSpectrum):
-        weights = weights[spec.n_min :]
     return spec.scaled(weights[: spec.coef.size])
 
 

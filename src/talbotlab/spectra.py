@@ -2,17 +2,16 @@
 
 Frequency-side representations of functions on the torus and the
 sphere: a dense-box container for T^d Fourier coefficients, coefficient
-sequences for zonal expansions and for the fixed-order and Gaussian-beam
-sectors of S^2, plus the constructors used throughout the experiments
-(step functions, polygon indicators, power-law decay families, tensor
-data) and finite-difference tables.
+sequences for zonal expansions and for the Gaussian-beam sector of S^2,
+plus the constructors used throughout the experiments (step functions,
+polygon indicators, power-law decay families).
 
 Conventions
 -----------
 The torus is T^d = [0, 2pi)^d with basis e^{i m.x} and
 f_hat(m) = (2pi)^{-d} * integral of f(x) e^{-i m.x} dx, so f_hat(0) is
 the mean value.  Sphere sequences index unit-norm zonal harmonics Y_n
-(or Y_n^k / Y_n^{+-n} on S^2).  All containers are immutable after
+(or Y_n^{+-n} on S^2).  All containers are immutable after
 construction and serialize to a JSON document
 {convention, kind, d, entries: [{m or n, re, im}]}.
 """
@@ -29,17 +28,13 @@ __all__ = [
     "CONVENTION",
     "TorusSpectrum",
     "ZonalSpectrum",
-    "FiberSpectrum",
     "BeamSpectrum",
-    "SigmaDifferences",
     "torus_step",
     "triangle_indicator",
     "torus_polygon_indicator",
     "zonal_decay_family",
     "torus_decay_family_2d",
     "beam_decay_family",
-    "fiber_decay_family",
-    "tensor_data",
     "random_phase",
     "spectrum_from_json",
 ]
@@ -215,68 +210,6 @@ class ZonalSpectrum:
 
 
 @dataclass(frozen=True)
-class FiberSpectrum:
-    """Coefficients a_n on the fixed-order fiber Y_n^k of S^2, n >= |k|.
-
-    Attributes
-    ----------
-    k : int
-        Fixed order.
-    coef : ndarray
-        Complex a_{|k|} .. a_{n_max}; entry j corresponds to degree
-        |k| + j.
-    """
-
-    k: int
-    coef: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.atleast_1d(self.coef), dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must form a nonempty 1-d sequence")
-        object.__setattr__(self, "coef", arr)
-        self.coef.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return 2
-
-    @property
-    def n_min(self) -> int:
-        return abs(self.k)
-
-    @property
-    def n_max(self) -> int:
-        return abs(self.k) + self.coef.size - 1
-
-    def degrees(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)))
-
-    def scaled(self, multiplier) -> "FiberSpectrum":
-        return FiberSpectrum(k=self.k, coef=self.coef * multiplier)
-
-    def to_json(self) -> str:
-        entries = [
-            {"n": int(n), "re": float(v.real), "im": float(v.imag)}
-            for n, v in zip(self.degrees(), self.coef)
-            if v != 0
-        ]
-        return json.dumps(
-            {
-                "convention": CONVENTION,
-                "kind": "fiber",
-                "d": 2,
-                "k": self.k,
-                "n_max": self.n_max,
-                "entries": entries,
-            }
-        )
-
-
-@dataclass(frozen=True)
 class BeamSpectrum:
     """Coefficients a_n on the Gaussian beams Y_n^{sign*n} of S^2.
 
@@ -352,10 +285,6 @@ def spectrum_from_json(text: str):
     if kind == "zonal":
         coef = np.array([values.get(n, 0.0) for n in range(n_max + 1)], dtype=complex)
         return ZonalSpectrum(d=doc["d"], coef=coef)
-    if kind == "fiber":
-        k = doc["k"]
-        coef = np.array([values.get(n, 0.0) for n in range(abs(k), n_max + 1)], dtype=complex)
-        return FiberSpectrum(k=k, coef=coef)
     if kind == "beam":
         coef = np.array([values.get(n, 0.0) for n in range(n_max + 1)], dtype=complex)
         return BeamSpectrum(sign=doc["sign"], coef=coef)
@@ -534,43 +463,6 @@ def beam_decay_family(p: float, n_max: int, sign: int = 1) -> BeamSpectrum:
     return BeamSpectrum(sign=sign, coef=coef)
 
 
-def fiber_decay_family(k: int, p: float, n_max: int) -> FiberSpectrum:
-    """Fixed-order fiber data a_n = max(n, 1)^{-p} for |k| <= n <= n_max."""
-    if p <= 0:
-        raise ValueError("exponent must be positive")
-    if n_max < abs(k):
-        raise ValueError("n_max must be at least |k|")
-    n = np.arange(abs(k), n_max + 1, dtype=float)
-    coef = np.maximum(n, 1.0) ** (-p)
-    return FiberSpectrum(k=k, coef=coef.astype(complex))
-
-
-def tensor_data(factors) -> TorusSpectrum:
-    """Tensor product of 1-D torus spectra: f_hat(m) = prod_i f_i_hat(m_i).
-
-    Factors with different box radii are zero-padded to the largest.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    if any(f.d != 1 for f in factors):
-        raise ValueError("tensor factors must be 1-d spectra")
-    m_max = max(f.m_max for f in factors)
-    lines = []
-    for f in factors:
-        pad = m_max - f.m_max
-        lines.append(np.pad(f.coef, (pad, pad)))
-    box = lines[0]
-    for line in lines[1:]:
-        box = np.multiply.outer(box, line)
-    return TorusSpectrum(
-        d=len(factors),
-        m_max=m_max,
-        coef=box,
-        real_valued=all(f.real_valued for f in factors),
-    )
-
-
 def random_phase(spec, seed: int):
     """Same spectrum with i.i.d. uniform unimodular phases on each entry.
 
@@ -582,59 +474,3 @@ def random_phase(spec, seed: int):
     if isinstance(spec, TorusSpectrum):
         return TorusSpectrum(d=spec.d, m_max=spec.m_max, coef=spec.coef * phases, real_valued=False)
     return spec.scaled(phases)
-
-
-@dataclass(frozen=True)
-class SigmaDifferences:
-    """First and mixed finite-difference tables of a T^2 spectrum.
-
-    For f_hat on the box, sigma^i_m = f_hat(m + e_i) - f_hat(m) and
-    sigma_m = f_hat(m + e_1 + e_2) - f_hat(m + e_1) - f_hat(m + e_2)
-    + f_hat(m), so sigma_m = sigma^1_{m + e_2} - sigma^1_m.
-
-    Attributes
-    ----------
-    m_max : int
-        Box radius of the parent spectrum.
-    first1 : ndarray
-        sigma^1 on m_1 in [-M, M-1], m_2 in [-M, M].
-    first2 : ndarray
-        sigma^2 on m_1 in [-M, M], m_2 in [-M, M-1].
-    mixed : ndarray
-        sigma on m_1, m_2 in [-M, M-1].
-    """
-
-    m_max: int
-    first1: np.ndarray
-    first2: np.ndarray
-    mixed: np.ndarray
-
-    @classmethod
-    def from_spectrum(cls, spec: TorusSpectrum) -> "SigmaDifferences":
-        if spec.d != 2:
-            raise ValueError("difference tables are defined for T^2 spectra")
-        box = spec.coef
-        first1 = np.diff(box, axis=0)
-        first2 = np.diff(box, axis=1)
-        mixed = np.diff(first1, axis=1)
-        return cls(m_max=spec.m_max, first1=first1, first2=first2, mixed=mixed)
-
-    def _offset(self, m, shape) -> tuple:
-        i = int(m[0]) + self.m_max
-        j = int(m[1]) + self.m_max
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-            raise ValueError(f"index {tuple(m)} outside the difference table")
-        return i, j
-
-    def sigma1(self, m) -> complex:
-        return complex(self.first1[self._offset(m, self.first1.shape)])
-
-    def sigma2(self, m) -> complex:
-        return complex(self.first2[self._offset(m, self.first2.shape)])
-
-    def sigma(self, m) -> complex:
-        return complex(self.mixed[self._offset(m, self.mixed.shape)])
-
-    def identity_defect(self) -> float:
-        """max |sigma_m - (sigma^1_{m+e_2} - sigma^1_m)| over the table."""
-        return float(np.max(np.abs(self.mixed - np.diff(self.first1, axis=1))))

@@ -1,12 +1,16 @@
 """CLI behaviour: exit codes, output files, config precedence, determinism."""
 
+import functools
 import hashlib
+import inspect
 import json
 
 import pytest
 
-from talbotlab import __version__
+from talbotlab import __version__, cli
 from talbotlab.cli import main
+from talbotlab.experiments import ExperimentResult
+from talbotlab.specialfun import SZEGO_REMAINDER_C
 
 
 def run(tmp_path, *argv):
@@ -165,3 +169,122 @@ def test_bad_flag_value_raises_system_exit(tmp_path):
     with pytest.raises(SystemExit) as info:
         run(tmp_path, "dimension", "torus-step", "--window", "4")
     assert info.value.code == 2
+
+
+def _argv_prefix(study):
+    group, _, variant = study.partition("-")
+    return [group, variant] if group == "dimension" else [study]
+
+
+def _flag_text(value):
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_flag_text(v) for v in value)
+    return repr(value)
+
+
+def _driver_params(study):
+    sig = inspect.signature(cli._SPECS[study]["driver"])
+    # Defaults stand in for user values; the None defaults of quantize
+    # (p, q) get a coprime pair.
+    return {name: (p.default if p.default is not None else {"p": 1, "q": 3}[name])
+            for name, p in sig.parameters.items() if name != "seed"}
+
+
+def _recording_driver(monkeypatch, study, seen):
+    real = cli._SPECS[study]["driver"]
+
+    @functools.wraps(real)
+    def fake(**kwargs):
+        seen.update(kwargs)
+        return ExperimentResult(name=study, passed=True, measured={},
+                                criteria={}, rows=({"x": 1},))
+
+    monkeypatch.setitem(cli._SPECS[study], "driver", fake)
+    return "seed" in inspect.signature(real).parameters
+
+
+@pytest.mark.parametrize("study", sorted(cli._SPECS))
+def test_every_driver_parameter_is_a_flag(tmp_path, monkeypatch, study):
+    seen = {}
+    seeded = _recording_driver(monkeypatch, study, seen)
+    params = _driver_params(study)
+    flags = [f"--{k.replace('_', '-')}={_flag_text(v)}" for k, v in params.items()]
+    assert run(tmp_path, *_argv_prefix(study), *flags) == 0
+    assert seen == {**params, **({"seed": 1729} if seeded else {})}
+    summary = json.loads((tmp_path / f"{study}.json").read_text())
+    assert list(summary["config"]) == list(params) + (["seed"] if seeded else [])
+
+
+@pytest.mark.parametrize("study", sorted(cli._SPECS))
+def test_every_driver_parameter_is_a_config_key(tmp_path, monkeypatch, study):
+    seen = {}
+    seeded = _recording_driver(monkeypatch, study, seen)
+    params = json.loads(json.dumps(_driver_params(study)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**params, "seed": 11}))
+    assert main([*_argv_prefix(study), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert seen == {**params, **({"seed": 11} if seeded else {})}
+
+
+@pytest.mark.parametrize("study", sorted(cli._SPECS))
+def test_every_subcommand_has_help(study, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*_argv_prefix(study), "--help"])
+    assert info.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_kappa_tolerances_and_specfun_dimension_are_flags(tmp_path):
+    code = run(tmp_path, "kappa-table", "--n-max", "4", "--dims", "2",
+               "--scan-n-max", "16", "--nonneg-tol=-1e-9", "--support-tol", "1e-9")
+    assert code == 0
+    criteria = json.loads((tmp_path / "kappa-table.json").read_text())["criteria"]
+    assert criteria["nonneg_tol"] == -1e-9 and criteria["support_tol"] == 1e-9
+    code = run(tmp_path, "specfun-check", "--d", "3", "--ortho-n-max", "8",
+               "--szego-degrees", "64,128", "--theta-points", "64")
+    assert code == 0
+    summary = json.loads((tmp_path / "specfun-check.json").read_text())
+    assert summary["config"]["d"] == 3
+    assert summary["criteria"]["envelope_constant_max"] == SZEGO_REMAINDER_C[3]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dimension", "torus-step", "--band", "1,2"),
+    ("dimension", "beam", "--m-max", "99"),
+    ("dimension",),
+    ("dimension", "zonal", "--window", "4,x"),
+])
+def test_foreign_or_malformed_flags_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, *argv)
+    assert info.value.code == 2
+
+
+def test_invalid_sign_exits_two_without_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["nls-smoothing", "--n-max", "16", "--sign", "0",
+                 "--out", str(out_dir)]) == 2
+    assert "sign" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_seed_flag_beats_config_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m_max": 64, "q_max": 3, "seed": 7}))
+    out_dir = tmp_path / "out"
+    assert main(["quantize", "--config", str(cfg), "--seed", "5",
+                 "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "quantize.json").read_text())["seed"] == 5
+
+
+def test_refused_kappa_overwrite_writes_nothing(tmp_path, capsys):
+    argv = ("kappa-table", "--n-max", "4", "--dims", "2,3", "--scan-n-max", "16")
+    (tmp_path / "kappa-values-d3.json").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 2
+    assert "kappa-values-d3.json" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert run(tmp_path, *argv, "--force") == 0
+    assert json.loads((tmp_path / "kappa-values-d3.json").read_text())["d"] == 3

@@ -11,7 +11,6 @@ from talbotlab.fractal import (
     DomainConfig,
     box_count_curve,
     box_count_series,
-    box_count_sphere_surface,
     box_count_surface,
     dim_t,
     dimension_fit,
@@ -92,19 +91,6 @@ def test_tensor_product_surface_identity():
     sheet = np.tile(curve[:, None], (1, n))
     for k in (3, 5, 7):
         assert box_count_surface(sheet, k) == 2**k * box_count_curve(curve, k)
-
-
-def test_sphere_surface_weighting():
-    """Weighted counts of a smooth sphere graph still fit dimension ~2."""
-    n = 2**9
-    theta = (np.arange(n) + 0.5) * np.pi / n
-    phi = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    z = np.cos(theta)[:, None] * np.sin(phi)[None, :]
-    ks = range(2, 7)
-    counts = [box_count_sphere_surface(z, k, theta) for k in ks]
-    series = BoxCountSeries(k_values=tuple(ks), counts=tuple(counts))
-    est = dimension_fit(series, (2, 6))
-    assert est.slope == pytest.approx(2.0, abs=0.15)
 
 
 def test_refinement_stability():

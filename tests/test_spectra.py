@@ -8,13 +8,9 @@ from scipy import integrate
 
 from conftest import quad_triangle_coefficient
 from talbotlab.spectra import (
-    SigmaDifferences,
-    TorusSpectrum,
     beam_decay_family,
-    fiber_decay_family,
     random_phase,
     spectrum_from_json,
-    tensor_data,
     torus_decay_family_2d,
     torus_polygon_indicator,
     torus_step,
@@ -111,18 +107,6 @@ def test_degenerate_polygon_rejected():
         torus_polygon_indicator(((0.0, 0.0), (1.0, 1.0)), 4)
 
 
-def test_tensor_data_is_product():
-    a = np.array([0.5j, 1.0, 2.0], dtype=complex)
-    b = np.array([1.0, -1.0, 0.25], dtype=complex)
-    fa = TorusSpectrum(d=1, m_max=1, coef=a)
-    fb = TorusSpectrum(d=1, m_max=1, coef=b)
-    spec = tensor_data((fa, fb))
-    assert spec.d == 2 and spec.m_max == 1
-    for m1 in (-1, 0, 1):
-        for m2 in (-1, 0, 1):
-            assert spec.coefficient((m1, m2)) == pytest.approx(a[m1 + 1] * b[m2 + 1])
-
-
 def test_decay_families():
     zon = zonal_decay_family(1.5, 10)
     assert zon.coef[0] == 1.0
@@ -132,8 +116,6 @@ def test_decay_families():
     assert tor.coefficient((3, 4)) == pytest.approx(26.0**-0.75)
     beam = beam_decay_family(2.0, 6, sign=-1)
     assert beam.sign == -1 and beam.coef[3] == pytest.approx(3.0**-2)
-    fib = fiber_decay_family(2, 1.0, 9)
-    assert fib.k == 2 and fib.degrees()[0] == 2
     with pytest.raises(ValueError):
         torus_decay_family_2d(1.5, 8)
     with pytest.raises(ValueError):
@@ -160,14 +142,6 @@ def test_random_phase_preserves_magnitude(rng):
     assert not out1.real_valued
 
 
-def test_sigma_differences_identity():
-    spec = random_phase(torus_decay_family_2d(0.6, 10), seed=3)
-    table = SigmaDifferences.from_spectrum(spec)
-    assert table.identity_defect() == 0.0
-    manual = np.diff(np.diff(spec.coef, axis=0), axis=1)
-    np.testing.assert_array_equal(table.mixed, manual)
-
-
 def test_norms_and_scaling():
     spec = zonal_decay_family(1.25, 32)
     manual_l2 = math.sqrt(float(np.sum(np.abs(spec.coef) ** 2)))
@@ -185,12 +159,11 @@ def test_json_round_trip():
         triangle_indicator(*TRIANGLE, 3),
         zonal_decay_family(1.5, 5, d=3),
         beam_decay_family(1.0, 4, sign=-1),
-        fiber_decay_family(1, 0.5, 6),
     ]
     for spec in specs:
         back = spectrum_from_json(spec.to_json())
         assert type(back) is type(spec)
         np.testing.assert_array_equal(back.coef, spec.coef)
-        for attr in ("d", "m_max", "sign", "k"):
+        for attr in ("d", "m_max", "sign"):
             if hasattr(spec, attr):
                 assert getattr(back, attr) == getattr(spec, attr)
