@@ -5,14 +5,16 @@ A Weyl block is the partial sum
     S(u, x) = sum_{n=N}^{u} b_n a^n exp(i n^2 t + i n x),   N <= u <= 2N,
 
 whose supremum over both the truncation point u and a physical grid
-in x measures square-root cancellation for generic t.  Dimension-d
+in x measures square-root cancellation for generic t.  It is found
+from direct phases e^{i n^2 t}, FFT chunk sums (numpy.fft: no BLAS,
+no dependence on the thread count) and a triangle-inequality bound
+that leaves few prefixes to sum term by term.  Dimension-d
 shell sums over N <= max|m_i| < 2N factorize as a difference of
 tensor products of one-axis box sums.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,6 +54,15 @@ class WeylBlockResult:
     argmax_u: int
 
 
+# Terms per chunk in the bounding and refining passes of weyl_block_sup,
+# chunks per batched FFT call, and the pruning slack relative to
+# sum |c_n| (it covers the roundoff of FFT chunk sums and running sums).
+_BOUND_CHUNK = 64
+_REFINE_CHUNK = 16
+_FFT_BATCH = 8
+_ROUNDOFF = 1e-10
+
+
 def _block_weights(weights, n_values: np.ndarray) -> np.ndarray:
     if weights is None:
         return np.ones(n_values.size)
@@ -61,6 +72,34 @@ def _block_weights(weights, n_values: np.ndarray) -> np.ndarray:
     if arr.shape != n_values.shape:
         raise ValueError("weight array must cover n = N .. 2N inclusive")
     return arr
+
+
+def _quadratic_phases(t: float, n_values: np.ndarray) -> np.ndarray:
+    """exp(i n^2 t); n^2 (split at bit 26) times t_hi (26-bit Veltkamp) is exact."""
+    scaled = 134217729.0 * t  # (2^27 + 1) t
+    t_hi = scaled - (scaled - t)
+    m = n_values.astype(np.int64) ** 2
+    m_lo = m & ((1 << 26) - 1)
+    exact = np.exp(1j * ((m - m_lo) * t_hi)) * np.exp(1j * (m_lo * t_hi))
+    return exact * np.exp(1j * (m * (t - t_hi)))
+
+
+def _running_chunks(coef: np.ndarray, n_values: np.ndarray, grid: int, size: int):
+    """Yield ``(lo, before, chunk)`` for the term chunks [lo, lo + size).
+
+    ``chunk`` is the chunk's sum on the grid, an inverse FFT of its
+    terms placed at n mod grid; ``before`` the sum of all earlier
+    terms, updated in place when the walk resumes.
+    """
+    total = np.zeros(grid, dtype=complex)
+    span = size * _FFT_BATCH
+    for first in range(0, coef.size, span):
+        idx = np.arange(first, min(first + span, coef.size))
+        placed = np.zeros(((idx.size - 1) // size + 1, grid), dtype=complex)
+        np.add.at(placed, ((idx - first) // size, n_values[idx] % grid), coef[idx])
+        for row, chunk in enumerate(np.fft.ifft(placed, axis=1, norm="forward")):
+            yield first + row * size, total, chunk
+            total += chunk
 
 
 def weyl_block_sup(
@@ -89,44 +128,51 @@ def weyl_block_sup(
     Returns
     -------
     WeylBlockResult
-        Running maximum over all prefixes u and grid points x.
+        Running maximum over all prefixes u and grid points x; ties go
+        to the smallest u, then the smallest x.  NaN if a term is not
+        finite.
 
     Notes
     -----
-    Phases advance by the first-difference recurrence
-    exp(i (n+1)^2 t) = exp(i n^2 t) exp(i (2n+1) t), so the block
-    costs O(N * grid_factor * N) with no large-angle trig calls.
+    Bound and refine in O(G) memory, G = grid_factor * N.  The largest
+    running sum B at the ends of ``_BOUND_CHUNK``-term chunks is a lower
+    bound of the sup.  By the triangle inequality, a prefix in a
+    ``_REFINE_CHUNK``-term chunk starting at s beats B at x only if
+    |S(s - 1, x)| + sum_chunk |c_n| + slack >= B; only those x are summed
+    term by term, with exact phase indices (n j) mod G.
     """
     big_n = int(block_start)
     if big_n < 1:
         raise ValueError("block start must be >= 1")
     if not 0.0 <= damping <= 1.0:
         raise ValueError("damping must lie in [0, 1]")
+    grid = int(grid_factor) * big_n
+    if grid < 1:
+        raise ValueError("grid_factor must be >= 1")
     n_values = np.arange(big_n, 2 * big_n + 1)
-    b = _block_weights(weights, n_values)
-    grid = grid_factor * big_n
-    x = 2.0 * math.pi * np.arange(grid) / grid
-    step_x = np.exp(1j * x)
-    # term_n(x) = b_n a^n e^{i n^2 t} e^{i n x}, advanced incrementally.
-    cur = np.exp(1j * (float(big_n) ** 2) * t) * np.exp(1j * big_n * x)
-    amp = damping**big_n if damping != 1.0 else 1.0
-    total = np.zeros(grid, dtype=complex)
-    best = -1.0
-    best_x = 0.0
-    best_u = big_n
-    for i, n in enumerate(n_values):
-        total += (b[i] * amp) * cur
-        mags = np.abs(total)
-        j = int(np.argmax(mags))
-        if mags[j] > best:
-            best = float(mags[j])
-            best_x = float(x[j])
-            best_u = int(n)
-        if i + 1 < n_values.size:
-            cur *= cmath.exp(1j * (2.0 * n + 1.0) * t) * step_x
-            if damping != 1.0:
-                amp *= damping
-    return WeylBlockResult(block_start=big_n, sup=best, argmax_x=best_x, argmax_u=best_u)
+    coef = _block_weights(weights, n_values) * damping ** n_values.astype(float)
+    coef = coef * _quadratic_phases(t, n_values)
+    mags = np.abs(coef)
+    slack = _ROUNDOFF * float(np.sum(mags))
+    if not math.isfinite(slack):
+        return WeylBlockResult(big_n, math.nan, 0.0, big_n)
+    bound = 0.0
+    for _, before, chunk in _running_chunks(coef, n_values, grid, _BOUND_CHUNK):
+        bound = max(bound, float(np.max(np.abs(before + chunk))))
+    roots = np.exp(2j * math.pi * np.arange(grid) / grid)
+    best, best_u, best_j = -1.0, big_n, 0
+    for lo, before, _ in _running_chunks(coef, n_values, grid, _REFINE_CHUNK):
+        part = slice(lo, lo + _REFINE_CHUNK)
+        cols = np.flatnonzero(np.abs(before) >= bound - float(np.sum(mags[part])) - slack)
+        if cols.size:
+            n = n_values[part, None]
+            terms = coef[part, None] * roots[n * cols % grid]
+            sizes = np.abs(before[cols] + np.cumsum(terms, axis=0))
+            at = int(np.argmax(sizes))
+            if sizes.flat[at] > best:
+                row, col = divmod(at, cols.size)
+                best, best_u, best_j = float(sizes.flat[at]), int(n[row, 0]), int(cols[col])
+    return WeylBlockResult(big_n, best, 2.0 * math.pi * best_j / grid, best_u)
 
 
 def gauss_sum(p: int, q: int) -> complex:

@@ -4,9 +4,11 @@ The box (Minkowski) dimension of a graph is read off from dyadic
 column counts: at level k the domain splits into 2^k columns (4^k
 cells in two dimensions) and each column contributes
 floor(oscillation / epsilon) + 1 vertical boxes of side
-epsilon = 2^{-k}.  The dimension estimate is the least-squares slope
-of log2 N(k) against k over a scale window, reported per component
-(real and imaginary parts) with the maximum as the headline value.
+epsilon = 2^{-k}; all levels come from one dyadic max/min pyramid
+(``box_count_series``).  The dimension estimate is the least-squares
+slope of log2 N(k) against k over a scale window, reported per
+component (real and imaginary parts) with the maximum as the headline
+value.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class BoxCountSeries:
         Dyadic levels; boxes at level k have side 2^{-k}.
     counts : ndarray
         Box counts N(E, 2^{-k}); positive and non-decreasing in k.
-        Area-weighted sphere counts may be non-integral.
     """
 
     k_values: np.ndarray
@@ -108,8 +109,13 @@ class DimensionEstimate:
         )
 
 
-def _column_counts(oscillations: np.ndarray, eps: float) -> float:
-    return float(np.sum(np.floor(oscillations / eps) + 1.0))
+def _reduce_runs(op, values: np.ndarray, axis: int, r: int) -> np.ndarray:
+    """Reduce each run of r samples along an axis with op, via strided views."""
+    runs = [values[(slice(None),) * axis + (slice(i, None, r),)] for i in range(r)]
+    out = runs[0] if r == 1 else op(runs[0], runs[1])
+    for run in runs[2:]:
+        op(out, run, out=out)
+    return out
 
 
 def box_count_curve(samples, k: int) -> int:
@@ -128,16 +134,8 @@ def box_count_curve(samples, k: int) -> int:
     int
         Sum over the 2^k columns of floor(oscillation / 2^{-k}) + 1.
     """
-    values = np.asarray(samples, dtype=float)
-    cols = 1 << k
-    if values.size < 4 * cols:
-        raise ValueError("grid resolution must be at least 4 * 2^k")
-    if values.size % cols != 0:
-        raise ValueError("grid size must be divisible by 2^k")
-    eps = 2.0 ** (-k)
-    blocks = values.reshape(cols, -1)
-    osc = blocks.max(axis=1) - blocks.min(axis=1)
-    return int(_column_counts(osc, eps))
+    values = np.asarray(samples, dtype=float).reshape(-1)
+    return int(box_count_series(values, [k]).counts[0])
 
 
 def box_count_surface(samples, k: int) -> int:
@@ -149,25 +147,38 @@ def box_count_surface(samples, k: int) -> int:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 2:
         raise ValueError("surface counting expects a 2-d sample array")
-    cols = 1 << k
-    if values.shape[0] < 4 * cols or values.shape[1] < 4 * cols:
-        raise ValueError("grid resolution must be at least 4 * 2^k per axis")
-    if values.shape[0] % cols != 0 or values.shape[1] % cols != 0:
-        raise ValueError("grid sizes must be divisible by 2^k")
-    eps = 2.0 ** (-k)
-    r0 = values.shape[0] // cols
-    r1 = values.shape[1] // cols
-    blocks = values.reshape(cols, r0, cols, r1)
-    mx = blocks.max(axis=(1, 3))
-    mn = blocks.min(axis=(1, 3))
-    return int(_column_counts(mx - mn, eps))
+    return int(box_count_series(values, [k]).counts[0])
 
 
-def box_count_series(samples, k_values, counter=box_count_curve) -> BoxCountSeries:
-    """Box counts across levels, packaged as a series."""
+def box_count_series(samples, k_values) -> BoxCountSeries:
+    """Box counts of a 1-d (curve) or 2-d (surface) grid across levels.
+
+    The grid is reduced once to the finest level, then each coarser
+    level halves every axis pairwise; max and min are exact, so each
+    count equals a per-level reduction of its cells.
+    """
+    values = np.asarray(samples, dtype=float)
     ks = [int(k) for k in k_values]
-    counts = [counter(samples, k) for k in ks]
-    return BoxCountSeries(k_values=np.array(ks), counts=np.array(counts, dtype=float))
+    if values.ndim not in (1, 2):
+        raise ValueError("box counting expects a 1-d or 2-d sample array")
+    if min(ks, default=0) < 0:
+        raise ValueError("dyadic levels must be non-negative")
+    top = max(ks, default=0)
+    cols = 1 << top
+    if min(values.shape) < 4 * cols:
+        raise ValueError("grid resolution must be at least 4 * 2^k per axis")
+    if any(n % cols for n in values.shape):
+        raise ValueError("grid sizes must be divisible by 2^k")
+    hi = lo = values
+    counts = {}
+    for k in range(top, min(ks, default=1) - 1, -1):
+        for axis, n in enumerate(values.shape):
+            r = n // cols if k == top else 2
+            hi = _reduce_runs(np.maximum, hi, axis, r)
+            lo = _reduce_runs(np.minimum, lo, axis, r)
+        counts[k] = np.sum(np.floor((hi - lo) / 2.0 ** (-k)) + 1.0)
+    return BoxCountSeries(k_values=np.array(ks, dtype=int),
+                          counts=np.array([counts[k] for k in ks], dtype=float))
 
 
 def dimension_fit(
@@ -206,18 +217,13 @@ class DomainConfig:
     grid_size : int
         Samples per axis for the physical-space evaluation.
     window : tuple
-        Inclusive dyadic fit window (k_lo, k_hi).
-    k_values : tuple or None
-        Levels to count; defaults to the fit window range.
+        Inclusive dyadic fit window (k_lo, k_hi); its levels are counted.
     """
 
     grid_size: int
     window: tuple = (5, 11)
-    k_values: tuple | None = None
 
     def levels(self) -> list[int]:
-        if self.k_values is not None:
-            return [int(k) for k in self.k_values]
         return list(range(self.window[0], self.window[1] + 1))
 
 
@@ -263,10 +269,9 @@ def dim_t(spec, t, config: DomainConfig) -> DimReport:
     """
     field = _evaluate_for_dimension(spec, t, config)
     values = field.values
-    counter = box_count_surface if values.ndim == 2 else box_count_curve
     estimates = {}
     for name, comp in (("real", values.real), ("imag", values.imag)):
-        series = box_count_series(comp, config.levels(), counter=counter)
+        series = box_count_series(comp, config.levels())
         estimates[name] = dimension_fit(series, config.window, component=name)
     return DimReport(
         real=estimates["real"],

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,14 +230,18 @@ class KappaTable:
         return float(np.min(vals)) if vals else 0.0
 
     def save(self, json_path, csv_path) -> None:
-        """Persist as a JSON header plus a CSV body (indices, value)."""
+        """Persist as a JSON header plus a CSV body (indices, value).
+
+        The header's "body" is the CSV path relative to the JSON file's
+        directory, so it does not depend on how that directory is named.
+        """
         header = {
             "d": self.d,
             "n_max": self.n_max,
             "node_count": self.node_count,
             "triples": len(self.triples),
             "quads": len(self.quads),
-            "body": str(csv_path),
+            "body": os.path.relpath(csv_path, os.path.dirname(os.path.abspath(json_path))),
         }
         with open(json_path, "w", encoding="ascii") as fh:
             json.dump(header, fh, indent=2)

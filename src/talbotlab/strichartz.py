@@ -4,8 +4,8 @@ For band-limited data the Schrodinger flow on the sphere is a trig
 polynomial in time with integer frequencies lambda_n = n(n + d - 1),
 so space-time L^2 norms over one period reduce exactly, by Parseval
 in t, to a sum over tau-classes of pairs (n, m) with
-lambda_n + lambda_m = tau.  No time grid is involved; a dense-grid
-quadrature survives only as a small-truncation oracle.
+lambda_n + lambda_m = tau.  No time grid is involved (the test suite
+keeps a dense-grid quadrature as a small-truncation oracle).
 
 Norms use probability measures on both factors
 (dsigma / omega_d and dt / 2 pi), so a single mode has unit L^2 norm
@@ -31,7 +31,6 @@ __all__ = [
     "l4_norm_beam",
     "beam_l4_closed",
     "l4_norm_spacetime",
-    "l4_spacetime_grid",
 ]
 
 
@@ -103,10 +102,6 @@ def alpha_count(block_n: int, block_m: int, tau: int, d: int = 2) -> int:
     return count
 
 
-def _product_rule(total_degree: int, d: int) -> QuadratureRule:
-    return QuadratureRule.for_degree(total_degree, d)
-
-
 def bilinear_l2(
     f: ZonalSpectrum, g: ZonalSpectrum, block_n: int, block_m: int
 ) -> float:
@@ -136,7 +131,7 @@ def bilinear_l2(
     d = f.d
     deco = PairFrequencyDecomposition.build(block_n, block_m, d)
     top = 2 * block_n - 1 + 2 * block_m - 1
-    rule = _product_rule(2 * top, d)
+    rule = QuadratureRule.for_degree(2 * top, d)
     table = zonal_harmonic_table(min(2 * block_n - 1, max(f.n_max, g.n_max)), d, rule.nodes)
     ratio = SphereConstants.for_dimension(d).weight_ratio
 
@@ -206,33 +201,3 @@ def l4_norm_spacetime(f: ZonalSpectrum, block_n: int) -> float:
     """
     square = bilinear_l2(f, f, block_n, block_n)
     return math.sqrt(square)
-
-
-def l4_spacetime_grid(
-    f: ZonalSpectrum, block_n: int, t_points: int | None = None
-) -> float:
-    """Dense t-grid evaluation of the space-time L^4 norm (oracle).
-
-    Exact for band-limited data when the uniform t grid exceeds the
-    bandwidth of |u|^4 (a trig polynomial), but the required grid
-    grows like N^2; intended for small truncations only.
-    """
-    d = f.d
-    lo, hi = block_n, 2 * block_n
-    degrees = np.arange(lo, min(hi, f.n_max + 1))
-    if degrees.size == 0:
-        return 0.0
-    coef = f.coef[degrees]
-    lam = degrees * (degrees + d - 1)
-    if t_points is None:
-        band = 2 * (int(lam.max()) - int(lam.min()))
-        t_points = 2 * band + 8
-    rule = _product_rule(4 * (2 * block_n - 1), d)
-    table = zonal_harmonic_table(int(degrees.max()), d, rule.nodes)[degrees]
-    ratio = SphereConstants.for_dimension(d).weight_ratio
-    t = 2.0 * math.pi * np.arange(t_points) / t_points
-    phases = np.exp(1j * np.outer(t, lam))
-    fields = (phases * coef[None, :]) @ table
-    quartic = np.abs(fields) ** 4
-    per_t = ratio * (quartic @ rule.weights)
-    return float(np.mean(per_t) ** 0.25)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaunt import QuadratureRule, kappa_vector, line_integral_table
+from .gaunt import QuadratureRule, line_integral_table
 from .specialfun import SphereConstants, zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
@@ -46,7 +46,6 @@ __all__ = [
     "SmoothingTable",
     "gamma_phase",
     "nonlinearity_apply",
-    "nonlinearity_kappa_sum",
     "step_strang",
     "solve",
     "smoothing_residual",
@@ -218,28 +217,6 @@ def nonlinearity_apply(state: NLSState, config: NLSConfig | None = None) -> Zona
         raise ValueError("quadrature nodes insufficient for dealiasing")
     ws = _Workspace(spec.d, replace(config, n_max=spec.n_max))
     out, _ = ws.cube_projection(spec.coef)
-    return ZonalSpectrum(d=spec.d, coef=out)
-
-
-def nonlinearity_kappa_sum(state: NLSState) -> ZonalSpectrum:
-    """Direct Gaunt-sum evaluation of the cubic term (oracle path).
-
-    (|u|^2 u)^_n = sum over (n1, n2, n3) of
-    a_{n1} conj(a_{n2}) a_{n3} kappa(n, n1, n2, n3); quadratic cost in
-    the truncation, intended for small n_max cross-checks.
-    """
-    spec = state.spectrum
-    coef = spec.coef
-    n_max = spec.n_max
-    degrees = np.arange(n_max + 1)
-    out = np.zeros(n_max + 1, dtype=complex)
-    for n1 in range(n_max + 1):
-        for n2 in range(n_max + 1):
-            for n3 in range(n_max + 1):
-                weight = coef[n1] * np.conj(coef[n2]) * coef[n3]
-                if weight == 0:
-                    continue
-                out += weight * kappa_vector((n1, n2, n3), degrees, spec.d)
     return ZonalSpectrum(d=spec.d, coef=out)
 
 

@@ -7,8 +7,15 @@ scipy.integrate adaptive quadrature so that agreement is meaningful.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import integrate
 from scipy.special import eval_chebyu, eval_legendre, gamma as gamma_fn, roots_jacobi
+
+# One Hypothesis profile for the suite: the time per example of the
+# FFT- and quadrature-backed properties follows the machine's load, so
+# no per-example deadline; each test keeps its own max_examples.
+settings.register_profile("talbotlab", deadline=None)
+settings.load_profile("talbotlab")
 
 
 def legendre_zonal(n, x):

@@ -57,7 +57,7 @@ def test_short_input_rejected():
         fit_loglog(np.array([1.0, -2.0, 3.0]), np.array([1.0, 1.0, 1.0]))
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(
     slope=st.floats(-10, 10, allow_nan=False),
     intercept=st.floats(-10, 10, allow_nan=False),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talbotlab.evolve import TimePoint
 from talbotlab.fractal import (
@@ -23,6 +25,81 @@ SQUARE_WAVE = ((0.0, 1.0), (math.pi, -1.0))
 def weierstrass(x, a=0.5, b=3, terms=40):
     """W(x) = sum a^k cos(b^k pi x), graph dimension 2 + log_b a."""
     return sum(a**k * np.cos(b**k * np.pi * x) for k in range(terms))
+
+
+def reshape_box_count(samples, k):
+    """Per-level box count from a reshaped block array (test oracle).
+
+    Each level reshapes the whole grid into its 2^k (or 4^k) cells and
+    reduces every cell with max/min, independently of other levels.
+    """
+    values = np.asarray(samples, dtype=float)
+    cols = 1 << k
+    if values.ndim == 1:
+        blocks = values.reshape(cols, -1)
+        osc = blocks.max(axis=1) - blocks.min(axis=1)
+    else:
+        blocks = values.reshape(cols, values.shape[0] // cols, cols, values.shape[1] // cols)
+        osc = blocks.max(axis=(1, 3)) - blocks.min(axis=(1, 3))
+    return int(np.sum(np.floor(osc / 2.0 ** (-k)) + 1.0))
+
+
+# Samples per cell at the finest level, per axis: powers of 2 and
+# 3 * 2^j, 5 * 2^j multiples, all at least the required 4.
+RATIOS = (4, 5, 6, 8, 10, 12, 20)
+
+
+@st.composite
+def pyramid_cases(draw):
+    ndim = draw(st.sampled_from((1, 2)))
+    top = draw(st.integers(0, 6 if ndim == 1 else 4))
+    shape = tuple(draw(st.sampled_from(RATIOS)) << top for _ in range(ndim))
+    levels = draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+    levels.append(top)
+    levels = draw(st.permutations(levels))
+    seed = draw(st.integers(0, 2**32 - 1))
+    quantized = draw(st.booleans())
+    view = draw(st.sampled_from(("plain", "real", "imag", "transposed")))
+    return shape, levels, seed, quantized, view
+
+
+@settings(max_examples=80)
+@given(pyramid_cases())
+def test_pyramid_counts_equal_per_level_reshape_counts(case):
+    shape, levels, seed, quantized, view = case
+    rng = np.random.default_rng(seed)
+    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    field = field.cumsum(axis=0) * 2.0 ** -rng.integers(0, 8)
+    if quantized:  # dyadic values put oscillations exactly on box edges
+        field = np.round(field * 8.0) / 8.0
+    if view == "plain":
+        samples = np.ascontiguousarray(field.real)
+    elif view == "real":
+        samples = field.real
+    elif view == "imag":
+        samples = field.imag
+    else:
+        samples = np.ascontiguousarray(field.real.T).T
+    series = box_count_series(samples, levels)
+    assert series.k_values.tolist() == levels
+    assert series.counts.tolist() == [float(reshape_box_count(samples, k)) for k in levels]
+    k = levels[0]
+    single = box_count_surface(samples, k) if samples.ndim == 2 else box_count_curve(samples, k)
+    assert single == reshape_box_count(samples, k)
+
+
+def test_series_validation():
+    with pytest.raises(ValueError):
+        box_count_series(np.zeros((8, 8, 8)), [0])
+    with pytest.raises(ValueError):
+        box_count_series(np.zeros((128, 96)), [3, 5])  # 96 < 4 * 2^5
+    with pytest.raises(ValueError):
+        box_count_series(np.zeros((128, 100)), [2, 3])  # 100 not divisible by 8
+    with pytest.raises(ValueError):
+        box_count_series(np.zeros(64), [-1, 2])
+    with pytest.raises(ValueError):
+        box_count_surface(np.zeros(64), 2)
+    assert box_count_series(np.zeros(64), []).counts.size == 0
 
 
 def test_constant_counts_one_box_per_column():

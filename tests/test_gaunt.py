@@ -1,5 +1,6 @@
 """Product integrals of zonal harmonics and the frequency trichotomy."""
 
+import json
 import math
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_frozen_constants_below_calibrated_optimum(d):
     assert c1_frozen <= c1_opt + 1e-12
 
 
-@settings(deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(
     n1=st.integers(0, 48),
     n2=st.integers(0, 48),
@@ -192,3 +193,20 @@ def test_kappa_table_build_value_and_roundtrip(tmp_path):
     assert back.value((3, 4, 5)) == table.value((3, 4, 5))
     header = cp.read_text().splitlines()[0]
     assert header == "n1,n2,n3,n4,value"
+
+
+def test_kappa_table_header_names_its_body_relative_to_itself(tmp_path, monkeypatch):
+    """Two spellings of one output directory give byte-identical headers."""
+    table = KappaTable.build(4, d=2)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    texts = []
+    for out in ("out", str(tmp_path / "elsewhere" / ".." / "out")):
+        base = f"{out}/kappa-values-d2"
+        table.save(base + ".json", base + ".csv")
+        texts.append((tmp_path / "out" / "kappa-values-d2.json").read_bytes())
+    assert texts[0] == texts[1]
+    body = json.loads(texts[0])["body"]
+    csv_path = tmp_path / "out" / "kappa-values-d2.csv"
+    assert (tmp_path / "out" / body).resolve() == csv_path.resolve()

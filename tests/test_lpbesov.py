@@ -37,7 +37,7 @@ def test_bump_support_and_range():
     assert bump(1.0) == pytest.approx(1.0)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(t=st.floats(0.51, 100.0))
 def test_bump_dyadic_partition_of_unity(t):
     bump = default_bump()
@@ -167,7 +167,7 @@ def test_shift_operator_multiplier():
     np.testing.assert_allclose(ident.coef, spec.coef, atol=1e-14)
 
 
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(theta=st.floats(0.0, math.pi))
 def test_shift_operator_is_a_contraction(theta):
     spec = zonal_decay_family(0.8, 16)

@@ -190,7 +190,7 @@ def test_harmonic_index_validation():
         HarmonicIndex(3, 1, 1)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(n=st.integers(0, 40), d=st.integers(2, 5), x=st.floats(-1.0, 1.0))
 def test_parity_property(n, d, x):
     theta = math.acos(x)
@@ -215,7 +215,7 @@ def _table_block_sums(coef, d, x, edges):
     return np.array([coef[lo:hi] @ table[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])])
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(case=_zonal_blocks_case())
 def test_cosine_fft_blocks_match_recurrence_table(case):
     """Grid samples of each block agree with the recurrence rows, on the

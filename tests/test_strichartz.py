@@ -7,7 +7,8 @@ import pytest
 from scipy.special import gammaln, roots_legendre
 
 from talbotlab.evolve import propagate_sphere
-from talbotlab.gaunt import kappa
+from talbotlab.gaunt import QuadratureRule, kappa
+from talbotlab.specialfun import SphereConstants, zonal_harmonic_table
 from talbotlab.spectra import ZonalSpectrum, random_phase
 from talbotlab.strichartz import (
     PairFrequencyDecomposition,
@@ -16,8 +17,34 @@ from talbotlab.strichartz import (
     bilinear_l2,
     l4_norm_beam,
     l4_norm_spacetime,
-    l4_spacetime_grid,
 )
+
+
+def l4_spacetime_grid(f, block_n, t_points=None):
+    """Dense t-grid evaluation of the space-time L^4 norm (oracle).
+
+    Exact for band-limited data when the uniform t grid exceeds the
+    bandwidth of |u|^4 (a trig polynomial), but the required grid
+    grows like N^2; intended for small truncations only.
+    """
+    d = f.d
+    degrees = np.arange(block_n, min(2 * block_n, f.n_max + 1))
+    if degrees.size == 0:
+        return 0.0
+    coef = f.coef[degrees]
+    lam = degrees * (degrees + d - 1)
+    if t_points is None:
+        band = 2 * (int(lam.max()) - int(lam.min()))
+        t_points = 2 * band + 8
+    rule = QuadratureRule.for_degree(4 * (2 * block_n - 1), d)
+    table = zonal_harmonic_table(int(degrees.max()), d, rule.nodes)[degrees]
+    ratio = SphereConstants.for_dimension(d).weight_ratio
+    t = 2.0 * math.pi * np.arange(t_points) / t_points
+    phases = np.exp(1j * np.outer(t, lam))
+    fields = (phases * coef[None, :]) @ table
+    quartic = np.abs(fields) ** 4
+    per_t = ratio * (quartic @ rule.weights)
+    return float(np.mean(per_t) ** 0.25)
 
 
 def block_data(p, block_n, d=2, seed=17):

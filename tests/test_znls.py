@@ -5,18 +5,38 @@ import json
 import numpy as np
 import pytest
 
-from talbotlab.gaunt import line_integral_table
+from talbotlab.gaunt import kappa_vector, line_integral_table
 from talbotlab.spectra import ZonalSpectrum, random_phase, zonal_decay_family
 from talbotlab.znls import (
     NLSConfig,
     NLSState,
     gamma_phase,
     nonlinearity_apply,
-    nonlinearity_kappa_sum,
     smoothing_residual,
     solve,
     step_strang,
 )
+
+
+def nonlinearity_kappa_sum(state):
+    """Direct Gaunt-sum evaluation of the cubic term (oracle path).
+
+    (|u|^2 u)^_n = sum over (n1, n2, n3) of
+    a_{n1} conj(a_{n2}) a_{n3} kappa(n, n1, n2, n3); quadratic cost in
+    the truncation, intended for small n_max cross-checks.
+    """
+    spec = state.spectrum
+    coef = spec.coef
+    degrees = np.arange(spec.n_max + 1)
+    out = np.zeros(spec.n_max + 1, dtype=complex)
+    for n1 in degrees:
+        for n2 in degrees:
+            for n3 in degrees:
+                weight = coef[n1] * np.conj(coef[n2]) * coef[n3]
+                if weight == 0:
+                    continue
+                out += weight * kappa_vector((n1, n2, n3), degrees, spec.d)
+    return ZonalSpectrum(d=spec.d, coef=out)
 
 
 def single_mode(n, amp, n_max, d=2):
