@@ -10,7 +10,7 @@ from talbotlab.fitting import fit_loglog
 from talbotlab.spectra import zonal_decay_family
 from talbotlab.znls import NLSConfig, smoothing_residual, solve
 
-config = NLSConfig(n_max=256, dt=1e-3, t_final=0.1)
+config = NLSConfig(dt=1e-3, t_final=0.1)
 data = zonal_decay_family(p=1.1, n_max=256, d=2)
 
 trajectory = solve(data, config, sign=1)

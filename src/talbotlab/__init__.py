@@ -29,8 +29,9 @@ the measurement tools used to study these flows numerically:
     quadrature rules, resonance identities, and the near-resonance
     classification.
 ``znls``
-    The Wick-ordered zonal cubic flow: gauge phase, spectral cubic
-    nonlinearity, Strang splitting, and smoothing diagnostics.
+    The Wick-ordered zonal cubic flow: gauge phase, Strang splitting
+    with a unitary Galerkin substep whose density matrix B(u) also
+    gives the cubic nonlinearity B(u) u, and smoothing diagnostics.
 ``strichartz``
     Space-time L^4 norms on S^2 x [0, 2pi), bilinear pair interactions,
     and closed beam quartic integrals.

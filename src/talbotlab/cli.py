@@ -3,7 +3,10 @@
 Each subcommand runs one reproducible study and writes a CSV of row
 data plus a JSON summary carrying the library version, the seed, the
 effective configuration and its hash, the measured headline numbers,
-and a pass/fail verdict against the configured tolerances.
+and a pass/fail verdict against the configured tolerances.  Summaries
+are strict JSON: a non-finite measured value is written as null and
+named in the summary's "failure" key; any other non-finite value,
+such as a NaN tolerance, is a configuration error.
 
 A study's driver signature in ``experiments`` is its only parameter
 list.  Every driver keyword is both a flag and a config-file key
@@ -169,11 +172,13 @@ def _write_outputs(result, config: dict, seed: int, args) -> None:
         {"subcommand": result.name, "seed": seed, **config}, sort_keys=True,
     )
     digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
-    experiments.write_rows(csv_path, result.rows)
     summary = result.summary(config=config, seed=seed, config_hash=digest)
+    # Serialized before any file is written: a NaN or inf outside
+    # "measured" is a ValueError and leaves no partial outputs.
+    text = json.dumps(summary, indent=2, default=str, allow_nan=False)
+    experiments.write_rows(csv_path, result.rows)
     with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")
     status = "pass" if result.passed else "FAIL"
     print(f"{result.name}: {status}")
     if result.failure:

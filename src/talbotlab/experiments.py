@@ -69,6 +69,10 @@ DEFAULT_STEP_JUMPS = ((0.0, 1.0), (math.pi, -1.0))
 DEFAULT_TRIANGLE = ((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))
 
 
+def _non_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """One driver run: headline numbers, row data, and a verdict.
@@ -103,8 +107,7 @@ class ExperimentResult:
     failure: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
-        bad = [k for k, v in self.measured.items()
-               if isinstance(v, float) and not math.isfinite(v)]
+        bad = [k for k, v in self.measured.items() if _non_finite(v)]
         if bad:
             object.__setattr__(self, "passed", False)
             object.__setattr__(
@@ -118,7 +121,10 @@ class ExperimentResult:
             "seed": seed,
             "config": config,
             "config_hash": config_hash,
-            "measured": self.measured,
+            # JSON has no NaN or inf: such a value is null, and
+            # "failure" names it.
+            "measured": {k: None if _non_finite(v) else v
+                         for k, v in self.measured.items()},
             "criteria": self.criteria,
             "passed": self.passed,
         }
@@ -599,7 +605,7 @@ def run_nls_smoothing(
     fitted tail exponents is the measured smoothing gain.
     """
     data = zonal_decay_family(p, n_max, d=2)
-    config = NLSConfig(n_max=n_max, dt=dt, t_final=t_final)
+    config = NLSConfig(dt=dt, t_final=t_final)
     trajectory = solve(data, config, sign=sign)
     drift = trajectory.mass_drift()
     table = smoothing_residual(trajectory, s=s, eps=eps)
@@ -609,7 +615,7 @@ def run_nls_smoothing(
     gain = fit_u.slope - fit_r.slope
     amp = 0.55 - 0.3j
     single = ZonalSpectrum(d=2, coef=np.array([amp, 0, 0, 0], dtype=complex))
-    cfg_single = NLSConfig(n_max=3, dt=single_mode_dt, t_final=t_final)
+    cfg_single = NLSConfig(dt=single_mode_dt, t_final=t_final)
     traj_single = solve(single, cfg_single, sign=sign)
     exact = amp * np.exp(1j * sign * abs(amp) ** 2 * t_final)
     single_err = float(abs(traj_single.final.spectrum.coef[0] - exact))

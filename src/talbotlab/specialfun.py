@@ -190,6 +190,20 @@ def _check_unit_interval(x: np.ndarray) -> None:
         raise ValueError("argument must lie in [-1, 1]")
 
 
+def _jacobi_recurrence_coeffs(n_max: int, d: int):
+    """(c1, c2, c3) of c1 P_n = c2 x P_{n-1} - c3 P_{n-2}, n = 2 .. n_max.
+
+    The symmetric Jacobi three-term recurrence with
+    alpha = beta = (d-2)/2.
+    """
+    a = (d - 2) / 2.0
+    n = np.arange(2, n_max + 1, dtype=float)
+    c1 = 2.0 * n * (n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
+    c2 = (2.0 * n + 2.0 * a - 1.0) * (2.0 * n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
+    c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + 2.0 * a)
+    return c1, c2, c3
+
+
 def jacobi_symmetric_table(n_max: int, d: int, x) -> np.ndarray:
     """All symmetric Jacobi polynomials up to degree ``n_max`` at ``x``.
 
@@ -206,21 +220,18 @@ def jacobi_symmetric_table(n_max: int, d: int, x) -> np.ndarray:
     Returns
     -------
     ndarray
-        Shape ``(n_max+1, len(x))``; row n holds
-        P_n^{(alpha,alpha)}(x) from the three-term recurrence.
+        Shape ``(n_max+1,) + x.shape`` (x taken at least 1-d); row n
+        holds P_n^{(alpha,alpha)}(x) from the three-term recurrence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x)
-    a = (d - 2) / 2.0
-    rows = np.empty((n_max + 1, x.size), dtype=float)
+    rows = np.empty((n_max + 1, *x.shape), dtype=float)
     rows[0] = 1.0
     if n_max >= 1:
-        rows[1] = (a + 1.0) * x
+        rows[1] = ((d - 2) / 2.0 + 1.0) * x
+    c1, c2, c3 = _jacobi_recurrence_coeffs(n_max, d)
     for n in range(2, n_max + 1):
-        c1 = 2.0 * n * (n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
-        c2 = (2.0 * n + 2.0 * a - 1.0) * (2.0 * n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
-        c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + 2.0 * a)
-        rows[n] = (c2 * x * rows[n - 1] - c3 * rows[n - 2]) / c1
+        rows[n] = (c2[n - 2] * x * rows[n - 1] - c3[n - 2] * rows[n - 2]) / c1[n - 2]
     return rows
 
 
@@ -239,29 +250,13 @@ def jacobi_symmetric(n: int, d: int, x):
     Returns
     -------
     float or ndarray
-        Polynomial values; exact for n in {0, 1} and computed by the
-        stable three-term recurrence otherwise.
+        Row n of ``jacobi_symmetric_table``: exact for n in {0, 1} and
+        computed by the stable three-term recurrence otherwise.
     """
     if n < 0 or d < 2:
         raise ValueError("need n >= 0 and d >= 2")
-    scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(arr)
-    a = (d - 2) / 2.0
-    if n == 0:
-        out = np.ones_like(arr)
-    elif n == 1:
-        out = (a + 1.0) * arr
-    else:
-        pm2 = np.ones_like(arr)
-        pm1 = (a + 1.0) * arr
-        for m in range(2, n + 1):
-            c1 = 2.0 * m * (m + 2.0 * a) * (2.0 * m + 2.0 * a - 2.0)
-            c2 = (2.0 * m + 2.0 * a - 1.0) * (2.0 * m + 2.0 * a) * (2.0 * m + 2.0 * a - 2.0)
-            c3 = 2.0 * (m + a - 1.0) ** 2 * (2.0 * m + 2.0 * a)
-            pm2, pm1 = pm1, (c2 * arr * pm1 - c3 * pm2) / c1
-        out = pm1
-    return float(out[0]) if scalar else out
+    out = jacobi_symmetric_table(n, d, x)[n]
+    return float(out[0]) if np.isscalar(x) else out
 
 
 def _jacobi_at_one(n: int, d: int) -> float:
@@ -353,9 +348,7 @@ def _normalized_recurrence_coeffs(n_max: int, d: int):
     """
     a = (d - 2) / 2.0
     n = np.arange(2, n_max + 1, dtype=float)
-    c1 = 2.0 * n * (n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
-    c2 = (2.0 * n + 2.0 * a - 1.0) * (2.0 * n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
-    c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + 2.0 * a)
+    c1, c2, c3 = _jacobi_recurrence_coeffs(n_max, d)
     dims = np.array([eigenspace_dimension(m, d) for m in range(n_max + 1)], dtype=float)
     # r_n / r_{n-1} with r_n = sqrt(dim_n) / P_n(1); P_n(1)/P_{n-1}(1) = (n+alpha)/n.
     rho = np.sqrt(dims[2:] / dims[1:-1]) * (n / (n + a))

@@ -12,10 +12,8 @@ prediction and applies the unitary rotation exp(i sigma dt B) with
     B_nm = (1/omega_d) integral |u|^2 Y_n Y_m dsigma,
 
 assembled by exact Gauss-Jacobi quadrature; B is real symmetric, so
-mass is conserved to roundoff.  A literal pointwise rotation
-u <- u exp(i sigma |u|^2 dt) followed by re-projection is available
-as a variant, but projection after the rotation leaks a little mass,
-which is why the unitary substep is the default.
+mass is conserved to roundoff, and B(u) u is the zonal projection of
+the cubic term |u|^2 u.
 
 The resonant part of the nonlinearity acts asymptotically as the
 state-dependent phase
@@ -46,7 +44,6 @@ __all__ = [
     "SmoothingTable",
     "gamma_phase",
     "nonlinearity_apply",
-    "step_strang",
     "solve",
     "smoothing_residual",
 ]
@@ -54,40 +51,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NLSConfig:
-    """Discretization parameters for the zonal cubic NLS.
+    """Time stepping of the zonal cubic NLS.
+
+    The truncation n_max is that of the initial spectrum.
 
     Attributes
     ----------
-    n_max : int
-        Spectral truncation; modes 0 .. n_max evolve.
     dt : float
         Time step, > 0.
     t_final : float
-        Integration horizon.
-    padding : int
-        Dealias factor; the quadrature carries at least
-        padding * n_max nodes (>= 2 makes the cubic projection exact).
-    substep : str
-        "galerkin" for the unitary frozen-coefficient rotation,
-        "pointwise" for the literal nodewise phase with re-projection.
+        Integration horizon, an integer number of steps.
     """
 
-    n_max: int
     dt: float
     t_final: float
-    padding: int = 2
-    substep: str = "galerkin"
 
     def __post_init__(self) -> None:
-        if self.padding < 2:
-            raise ValueError("dealias padding must be >= 2")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
-        if self.substep not in ("galerkin", "pointwise"):
-            raise ValueError("substep must be 'galerkin' or 'pointwise'")
-
-    def node_count(self) -> int:
-        return self.padding * self.n_max + 16
 
 
 @dataclass(frozen=True)
@@ -121,59 +102,32 @@ class NLSState:
         return float(self.spectrum.l2_norm() ** 2)
 
 
+def _unitary_apply(b: np.ndarray, coef: np.ndarray, dt: float, sign: int):
+    eigvals, eigvecs = np.linalg.eigh(b)
+    return eigvecs @ (np.exp(1j * sign * dt * eigvals) * (eigvecs.T @ coef))
+
+
 class _Workspace:
-    """Per-run cached quadrature, harmonic table, and phase factors."""
+    """Quadrature rule and harmonic table of one truncation."""
 
-    def __init__(self, d: int, config: NLSConfig):
-        self.d = d
-        self.config = config
-        total = 4 * config.n_max
-        count = max(config.node_count(), total // 2 + 8)
-        alpha = 0.5 * (d - 2)
-        from scipy.special import roots_jacobi
-
-        nodes, weights = roots_jacobi(count, alpha, alpha)
-        self.rule = QuadratureRule(d=d, nodes=nodes, weights=weights)
-        self.table = zonal_harmonic_table(config.n_max, d, nodes)
+    def __init__(self, n_max: int, d: int):
+        # 2 n_max + 16 nodes, exact through degree 4 n_max + 31: above
+        # the degree 4 n_max of the integrands |u|^2 Y_n Y_m.
+        self.rule = QuadratureRule.for_degree(4 * n_max + 16, d)
+        self.table = zonal_harmonic_table(n_max, d, self.rule.nodes)
         self.ratio = SphereConstants.for_dimension(d).weight_ratio
-        self.line = line_integral_table(config.n_max, d)
-        degrees = np.arange(config.n_max + 1)
-        self.eigenvalues = degrees * (degrees + d - 1)
-        self.half_phase = np.exp(0.5j * config.dt * self.eigenvalues)
 
-    def gamma(self, coef: np.ndarray) -> float:
-        value = complex(np.conj(coef) @ (self.line @ coef))
-        scale = max(1.0, abs(value))
-        if abs(value.imag) > 1e-12 * scale:
-            raise AssertionError("gamma form must be real (Hermitian)")
-        return 2.0 * value.real
-
-    def cube_projection(self, coef: np.ndarray):
-        u_nodes = self.table.T @ coef
-        cube = (u_nodes * np.conj(u_nodes)) * u_nodes
-        out = self.ratio * (self.table @ (self.rule.weights * cube))
-        return out, u_nodes
-
-    def _density_matrix(self, coef: np.ndarray) -> np.ndarray:
+    def density_matrix(self, coef: np.ndarray) -> np.ndarray:
+        """B(u), the Galerkin matrix of multiplication by |u|^2."""
         u_nodes = self.table.T @ coef
         density = self.rule.weights * np.abs(u_nodes) ** 2
         return self.ratio * ((self.table * density) @ self.table.T)
 
-    @staticmethod
-    def _unitary_apply(b: np.ndarray, coef: np.ndarray, dt: float, sign: int):
-        eigvals, eigvecs = np.linalg.eigh(b)
-        return eigvecs @ (np.exp(1j * sign * dt * eigvals) * (eigvecs.T @ coef))
-
     def galerkin_rotation(self, coef: np.ndarray, dt: float, sign: int):
         # Exponential midpoint: freeze |u|^2 at a half-step prediction,
         # keeping the substep unitary and second order.
-        mid = self._unitary_apply(self._density_matrix(coef), coef, 0.5 * dt, sign)
-        return self._unitary_apply(self._density_matrix(mid), coef, dt, sign)
-
-    def pointwise_rotation(self, coef: np.ndarray, dt: float, sign: int):
-        u_nodes = self.table.T @ coef
-        u_nodes = u_nodes * np.exp(1j * sign * dt * np.abs(u_nodes) ** 2)
-        return self.ratio * (self.table @ (self.rule.weights * u_nodes))
+        mid = _unitary_apply(self.density_matrix(coef), coef, 0.5 * dt, sign)
+        return _unitary_apply(self.density_matrix(mid), coef, dt, sign)
 
 
 def gamma_phase(state: NLSState, line_table: np.ndarray | None = None) -> float:
@@ -202,60 +156,15 @@ def gamma_phase(state: NLSState, line_table: np.ndarray | None = None) -> float:
     return 2.0 * value.real
 
 
-def nonlinearity_apply(state: NLSState, config: NLSConfig | None = None) -> ZonalSpectrum:
-    """Projection of |u|^2 u onto the zonal modes.
+def nonlinearity_apply(state: NLSState) -> ZonalSpectrum:
+    """Projection of |u|^2 u onto the zonal modes, as B(u) u.
 
-    Evaluates u on Gauss-Jacobi nodes, cubes pointwise, and projects
-    back; with at least padding * n_max >= 2 n_max nodes the
-    projection of the truncated cube is exact (the integrands are
-    polynomials within the design degree).
+    B(u) is the density matrix the nonlinear substep of ``solve``
+    rotates by.  Its quadrature is exact for the truncated cube.
     """
     spec = state.spectrum
-    if config is None:
-        config = NLSConfig(n_max=spec.n_max, dt=1.0, t_final=1.0)
-    if config.node_count() < config.padding * spec.n_max:
-        raise ValueError("quadrature nodes insufficient for dealiasing")
-    ws = _Workspace(spec.d, replace(config, n_max=spec.n_max))
-    out, _ = ws.cube_projection(spec.coef)
-    return ZonalSpectrum(d=spec.d, coef=out)
-
-
-def _advance(state: NLSState, ws: _Workspace, wick: bool) -> NLSState:
-    config = ws.config
-    dt = config.dt
-    coef = ws.half_phase * state.spectrum.coef
-    if config.substep == "galerkin":
-        coef = ws.galerkin_rotation(coef, dt, state.sign)
-    else:
-        coef = ws.pointwise_rotation(coef, dt, state.sign)
-    coef = ws.half_phase * coef
-    gamma_start = ws.gamma(state.spectrum.coef)
-    gamma_end = ws.gamma(coef)
-    increment = 0.5 * dt * (gamma_start + gamma_end)
-    if wick:
-        coef = coef * np.exp(-1j * state.sign * increment)
-    return NLSState(
-        spectrum=ZonalSpectrum(d=state.spectrum.d, coef=coef),
-        t=state.t + dt,
-        phase=state.phase + increment,
-        sign=state.sign,
-    )
-
-
-def step_strang(state: NLSState, dt: float, config: NLSConfig | None = None) -> NLSState:
-    """One Strang step: half linear, nonlinear rotation, half linear.
-
-    The nonlinear substep is the unitary frozen-coefficient rotation
-    by default (config.substep == "galerkin"); Phi advances by the
-    trapezoid rule on gamma_phase.
-    """
-    spec = state.spectrum
-    if config is None:
-        config = NLSConfig(n_max=spec.n_max, dt=dt, t_final=dt)
-    elif config.dt != dt:
-        config = replace(config, dt=dt)
-    ws = _Workspace(spec.d, replace(config, n_max=spec.n_max))
-    return _advance(state, ws, wick=False)
+    b = _Workspace(spec.n_max, spec.d).density_matrix(spec.coef)
+    return ZonalSpectrum(d=spec.d, coef=b @ spec.coef)
 
 
 @dataclass(frozen=True)
@@ -320,15 +229,30 @@ def solve(
         state = initial
     else:
         state = NLSState.initial(initial, sign=sign)
-    if state.spectrum.n_max != config.n_max:
-        raise ValueError("config.n_max must match the initial spectrum")
-    ws = _Workspace(state.spectrum.d, config)
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
+    dt = config.dt
+    n_steps = int(round(config.t_final / dt))
+    if abs(n_steps * dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
         raise ValueError("t_final must be an integer number of steps")
+    d, n_max = state.spectrum.d, state.spectrum.n_max
+    ws = _Workspace(n_max, d)
+    line = line_integral_table(n_max, d)
+    degrees = np.arange(n_max + 1)
+    half_phase = np.exp(0.5j * dt * (degrees * (degrees + d - 1)))
     states = [state]
     for _ in range(n_steps):
-        state = _advance(state, ws, wick)
+        coef = half_phase * state.spectrum.coef
+        coef = half_phase * ws.galerkin_rotation(coef, dt, state.sign)
+        # Phi advances by the trapezoid rule on gamma.
+        moved = replace(state, spectrum=ZonalSpectrum(d=d, coef=coef))
+        increment = 0.5 * dt * (gamma_phase(state, line) + gamma_phase(moved, line))
+        if wick:
+            coef = coef * np.exp(-1j * state.sign * increment)
+        state = NLSState(
+            spectrum=ZonalSpectrum(d=d, coef=coef),
+            t=state.t + dt,
+            phase=state.phase + increment,
+            sign=state.sign,
+        )
         states.append(state)
     return NLSTrajectory(states=tuple(states), config=config, wick=wick)
 

@@ -1,13 +1,15 @@
 """CLI behaviour: exit codes, output files, config precedence, determinism."""
 
+import dataclasses
 import functools
 import hashlib
 import inspect
 import json
+import math
 
 import pytest
 
-from talbotlab import __version__, cli
+from talbotlab import __version__, cli, experiments
 from talbotlab.cli import main
 from talbotlab.experiments import ExperimentResult
 from talbotlab.specialfun import SZEGO_REMAINDER_C
@@ -110,6 +112,31 @@ def test_unreadable_and_malformed_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot read config" in err
     assert "config must be a JSON object" in err
+
+
+def test_non_finite_measured_value_is_written_as_null(tmp_path, monkeypatch):
+    real_check = experiments.quantization_check
+    monkeypatch.setattr(
+        experiments, "quantization_check",
+        lambda spec, p, q: dataclasses.replace(real_check(spec, p, q), residual=math.nan),
+    )
+    assert run(tmp_path, "quantize", "--m-max", "64", "--q-max", "3") == 1
+
+    def reject(constant):
+        raise ValueError(f"summary holds the non-JSON constant {constant}")
+
+    summary = json.loads((tmp_path / "quantize.json").read_text(), parse_constant=reject)
+    assert summary["measured"]["max_residual"] is None
+    assert summary["passed"] is False
+    assert summary["failure"] == "non-finite measured value: max_residual"
+
+
+def test_non_finite_config_value_exits_two_without_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["specfun-check", "--ortho-tol", "nan", "--szego-degrees", "64",
+                 "--out", str(out_dir)]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
 
 
 def test_driver_value_error_exits_two(tmp_path, capsys):

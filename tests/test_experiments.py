@@ -131,6 +131,9 @@ def test_non_finite_measured_value_fails_any_verdict():
     result = ExperimentResult("x", True, {"a": 1.0, "b": math.inf, "n": 3}, {}, ())
     assert result.passed is False
     assert result.failure == "non-finite measured value: b"
+    assert result.summary(config={}, seed=0, config_hash="")["measured"] == {
+        "a": 1.0, "b": None, "n": 3,
+    }
     clean = ExperimentResult("x", True, {"a": 1.0, "n": 3}, {}, ())
     assert clean.passed is True
     assert "failure" not in clean.summary(config={}, seed=0, config_hash="")
