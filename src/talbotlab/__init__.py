@@ -6,35 +6,35 @@ with a Wick-ordered cubic flow on the zonal sector of S^2.  It provides
 the measurement tools used to study these flows numerically:
 
 ``specialfun``
-    Symmetric Jacobi polynomials, zonal kernels and normalized zonal
-    harmonics, explicit S^2 harmonics and Gaussian beams, and the
-    large-degree asymptotic envelope.
+    Symmetric Jacobi polynomials, unit-norm zonal harmonics and zonal
+    series, Gaussian beams, and the large-degree Jacobi asymptotics.
 ``spectra``
     Spectrum containers for torus and sphere data, exact coefficients of
-    step and polygon indicators, power-law families, and finite
-    difference tables.
+    step and polygon indicators, and the zonal power-law family.
 ``evolve``
     Propagators, physical-space samplers, the rational-time quantization
     check, and the shared irrational/rational time panel.
 ``lpbesov``
-    Sharp and smooth spectral blocks, block norm tables, Holder and
-    Besov probes.
+    Dyadic block norms of zonal spectra and the Holder exponent fit.
 ``fractal``
     Box counting for curves and surfaces and log-log dimension fits.
 ``expsum``
-    Quadratic exponential sums with sharp or damped blocks and their
-    sup-norm decay.
+    Weighted quadratic Weyl block suprema and their decay fit.
 ``gaunt``
     Triple and quadruple product integrals of zonal harmonics, exact
-    quadrature rules, resonance identities, and the near-resonance
-    classification.
+    quadrature rules, resonance identities, and the count of tuples the
+    near-resonance classification leaves out.
 ``znls``
     The Wick-ordered zonal cubic flow: gauge phase, Strang splitting
     with a unitary Galerkin substep whose density matrix B(u) also
     gives the cubic nonlinearity B(u) u, and smoothing diagnostics.
 ``strichartz``
-    Space-time L^4 norms on S^2 x [0, 2pi), bilinear pair interactions,
-    and closed beam quartic integrals.
+    Bilinear space-time L^2 norms of zonal pairs on S^d x [0, 2pi),
+    exact in time, and beam quartic norms by exact quadrature.
+``fitting``
+    Least-squares line fits shared by the dimension, decay and norm fits.
+``experiments``
+    One driver per study: frozen defaults, row data and a verdict.
 ``cli``
     Command line entry points that drive each experiment and write CSV
     and JSON reports.
@@ -53,5 +53,6 @@ __all__ = [
     "znls",
     "strichartz",
     "fitting",
+    "experiments",
     "cli",
 ]

@@ -60,7 +60,7 @@ _GROUP = "dimension"
 _DEFAULT_SEED = 1729
 
 
-class UsageError(Exception):
+class _UsageError(Exception):
     pass
 
 
@@ -108,7 +108,7 @@ def _add_study(sp: argparse.ArgumentParser, study: str, driver) -> None:
                             help=f"{param.annotation} (default {param.default!r})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="talbotlab",
         description="Spectral experiments: dispersive flows on the torus "
@@ -141,12 +141,12 @@ def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config: {exc}")
+            raise _UsageError(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):
-            raise UsageError("config must be a JSON object")
+            raise _UsageError("config must be a JSON object")
         bad = sorted(set(loaded) - set(params) - {"seed"})
         if bad:
-            raise UsageError(
+            raise _UsageError(
                 f"unknown config keys for {args.study}: {', '.join(bad)}"
             )
         config.update(loaded)
@@ -162,20 +162,20 @@ def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
 
 
 def _write_outputs(result, config: dict, seed: int, args) -> None:
-    os.makedirs(args.out, exist_ok=True)
     bases = [os.path.join(args.out, stem) for stem in (result.name, *result.tables)]
     for path in (base + ext for base in bases for ext in (".csv", ".json")):
         if os.path.exists(path) and not args.force:
-            raise UsageError(f"refusing to overwrite {path} (use --force)")
+            raise _UsageError(f"refusing to overwrite {path} (use --force)")
     csv_path, json_path = bases[0] + ".csv", bases[0] + ".json"
     canonical = json.dumps(
         {"subcommand": result.name, "seed": seed, **config}, sort_keys=True,
     )
     digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
     summary = result.summary(config=config, seed=seed, config_hash=digest)
-    # Serialized before any file is written: a NaN or inf outside
-    # "measured" is a ValueError and leaves no partial outputs.
+    # Serialized before the directory or any file is written: a NaN or
+    # inf outside "measured" is a ValueError and leaves no outputs.
     text = json.dumps(summary, indent=2, default=str, allow_nan=False)
+    os.makedirs(args.out, exist_ok=True)
     experiments.write_rows(csv_path, result.rows)
     with open(json_path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
@@ -192,7 +192,7 @@ def _write_outputs(result, config: dict, seed: int, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "study", None) is None:
         parser.print_usage(sys.stderr)
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         config, seed = _effective_config(args, driver)
         result = driver(**config)
         _write_outputs(result, config, seed, args)
-    except UsageError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:

@@ -32,10 +32,10 @@ __all__ = [
     "propagate_torus",
     "propagate_sphere",
     "evaluate_torus",
-    "evaluate_zonal",
     "evaluate_zonal_circle",
     "evaluate_beam_equator",
     "QuantizationResult",
+    "quantization_weights",
     "quantization_check",
 ]
 
@@ -187,8 +187,7 @@ class SampledField:
     Attributes
     ----------
     domain : str
-        One of "torus-1d", "torus-2d", "sphere-greatcircle",
-        "sphere-polar-section".
+        One of "torus-1d", "torus-2d", "sphere-greatcircle".
     t : float
         Evolution time the samples belong to.
     axes : tuple of ndarray
@@ -207,34 +206,6 @@ class SampledField:
         if self.values.shape != shape:
             raise ValueError("value count must equal the product of grid sizes")
 
-    @property
-    def grid_shape(self) -> tuple:
-        return self.values.shape
-
-    def meta(self) -> dict:
-        return {
-            "domain": self.domain,
-            "t": self.t,
-            "grid_shape": list(self.grid_shape),
-        }
-
-    def to_csv(self, path) -> None:
-        """Write samples as CSV rows of grid coordinates, re, im."""
-        names = {
-            "torus-1d": ["x"],
-            "torus-2d": ["x", "y"],
-            "sphere-greatcircle": ["s"],
-            "sphere-polar-section": ["theta"],
-        }[self.domain]
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(names + ["re", "im"]) + "\n")
-            grids = np.meshgrid(*self.axes, indexing="ij")
-            flat = [g.ravel() for g in grids]
-            vals = self.values.ravel()
-            for row in range(vals.size):
-                coords = [repr(float(g[row])) for g in flat]
-                fh.write(",".join(coords + [repr(vals[row].real), repr(vals[row].imag)]) + "\n")
-
 
 def _evaluate_torus_fft(spec: TorusSpectrum, sizes) -> np.ndarray:
     placed = np.zeros(sizes, dtype=complex)
@@ -244,17 +215,7 @@ def _evaluate_torus_fft(spec: TorusSpectrum, sizes) -> np.ndarray:
     return np.fft.ifftn(placed) * float(np.prod(sizes))
 
 
-def _evaluate_torus_direct(spec: TorusSpectrum, sizes) -> np.ndarray:
-    m = spec.frequencies()
-    out = spec.coef
-    for axis in range(spec.d):
-        x = 2.0 * math.pi * np.arange(sizes[axis]) / sizes[axis]
-        basis = np.exp(1j * np.outer(m, x))
-        out = np.tensordot(out, basis, axes=([0], [0]))
-    return out
-
-
-def evaluate_torus(spec: TorusSpectrum, grid_sizes, method: str = "fft") -> SampledField:
+def evaluate_torus(spec: TorusSpectrum, grid_sizes) -> SampledField:
     """Sample sum f_hat(m) e^{i m.x} on the uniform grid.
 
     Parameters
@@ -263,9 +224,7 @@ def evaluate_torus(spec: TorusSpectrum, grid_sizes, method: str = "fft") -> Samp
     grid_sizes : int or sequence of int
         Points per axis; alias-free evaluation needs
         >= 2 * m_max + 1 per axis (a warning is emitted otherwise).
-    method : {"fft", "direct"}
-        Zero-padded inverse FFT (reference-identical within roundoff)
-        or direct summation.
+        The samples come from one zero-padded inverse FFT.
 
     Returns
     -------
@@ -281,33 +240,10 @@ def evaluate_torus(spec: TorusSpectrum, grid_sizes, method: str = "fft") -> Samp
         warnings.warn(
             "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=2
         )
-    if method == "fft":
-        values = _evaluate_torus_fft(spec, sizes)
-    elif method == "direct":
-        values = _evaluate_torus_direct(spec, sizes)
-    else:
-        raise ValueError("method must be 'fft' or 'direct'")
+    values = _evaluate_torus_fft(spec, sizes)
     axes = tuple(2.0 * math.pi * np.arange(g) / g for g in sizes)
     domain = "torus-1d" if spec.d == 1 else "torus-2d"
     return SampledField(domain=domain, t=0.0, axes=axes, values=values)
-
-
-def _zonal_cosine_series(spec: ZonalSpectrum) -> np.ndarray:
-    return sf.zonal_cosine_blocks(spec.coef, spec.d, [0, spec.coef.size])[0]
-
-
-def evaluate_zonal(spec: ZonalSpectrum, n_theta: int) -> SampledField:
-    """Sample sum a_n Y_n(theta) on a uniform theta-grid of [0, pi].
-
-    The grid is the first half of a circle of 2 (n_theta - 1) points,
-    so the expansion is summed as a cosine series by one FFT.
-    """
-    theta = np.linspace(0.0, math.pi, n_theta)
-    period = max(2 * (n_theta - 1), 1)
-    values = sf.cosine_series_fft(_zonal_cosine_series(spec), period)[:n_theta]
-    return SampledField(
-        domain="sphere-polar-section", t=0.0, axes=(theta,), values=values
-    )
 
 
 def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> SampledField:
@@ -318,7 +254,8 @@ def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> SampledField:
     the cosine series of the expansion, summed by one FFT.
     """
     s = 2.0 * math.pi * np.arange(n_points) / n_points
-    values = sf.cosine_series_fft(_zonal_cosine_series(spec), n_points)
+    beta = sf.zonal_cosine_blocks(spec.coef, spec.d, [0, spec.coef.size])[0]
+    values = sf.cosine_series_fft(beta, n_points)
     return SampledField(domain="sphere-greatcircle", t=0.0, axes=(s,), values=values)
 
 

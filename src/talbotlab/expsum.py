@@ -1,4 +1,4 @@
-"""Exponential-sum suprema: weighted Weyl blocks and Gauss sums.
+"""Exponential-sum suprema: weighted quadratic Weyl blocks.
 
 A Weyl block is the partial sum
 
@@ -8,9 +8,7 @@ whose supremum over both the truncation point u and a physical grid
 in x measures square-root cancellation for generic t.  It is found
 from direct phases e^{i n^2 t}, FFT chunk sums (numpy.fft: no BLAS,
 no dependence on the thread count) and a triangle-inequality bound
-that leaves few prefixes to sum term by term.  Dimension-d
-shell sums over N <= max|m_i| < 2N factorize as a difference of
-tensor products of one-axis box sums.
+that leaves few prefixes to sum term by term.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from .fitting import LineFit, fit_line
 __all__ = [
     "WeylBlockResult",
     "weyl_block_sup",
-    "gauss_sum",
-    "torus_weyl_sup",
     "decay_slope_fit",
 ]
 
@@ -173,73 +169,6 @@ def weyl_block_sup(
                 row, col = divmod(at, cols.size)
                 best, best_u, best_j = float(sizes.flat[at]), int(n[row, 0]), int(cols[col])
     return WeylBlockResult(big_n, best, 2.0 * math.pi * best_j / grid, best_u)
-
-
-def gauss_sum(p: int, q: int) -> complex:
-    """Quadratic Gauss sum sum_{n=0}^{q-1} exp(2 pi i p n^2 / q).
-
-    Computed with exact modular phase arithmetic; |G(p, q)| equals
-    sqrt(q), sqrt(2 q), or 0 according to q mod 4 when gcd(p, q) = 1.
-    """
-    q = int(q)
-    p = int(p)
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    residues = (p * (np.arange(q, dtype=np.int64) ** 2 % q)) % q
-    return complex(np.sum(np.exp(2j * math.pi * residues / q)))
-
-
-def _axis_box_sum(t: float, half_width: int, x: np.ndarray) -> np.ndarray:
-    """sum_{|m| <= half_width - 1} e^{i t m^2 + i m x} on a grid."""
-    if half_width <= 0:
-        return np.zeros(x.size, dtype=complex)
-    m = np.arange(-(half_width - 1), half_width)
-    phases = np.exp(1j * t * (m.astype(float) ** 2))
-    return np.exp(1j * np.outer(x, m)) @ phases
-
-
-def torus_weyl_sup(
-    t: float, block_start: int, d: int = 1, grid_factor: int = 16
-) -> float:
-    """Supremum over x of the d-dimensional shell Weyl sum.
-
-    The shell is N <= max_i |m_i| < 2N; its sum factorizes as the
-    tensor product over the full box of side 2N minus the product
-    over the inner box of side N, because the quadratic phase
-    exp(i t |m|^2) splits across coordinates.
-
-    Parameters
-    ----------
-    t : float
-    block_start : int
-        N >= 1.
-    d : int
-        Torus dimension, 1 or 2.
-    grid_factor : int
-        Grid points per axis are grid_factor * N.
-
-    Returns
-    -------
-    float
-    """
-    big_n = int(block_start)
-    if big_n < 1:
-        raise ValueError("block start must be >= 1")
-    grid = grid_factor * big_n
-    x = 2.0 * math.pi * np.arange(grid) / grid
-    outer = _axis_box_sum(t, 2 * big_n, x)
-    inner = _axis_box_sum(t, big_n, x)
-    if d == 1:
-        return float(np.max(np.abs(outer - inner)))
-    if d == 2:
-        best = 0.0
-        for a_out, a_in in zip(outer, inner):
-            row = np.abs(a_out * outer - a_in * inner)
-            m = float(np.max(row))
-            if m > best:
-                best = m
-        return best
-    raise ValueError("shell suprema are implemented for d in {1, 2}")
 
 
 def decay_slope_fit(block_starts, sups) -> LineFit:

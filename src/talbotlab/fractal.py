@@ -13,7 +13,6 @@ value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +69,6 @@ class BoxCountSeries:
     def epsilons(self) -> np.ndarray:
         return 2.0 ** (-self.k_values.astype(float))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("k,epsilon,count\n")
-            for k, eps, c in zip(self.k_values, self.epsilons(), self.counts):
-                fh.write(f"{int(k)},{repr(float(eps))},{repr(float(c))}\n")
-
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -97,16 +90,6 @@ class DimensionEstimate:
     stderr: float
     window: tuple
     component: str = "real"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "slope": self.slope,
-                "stderr": self.stderr,
-                "window": list(self.window),
-                "component": self.component,
-            }
-        )
 
 
 def _reduce_runs(op, values: np.ndarray, axis: int, r: int) -> np.ndarray:

@@ -11,10 +11,10 @@ so sufficiently many nodes make the quadrature exact rather than
 approximate.  kappa is symmetric in its indices, non-negative, and
 vanishes when one index exceeds the sum of the others.
 
-The module also provides the resonance symbol H, the Lambda_0 /
-Lambda_1 / Lambda_2 classification with calibrated constants, and the
-large-n comparison of kappa(n, n, n2, n3) with a line integral over a
-meridian.
+The module also counts the admissible tuples that the Lambda_0 /
+Lambda_1 / Lambda_2 sets, with frozen constants, leave unclassified,
+and compares kappa(n, n, n2, n3) at large n with a line integral over
+a meridian.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ __all__ = [
     "kappa",
     "kappa_vector",
     "parseval_compose_check",
-    "h_symbol",
-    "lambda_classify",
-    "calibrate_lambda_constants",
     "count_unclassified",
     "line_integral_table",
     "resonance_compare",
 ]
 
-# Largest (c1, c2) found by calibrate_lambda_constants leaving no
-# admissible tuple with n <= 64 unclassified, rounded down for margin.
+# (c1, c2) of the Lambda_1 / Lambda_2 inequalities: c2 = 1 and the
+# largest c1 leaving no admissible tuple with n <= 64 unclassified,
+# rounded down for margin.
 FROZEN_LAMBDA_CONSTANTS = {2: (0.88, 1.0), 3: (0.82, 1.0)}
 
 
@@ -300,68 +298,10 @@ def parseval_compose_check(a: int, b: int, c: int, e: int, d: int = 2) -> float:
     return float(abs(float(left @ right) - direct))
 
 
-def h_symbol(n1: int, n2: int, n3: int, n: int, d: int = 2) -> int:
-    """Resonance symbol lambda_n - lambda_{n1} + lambda_{n2} - lambda_{n3}.
-
-    lambda_m = m (m + d - 1); evaluated in exact integer arithmetic.
-    """
-    shift = d - 1
-
-    def lam(m: int) -> int:
-        return m * (m + shift)
-
-    return lam(int(n)) - lam(int(n1)) + lam(int(n2)) - lam(int(n3))
-
-
-def _bracket(n: int) -> float:
-    return math.sqrt(1.0 + float(n) ** 2)
-
-
-def lambda_classify(
-    n1: int, n2: int, n3: int, n: int, d: int = 2, constants=None
-) -> str:
-    """Classify an admissible tuple into Lambda_0 / Lambda_1 / Lambda_2.
-
-    Parameters
-    ----------
-    n1, n2, n3, n : int
-        Frequency tuple; (n1, n2, n3, n) must satisfy the kappa
-        support condition.
-    d : int
-        Sphere dimension (enters through the symbol H).
-    constants : (float, float), optional
-        (c1, c2); defaults to the frozen calibrated pair for d.
-
-    Returns
-    -------
-    str
-        "lambda0" when n1 = n or n3 = n; else "lambda1" when
-        <n1><n2><n3> >= c1 n^{3/2}; else "lambda2" when
-        |H| >= c2 max(n1,n2,n3) |n - max(n1,n3)|; else "unclassified".
-    """
-    if not admissible((n1, n2, n3, n)):
-        raise ValueError("tuple violates the kappa support condition")
-    if constants is None:
-        constants = FROZEN_LAMBDA_CONSTANTS[d]
-    c1, c2 = constants
-    if n1 == n or n3 == n:
-        return "lambda0"
-    if _bracket(n1) * _bracket(n2) * _bracket(n3) >= c1 * float(n) ** 1.5:
-        return "lambda1"
-    h = h_symbol(n1, n2, n3, n, d)
-    gap = max(n1, n2, n3) * abs(n - max(n1, n3))
-    if c2 == 1.0:
-        if abs(h) >= gap:
-            return "lambda2"
-    elif abs(h) >= c2 * gap:
-        return "lambda2"
-    return "unclassified"
-
-
 def _lambda_scan_arrays(n: int, n_max: int, d: int, c2: float):
     """Bracket ratios of tuples left to Lambda_1 at fixed n (vectorized)."""
     rng = np.arange(n_max + 1, dtype=np.int64)
-    m1, m2, m3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    m1, m2, m3 = rng[:, None, None], rng[None, :, None], rng[None, None, :]
     top = np.maximum(np.maximum(m1, m2), np.maximum(m3, n))
     total = m1 + m2 + m3 + n
     keep = 2 * top <= total
@@ -377,34 +317,23 @@ def _lambda_scan_arrays(n: int, n_max: int, d: int, c2: float):
         keep &= h < c2 * gap
     if not np.any(keep):
         return np.empty(0)
+    i1, i2, i3 = np.nonzero(keep)
     br = np.sqrt(1.0 + rng.astype(float) ** 2)
-    prods = br[m1[keep]] * br[m2[keep]] * br[m3[keep]]
+    prods = br[i1] * br[i2] * br[i3]
     return prods / float(n) ** 1.5
 
 
-def calibrate_lambda_constants(n_max: int, d: int = 2, c2: float = 1.0):
-    """Largest c1 (given c2) leaving no admissible tuple unclassified.
-
-    Scans every admissible tuple with n <= n_max, discards those in
-    Lambda_0 or already covered by the Lambda_2 inequality, and
-    returns the minimum of <n1><n2><n3> / n^{3/2} over the remainder:
-    any c1 at or below it classifies the whole range.
-
-    Returns
-    -------
-    (float, float)
-        (largest admissible c1, c2).
-    """
-    best = math.inf
-    for n in range(1, n_max + 1):
-        ratios = _lambda_scan_arrays(n, n_max, d, c2)
-        if ratios.size:
-            best = min(best, float(ratios.min()))
-    return (best, c2)
-
-
 def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
-    """Admissible tuples with n <= n_max that no Lambda set covers."""
+    """Admissible tuples with 1 <= n <= n_max that no Lambda set covers.
+
+    The tuples are (n1, n2, n3, n) with every index at most n_max.  One
+    is in Lambda_0 when n1 = n or n3 = n, in Lambda_1 when
+    <n1><n2><n3> >= c1 n^{3/2}, and in Lambda_2 when
+    |H| >= c2 max(n1, n2, n3) |n - max(n1, n3)|, where
+    H = lambda_n - lambda_{n1} + lambda_{n2} - lambda_{n3} and
+    lambda_m = m (m + d - 1).  ``constants`` is (c1, c2), by default
+    ``FROZEN_LAMBDA_CONSTANTS[d]``.
+    """
     if constants is None:
         constants = FROZEN_LAMBDA_CONSTANTS[d]
     c1, c2 = constants

@@ -1,8 +1,8 @@
 """Special functions on the round sphere S^d.
 
-Symmetric Jacobi polynomials, zonal reproducing kernels, unit-norm
-zonal harmonics, explicit S^2 harmonics, and Gaussian beams, together
-with the large-degree asymptotic form and its magnitude envelope.
+Symmetric Jacobi polynomials, unit-norm zonal harmonics and zonal
+series, and the Gaussian beams of S^2, together with the large-degree
+asymptotic form of the Jacobi polynomials.
 
 Zonal expansions are evaluated two ways.  At scattered points (such as
 quadrature nodes) the unit-norm three-term recurrence of
@@ -28,31 +28,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lpmv
+from scipy.special import gammaln
 
 __all__ = [
     "SZEGO_WINDOW_C",
     "SZEGO_REMAINDER_C",
-    "ENVELOPE_C",
-    "HarmonicIndex",
     "SphereConstants",
     "surface_area",
     "eigenspace_dimension",
     "jacobi_symmetric",
     "jacobi_symmetric_table",
-    "zonal_kernel_constant",
-    "zonal_kernel",
-    "zonal_norm_factor",
-    "zonal_harmonic",
     "zonal_harmonic_table",
-    "zonal_series",
     "zonal_series_blocks",
     "zonal_cosine_blocks",
     "cosine_series_fft",
-    "sph_harmonic_s2",
     "gaussian_beam",
     "jacobi_asymptotic",
-    "envelope_magnitude",
 ]
 
 # Asymptotic validity window theta in [c/n, pi - c/n]: the O(1) constant
@@ -64,11 +55,6 @@ SZEGO_WINDOW_C = 8.0
 # and rounded up with margin (measured maxima: 0.76 at d=2, 0.71 at
 # d=3; the d=2 constant stays valid through n = 1024).
 SZEGO_REMAINDER_C = {2: 2.0, 3: 1.0}
-
-# Frozen global constant for |Y_n(theta)| <= C * envelope_magnitude,
-# scanned over n <= 1024 on a 4096-point theta grid (measured sup of
-# the ratio is about 1.42 = sqrt(2), attained at the pole).
-ENVELOPE_C = 2.0
 
 
 def surface_area(d: int) -> float:
@@ -132,36 +118,6 @@ class SphereConstants:
         (1 - x^2)^alpha dx on [-1, 1].
         """
         return self.omega_prev / self.omega
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Index (n, k) of a spherical harmonic on S^d.
-
-    Attributes
-    ----------
-    n : int
-        Degree, non-negative.
-    k : int
-        Order; zero for zonal harmonics.  Nonzero orders are supported
-        on S^2 only.
-    d : int
-        Sphere dimension, at least 2.
-    """
-
-    n: int
-    k: int = 0
-    d: int = 2
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("degree must be non-negative")
-        if self.d < 2:
-            raise ValueError("sphere dimension must be at least 2")
-        if abs(self.k) > self.n:
-            raise ValueError("order must satisfy |k| <= n")
-        if self.k != 0 and self.d != 2:
-            raise ValueError("nonzero orders are only supported on S^2")
 
 
 def eigenspace_dimension(n: int, d: int) -> int:
@@ -257,86 +213,6 @@ def jacobi_symmetric(n: int, d: int, x):
         raise ValueError("need n >= 0 and d >= 2")
     out = jacobi_symmetric_table(n, d, x)[n]
     return float(out[0]) if np.isscalar(x) else out
-
-
-def _jacobi_at_one(n: int, d: int) -> float:
-    """P_n^{(alpha,alpha)}(1) = binom(n+alpha, n), via log-Gamma."""
-    a = (d - 2) / 2.0
-    return float(np.exp(gammaln(n + a + 1.0) - gammaln(a + 1.0) - gammaln(n + 1.0)))
-
-
-def zonal_kernel_constant(n: int, d: int) -> float:
-    """Normalizing constant of the degree-``n`` zonal kernel.
-
-    Returns
-    -------
-    float
-        (2n+d-1) Gamma(d/2) Gamma(n+d-1) / (Gamma(d) Gamma(n+d/2)),
-        computed through log-Gamma.  With this constant the kernel
-        reproduces the degree-n eigenspace and Z_n(1) equals the
-        eigenspace dimension.
-    """
-    if n < 0 or d < 2:
-        raise ValueError("need n >= 0 and d >= 2")
-    log_ratio = gammaln(d / 2.0) + gammaln(n + d - 1.0) - gammaln(float(d)) - gammaln(n + d / 2.0)
-    return float((2.0 * n + d - 1.0) * np.exp(log_ratio))
-
-
-def zonal_kernel(n: int, d: int, tau):
-    """Zonal reproducing kernel Z_n of the degree-``n`` eigenspace.
-
-    Parameters
-    ----------
-    n : int
-        Degree.
-    d : int
-        Sphere dimension.
-    tau : float or array_like
-        Cosine of the geodesic distance, in [-1, 1].
-
-    Returns
-    -------
-    float or ndarray
-        Z_n(tau); convolution against Z_n is the spectral projection
-        onto degree n, and Z_n(1) is the eigenspace dimension.
-    """
-    return zonal_kernel_constant(n, d) * jacobi_symmetric(n, d, tau)
-
-
-def zonal_norm_factor(n: int, d: int) -> float:
-    """Factor turning P_n^{(alpha,alpha)}(cos theta) into unit-norm Y_n.
-
-    Returns
-    -------
-    float
-        sqrt(eigenspace_dimension(n, d)) / P_n^{(alpha,alpha)}(1).
-    """
-    return math.sqrt(eigenspace_dimension(n, d)) / _jacobi_at_one(n, d)
-
-
-def zonal_harmonic(n: int, d: int, theta):
-    """Unit-norm zonal harmonic Y_n at polar angle ``theta``.
-
-    Normalized so (1/omega_d) * integral of Y_n^2 over S^d is 1 and
-    Y_n(0) > 0; on S^2 this is sqrt(2n+1) P_n(cos theta).
-
-    Parameters
-    ----------
-    n : int
-        Degree.
-    d : int
-        Sphere dimension.
-    theta : float or array_like
-        Polar angle in radians.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    scalar = np.isscalar(theta)
-    x = np.cos(np.atleast_1d(np.asarray(theta, dtype=float)))
-    out = zonal_norm_factor(n, d) * jacobi_symmetric(n, d, x)
-    return float(out[0]) if scalar else out
 
 
 def _normalized_recurrence_coeffs(n_max: int, d: int):
@@ -522,46 +398,6 @@ def cosine_series_fft(beta, period: int) -> np.ndarray:
     return np.fft.fft(even)
 
 
-def zonal_series(coef, d: int, x) -> np.ndarray:
-    """Value of the zonal expansion sum(coef[n] * Y_n) at ``x`` = cos theta."""
-    coef = np.asarray(coef, dtype=complex)
-    edges = [0, coef.size]
-    return zonal_series_blocks(coef, d, x, edges)[0]
-
-
-def sph_harmonic_s2(n: int, k: int, theta, phi):
-    """Spherical harmonic Y_n^k on S^2, unit norm under (1/omega_2).
-
-    Parameters
-    ----------
-    n : int
-        Degree.
-    k : int
-        Order with |k| <= n.
-    theta, phi : float or array_like
-        Polar and azimuthal angles (broadcast together).
-
-    Returns
-    -------
-    complex or ndarray
-        sqrt((2n+1)(n-k)!/(n+k)!) P_n^k(cos theta) e^{i k phi} with the
-        Condon-Shortley sign inside P_n^k.
-    """
-    if abs(k) > n:
-        raise ValueError("order must satisfy |k| <= n")
-    scalar = np.isscalar(theta) and np.isscalar(phi)
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    m = abs(k)
-    log_amp = 0.5 * (math.log(2.0 * n + 1.0) + gammaln(n - m + 1.0) - gammaln(n + m + 1.0))
-    amp = math.exp(log_amp)
-    legendre = lpmv(m, n, np.cos(th))
-    out = amp * legendre * np.exp(1j * k * ph)
-    if k < 0:
-        out = out * (-1.0) ** m
-    return complex(out) if scalar else np.asarray(out)
-
-
 def gaussian_beam(n: int, theta, phi, sign: int = 1):
     """Gaussian beam Y_n^{sign*n} on S^2, concentrated on the equator.
 
@@ -641,29 +477,3 @@ def jacobi_asymptotic(n: int, d: int, theta, window_c: float = SZEGO_WINDOW_C):
     if scalar:
         return float(value[0]), float(remainder[0])
     return value, remainder
-
-
-def envelope_magnitude(n: int, d: int, theta):
-    """Magnitude envelope n^{(d-1)/2} / <n theta>^{(d-1)/2} for |Y_n|.
-
-    Parameters
-    ----------
-    n : int
-        Degree.
-    d : int
-        Sphere dimension.
-    theta : float or array_like
-        Polar angle in [0, pi/2].
-
-    Returns
-    -------
-    float or ndarray
-        Envelope value with the Japanese bracket <x> = sqrt(1 + x^2).
-    """
-    scalar = np.isscalar(theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(th < 0.0) or np.any(th > math.pi / 2.0 + 1e-12):
-        raise ValueError("envelope is stated for theta in [0, pi/2]")
-    bracket = np.sqrt(1.0 + (n * th) ** 2)
-    out = float(n) ** ((d - 1) / 2.0) / bracket ** ((d - 1) / 2.0)
-    return float(out[0]) if scalar else out

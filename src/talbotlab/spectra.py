@@ -12,20 +12,17 @@ The torus is T^d = [0, 2pi)^d with basis e^{i m.x} and
 f_hat(m) = (2pi)^{-d} * integral of f(x) e^{-i m.x} dx, so f_hat(0) is
 the mean value.  Sphere sequences index unit-norm zonal harmonics Y_n
 (or Y_n^{+-n} on S^2).  All containers are immutable after
-construction and serialize to a JSON document
-{convention, kind, d, entries: [{m or n, re, im}]}.
+construction.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CONVENTION",
     "TorusSpectrum",
     "ZonalSpectrum",
     "BeamSpectrum",
@@ -33,13 +30,7 @@ __all__ = [
     "triangle_indicator",
     "torus_polygon_indicator",
     "zonal_decay_family",
-    "torus_decay_family_2d",
-    "beam_decay_family",
-    "random_phase",
-    "spectrum_from_json",
 ]
-
-CONVENTION = "torus-2pi"
 
 
 def _bracket(values: np.ndarray) -> np.ndarray:
@@ -77,17 +68,6 @@ class TorusSpectrum:
             raise ValueError(f"coefficient box must have shape {expected}")
         object.__setattr__(self, "coef", np.ascontiguousarray(self.coef, dtype=complex))
         self.coef.setflags(write=False)
-
-    @classmethod
-    def from_entries(cls, d: int, m_max: int, entries, real_valued: bool = False) -> "TorusSpectrum":
-        """Build from an iterable of (m tuple, complex value) pairs."""
-        box = np.zeros((2 * m_max + 1,) * d, dtype=complex)
-        for m, value in entries:
-            m = tuple(int(c) for c in np.atleast_1d(m))
-            if len(m) != d or max(abs(c) for c in m) > m_max:
-                raise ValueError(f"frequency {m} outside the coefficient box")
-            box[tuple(c + m_max for c in m)] = value
-        return cls(d=d, m_max=m_max, coef=box, real_valued=real_valued)
 
     def coefficient(self, m) -> complex:
         """f_hat(m); zero outside the stored box."""
@@ -131,21 +111,6 @@ class TorusSpectrum:
             )
         return TorusSpectrum(
             d=self.d, m_max=self.m_max, coef=self.coef * multiplier, real_valued=real_valued
-        )
-
-    def to_json(self) -> str:
-        entries = [
-            {"m": list(m), "re": v.real, "im": v.imag} for m, v in self.items()
-        ]
-        return json.dumps(
-            {
-                "convention": CONVENTION,
-                "kind": "torus",
-                "d": self.d,
-                "m_max": self.m_max,
-                "real_valued": self.real_valued,
-                "entries": entries,
-            }
         )
 
 
@@ -192,22 +157,6 @@ class ZonalSpectrum:
     def scaled(self, multiplier) -> "ZonalSpectrum":
         return ZonalSpectrum(d=self.d, coef=self.coef * multiplier)
 
-    def to_json(self) -> str:
-        entries = [
-            {"n": int(n), "re": float(v.real), "im": float(v.imag)}
-            for n, v in enumerate(self.coef)
-            if v != 0
-        ]
-        return json.dumps(
-            {
-                "convention": CONVENTION,
-                "kind": "zonal",
-                "d": self.d,
-                "n_max": self.n_max,
-                "entries": entries,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class BeamSpectrum:
@@ -249,46 +198,6 @@ class BeamSpectrum:
 
     def scaled(self, multiplier) -> "BeamSpectrum":
         return BeamSpectrum(sign=self.sign, coef=self.coef * multiplier)
-
-    def to_json(self) -> str:
-        entries = [
-            {"n": int(n), "re": float(v.real), "im": float(v.imag)}
-            for n, v in enumerate(self.coef)
-            if v != 0
-        ]
-        return json.dumps(
-            {
-                "convention": CONVENTION,
-                "kind": "beam",
-                "d": 2,
-                "sign": self.sign,
-                "n_max": self.n_max,
-                "entries": entries,
-            }
-        )
-
-
-def spectrum_from_json(text: str):
-    """Rebuild any spectrum container from its JSON document."""
-    doc = json.loads(text)
-    kind = doc["kind"]
-    if kind == "torus":
-        ts = TorusSpectrum.from_entries(
-            d=doc["d"],
-            m_max=doc["m_max"],
-            entries=[(e["m"], e["re"] + 1j * e["im"]) for e in doc["entries"]],
-            real_valued=doc.get("real_valued", False),
-        )
-        return ts
-    values = {e["n"]: e["re"] + 1j * e["im"] for e in doc["entries"]}
-    n_max = doc["n_max"]
-    if kind == "zonal":
-        coef = np.array([values.get(n, 0.0) for n in range(n_max + 1)], dtype=complex)
-        return ZonalSpectrum(d=doc["d"], coef=coef)
-    if kind == "beam":
-        coef = np.array([values.get(n, 0.0) for n in range(n_max + 1)], dtype=complex)
-        return BeamSpectrum(sign=doc["sign"], coef=coef)
-    raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
 def torus_step(jumps, m_max: int) -> TorusSpectrum:
@@ -379,9 +288,7 @@ def triangle_indicator(v0, v1, v2, m_max: int) -> TorusSpectrum:
     return torus_polygon_indicator(verts, m_max)
 
 
-def torus_polygon_indicator(
-    vertices, m_max: int, method: str = "edges", fan_base: int = 0
-) -> TorusSpectrum:
+def torus_polygon_indicator(vertices, m_max: int) -> TorusSpectrum:
     """Exact Fourier coefficients of a simple-polygon indicator on T^2.
 
     Parameters
@@ -391,12 +298,6 @@ def torus_polygon_indicator(
         orientation), nonzero area.
     m_max : int
         Box radius.
-    method : {"edges", "fan"}
-        "edges" evaluates the closed-form edge sum on the polygon
-        directly; "fan" triangulates from ``fan_base`` and sums signed
-        triangle coefficients.  Both are exact and agree to roundoff.
-    fan_base : int
-        Vertex index anchoring the fan triangulation.
 
     Returns
     -------
@@ -412,19 +313,7 @@ def torus_polygon_indicator(
         raise ValueError("polygon is degenerate (zero area)")
     if area < 0.0:
         verts = verts[::-1]
-    if method == "edges":
-        box = _signed_polygon_box(verts, m_max)
-    elif method == "fan":
-        nverts = verts.shape[0]
-        base = verts[fan_base % nverts]
-        box = np.zeros((2 * m_max + 1, 2 * m_max + 1), dtype=complex)
-        for j in range(nverts):
-            jn = (j + 1) % nverts
-            if j == fan_base % nverts or jn == fan_base % nverts:
-                continue
-            box += _signed_polygon_box(np.array([base, verts[j], verts[jn]]), m_max)
-    else:
-        raise ValueError("method must be 'edges' or 'fan'")
+    box = _signed_polygon_box(verts, m_max)
     return TorusSpectrum(d=2, m_max=m_max, coef=box, real_valued=True)
 
 
@@ -441,36 +330,3 @@ def zonal_decay_family(p: float, n_max: int, d: int = 2) -> ZonalSpectrum:
     n = np.arange(1, n_max + 1, dtype=float)
     coef[1:] = n ** (-p)
     return ZonalSpectrum(d=d, coef=coef)
-
-
-def torus_decay_family_2d(s: float, m_max: int) -> TorusSpectrum:
-    """T^2 data with f_hat(m) = <m>^{-1-s}, s in (0, 1)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("exponent must lie in (0, 1)")
-    m = np.arange(-m_max, m_max + 1, dtype=float)
-    msq = m[:, None] ** 2 + m[None, :] ** 2
-    box = (1.0 + msq) ** (-(1.0 + s) / 2.0)
-    return TorusSpectrum(d=2, m_max=m_max, coef=box.astype(complex), real_valued=True)
-
-
-def beam_decay_family(p: float, n_max: int, sign: int = 1) -> BeamSpectrum:
-    """Beam data a_0 = 1, a_n = n^{-p} on Y_n^{sign*n}."""
-    if p <= 0:
-        raise ValueError("exponent must be positive")
-    coef = np.ones(n_max + 1, dtype=complex)
-    n = np.arange(1, n_max + 1, dtype=float)
-    coef[1:] = n ** (-p)
-    return BeamSpectrum(sign=sign, coef=coef)
-
-
-def random_phase(spec, seed: int):
-    """Same spectrum with i.i.d. uniform unimodular phases on each entry.
-
-    A seeded robustness variant of the deterministic families; the
-    result is generally no longer real-valued in physical space.
-    """
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * math.pi * rng.random(np.shape(spec.coef)))
-    if isinstance(spec, TorusSpectrum):
-        return TorusSpectrum(d=spec.d, m_max=spec.m_max, coef=spec.coef * phases, real_valued=False)
-    return spec.scaled(phases)

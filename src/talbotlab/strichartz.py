@@ -26,11 +26,8 @@ from .spectra import ZonalSpectrum
 
 __all__ = [
     "PairFrequencyDecomposition",
-    "alpha_count",
     "bilinear_l2",
     "l4_norm_beam",
-    "beam_l4_closed",
-    "l4_norm_spacetime",
 ]
 
 
@@ -74,32 +71,6 @@ class PairFrequencyDecomposition:
 
     def pair_count(self) -> int:
         return sum(len(v) for v in self.classes.values())
-
-
-def alpha_count(block_n: int, block_m: int, tau: int, d: int = 2) -> int:
-    """Number of pairs n in [N, 2N), m in [M, 2M) with
-    lambda_n + lambda_m = tau.
-
-    Counts by scanning n and testing whether tau - lambda_n is the
-    eigenvalue of an integer m in range.
-    """
-    if block_m > block_n:
-        raise ValueError("expects N >= M")
-    count = 0
-    shift = d - 1
-    for n in range(block_n, 2 * block_n):
-        rest = tau - _eigenvalue(n, d)
-        if rest < 0:
-            continue
-        # Solve m (m + shift) = rest for integer m.
-        disc = shift * shift + 4 * rest
-        root = math.isqrt(disc)
-        if root * root != disc or (root - shift) % 2 != 0:
-            continue
-        m = (root - shift) // 2
-        if block_m <= m < 2 * block_m:
-            count += 1
-    return count
 
 
 def bilinear_l2(
@@ -153,25 +124,6 @@ def bilinear_l2(
     return math.sqrt(total)
 
 
-def beam_l4_closed(n: int) -> float:
-    """Closed form of ||Y_n^n||^4_{L^4(S^2)} via Wallis integrals.
-
-    The highest-weight harmonic has |Y_n^n|^2 = c_n^2 sin^{2n}(theta)
-    with c_n^2 = (2n+1)! / (4^n (n!)^2); the quartic integral is a
-    Beta function, giving exactly 6/5 at n = 1.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    log_c2 = (
-        math.log(2 * n + 1)
-        + gammaln(2 * n + 1)
-        - 2.0 * gammaln(n + 1)
-        - n * math.log(4.0)
-    )
-    log_int = 0.5 * math.log(math.pi) + gammaln(2 * n + 1) - gammaln(2 * n + 1.5)
-    return float(math.exp(2.0 * log_c2 + log_int - math.log(2.0)))
-
-
 def l4_norm_beam(n: int) -> float:
     """||Y_n^n||^4_{L^4(S^2)} by exact quadrature.
 
@@ -191,13 +143,3 @@ def l4_norm_beam(n: int) -> float:
     values = np.exp(2.0 * log_c2 + 2.0 * n * np.log1p(-rule.nodes**2))
     ratio = SphereConstants.for_dimension(2).weight_ratio
     return float(ratio * rule.integrate(values))
-
-
-def l4_norm_spacetime(f: ZonalSpectrum, block_n: int) -> float:
-    """||P_N e^{it Delta} f||_{L^4(S^d x [0, 2 pi])}.
-
-    Uses ||u||_{L^4}^4 = ||u^2||_{L^2}^2 with the tau-grouped exact
-    Parseval computation of ||u^2||.
-    """
-    square = bilinear_l2(f, f, block_n, block_n)
-    return math.sqrt(square)

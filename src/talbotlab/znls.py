@@ -28,7 +28,6 @@ u(0): its dyadic tail decays faster than the solution's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,19 +186,6 @@ class NLSTrajectory:
         masses = [s.mass() for s in self.states]
         return float(max(abs(m - masses[0]) for m in masses))
 
-    def save_jsonl(self, path) -> None:
-        """One JSON object per line: t, phase, coefficients."""
-        with open(path, "w", encoding="ascii") as fh:
-            for s in self.states:
-                record = {
-                    "t": s.t,
-                    "phase": s.phase,
-                    "sign": s.sign,
-                    "coef_real": [repr(float(v)) for v in s.spectrum.coef.real],
-                    "coef_imag": [repr(float(v)) for v in s.spectrum.coef.imag],
-                }
-                fh.write(json.dumps(record) + "\n")
-
 
 def solve(
     initial: ZonalSpectrum | NLSState,
@@ -282,18 +268,6 @@ class SmoothingTable:
     s: float
     eps: float
     t: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("N,residual_norm,solution_norm,residual_weighted,solution_weighted\n")
-            for row in zip(
-                self.n_values, self.r_norms, self.u_norms,
-                self.r_weighted, self.u_weighted,
-            ):
-                fh.write(
-                    f"{int(row[0])},{repr(float(row[1]))},{repr(float(row[2]))},"
-                    f"{repr(float(row[3]))},{repr(float(row[4]))}\n"
-                )
 
 
 def smoothing_residual(

@@ -1,4 +1,4 @@
-"""Shared fixtures and independent quadrature oracles for the test suite.
+"""Shared fixtures, test data and independent quadrature oracles.
 
 The oracles below deliberately avoid the library's own quadrature and
 recurrence code paths: they go through scipy.special closed forms and
@@ -11,11 +11,26 @@ from hypothesis import settings
 from scipy import integrate
 from scipy.special import eval_chebyu, eval_legendre, gamma as gamma_fn, roots_jacobi
 
+from talbotlab.spectra import TorusSpectrum
+
 # One Hypothesis profile for the suite: the time per example of the
 # FFT- and quadrature-backed properties follows the machine's load, so
 # no per-example deadline; each test keeps its own max_examples.
 settings.register_profile("talbotlab", deadline=None)
 settings.load_profile("talbotlab")
+
+
+def random_phase(spec, seed):
+    """The spectrum with seeded i.i.d. uniform unimodular phases on each entry.
+
+    Generic complex test data: the result is no longer real-valued in
+    physical space.
+    """
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.random(np.shape(spec.coef)))
+    if isinstance(spec, TorusSpectrum):
+        return spec.scaled(phases, real_valued=False)
+    return spec.scaled(phases)
 
 
 def legendre_zonal(n, x):

@@ -4,10 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from talbotlab import __version__
-from talbotlab import experiments
+from talbotlab import __version__, cli, experiments
 from talbotlab.experiments import (
     ExperimentResult,
     run_bilinear_contrast,
@@ -125,6 +125,62 @@ def test_nan_residual_fails_the_verdict(monkeypatch):
     assert "max_residual" in result.failure
     summary = result.summary(config={}, seed=0, config_hash="")
     assert summary["passed"] is False and "max_residual" in summary["failure"]
+
+
+def _nan_after(real, patch):
+    """Wrap a kernel so that ``patch`` turns its result into NaN data."""
+    return lambda *args, **kwargs: patch(real(*args, **kwargs))
+
+
+def _nan_array(values):
+    return np.full(np.shape(values), math.nan)
+
+
+# Study -> (small driver arguments, kernel the driver looks up in
+# experiments, how its result turns into NaN).
+NAN_CASES = {
+    "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), "jacobi_asymptotic",
+                      lambda out: (_nan_array(out[0]), out[1])),
+    "kappa-table": (dict(n_max=4, dims=(2,), scan_n_max=8), "zonal_harmonic_table",
+                    _nan_array),
+    "quantize": (dict(m_max=64, q_max=3), "quantization_check",
+                 lambda out: dataclasses.replace(out, residual=math.nan)),
+    "dimension-torus-step": (dict(m_max=64, grid=512, window=(3, 6)), "dim_t",
+                             lambda out: dataclasses.replace(out, max_slope=math.nan)),
+    "dimension-torus-polygon": (dict(m_max=16, grid=256, window=(3, 6)), "dim_t",
+                                lambda out: dataclasses.replace(out, max_slope=math.nan)),
+    "dimension-zonal": (dict(n_max=63, grid=512, window=(3, 6)), "dim_t",
+                        lambda out: dataclasses.replace(out, max_slope=math.nan)),
+    "dimension-beam": (dict(degree=8, grid=512, window=(3, 6)), "dim_t",
+                       lambda out: dataclasses.replace(out, max_slope=math.nan)),
+    "weyl": (dict(exponent_range=(3, 6)), "weyl_block_sup",
+             lambda out: dataclasses.replace(out, sup=math.nan)),
+    "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)),
+                   "bilinear_l2", lambda out: math.nan),
+    "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2,
+                           single_mode_dt=5e-3), "smoothing_residual",
+                      lambda out: dataclasses.replace(out, r_norms=_nan_array(out.r_norms))),
+    "zonal-holder": (dict(n_max=255, j_max=7, window=(2, 7)), "block_norm_table",
+                     lambda out: dataclasses.replace(out, norms=_nan_array(out.norms))),
+    "resonance": (dict(degrees=(16, 32)), "resonance_compare",
+                  lambda out: (out[0], out[1], math.nan)),
+}
+
+
+def test_nan_cases_cover_every_study():
+    assert set(NAN_CASES) == set(cli._SPECS)
+
+
+@pytest.mark.parametrize("study", sorted(NAN_CASES))
+def test_nan_from_an_inner_kernel_fails_the_verdict(study, monkeypatch):
+    kwargs, kernel, patch = NAN_CASES[study]
+    monkeypatch.setattr(experiments, kernel,
+                        _nan_after(getattr(experiments, kernel), patch))
+    result = cli._SPECS[study]["driver"](**kwargs)
+    assert result.passed is False
+    assert result.failure.startswith("non-finite measured value: ")
+    summary = result.summary(config={}, seed=0, config_hash="")
+    assert summary["passed"] is False and summary["failure"] == result.failure
 
 
 def test_non_finite_measured_value_fails_any_verdict():

@@ -21,8 +21,8 @@ def test_matches_polyfit_on_noisy_data(rng):
     y = 0.7 * x + 0.1 + 0.05 * rng.standard_normal(40)
     fit = fit_line(x, y)
     slope_ref, intercept_ref = np.polyfit(x, y, 1)
-    assert fit.slope == pytest.approx(slope_ref, rel=1e-10)
-    assert fit.intercept == pytest.approx(intercept_ref, rel=1e-10)
+    assert fit.slope == pytest.approx(slope_ref, rel=1e-10, abs=0.0)
+    assert fit.intercept == pytest.approx(intercept_ref, rel=1e-10, abs=0.0)
 
 
 def test_stderr_matches_covariance(rng):
@@ -32,14 +32,14 @@ def test_stderr_matches_covariance(rng):
     _, cov = np.polyfit(x, y, 1, cov="unscaled")
     resid = y - (fit.slope * x + fit.intercept)
     scale = np.sum(resid**2) / (len(x) - 2)
-    assert fit.stderr == pytest.approx(np.sqrt(cov[0, 0] * scale), rel=1e-8)
+    assert fit.stderr == pytest.approx(np.sqrt(cov[0, 0] * scale), rel=1e-8, abs=0.0)
 
 
 def test_loglog_recovers_power_law():
     x = 2.0 ** np.arange(3, 12)
     fit = fit_loglog(x, 5.0 * x**-1.5)
     assert fit.slope == pytest.approx(-1.5, abs=1e-12)
-    assert 2.0**fit.intercept == pytest.approx(5.0, rel=1e-10)
+    assert 2.0**fit.intercept == pytest.approx(5.0, rel=1e-10, abs=0.0)
 
 
 def test_median_slope_of_fit_collection():

@@ -181,14 +181,9 @@ def test_refinement_stability():
     assert abs(slopes[0] - slopes[1]) < 0.05 * expected
 
 
-def test_series_round_trip_and_validation(tmp_path):
+def test_series_epsilons_and_validation():
     series = BoxCountSeries(k_values=(2, 3), counts=(7, 19))
     np.testing.assert_allclose(series.epsilons(), [0.25, 0.125])
-    path = tmp_path / "counts.csv"
-    series.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,epsilon,count"
-    assert len(lines) == 3
     with pytest.raises(ValueError):
         BoxCountSeries(k_values=(2, 3), counts=(7,))
     with pytest.raises(ValueError):
@@ -216,10 +211,3 @@ def test_dim_t_torus_step_at_rational_time_is_piecewise():
     config = DomainConfig(grid_size=2**14, window=(4, 9))
     report = dim_t(spec, TimePoint.rational(1, 4), config)
     assert report.max_slope <= 1.25
-
-
-def test_dimension_estimate_json():
-    series = BoxCountSeries(k_values=(2, 3, 4, 5), counts=(12, 50, 210, 800))
-    est = dimension_fit(series, (2, 5))
-    text = est.to_json()
-    assert '"slope"' in text and '"window"' in text

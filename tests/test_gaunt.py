@@ -1,5 +1,6 @@
 """Product integrals of zonal harmonics and the frequency trichotomy."""
 
+import itertools
 import json
 import math
 
@@ -14,16 +15,57 @@ from talbotlab.gaunt import (
     KappaTable,
     QuadratureRule,
     admissible,
-    calibrate_lambda_constants,
     count_unclassified,
-    h_symbol,
     kappa,
     kappa_vector,
-    lambda_classify,
     line_integral_table,
     parseval_compose_check,
     resonance_compare,
 )
+
+
+def h_symbol(n1, n2, n3, n, d=2):
+    """Resonance symbol lambda_n - lambda_{n1} + lambda_{n2} - lambda_{n3},
+    lambda_m = m (m + d - 1), in exact integer arithmetic."""
+
+    def lam(m):
+        return m * (m + d - 1)
+
+    return lam(n) - lam(n1) + lam(n2) - lam(n3)
+
+
+def lambda_classify(n1, n2, n3, n, d=2, constants=None):
+    """Lambda set of one admissible tuple, tested one rule at a time
+    (the scalar oracle of count_unclassified)."""
+    if not admissible((n1, n2, n3, n)):
+        raise ValueError("tuple violates the kappa support condition")
+    c1, c2 = FROZEN_LAMBDA_CONSTANTS[d] if constants is None else constants
+    if n1 == n or n3 == n:
+        return "lambda0"
+    if math.prod(math.sqrt(1.0 + m * m) for m in (n1, n2, n3)) >= c1 * n**1.5:
+        return "lambda1"
+    if abs(h_symbol(n1, n2, n3, n, d)) >= c2 * max(n1, n2, n3) * abs(n - max(n1, n3)):
+        return "lambda2"
+    return "unclassified"
+
+
+def calibrate_lambda_constants(n_max, d=2, c2=1.0):
+    """(largest c1 leaving no admissible tuple with 1 <= n <= n_max
+    unclassified, c2): the smallest <n1><n2><n3> / n^{3/2} over the
+    tuples outside Lambda_0 and Lambda_2, on one 4-d broadcast grid."""
+    m = np.arange(n_max + 1)
+    n1, n2, n3, n = np.ix_(m, m, m, m[1:])
+    lam = m * (m + d - 1)
+    top = np.maximum(np.maximum(n1, n2), n3)
+    left = (
+        (2 * np.maximum(top, n) <= n1 + n2 + n3 + n)
+        & (n1 != n) & (n3 != n)
+        & (np.abs(lam[n] - lam[n1] + lam[n2] - lam[n3])
+           < c2 * top * np.abs(n - np.maximum(n1, n3)))
+    )
+    bracket = np.sqrt(1.0 + m.astype(float) ** 2)
+    ratio = bracket[n1] * bracket[n2] * bracket[n3] / n.astype(float) ** 1.5
+    return float(np.min(ratio[left])), c2
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -50,10 +92,10 @@ def test_kappa_against_adaptive_quadrature(d):
 
 
 def test_kappa_special_values():
-    assert kappa((0, 0, 0)) == pytest.approx(1.0, rel=1e-13)
+    assert kappa((0, 0, 0)) == pytest.approx(1.0, rel=1e-13, abs=0.0)
     assert kappa((5, 1, 1, 1)) == pytest.approx(0.0, abs=1e-12)
     for n in (1, 4, 9):
-        assert kappa((n, n, 0)) == pytest.approx(1.0, rel=1e-12)
+        assert kappa((n, n, 0)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_kappa_is_exactly_permutation_invariant():
@@ -123,6 +165,24 @@ def test_lambda_classification_basics():
         lambda_classify(1, 1, 9, 2)  # inadmissible
     for d in (2, 3):
         assert count_unclassified(32, d=d) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_count_unclassified_matches_scalar_classification(d):
+    """The vectorized count equals a tuple-by-tuple classification, also
+    for constants that leave tuples unclassified."""
+    n_max = 12
+    counts = []
+    for constants in (FROZEN_LAMBDA_CONSTANTS[d], (2.0, 1.0), (1.2, 1.5)):
+        expected = sum(
+            1 for n in range(1, n_max + 1)
+            for n1, n2, n3 in itertools.product(range(n_max + 1), repeat=3)
+            if admissible((n1, n2, n3, n))
+            and lambda_classify(n1, n2, n3, n, d, constants) == "unclassified"
+        )
+        assert count_unclassified(n_max, d, constants) == expected, constants
+        counts.append(expected)
+    assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])

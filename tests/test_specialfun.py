@@ -1,4 +1,4 @@
-"""Zonal harmonics, kernels, and asymptotics against scipy closed forms."""
+"""Zonal harmonics, Gaussian beams and asymptotics against scipy closed forms."""
 
 import math
 
@@ -10,24 +10,16 @@ from scipy.special import eval_jacobi, roots_legendre, sph_harm_y
 
 from conftest import sphere_rule, zonal_oracle
 from talbotlab.specialfun import (
-    ENVELOPE_C,
     SZEGO_REMAINDER_C,
-    HarmonicIndex,
     cosine_series_fft,
     eigenspace_dimension,
-    envelope_magnitude,
     gaussian_beam,
     jacobi_asymptotic,
     jacobi_symmetric,
     jacobi_symmetric_table,
-    sph_harmonic_s2,
     surface_area,
-    zonal_harmonic,
     zonal_cosine_blocks,
     zonal_harmonic_table,
-    zonal_kernel,
-    zonal_kernel_constant,
-    zonal_series,
     zonal_series_blocks,
 )
 
@@ -45,10 +37,9 @@ def test_jacobi_symmetric_matches_scipy(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_zonal_harmonic_closed_forms(d):
+    table = zonal_harmonic_table(29, d, X_GRID)
     for n in range(0, 30):
-        ours = zonal_harmonic(n, d, np.arccos(X_GRID))
-        ref = zonal_oracle(n, d, X_GRID)
-        np.testing.assert_allclose(ours, ref, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(table[n], zonal_oracle(n, d, X_GRID), rtol=1e-11, atol=1e-11)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -66,9 +57,7 @@ def test_table_matches_scalar_calls():
     x = np.linspace(-0.99, 0.99, 7)
     table = zonal_harmonic_table(12, 3, x)
     for n in range(13):
-        np.testing.assert_allclose(
-            table[n], zonal_harmonic(n, 3, np.arccos(x)), rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(table[n], zonal_oracle(n, 3, x), rtol=1e-12, atol=1e-12)
     jt = jacobi_symmetric_table(12, 5, x)
     for n in range(13):
         np.testing.assert_allclose(jt[n], jacobi_symmetric(n, 5, x), rtol=1e-12, atol=1e-12)
@@ -81,48 +70,34 @@ def test_eigenspace_dimension_degree_two(d, expected):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_kernel_value_at_one_is_dimension(d):
+    """The reproducing kernel at the pole, Z_n(1) = Y_n(1)^2, is dim_n."""
+    table = zonal_harmonic_table(14, d, [1.0])
     for n in range(0, 15):
-        assert zonal_kernel(n, d, 1.0) == pytest.approx(eigenspace_dimension(n, d), rel=1e-12)
-
-
-def test_kernel_constant_closed_form():
-    from scipy.special import gamma as G
-
-    for d in (2, 3, 4, 5):
-        for n in range(0, 10):
-            ref = (2 * n + d - 1) * G(d / 2) * G(n + d - 1) / (G(d) * G(n + d / 2))
-            assert zonal_kernel_constant(n, d) == pytest.approx(ref, rel=1e-12)
+        assert table[n, 0] ** 2 == pytest.approx(eigenspace_dimension(n, d), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernel_reproduces_projection(d):
-    """Pairing a zonal series with Z_n recovers the degree-n term at the pole."""
+    """Pairing a zonal series with Z_n = sqrt(dim_n) Y_n recovers the
+    degree-n term at the pole."""
     n_max = 10
     coef = np.linspace(1.0, 0.2, n_max + 1) * np.exp(1j * np.arange(n_max + 1))
     nodes, w = sphere_rule(d, 3 * n_max + 12)
-    series = zonal_series(coef, d, nodes)
+    series = zonal_series_blocks(coef, d, nodes, [0, n_max + 1])[0]
     for n in (0, 3, 7, 10):
-        kern = zonal_kernel(n, d, nodes)
+        kern = math.sqrt(eigenspace_dimension(n, d)) * zonal_oracle(n, d, nodes)
         proj = np.sum(w * kern * series)
         expected = coef[n] * math.sqrt(eigenspace_dimension(n, d))
         assert proj == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
-def test_sph_harmonic_matches_scipy_up_to_normalization():
-    theta = np.linspace(0.1, np.pi - 0.1, 9)
-    phi = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
-    for n, k in [(0, 0), (3, 0), (3, 2), (5, -4), (8, 8)]:
-        ours = sph_harmonic_s2(n, k, theta, phi)
-        ref = math.sqrt(4 * math.pi) * sph_harm_y(n, k, theta, phi)
-        np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-12)
-
-
 def test_zonal_case_of_spherical_harmonic():
     theta = np.linspace(0.0, np.pi, 11)
+    table = zonal_harmonic_table(7, 2, np.cos(theta))
     for n in (0, 2, 7):
         np.testing.assert_allclose(
-            sph_harmonic_s2(n, 0, theta, 0.0),
-            zonal_harmonic(n, 2, theta).astype(complex),
+            math.sqrt(4 * math.pi) * sph_harm_y(n, 0, theta, 0.0),
+            table[n].astype(complex),
             rtol=1e-11,
             atol=1e-12,
         )
@@ -134,7 +109,7 @@ def test_gaussian_beam_is_extreme_harmonic():
     for n in (1, 4, 9):
         np.testing.assert_allclose(
             gaussian_beam(n, theta, phi),
-            sph_harmonic_s2(n, n, theta, phi),
+            math.sqrt(4 * math.pi) * sph_harm_y(n, n, theta, phi),
             rtol=1e-10,
         )
 
@@ -145,15 +120,21 @@ def test_gaussian_beam_unit_mass():
     for n in (1, 5, 20):
         vals = np.abs(gaussian_beam(n, np.arccos(nodes), 0.0)) ** 2
         mass = 0.5 * np.sum(weights * vals)
-        assert mass == pytest.approx(1.0, rel=1e-12)
+        assert mass == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+# |Y_n(theta)| <= 2 n^{(d-1)/2} / <n theta>^{(d-1)/2} on [0, pi/2]; the
+# sup of the ratio over n <= 1024 is about sqrt(2), attained at the pole.
+ENVELOPE_C = 2.0
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_supremum_envelope(d):
     theta = np.linspace(1e-3, np.pi / 2, 400)
+    table = zonal_harmonic_table(200, d, np.cos(theta))
     for n in (4, 16, 64, 200):
-        vals = np.abs(zonal_harmonic(n, d, theta))
-        bound = ENVELOPE_C * envelope_magnitude(n, d, theta)
+        vals = np.abs(table[n])
+        bound = ENVELOPE_C * (n / np.sqrt(1.0 + (n * theta) ** 2)) ** ((d - 1) / 2.0)
         assert np.all(vals <= bound * (1 + 1e-12))
 
 
@@ -176,26 +157,15 @@ def test_asymptotic_outside_window_rejected():
 
 
 def test_surface_area_values():
-    assert surface_area(2) == pytest.approx(4 * np.pi, rel=1e-14)
-    assert surface_area(3) == pytest.approx(2 * np.pi**2, rel=1e-14)
-
-
-def test_harmonic_index_validation():
-    HarmonicIndex(3, 2, 2)
-    with pytest.raises(ValueError):
-        HarmonicIndex(3, 4, 2)
-    with pytest.raises(ValueError):
-        HarmonicIndex(-1, 0, 2)
-    with pytest.raises(ValueError):
-        HarmonicIndex(3, 1, 1)
+    assert surface_area(2) == pytest.approx(4 * np.pi, rel=1e-14, abs=0.0)
+    assert surface_area(3) == pytest.approx(2 * np.pi**2, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=40)
 @given(n=st.integers(0, 40), d=st.integers(2, 5), x=st.floats(-1.0, 1.0))
 def test_parity_property(n, d, x):
-    theta = math.acos(x)
-    left = zonal_harmonic(n, d, math.pi - theta)
-    right = (-1) ** n * zonal_harmonic(n, d, theta)
+    left, right = zonal_harmonic_table(n, d, [-x, x])[n]
+    right *= (-1) ** n
     assert abs(left - right) <= 1e-9 * (1 + abs(left))
 
 

@@ -6,18 +6,49 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, roots_legendre
 
+from conftest import random_phase
 from talbotlab.evolve import propagate_sphere
 from talbotlab.gaunt import QuadratureRule, kappa
 from talbotlab.specialfun import SphereConstants, zonal_harmonic_table
-from talbotlab.spectra import ZonalSpectrum, random_phase
-from talbotlab.strichartz import (
-    PairFrequencyDecomposition,
-    alpha_count,
-    beam_l4_closed,
-    bilinear_l2,
-    l4_norm_beam,
-    l4_norm_spacetime,
-)
+from talbotlab.spectra import ZonalSpectrum
+from talbotlab.strichartz import PairFrequencyDecomposition, bilinear_l2, l4_norm_beam
+
+
+def beam_l4_closed(n):
+    """Closed form of ||Y_n^n||^4_{L^4(S^2)} via Wallis integrals (oracle).
+
+    The highest-weight harmonic has |Y_n^n|^2 = c_n^2 sin^{2n}(theta)
+    with c_n^2 = (2n+1)! / (4^n (n!)^2); the quartic integral is a
+    Beta function, giving exactly 6/5 at n = 1.
+    """
+    log_c2 = math.log(2 * n + 1) + gammaln(2 * n + 1) - 2 * gammaln(n + 1) - n * math.log(4)
+    log_int = 0.5 * math.log(math.pi) + gammaln(2 * n + 1) - gammaln(2 * n + 1.5)
+    return math.exp(2 * log_c2 + log_int - math.log(2))
+
+
+def l4_norm_spacetime(f, block_n):
+    """||P_N e^{it Delta} f||_{L^4(S^d x [0, 2 pi])} = ||u^2||_{L^2}^{1/2}."""
+    return math.sqrt(bilinear_l2(f, f, block_n, block_n))
+
+
+def alpha_count(block_n, block_m, tau, d=2):
+    """Number of pairs n in [N, 2N), m in [M, 2M) with lambda_n + lambda_m = tau
+    (oracle): scan n and solve m (m + d - 1) = tau - lambda_n for an integer m."""
+    if block_m > block_n:
+        raise ValueError("expects N >= M")
+    count = 0
+    shift = d - 1
+    for n in range(block_n, 2 * block_n):
+        rest = tau - n * (n + shift)
+        if rest < 0:
+            continue
+        disc = shift * shift + 4 * rest
+        root = math.isqrt(disc)
+        if root * root != disc or (root - shift) % 2 != 0:
+            continue
+        if block_m <= (root - shift) // 2 < 2 * block_m:
+            count += 1
+    return count
 
 
 def l4_spacetime_grid(f, block_n, t_points=None):
@@ -97,7 +128,7 @@ def test_bilinear_single_modes_reduce_to_kappa():
         f = ZonalSpectrum(d=2, coef=np.eye(1, 2 * n, n).ravel().astype(complex))
         g = ZonalSpectrum(d=2, coef=np.eye(1, 2 * m, m).ravel().astype(complex))
         ours = bilinear_l2(f, g, n, m)
-        assert ours == pytest.approx(math.sqrt(kappa((n, n, m, m))), rel=1e-10)
+        assert ours == pytest.approx(math.sqrt(kappa((n, n, m, m))), rel=1e-10, abs=0.0)
 
 
 def test_bilinear_vanishes_for_zero_factor():
@@ -108,8 +139,8 @@ def test_bilinear_vanishes_for_zero_factor():
 
 def test_l4_spacetime_is_bilinear_self_pairing():
     f = block_data(1.5, 16)
-    l4 = l4_norm_spacetime(f, 16)
-    assert l4**2 == pytest.approx(bilinear_l2(f, f, 16, 16), rel=1e-12)
+    l4 = l4_spacetime_grid(f, 16)
+    assert l4**2 == pytest.approx(bilinear_l2(f, f, 16, 16), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("block_n", [4, 8])
@@ -117,7 +148,7 @@ def test_l4_spacetime_matches_dense_time_grid(block_n):
     f = block_data(1.2, block_n, seed=3)
     fast = l4_norm_spacetime(f, block_n)
     slow = l4_spacetime_grid(f, block_n)
-    assert fast == pytest.approx(slow, rel=1e-10)
+    assert fast == pytest.approx(slow, rel=1e-10, abs=0.0)
 
 
 def test_l4_spacetime_brute_force_oracle():
@@ -139,29 +170,31 @@ def test_l4_spacetime_brute_force_oracle():
         ut = propagate_sphere(f, t)
         vals = ut.coef @ table
         total += 0.5 * float(weights @ np.abs(vals) ** 4) / t_count
-    assert l4_norm_spacetime(f, block_n) == pytest.approx(total**0.25, rel=1e-9)
+    assert l4_norm_spacetime(f, block_n) == pytest.approx(total**0.25, rel=1e-9, abs=0.0)
 
 
 def test_beam_l4_closed_form_values():
     """I_1 = 6/5 exactly; closed form matches direct quadrature."""
-    assert beam_l4_closed(1) == pytest.approx(6.0 / 5.0, rel=1e-12)
+    assert beam_l4_closed(1) == pytest.approx(6.0 / 5.0, rel=1e-12, abs=0.0)
     for n in (1, 2, 5, 16, 64, 256):
-        assert l4_norm_beam(n) == pytest.approx(beam_l4_closed(n), rel=1e-10)
+        assert l4_norm_beam(n) == pytest.approx(beam_l4_closed(n), rel=1e-10, abs=0.0)
 
 
 def test_beam_l4_closed_form_oracle():
-    """Direct log-gamma evaluation of the quartic beam integral."""
+    """The Wallis closed form against Gauss-Legendre quadrature of |Y_n^n|^4."""
+    from talbotlab.specialfun import gaussian_beam
+
     for n in (2, 7, 31):
-        log_c2 = math.log(2 * n + 1) + gammaln(2 * n + 1) - 2 * gammaln(n + 1) - n * math.log(4)
-        log_int = 0.5 * math.log(math.pi) + gammaln(2 * n + 1) - gammaln(2 * n + 1.5)
-        expected = math.exp(2 * log_c2 + log_int - math.log(2))
-        assert beam_l4_closed(n) == pytest.approx(expected, rel=1e-12)
+        x, w = roots_legendre(2 * n + 2)
+        quartic = np.abs(gaussian_beam(n, np.arccos(x), 0.0)) ** 4
+        expected = 0.5 * float(w @ quartic)
+        assert beam_l4_closed(n) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_beam_l4_growth_exponent():
     """The quartic integral grows like sqrt(n), i.e. the L4 norm like n^{1/8}."""
     n = np.array([64, 128, 256, 512, 1024])
-    vals = np.array([beam_l4_closed(int(k)) for k in n])
+    vals = np.array([l4_norm_beam(int(k)) for k in n])
     slopes = np.diff(np.log(vals)) / np.diff(np.log(n))
     assert np.all(slopes > 0.4) and np.all(slopes < 0.5)
 

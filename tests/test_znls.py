@@ -1,12 +1,11 @@
 """Zonal cubic NLS solver: oracles, invariants, and convergence order."""
 
-import json
-
 import numpy as np
 import pytest
 
+from conftest import random_phase
 from talbotlab.gaunt import kappa_vector, line_integral_table
-from talbotlab.spectra import ZonalSpectrum, random_phase, zonal_decay_family
+from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
 from talbotlab.znls import (
     NLSConfig,
     NLSState,
@@ -171,7 +170,7 @@ def test_smoothing_residual_initial_state_is_zero():
     assert table.t == 0.0
 
 
-def test_smoothing_table_structure_and_csv(tmp_path):
+def test_smoothing_table_structure():
     spec = random_phase(zonal_decay_family(1.1, 32), seed=13)
     config = NLSConfig(dt=1e-3, t_final=0.02)
     traj = solve(spec, config, sign=1)
@@ -183,27 +182,6 @@ def test_smoothing_table_structure_and_csv(tmp_path):
         assert rw == pytest.approx(r * n**0.75, rel=1e-12, abs=0.0)
     for n, u, uw in zip(table.n_values, table.u_norms, table.u_weighted):
         assert uw == pytest.approx(u * n**0.75, rel=1e-12, abs=0.0)
-    path = tmp_path / "smoothing.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 6 and lines[0].startswith("N,")
-
-
-def test_trajectory_jsonl_round_trip(tmp_path):
-    spec = random_phase(zonal_decay_family(1.2, 6), seed=3)
-    config = NLSConfig(dt=1e-3, t_final=3e-3)
-    traj = solve(spec, config, sign=-1)
-    path = tmp_path / "traj.jsonl"
-    traj.save_jsonl(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == len(traj.states) == 4
-    assert rows[0]["t"] == 0.0
-    last = rows[-1]
-    recon = np.array([float(v) for v in last["coef_real"]]) + 1j * np.array(
-        [float(v) for v in last["coef_imag"]]
-    )
-    np.testing.assert_allclose(recon, traj.states[-1].spectrum.coef, atol=1e-16)
-    assert last["phase"] == pytest.approx(traj.states[-1].phase)
 
 
 def test_solver_rejects_mismatched_sizes():
