@@ -59,8 +59,8 @@ class TimePoint:
     t : float
         The time.
     kind : str
-        "rational" (t = 2 pi p / q with coprime p, q stored),
-        "sampled-irrational", or "arbitrary".
+        "rational" (t = 2 pi p / q with coprime p, q stored) or
+        "sampled-irrational".
     p, q : int or None
         Numerator and denominator for the rational kind.
     """
@@ -71,7 +71,7 @@ class TimePoint:
     q: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rational", "sampled-irrational", "arbitrary"):
+        if self.kind not in ("rational", "sampled-irrational"):
             raise ValueError(f"unknown time kind {self.kind!r}")
         if self.kind == "rational":
             if self.p is None or self.q is None or self.q < 1:
@@ -96,10 +96,6 @@ class TimePoint:
     @classmethod
     def irrational(cls, t: float) -> "TimePoint":
         return cls(t=float(t), kind="sampled-irrational")
-
-    @classmethod
-    def arbitrary(cls, t: float) -> "TimePoint":
-        return cls(t=float(t), kind="arbitrary")
 
 
 def time_panel(seed: int = DEFAULT_PANEL_SEED, n_random: int = 4) -> list[TimePoint]:

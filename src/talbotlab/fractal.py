@@ -66,9 +66,6 @@ class BoxCountSeries:
         object.__setattr__(self, "k_values", k)
         object.__setattr__(self, "counts", c)
 
-    def epsilons(self) -> np.ndarray:
-        return 2.0 ** (-self.k_values.astype(float))
-
 
 @dataclass(frozen=True)
 class DimensionEstimate:

@@ -77,10 +77,6 @@ class QuadratureRule:
     def node_count(self) -> int:
         return self.nodes.size
 
-    @property
-    def design_degree(self) -> int:
-        return 2 * self.node_count - 1
-
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum approximating integral f(x) (1-x^2)^alpha dx."""
         return float(self.weights @ values)

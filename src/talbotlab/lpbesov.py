@@ -71,12 +71,7 @@ def _parse_p(p) -> float:
     return p
 
 
-def block_norm_table(
-    spec: ZonalSpectrum,
-    p,
-    j_max: int,
-    grid_points: int | None = None,
-) -> BlockNormTable:
+def block_norm_table(spec: ZonalSpectrum, p, j_max: int) -> BlockNormTable:
     """Block norms ||P_{2^j} u||_{L^p} for probe levels j = 0..j_max.
 
     Parameters
@@ -89,12 +84,10 @@ def block_norm_table(
         are computed on the uniform theta grid of [0, pi]: each block
         is turned into its Gegenbauer cosine series
         (``specialfun.zonal_cosine_blocks``) and sampled by one FFT
-        (``specialfun.cosine_series_fft``), one block at a time.
+        (``specialfun.cosine_series_fft``), one block at a time.  The
+        grid has 8 points per top degree, at least 512 and at most 2^17.
     j_max : int
         Largest probe level.
-    grid_points : int, optional
-        Physical grid size override; by default 8 points per top
-        degree, at least 512 and at most 2^17.
 
     Returns
     -------
@@ -111,8 +104,7 @@ def block_norm_table(
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         return BlockNormTable(p=p, levels=levels, norms=np.array(norms))
-    if grid_points is None:
-        grid_points = min(max(512, _OVERSAMPLE * int(edges[-1])), 1 << 17)
+    grid_points = min(max(512, _OVERSAMPLE * int(edges[-1])), 1 << 17)
     theta = np.linspace(0.0, math.pi, grid_points)
     weight = np.sin(theta) ** (spec.d - 1)
     ratio = sf.SphereConstants.for_dimension(spec.d).weight_ratio

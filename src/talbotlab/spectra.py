@@ -33,11 +33,6 @@ __all__ = [
 ]
 
 
-def _bracket(values: np.ndarray) -> np.ndarray:
-    """Japanese bracket <x> = sqrt(1 + x^2), elementwise."""
-    return np.sqrt(1.0 + np.asarray(values, dtype=float) ** 2)
-
-
 @dataclass(frozen=True)
 class TorusSpectrum:
     """Finitely supported Fourier coefficients on T^d.
@@ -69,15 +64,6 @@ class TorusSpectrum:
         object.__setattr__(self, "coef", np.ascontiguousarray(self.coef, dtype=complex))
         self.coef.setflags(write=False)
 
-    def coefficient(self, m) -> complex:
-        """f_hat(m); zero outside the stored box."""
-        m = tuple(int(c) for c in np.atleast_1d(m))
-        if len(m) != self.d:
-            raise ValueError("frequency has wrong dimension")
-        if max(abs(c) for c in m) > self.m_max:
-            return 0.0 + 0.0j
-        return complex(self.coef[tuple(c + self.m_max for c in m)])
-
     def frequencies(self) -> np.ndarray:
         """The 1-D frequency axis -m_max .. m_max."""
         return np.arange(-self.m_max, self.m_max + 1)
@@ -88,20 +74,9 @@ class TorusSpectrum:
             m = tuple(int(c) - self.m_max for c in idx)
             yield m, complex(self.coef[tuple(idx)])
 
-    def hermitian_defect(self) -> float:
-        """max_m |f_hat(-m) - conj(f_hat(m))| over the box."""
-        flipped = self.coef[(slice(None, None, -1),) * self.d]
-        return float(np.max(np.abs(flipped - np.conj(self.coef))))
-
     def l2_norm(self) -> float:
         """sqrt(sum |f_hat(m)|^2), the L^2 norm under the mean-value convention."""
         return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)))
-
-    def hs_norm(self, s: float) -> float:
-        """Sobolev norm sqrt(sum <m>^{2s} |f_hat(m)|^2)."""
-        axes = np.meshgrid(*([self.frequencies()] * self.d), indexing="ij")
-        msq = sum(a.astype(float) ** 2 for a in axes)
-        return float(np.sqrt(np.sum((1.0 + msq) ** s * np.abs(self.coef) ** 2)))
 
     def scaled(self, multiplier: np.ndarray, real_valued: bool | None = None) -> "TorusSpectrum":
         """New spectrum with coefficients multiplied entrywise."""
@@ -147,12 +122,6 @@ class ZonalSpectrum:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)))
-
-    def hs_norm(self, s: float) -> float:
-        """sqrt(sum <n>^{2s} |a_n|^2)."""
-        return float(
-            np.sqrt(np.sum(_bracket(self.degrees()) ** (2.0 * s) * np.abs(self.coef) ** 2))
-        )
 
     def scaled(self, multiplier) -> "ZonalSpectrum":
         return ZonalSpectrum(d=self.d, coef=self.coef * multiplier)

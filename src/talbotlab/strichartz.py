@@ -69,9 +69,6 @@ class PairFrequencyDecomposition:
             classes=classes,
         )
 
-    def pair_count(self) -> int:
-        return sum(len(v) for v in self.classes.values())
-
 
 def bilinear_l2(
     f: ZonalSpectrum, g: ZonalSpectrum, block_n: int, block_m: int

@@ -11,9 +11,16 @@ prediction and applies the unitary rotation exp(i sigma dt B) with
 
     B_nm = (1/omega_d) integral |u|^2 Y_n Y_m dsigma,
 
-assembled by exact Gauss-Jacobi quadrature; B is real symmetric, so
+given by exact Gauss-Jacobi quadrature; B is real symmetric, so
 mass is conserved to roundoff, and B(u) u is the zonal projection of
-the cubic term |u|^2 u.
+the cubic term |u|^2 u.  B is never formed: with T the table of Y_n
+at the nodes and w the weights, B v = T diag(w |u|^2) T^T v (times
+the weight ratio) costs two products with T, and exp(i sigma dt B) v
+is summed as a Taylor series.  Exact quadrature and orthonormality
+give ||B|| <= max |u|^2 over the nodes, so the step is cut into
+ceil(dt max |u|^2) substeps with ||tau B|| <= 1, and each series
+stops at the first term below 1e-17 of its partial sum.  The work
+depends only on the data, and a time step makes no LAPACK call.
 
 The resonant part of the nonlinearity acts asymptotically as the
 state-dependent phase
@@ -28,6 +35,7 @@ u(0): its dyadic tail decays faster than the solution's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,11 +109,6 @@ class NLSState:
         return float(self.spectrum.l2_norm() ** 2)
 
 
-def _unitary_apply(b: np.ndarray, coef: np.ndarray, dt: float, sign: int):
-    eigvals, eigvecs = np.linalg.eigh(b)
-    return eigvecs @ (np.exp(1j * sign * dt * eigvals) * (eigvecs.T @ coef))
-
-
 class _Workspace:
     """Quadrature rule and harmonic table of one truncation."""
 
@@ -116,17 +119,47 @@ class _Workspace:
         self.table = zonal_harmonic_table(n_max, d, self.rule.nodes)
         self.ratio = SphereConstants.for_dimension(d).weight_ratio
 
-    def density_matrix(self, coef: np.ndarray) -> np.ndarray:
-        """B(u), the Galerkin matrix of multiplication by |u|^2."""
-        u_nodes = self.table.T @ coef
-        density = self.rule.weights * np.abs(u_nodes) ** 2
-        return self.ratio * ((self.table * density) @ self.table.T)
+    def density(self, coef: np.ndarray) -> tuple[np.ndarray, float]:
+        """Node weights of B(u) = T diag(dens) T^T, and max |u|^2 at the nodes."""
+        u_nodes = self.table.T @ _pairs(coef)
+        modulus = np.sum(u_nodes * u_nodes, axis=1)
+        return self.ratio * self.rule.weights * modulus, float(modulus.max())
+
+    def product(self, dens: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """B v, without forming B."""
+        nodes = dens[:, None] * (self.table.T @ _pairs(vec))
+        return (self.table @ nodes).view(np.complex128).ravel()
+
+    def rotate(self, coef: np.ndarray, vec: np.ndarray, dt: float, sign: int):
+        """exp(i sign dt B(coef)) vec in substeps with ||tau B|| <= 1."""
+        dens, peak = self.density(coef)
+        if not math.isfinite(peak):
+            raise ValueError("non-finite state in the nonlinear substep")
+        steps = max(1, math.ceil(dt * peak))
+        scale = 1j * sign * dt / steps
+        for _ in range(steps):
+            total = term = vec
+            k = 0
+            while True:
+                k += 1
+                term = (scale / k) * self.product(dens, term)
+                total = total + term
+                if np.linalg.norm(term) <= 1e-17 * np.linalg.norm(total):
+                    break
+            vec = total
+        return vec
 
     def galerkin_rotation(self, coef: np.ndarray, dt: float, sign: int):
         # Exponential midpoint: freeze |u|^2 at a half-step prediction,
         # keeping the substep unitary and second order.
-        mid = _unitary_apply(self.density_matrix(coef), coef, 0.5 * dt, sign)
-        return _unitary_apply(self.density_matrix(mid), coef, dt, sign)
+        mid = self.rotate(coef, coef, 0.5 * dt, sign)
+        return self.rotate(mid, coef, dt, sign)
+
+
+def _pairs(vec: np.ndarray) -> np.ndarray:
+    # Real and imaginary parts as an (n, 2) float view: a real table
+    # times a complex vector would copy the table to complex.
+    return np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
 def gamma_phase(state: NLSState, line_table: np.ndarray | None = None) -> float:
@@ -158,12 +191,13 @@ def gamma_phase(state: NLSState, line_table: np.ndarray | None = None) -> float:
 def nonlinearity_apply(state: NLSState) -> ZonalSpectrum:
     """Projection of |u|^2 u onto the zonal modes, as B(u) u.
 
-    B(u) is the density matrix the nonlinear substep of ``solve``
-    rotates by.  Its quadrature is exact for the truncated cube.
+    B(u) is the operator the nonlinear substep of ``solve`` rotates
+    by.  Its quadrature is exact for the truncated cube.
     """
     spec = state.spectrum
-    b = _Workspace(spec.n_max, spec.d).density_matrix(spec.coef)
-    return ZonalSpectrum(d=spec.d, coef=b @ spec.coef)
+    ws = _Workspace(spec.n_max, spec.d)
+    dens, _ = ws.density(spec.coef)
+    return ZonalSpectrum(d=spec.d, coef=ws.product(dens, spec.coef))
 
 
 @dataclass(frozen=True)

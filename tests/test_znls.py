@@ -1,7 +1,10 @@
 """Zonal cubic NLS solver: oracles, invariants, and convergence order."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_phase
 from talbotlab.gaunt import kappa_vector, line_integral_table
@@ -9,6 +12,7 @@ from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
 from talbotlab.znls import (
     NLSConfig,
     NLSState,
+    _Workspace,
     gamma_phase,
     nonlinearity_apply,
     smoothing_residual,
@@ -35,6 +39,31 @@ def nonlinearity_kappa_sum(state):
                     continue
                 out += weight * kappa_vector((n1, n2, n3), degrees, spec.d)
     return ZonalSpectrum(d=spec.d, coef=out)
+
+
+def density_matrix(ws, coef):
+    """B(u) = ratio T diag(w |u|^2) T^T as a dense matrix (oracle path)."""
+    u_nodes = ws.table.T @ coef
+    density = ws.rule.weights * np.abs(u_nodes) ** 2
+    return ws.ratio * ((ws.table * density) @ ws.table.T)
+
+
+def unitary_apply(b, vec, dt, sign):
+    """exp(i sign dt b) vec through the eigendecomposition of b (oracle path)."""
+    eigvals, eigvecs = np.linalg.eigh(b)
+    return eigvecs @ (np.exp(1j * sign * dt * eigvals) * (eigvecs.T @ vec))
+
+
+def galerkin_rotation_eigh(ws, coef, dt, sign):
+    """The exponential-midpoint substep with dense B and eigh (oracle path)."""
+    mid = unitary_apply(density_matrix(ws, coef), coef, 0.5 * dt, sign)
+    return unitary_apply(density_matrix(ws, mid), coef, dt, sign)
+
+
+def random_coefficients(n_max, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
+    return raw / np.arange(1, n_max + 2)
 
 
 def single_mode(n, amp, n_max, d=2):
@@ -81,6 +110,64 @@ def test_nonlinearity_quadrature_matches_kappa_sum(d):
     fast = nonlinearity_apply(state)
     slow = nonlinearity_kappa_sum(state)
     np.testing.assert_allclose(fast.coef, slow.coef, atol=1e-9)
+
+
+@settings(max_examples=40)
+@given(
+    n_max=st.integers(1, 64),
+    d=st.sampled_from([2, 3]),
+    sign=st.sampled_from([1, -1]),
+    stiffness=st.floats(0.05, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_galerkin_rotation_matches_eigh_oracle(n_max, d, sign, stiffness, seed):
+    """dt max|u|^2 on both sides of 1, so single and split substeps both run."""
+    coef = random_coefficients(n_max, seed)
+    ws = _Workspace(n_max, d)
+    dt = stiffness / float(np.max(np.abs(ws.table.T @ coef) ** 2))
+    fast = ws.galerkin_rotation(coef, dt, sign)
+    slow = galerkin_rotation_eigh(ws, coef, dt, sign)
+    assert np.linalg.norm(fast - slow) <= 1e-13 * np.linalg.norm(coef)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rotation_against_mpmath_expm(sign):
+    """One rotation at n = 32 with dt max|u|^2 = 1.5 (two substeps),
+    against expm of the same B at 40 digits: the Taylor path is at
+    least as close as the eigh path."""
+    n_max = 32
+    coef = random_coefficients(n_max, seed=3)
+    ws = _Workspace(n_max, 2)
+    u_nodes = ws.table.T @ coef
+    dt = 1.5 / float(np.max(np.abs(u_nodes) ** 2))
+    taylor = ws.rotate(coef, coef, dt, sign)
+    eigh = unitary_apply(density_matrix(ws, coef), coef, dt, sign)
+    with mpmath.workdps(40):
+        table = mpmath.matrix(ws.table.tolist())
+        dens = [
+            mpmath.mpf(ws.ratio) * mpmath.mpf(w) * abs(mpmath.fsum(
+                table[n, k] * mpmath.mpc(complex(coef[n])) for n in range(n_max + 1)
+            )) ** 2
+            for k, w in enumerate(ws.rule.weights)
+        ]
+        b = mpmath.matrix(n_max + 1, n_max + 1)
+        for i in range(n_max + 1):
+            for j in range(i, n_max + 1):
+                b[i, j] = b[j, i] = mpmath.fsum(
+                    table[i, k] * table[j, k] * dens[k] for k in range(len(dens))
+                )
+        exact = mpmath.expm(1j * sign * mpmath.mpf(dt) * b) * mpmath.matrix(
+            [mpmath.mpc(complex(c)) for c in coef]
+        )
+
+        def error(vec):
+            return float(mpmath.sqrt(mpmath.fsum(
+                abs(exact[n] - mpmath.mpc(complex(vec[n]))) ** 2 for n in range(n_max + 1)
+            )))
+
+        taylor_err, eigh_err = error(taylor), error(eigh)
+    assert taylor_err <= eigh_err, (taylor_err, eigh_err)
+    assert taylor_err < 1e-14 * np.linalg.norm(coef)
 
 
 def test_constant_mode_closed_form_solution():
@@ -182,6 +269,13 @@ def test_smoothing_table_structure():
         assert rw == pytest.approx(r * n**0.75, rel=1e-12, abs=0.0)
     for n, u, uw in zip(table.n_values, table.u_norms, table.u_weighted):
         assert uw == pytest.approx(u * n**0.75, rel=1e-12, abs=0.0)
+
+
+def test_solver_rejects_non_finite_state():
+    coef = np.zeros(9, dtype=complex)
+    coef[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(ZonalSpectrum(d=2, coef=coef), NLSConfig(dt=1e-3, t_final=1e-3))
 
 
 def test_solver_rejects_mismatched_sizes():
