@@ -10,9 +10,9 @@ import numpy as np
 
 from talbotlab.gaunt import QuadratureRule
 from talbotlab.specialfun import (
-    SphereConstants,
     jacobi_asymptotic,
     jacobi_symmetric,
+    weight_ratio,
     zonal_harmonic_table,
 )
 
@@ -20,7 +20,7 @@ for d in (2, 3):
     n_max = 32
     rule = QuadratureRule.for_degree(2 * n_max, d)
     table = zonal_harmonic_table(n_max, d, rule.nodes)
-    ratio = SphereConstants.for_dimension(d).weight_ratio
+    ratio = weight_ratio(d)
     gram = ratio * ((table * rule.weights) @ table.T)
     defect = float(np.max(np.abs(gram - np.eye(n_max + 1))))
     print(f"d={d}: orthonormality defect over n <= {n_max}: {defect:.2e}")

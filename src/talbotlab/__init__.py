@@ -2,7 +2,7 @@
 
 The package simulates the free Schrodinger evolution on T^d (d = 1, 2) and
 on S^d (zonal sector, plus selected non-zonal families on S^2), together
-with a Wick-ordered cubic flow on the zonal sector of S^2.  It provides
+with the cubic flow on the zonal sector of S^2.  It provides
 the measurement tools used to study these flows numerically:
 
 ``specialfun``
@@ -12,8 +12,8 @@ the measurement tools used to study these flows numerically:
     Spectrum containers for torus and sphere data, exact coefficients of
     step and polygon indicators, and the zonal power-law family.
 ``evolve``
-    Propagators, physical-space samplers, the rational-time quantization
-    check, and the shared irrational/rational time panel.
+    Propagators, physical-space samplers returning complex arrays, the
+    rational-time quantization check, and the shared time panel.
 ``lpbesov``
     Dyadic block norms of zonal spectra and the Holder exponent fit.
 ``fractal``
@@ -25,9 +25,10 @@ the measurement tools used to study these flows numerically:
     quadrature rules, resonance identities, and the count of tuples the
     near-resonance classification leaves out.
 ``znls``
-    The Wick-ordered zonal cubic flow: gauge phase, Strang splitting
-    with a unitary Galerkin substep whose density matrix B(u) also
-    gives the cubic nonlinearity B(u) u, and smoothing diagnostics.
+    The zonal cubic flow: Strang splitting with a unitary Galerkin
+    substep exp(i sigma dt B(u)), applied matrix-free from the
+    quadrature table (B(u) u is the cubic nonlinearity), the tracked
+    resonant phase, and smoothing diagnostics.
 ``strichartz``
     Bilinear space-time L^2 norms of zonal pairs on S^d x [0, 2pi),
     exact in time, and beam quartic norms by exact quadrature.

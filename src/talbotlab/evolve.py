@@ -28,7 +28,6 @@ __all__ = [
     "TIME_PANEL_BASE",
     "DEFAULT_PANEL_SEED",
     "time_panel",
-    "SampledField",
     "propagate_torus",
     "propagate_sphere",
     "evaluate_torus",
@@ -98,16 +97,14 @@ class TimePoint:
         return cls(t=float(t), kind="sampled-irrational")
 
 
-def time_panel(seed: int = DEFAULT_PANEL_SEED, n_random: int = 4) -> list[TimePoint]:
-    """The shared time panel: fixed irrationals plus seeded draws.
+def time_panel(seed: int = DEFAULT_PANEL_SEED) -> list[TimePoint]:
+    """The shared time panel: fixed irrationals plus four seeded draws.
 
     Parameters
     ----------
     seed : int
         Seed of the uniform draws on [0, 2pi); the default is the
         panel used by every experiment in the package.
-    n_random : int
-        Number of random panel members.
 
     Returns
     -------
@@ -115,7 +112,7 @@ def time_panel(seed: int = DEFAULT_PANEL_SEED, n_random: int = 4) -> list[TimePo
     """
     panel = [TimePoint.irrational(2.0 * math.pi * b) for b in TIME_PANEL_BASE]
     rng = np.random.default_rng(seed)
-    for t in rng.uniform(0.0, 2.0 * math.pi, size=n_random):
+    for t in rng.uniform(0.0, 2.0 * math.pi, size=4):
         panel.append(TimePoint.irrational(float(t)))
     return panel
 
@@ -157,11 +154,9 @@ def propagate_torus(spec: TorusSpectrum, t) -> TorusSpectrum:
     Returns
     -------
     TorusSpectrum
-        Same support; no longer flagged real-valued for t != 0.
+        Same support.
     """
-    phases = _phases(_torus_eigs(spec), t)
-    t_val = t.t if isinstance(t, TimePoint) else float(t)
-    return spec.scaled(phases, real_valued=spec.real_valued and t_val == 0.0)
+    return spec.scaled(_phases(_torus_eigs(spec), t))
 
 
 def propagate_sphere(spec, t):
@@ -176,33 +171,6 @@ def propagate_sphere(spec, t):
     return spec.scaled(_phases(eigs, t))
 
 
-@dataclass(frozen=True)
-class SampledField:
-    """Complex samples of a function on a uniform grid.
-
-    Attributes
-    ----------
-    domain : str
-        One of "torus-1d", "torus-2d", "sphere-greatcircle".
-    t : float
-        Evolution time the samples belong to.
-    axes : tuple of ndarray
-        Coordinate vector per grid axis.
-    values : ndarray
-        Complex samples, shape = tuple of axis lengths.
-    """
-
-    domain: str
-    t: float
-    axes: tuple
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = tuple(len(a) for a in self.axes)
-        if self.values.shape != shape:
-            raise ValueError("value count must equal the product of grid sizes")
-
-
 def _evaluate_torus_fft(spec: TorusSpectrum, sizes) -> np.ndarray:
     placed = np.zeros(sizes, dtype=complex)
     m = spec.frequencies()
@@ -211,60 +179,49 @@ def _evaluate_torus_fft(spec: TorusSpectrum, sizes) -> np.ndarray:
     return np.fft.ifftn(placed) * float(np.prod(sizes))
 
 
-def evaluate_torus(spec: TorusSpectrum, grid_sizes) -> SampledField:
+def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
     """Sample sum f_hat(m) e^{i m.x} on the uniform grid.
 
     Parameters
     ----------
     spec : TorusSpectrum
-    grid_sizes : int or sequence of int
-        Points per axis; alias-free evaluation needs
-        >= 2 * m_max + 1 per axis (a warning is emitted otherwise).
-        The samples come from one zero-padded inverse FFT.
+    grid_size : int
+        Points per axis, at x_j = 2 pi j / grid_size; alias-free
+        evaluation needs >= 2 * m_max + 1 (a warning is emitted
+        otherwise).  The samples come from one zero-padded inverse FFT.
 
     Returns
     -------
-    SampledField
+    ndarray
+        Complex samples of shape (grid_size,) * d.
     """
-    if np.isscalar(grid_sizes):
-        sizes = (int(grid_sizes),) * spec.d
-    else:
-        sizes = tuple(int(g) for g in grid_sizes)
-    if len(sizes) != spec.d:
-        raise ValueError("one grid size per axis required")
-    if any(g < 2 * spec.m_max + 1 for g in sizes):
+    if grid_size < 2 * spec.m_max + 1:
         warnings.warn(
             "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=2
         )
-    values = _evaluate_torus_fft(spec, sizes)
-    axes = tuple(2.0 * math.pi * np.arange(g) / g for g in sizes)
-    domain = "torus-1d" if spec.d == 1 else "torus-2d"
-    return SampledField(domain=domain, t=0.0, axes=axes, values=values)
+    return _evaluate_torus_fft(spec, (int(grid_size),) * spec.d)
 
 
-def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> SampledField:
+def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> np.ndarray:
     """Sample a zonal expansion along a great circle through the poles.
 
-    The circle is parameterized by arclength s in [0, 2 pi); the polar
-    angle along it satisfies cos(theta(s)) = cos(s), so the samples are
-    the cosine series of the expansion, summed by one FFT.
+    The circle is parameterized by arclength s_k = 2 pi k / n_points;
+    the polar angle along it satisfies cos(theta(s)) = cos(s), so the
+    samples are the cosine series of the expansion, summed by one FFT.
     """
-    s = 2.0 * math.pi * np.arange(n_points) / n_points
     beta = sf.zonal_cosine_blocks(spec.coef, spec.d, [0, spec.coef.size])[0]
-    values = sf.cosine_series_fft(beta, n_points)
-    return SampledField(domain="sphere-greatcircle", t=0.0, axes=(s,), values=values)
+    return sf.cosine_series_fft(beta, n_points)
 
 
-def evaluate_beam_equator(spec: BeamSpectrum, n_points: int) -> SampledField:
-    """Sample sum a_n Y_n^{sign*n} along the equator circle theta = pi/2."""
+def evaluate_beam_equator(spec: BeamSpectrum, n_points: int) -> np.ndarray:
+    """Sample sum a_n Y_n^{sign*n} on the equator at phi_k = 2 pi k / n_points."""
     phi = 2.0 * math.pi * np.arange(n_points) / n_points
     amps = np.array(
         [sf.gaussian_beam(int(n), math.pi / 2.0, 0.0, spec.sign) for n in spec.degrees()],
         dtype=complex,
     )
     modes = np.exp(1j * spec.sign * np.outer(spec.degrees(), phi))
-    values = (spec.coef * amps) @ modes
-    return SampledField(domain="sphere-greatcircle", t=0.0, axes=(phi,), values=values)
+    return (spec.coef * amps) @ modes
 
 
 @dataclass(frozen=True)
@@ -273,21 +230,14 @@ class QuantizationResult:
 
     Attributes
     ----------
-    p, q : int
-        The rational time t = 2 pi p / q.
     residual : float
         Sup-norm gap between the propagated field and the weighted
         translate combination.
-    weights : ndarray
-        The q translate weights c_l.
     grid_size : int
         Grid used for the comparison.
     """
 
-    p: int
-    q: int
     residual: float
-    weights: np.ndarray
     grid_size: int
 
 
@@ -307,15 +257,13 @@ def quantization_weights(p: int, q: int) -> np.ndarray:
     return np.fft.fft(g) / q
 
 
-def quantization_check(
-    spec: TorusSpectrum, p: int, q: int, grid_size: int | None = None
-) -> QuantizationResult:
+def quantization_check(spec: TorusSpectrum, p: int, q: int) -> QuantizationResult:
     """Verify the finite-translate form of the T^1 flow at t = 2 pi p/q.
 
     The propagated solution u(x, t) is compared in sup norm against
     sum_l c_l f(x + 2 pi l / q) with the DFT weights of the quadratic
-    phase; both sides are evaluated with exact modular phases on a
-    common grid divisible by q.
+    phase; both sides are evaluated with exact modular phases on the
+    smallest alias-free grid (>= 2 m_max + 1 points) divisible by q.
 
     Parameters
     ----------
@@ -323,9 +271,6 @@ def quantization_check(
         1-d initial data.
     p, q : int
         Coprime integers, q >= 1.
-    grid_size : int, optional
-        Grid length; defaults to the smallest multiple of q that is
-        alias-free (>= 2 m_max + 1).
 
     Returns
     -------
@@ -334,10 +279,7 @@ def quantization_check(
     if spec.d != 1:
         raise ValueError("quantization check is stated on T^1")
     weights = quantization_weights(p, q)
-    if grid_size is None:
-        grid_size = q * math.ceil((2 * spec.m_max + 1) / q)
-    if grid_size % q != 0:
-        raise ValueError("grid size must be divisible by q")
+    grid_size = q * math.ceil((2 * spec.m_max + 1) / q)
     evolved = propagate_torus(spec, TimePoint.rational(p, q))
     lhs = _evaluate_torus_fft(evolved, (grid_size,))
     base = _evaluate_torus_fft(spec, (grid_size,))
@@ -346,6 +288,4 @@ def quantization_check(
     for l in range(q):
         rhs += weights[l] * np.roll(base, -l * shift)
     residual = float(np.max(np.abs(lhs - rhs)))
-    return QuantizationResult(
-        p=p, q=q, residual=residual, weights=weights, grid_size=grid_size
-    )
+    return QuantizationResult(residual=residual, grid_size=grid_size)

@@ -31,9 +31,9 @@ from .lpbesov import block_norm_table
 from .specialfun import (
     SZEGO_REMAINDER_C,
     SZEGO_WINDOW_C,
-    SphereConstants,
     jacobi_asymptotic,
     jacobi_symmetric,
+    weight_ratio,
     zonal_harmonic_table,
 )
 from .spectra import (
@@ -491,7 +491,7 @@ def _triple_tensor(n_max: int, d: int) -> np.ndarray:
 
     rule = QuadratureRule.for_degree(4 * n_max, d)
     table = zonal_harmonic_table(2 * n_max, d, rule.nodes)
-    ratio = SphereConstants.for_dimension(d).weight_ratio
+    ratio = weight_ratio(d)
     out = np.zeros((2 * n_max + 1, n_max + 1, n_max + 1))
     for a in range(n_max + 1):
         for b in range(a, n_max + 1):
@@ -673,7 +673,7 @@ def run_specialfun_checks(
 
     rule = QuadratureRule.for_degree(2 * ortho_n_max, d)
     table = zonal_harmonic_table(ortho_n_max, d, rule.nodes)
-    ratio = SphereConstants.for_dimension(d).weight_ratio
+    ratio = weight_ratio(d)
     gram = ratio * ((table * rule.weights) @ table.T)
     ortho_defect = float(np.max(np.abs(gram - np.eye(ortho_n_max + 1))))
     envelope_c = SZEGO_REMAINDER_C[d]

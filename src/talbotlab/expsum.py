@@ -2,7 +2,7 @@
 
 A Weyl block is the partial sum
 
-    S(u, x) = sum_{n=N}^{u} b_n a^n exp(i n^2 t + i n x),   N <= u <= 2N,
+    S(u, x) = sum_{n=N}^{u} b_n exp(i n^2 t + i n x),   N <= u <= 2N,
 
 whose supremum over both the truncation point u and a physical grid
 in x measures square-root cancellation for generic t.  It is found
@@ -34,8 +34,6 @@ class WeylBlockResult:
 
     Attributes
     ----------
-    block_start : int
-        N; the block covers n in [N, 2N].
     sup : float
         max over u in [N, 2N] and grid x of |S(u, x)|.
     argmax_x : float
@@ -44,7 +42,6 @@ class WeylBlockResult:
         Truncation point attaining the supremum.
     """
 
-    block_start: int
     sup: float
     argmax_x: float
     argmax_u: int
@@ -57,17 +54,6 @@ _BOUND_CHUNK = 64
 _REFINE_CHUNK = 16
 _FFT_BATCH = 8
 _ROUNDOFF = 1e-10
-
-
-def _block_weights(weights, n_values: np.ndarray) -> np.ndarray:
-    if weights is None:
-        return np.ones(n_values.size)
-    if callable(weights):
-        return np.array([float(weights(int(n))) for n in n_values])
-    arr = np.asarray(weights, dtype=float)
-    if arr.shape != n_values.shape:
-        raise ValueError("weight array must cover n = N .. 2N inclusive")
-    return arr
 
 
 def _quadratic_phases(t: float, n_values: np.ndarray) -> np.ndarray:
@@ -102,7 +88,6 @@ def weyl_block_sup(
     t: float,
     block_start: int,
     weights=None,
-    damping: float = 1.0,
     grid_factor: int = 16,
 ) -> WeylBlockResult:
     """Supremum of the weighted Weyl block starting at N = block_start.
@@ -113,11 +98,8 @@ def weyl_block_sup(
         Time multiplying the quadratic phase n^2.
     block_start : int
         N >= 1; the sum runs over n in [N, 2N].
-    weights : callable or array_like or None
-        b_n, given as a function of n or an array over n = N .. 2N.
-        None means b_n = 1.
-    damping : float
-        Radial factor a in [0, 1] applied as a^n.
+    weights : callable or None
+        b_n as a function of n; None means b_n = 1.
     grid_factor : int
         The x grid has grid_factor * N points on [0, 2 pi).
 
@@ -140,18 +122,16 @@ def weyl_block_sup(
     big_n = int(block_start)
     if big_n < 1:
         raise ValueError("block start must be >= 1")
-    if not 0.0 <= damping <= 1.0:
-        raise ValueError("damping must lie in [0, 1]")
     grid = int(grid_factor) * big_n
     if grid < 1:
         raise ValueError("grid_factor must be >= 1")
     n_values = np.arange(big_n, 2 * big_n + 1)
-    coef = _block_weights(weights, n_values) * damping ** n_values.astype(float)
+    coef = np.array([1.0 if weights is None else float(weights(int(n))) for n in n_values])
     coef = coef * _quadratic_phases(t, n_values)
     mags = np.abs(coef)
     slack = _ROUNDOFF * float(np.sum(mags))
     if not math.isfinite(slack):
-        return WeylBlockResult(big_n, math.nan, 0.0, big_n)
+        return WeylBlockResult(math.nan, 0.0, big_n)
     bound = 0.0
     for _, before, chunk in _running_chunks(coef, n_values, grid, _BOUND_CHUNK):
         bound = max(bound, float(np.max(np.abs(before + chunk))))
@@ -168,7 +148,7 @@ def weyl_block_sup(
             if sizes.flat[at] > best:
                 row, col = divmod(at, cols.size)
                 best, best_u, best_j = float(sizes.flat[at]), int(n[row, 0]), int(cols[col])
-    return WeylBlockResult(big_n, best, 2.0 * math.pi * best_j / grid, best_u)
+    return WeylBlockResult(best, 2.0 * math.pi * best_j / grid, best_u)
 
 
 def decay_slope_fit(block_starts, sups) -> LineFit:

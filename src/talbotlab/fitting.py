@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LineFit", "fit_line", "fit_loglog", "median_slope"]
+__all__ = ["LineFit", "fit_line", "fit_loglog"]
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,3 @@ def fit_loglog(sizes, values, base: float = 2.0) -> LineFit:
         raise ValueError("log-log fit needs strictly positive data")
     lb = np.log(base)
     return fit_line(np.log(sizes) / lb, np.log(values) / lb)
-
-
-def median_slope(fits) -> float:
-    """Median of the slopes of a sequence of :class:`LineFit` results."""
-    slopes = [f.slope for f in fits]
-    if not slopes:
-        raise ValueError("no fits supplied")
-    return float(np.median(slopes))

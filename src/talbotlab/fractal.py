@@ -18,19 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import (
-    SampledField,
     evaluate_beam_equator,
     evaluate_torus,
     evaluate_zonal_circle,
     propagate_sphere,
     propagate_torus,
 )
-from .fitting import fit_line
+from .fitting import LineFit, fit_line
 from .spectra import BeamSpectrum, TorusSpectrum, ZonalSpectrum
 
 __all__ = [
     "BoxCountSeries",
-    "DimensionEstimate",
     "DomainConfig",
     "box_count_curve",
     "box_count_surface",
@@ -65,28 +63,6 @@ class BoxCountSeries:
             raise ValueError("box counts must be positive")
         object.__setattr__(self, "k_values", k)
         object.__setattr__(self, "counts", c)
-
-
-@dataclass(frozen=True)
-class DimensionEstimate:
-    """Fitted box dimension of one graph component.
-
-    Attributes
-    ----------
-    slope : float
-        Least-squares slope of log2 N(k) against k.
-    stderr : float
-        Standard error of the slope.
-    window : tuple
-        Inclusive level range used in the fit.
-    component : str
-        "real" or "imag".
-    """
-
-    slope: float
-    stderr: float
-    window: tuple
-    component: str = "real"
 
 
 def _reduce_runs(op, values: np.ndarray, axis: int, r: int) -> np.ndarray:
@@ -161,9 +137,7 @@ def box_count_series(samples, k_values) -> BoxCountSeries:
                           counts=np.array([counts[k] for k in ks], dtype=float))
 
 
-def dimension_fit(
-    series: BoxCountSeries, window: tuple[int, int], component: str = "real"
-) -> DimensionEstimate:
+def dimension_fit(series: BoxCountSeries, window: tuple[int, int]) -> LineFit:
     """Least-squares dimension estimate over an inclusive level window.
 
     Parameters
@@ -171,21 +145,17 @@ def dimension_fit(
     series : BoxCountSeries
     window : (int, int)
         Inclusive level range; at least four levels must fall inside.
-    component : str
-        Tag stored on the estimate.
 
     Returns
     -------
-    DimensionEstimate
+    LineFit
+        Slope of log2 N(k) against k, the dimension estimate.
     """
     lo, hi = window
     keep = (series.k_values >= lo) & (series.k_values <= hi)
     if np.count_nonzero(keep) < 4:
         raise ValueError("need at least four levels inside the fit window")
-    fit = fit_line(series.k_values[keep], np.log2(series.counts[keep]))
-    return DimensionEstimate(
-        slope=fit.slope, stderr=fit.stderr, window=(int(lo), int(hi)), component=component
-    )
+    return fit_line(series.k_values[keep], np.log2(series.counts[keep]))
 
 
 @dataclass(frozen=True)
@@ -209,14 +179,14 @@ class DomainConfig:
 
 @dataclass(frozen=True)
 class DimReport:
-    """dim_t output: per-component estimates and their maximum."""
+    """dim_t output: per-component fits and the maximum of their slopes."""
 
-    real: DimensionEstimate
-    imag: DimensionEstimate
+    real: LineFit
+    imag: LineFit
     max_slope: float
 
 
-def _evaluate_for_dimension(spec, t, config: DomainConfig) -> SampledField:
+def _evaluate_for_dimension(spec, t, config: DomainConfig) -> np.ndarray:
     if isinstance(spec, TorusSpectrum):
         evolved = propagate_torus(spec, t)
         return evaluate_torus(evolved, config.grid_size)
@@ -245,16 +215,10 @@ def dim_t(spec, t, config: DomainConfig) -> DimReport:
     Returns
     -------
     DimReport
-        Estimates for both components and their maximum slope.
+        Fits for both components and their maximum slope, NaN if either
+        slope is NaN.
     """
-    field = _evaluate_for_dimension(spec, t, config)
-    values = field.values
-    estimates = {}
-    for name, comp in (("real", values.real), ("imag", values.imag)):
-        series = box_count_series(comp, config.levels())
-        estimates[name] = dimension_fit(series, config.window, component=name)
-    return DimReport(
-        real=estimates["real"],
-        imag=estimates["imag"],
-        max_slope=max(estimates["real"].slope, estimates["imag"].slope),
-    )
+    values = _evaluate_for_dimension(spec, t, config)
+    real, imag = (dimension_fit(box_count_series(comp, config.levels()), config.window)
+                  for comp in (values.real, values.imag))
+    return DimReport(real=real, imag=imag, max_slope=float(np.maximum(real.slope, imag.slope)))

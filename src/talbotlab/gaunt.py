@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .specialfun import SphereConstants, zonal_harmonic_table
+from .specialfun import weight_ratio, zonal_harmonic_table
 
 __all__ = [
     "QuadratureRule",
@@ -54,14 +54,11 @@ class QuadratureRule:
 
     Attributes
     ----------
-    d : int
-        Sphere dimension fixing the Jacobi exponent alpha = (d-2)/2.
     nodes, weights : ndarray
         Quadrature nodes and weights; polynomials up to degree
         2 * node_count - 1 integrate exactly.
     """
 
-    d: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -71,7 +68,7 @@ class QuadratureRule:
         count = total_degree // 2 + 8
         alpha = 0.5 * (d - 2)
         nodes, weights = roots_jacobi(count, alpha, alpha)
-        return cls(d=d, nodes=nodes, weights=weights)
+        return cls(nodes=nodes, weights=weights)
 
     @property
     def node_count(self) -> int:
@@ -97,7 +94,7 @@ def _as_indices(indices) -> tuple[int, ...]:
     return idx
 
 
-def kappa(indices, d: int = 2, rule: QuadratureRule | None = None) -> float:
+def kappa(indices, d: int = 2) -> float:
     """Normalized integral of a product of zonal harmonics.
 
     Parameters
@@ -106,9 +103,6 @@ def kappa(indices, d: int = 2, rule: QuadratureRule | None = None) -> float:
         2, 3, or 4 degrees.
     d : int
         Sphere dimension.
-    rule : QuadratureRule, optional
-        Pre-built rule; must carry at least (sum of degrees)/2 + 2
-        nodes.  Default builds an exact rule.
 
     Returns
     -------
@@ -117,43 +111,28 @@ def kappa(indices, d: int = 2, rule: QuadratureRule | None = None) -> float:
         the indices, non-negative, zero outside the polygon support.
     """
     idx = _as_indices(indices)
-    total = sum(idx)
-    if rule is None:
-        rule = QuadratureRule.for_degree(total, d)
-    elif rule.d != d:
-        raise ValueError("quadrature rule dimension mismatch")
-    if rule.node_count < total / 2 + 2:
-        raise ValueError(
-            f"insufficient nodes: {rule.node_count} for total degree {total}"
-        )
+    rule = QuadratureRule.for_degree(sum(idx), d)
     table = zonal_harmonic_table(max(idx), d, rule.nodes)
     product = np.ones_like(rule.nodes)
     for i in idx:
         product = product * table[i]
-    sphere = SphereConstants.for_dimension(d)
-    return sphere.weight_ratio * rule.integrate(product)
+    return weight_ratio(d) * rule.integrate(product)
 
 
-def kappa_vector(
-    fixed, n_values, d: int = 2, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def kappa_vector(fixed, n_values, d: int = 2) -> np.ndarray:
     """kappa(fixed + (n,)) for every n in n_values, sharing one rule."""
     base = tuple(int(i) for i in fixed)
     if len(base) not in (1, 2, 3) or any(i < 0 for i in base):
         raise ValueError("fixed part must hold 1 to 3 non-negative degrees")
     n_arr = np.asarray(n_values, dtype=int)
-    total = sum(base) + int(n_arr.max(initial=0))
-    if rule is None:
-        rule = QuadratureRule.for_degree(total, d)
-    if rule.node_count < total / 2 + 2:
-        raise ValueError("insufficient nodes for requested degrees")
-    table = zonal_harmonic_table(max(list(base) + [int(n_arr.max(initial=0))]), d, rule.nodes)
+    top = int(n_arr.max(initial=0))
+    rule = QuadratureRule.for_degree(sum(base) + top, d)
+    table = zonal_harmonic_table(max(*base, top), d, rule.nodes)
     product = np.ones_like(rule.nodes)
     for i in base:
         product = product * table[i]
-    sphere = SphereConstants.for_dimension(d)
     weighted = rule.weights * product
-    return sphere.weight_ratio * (table[n_arr] @ weighted)
+    return weight_ratio(d) * (table[n_arr] @ weighted)
 
 
 @dataclass(frozen=True)
@@ -180,12 +159,11 @@ class KappaTable:
     quads: dict
 
     @classmethod
-    def build(cls, n_max: int, d: int = 2, include_quads: bool = True) -> "KappaTable":
+    def build(cls, n_max: int, d: int = 2) -> "KappaTable":
         """Evaluate all canonical 3- and 4-index kappa up to n_max."""
         rule = QuadratureRule.for_degree(4 * n_max, d)
         table = zonal_harmonic_table(n_max, d, rule.nodes)
-        sphere = SphereConstants.for_dimension(d)
-        ratio = sphere.weight_ratio
+        ratio = weight_ratio(d)
         degrees = np.arange(n_max + 1)
         triples = {}
         quads = {}
@@ -195,11 +173,10 @@ class KappaTable:
                 vals = ratio * (table @ pair)
                 for n3 in range(n2, n_max + 1):
                     triples[(n1, n2, n3)] = float(vals[n3])
-                if include_quads:
-                    for n3 in range(n2, n_max + 1):
-                        qvals = ratio * (table[n3:] @ (pair * table[n3]))
-                        for j, n4 in enumerate(degrees[n3:]):
-                            quads[(n1, n2, n3, int(n4))] = float(qvals[j])
+                for n3 in range(n2, n_max + 1):
+                    qvals = ratio * (table[n3:] @ (pair * table[n3]))
+                    for j, n4 in enumerate(degrees[n3:]):
+                        quads[(n1, n2, n3, int(n4))] = float(qvals[j])
         return cls(
             d=d,
             n_max=n_max,

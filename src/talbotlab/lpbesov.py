@@ -49,21 +49,18 @@ class BlockNormTable:
 
     Attributes
     ----------
-    p : float
-        Lebesgue exponent (1, 2, or inf).
     levels : ndarray
         Level indices j.
     norms : ndarray
         Non-negative block norms, aligned with ``levels``.
     """
 
-    p: float
     levels: np.ndarray
     norms: np.ndarray
 
 
 def _parse_p(p) -> float:
-    if p in ("inf", "Inf", "INF"):
+    if p == "inf":
         return math.inf
     p = float(p)
     if p not in (1.0, 2.0, math.inf):
@@ -103,11 +100,11 @@ def block_norm_table(spec: ZonalSpectrum, p, j_max: int) -> BlockNormTable:
             math.sqrt(float(np.sum(np.abs(spec.coef[min(lo, spec.coef.size):hi]) ** 2)))
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
-        return BlockNormTable(p=p, levels=levels, norms=np.array(norms))
+        return BlockNormTable(levels=levels, norms=np.array(norms))
     grid_points = min(max(512, _OVERSAMPLE * int(edges[-1])), 1 << 17)
     theta = np.linspace(0.0, math.pi, grid_points)
     weight = np.sin(theta) ** (spec.d - 1)
-    ratio = sf.SphereConstants.for_dimension(spec.d).weight_ratio
+    ratio = sf.weight_ratio(spec.d)
     period = max(2 * (grid_points - 1), 1)
     norms = []
     # Reduce each block's samples before the next FFT: the samples are
@@ -119,10 +116,10 @@ def block_norm_table(spec: ZonalSpectrum, p, j_max: int) -> BlockNormTable:
             norms.append(float(np.max(block)))
         else:
             norms.append(ratio * float(np.trapezoid(block * weight, theta)))
-    return BlockNormTable(p=p, levels=levels, norms=np.array(norms))
+    return BlockNormTable(levels=levels, norms=np.array(norms))
 
 
-def holder_exponent_fit(sup_norms, window: tuple[int, int] | None = None):
+def holder_exponent_fit(sup_norms, window: tuple[int, int]):
     """Holder exponent from sup-norm decay across dyadic levels.
 
     Parameters
@@ -130,8 +127,8 @@ def holder_exponent_fit(sup_norms, window: tuple[int, int] | None = None):
     sup_norms : array_like
         ||P_{2^j} u||_{L^infinity} for j = 0, 1, ...; at least five
         levels inside the window.
-    window : (int, int), optional
-        Inclusive level range used for the fit; defaults to all levels.
+    window : (int, int)
+        Inclusive level range used for the fit.
 
     Returns
     -------
@@ -144,10 +141,9 @@ def holder_exponent_fit(sup_norms, window: tuple[int, int] | None = None):
     """
     norms = np.asarray(sup_norms, dtype=float)
     levels = np.arange(norms.size)
-    if window is not None:
-        lo, hi = window
-        keep = (levels >= lo) & (levels <= hi)
-        levels, norms = levels[keep], norms[keep]
+    lo, hi = window
+    keep = (levels >= lo) & (levels <= hi)
+    levels, norms = levels[keep], norms[keep]
     dropped = [int(j) for j, v in zip(levels, norms) if v <= 0.0]
     keep = norms > 0.0
     levels, norms = levels[keep], norms[keep]

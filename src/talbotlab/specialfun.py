@@ -25,7 +25,6 @@ log space so degrees well past 150 stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,7 +32,7 @@ from scipy.special import gammaln
 __all__ = [
     "SZEGO_WINDOW_C",
     "SZEGO_REMAINDER_C",
-    "SphereConstants",
+    "weight_ratio",
     "surface_area",
     "eigenspace_dimension",
     "jacobi_symmetric",
@@ -75,49 +74,16 @@ def surface_area(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
-@dataclass(frozen=True)
-class SphereConstants:
-    """Dimension-dependent constants of S^d.
+def weight_ratio(d: int) -> float:
+    """omega_{d-1}/omega_d, the zonal reduction constant of S^d.
 
-    Attributes
-    ----------
-    d : int
-        Sphere dimension, at least 2.
-    omega : float
-        Surface measure of S^d.
-    omega_prev : float
-        Surface measure of S^{d-1}.
-    alpha : float
-        Jacobi parameter (d - 2) / 2 of the zonal weight
-        (1 - x^2)^alpha.
+    For zonal f, (1/omega_d) * integral of f over S^d equals
+    ``weight_ratio(d)`` times the integral of f(arccos x) against
+    (1 - x^2)^{(d-2)/2} dx on [-1, 1].  Needs d >= 2.
     """
-
-    d: int
-    omega: float
-    omega_prev: float
-    alpha: float
-
-    @classmethod
-    def for_dimension(cls, d: int) -> "SphereConstants":
-        """Build the constant pack for sphere dimension ``d``."""
-        if d < 2:
-            raise ValueError("sphere dimension must be at least 2")
-        return cls(
-            d=d,
-            omega=surface_area(d),
-            omega_prev=surface_area(d - 1),
-            alpha=(d - 2) / 2.0,
-        )
-
-    @property
-    def weight_ratio(self) -> float:
-        """omega_{d-1}/omega_d, the zonal reduction constant.
-
-        For zonal f, (1/omega_d) * integral of f over S^d equals
-        ``weight_ratio`` times the integral of f(arccos x) against
-        (1 - x^2)^alpha dx on [-1, 1].
-        """
-        return self.omega_prev / self.omega
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
+    return surface_area(d - 1) / surface_area(d)
 
 
 def eigenspace_dimension(n: int, d: int) -> int:
@@ -431,7 +397,7 @@ def gaussian_beam(n: int, theta, phi, sign: int = 1):
     return complex(out) if scalar else np.asarray(out)
 
 
-def jacobi_asymptotic(n: int, d: int, theta, window_c: float = SZEGO_WINDOW_C):
+def jacobi_asymptotic(n: int, d: int, theta):
     """Large-degree asymptotic of P_n^{(alpha,alpha)}(cos theta).
 
     Parameters
@@ -441,11 +407,8 @@ def jacobi_asymptotic(n: int, d: int, theta, window_c: float = SZEGO_WINDOW_C):
     d : int
         Sphere dimension.
     theta : float or array_like
-        Polar angles inside the validity window
-        [window_c/n, pi - window_c/n].
-    window_c : float, optional
-        Window constant c; the default 8 is where the remainder
-        constant stabilizes empirically.
+        Polar angles inside the validity window [c/n, pi - c/n] with
+        c = ``SZEGO_WINDOW_C``.
 
     Returns
     -------
@@ -461,8 +424,8 @@ def jacobi_asymptotic(n: int, d: int, theta, window_c: float = SZEGO_WINDOW_C):
         raise ValueError("asymptotic form needs n >= 1")
     scalar = np.isscalar(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    lo = window_c / n
-    hi = math.pi - window_c / n
+    lo = SZEGO_WINDOW_C / n
+    hi = math.pi - SZEGO_WINDOW_C / n
     if np.any(th < lo) or np.any(th > hi):
         raise ValueError(
             f"theta outside asymptotic validity window [{lo:.6g}, {hi:.6g}]"

@@ -47,15 +47,11 @@ class TorusSpectrum:
     coef : ndarray
         Dense complex box of shape (2*m_max+1,)*d; entry for frequency
         m sits at index tuple m + m_max.
-    real_valued : bool
-        Whether the represented function is real, i.e. the coefficients
-        satisfy f_hat(-m) = conj(f_hat(m)).
     """
 
     d: int
     m_max: int
     coef: np.ndarray
-    real_valued: bool = False
 
     def __post_init__(self) -> None:
         expected = (2 * self.m_max + 1,) * self.d
@@ -68,25 +64,9 @@ class TorusSpectrum:
         """The 1-D frequency axis -m_max .. m_max."""
         return np.arange(-self.m_max, self.m_max + 1)
 
-    def items(self):
-        """Iterate over (m tuple, value) pairs of nonzero entries."""
-        for idx in np.argwhere(self.coef != 0):
-            m = tuple(int(c) - self.m_max for c in idx)
-            yield m, complex(self.coef[tuple(idx)])
-
-    def l2_norm(self) -> float:
-        """sqrt(sum |f_hat(m)|^2), the L^2 norm under the mean-value convention."""
-        return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)))
-
-    def scaled(self, multiplier: np.ndarray, real_valued: bool | None = None) -> "TorusSpectrum":
+    def scaled(self, multiplier: np.ndarray) -> "TorusSpectrum":
         """New spectrum with coefficients multiplied entrywise."""
-        if real_valued is None:
-            real_valued = self.real_valued and bool(
-                np.all(multiplier == np.conj(multiplier[(slice(None, None, -1),) * self.d]))
-            )
-        return TorusSpectrum(
-            d=self.d, m_max=self.m_max, coef=self.coef * multiplier, real_valued=real_valued
-        )
+        return TorusSpectrum(d=self.d, m_max=self.m_max, coef=self.coef * multiplier)
 
 
 @dataclass(frozen=True)
@@ -155,15 +135,8 @@ class BeamSpectrum:
     def d(self) -> int:
         return 2
 
-    @property
-    def n_max(self) -> int:
-        return self.coef.size - 1
-
     def degrees(self) -> np.ndarray:
         return np.arange(self.coef.size)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)))
 
     def scaled(self, multiplier) -> "BeamSpectrum":
         return BeamSpectrum(sign=self.sign, coef=self.coef * multiplier)
@@ -206,8 +179,7 @@ def torus_step(jumps, m_max: int) -> TorusSpectrum:
     nz = m != 0
     phases = np.exp(-1j * np.outer(m[nz], pos))
     box[nz] = (phases @ jump_mass) / (2.0j * math.pi * m[nz])
-    real_valued = bool(np.all(val.imag == 0.0))
-    return TorusSpectrum(d=1, m_max=m_max, coef=box, real_valued=real_valued)
+    return TorusSpectrum(d=1, m_max=m_max, coef=box)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -283,7 +255,7 @@ def torus_polygon_indicator(vertices, m_max: int) -> TorusSpectrum:
     if area < 0.0:
         verts = verts[::-1]
     box = _signed_polygon_box(verts, m_max)
-    return TorusSpectrum(d=2, m_max=m_max, coef=box, real_valued=True)
+    return TorusSpectrum(d=2, m_max=m_max, coef=box)
 
 
 def zonal_decay_family(p: float, n_max: int, d: int = 2) -> ZonalSpectrum:

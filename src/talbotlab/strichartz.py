@@ -15,17 +15,16 @@ and Holder comparisons are scale-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .gaunt import QuadratureRule
-from .specialfun import SphereConstants, zonal_harmonic_table
+from .specialfun import weight_ratio, zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
 __all__ = [
-    "PairFrequencyDecomposition",
+    "pair_frequency_classes",
     "bilinear_l2",
     "l4_norm_beam",
 ]
@@ -35,39 +34,22 @@ def _eigenvalue(n: int, d: int) -> int:
     return n * (n + d - 1)
 
 
-@dataclass(frozen=True)
-class PairFrequencyDecomposition:
-    """Pairs (n, m) from dyadic ranges grouped by lambda_n + lambda_m.
+def pair_frequency_classes(block_n: int, block_m: int, d: int = 2) -> dict:
+    """Pairs (n, m) in [N, 2N) x [M, 2M) grouped by lambda_n + lambda_m.
 
-    Attributes
-    ----------
-    d : int
-    n_range, m_range : tuple
-        Half-open index ranges [N, 2N) and [M, 2M).
-    classes : dict
+    Returns
+    -------
+    dict
         tau -> list of (n, m); every pair appears under exactly one
         tau by construction.
     """
-
-    d: int
-    n_range: tuple
-    m_range: tuple
-    classes: dict
-
-    @classmethod
-    def build(cls, block_n: int, block_m: int, d: int = 2) -> "PairFrequencyDecomposition":
-        classes: dict = {}
-        for n in range(block_n, 2 * block_n):
-            lam_n = _eigenvalue(n, d)
-            for m in range(block_m, 2 * block_m):
-                tau = lam_n + _eigenvalue(m, d)
-                classes.setdefault(tau, []).append((n, m))
-        return cls(
-            d=d,
-            n_range=(block_n, 2 * block_n),
-            m_range=(block_m, 2 * block_m),
-            classes=classes,
-        )
+    classes: dict = {}
+    for n in range(block_n, 2 * block_n):
+        lam_n = _eigenvalue(n, d)
+        for m in range(block_m, 2 * block_m):
+            tau = lam_n + _eigenvalue(m, d)
+            classes.setdefault(tau, []).append((n, m))
+    return classes
 
 
 def bilinear_l2(
@@ -97,17 +79,16 @@ def bilinear_l2(
     if block_m > block_n:
         raise ValueError("expects N >= M")
     d = f.d
-    deco = PairFrequencyDecomposition.build(block_n, block_m, d)
     top = 2 * block_n - 1 + 2 * block_m - 1
     rule = QuadratureRule.for_degree(2 * top, d)
     table = zonal_harmonic_table(min(2 * block_n - 1, max(f.n_max, g.n_max)), d, rule.nodes)
-    ratio = SphereConstants.for_dimension(d).weight_ratio
+    ratio = weight_ratio(d)
 
     def coef_at(spec: ZonalSpectrum, n: int) -> complex:
         return complex(spec.coef[n]) if n <= spec.n_max else 0.0
 
     total = 0.0
-    for pairs in deco.classes.values():
+    for pairs in pair_frequency_classes(block_n, block_m, d).values():
         h = np.zeros(rule.nodes.size, dtype=complex)
         nonzero = False
         for n, m in pairs:
@@ -138,5 +119,5 @@ def l4_norm_beam(n: int) -> float:
         - n * math.log(4.0)
     )
     values = np.exp(2.0 * log_c2 + 2.0 * n * np.log1p(-rule.nodes**2))
-    ratio = SphereConstants.for_dimension(2).weight_ratio
+    ratio = weight_ratio(2)
     return float(ratio * rule.integrate(values))

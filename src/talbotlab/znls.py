@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaunt import QuadratureRule, line_integral_table
-from .specialfun import SphereConstants, zonal_harmonic_table
+from .specialfun import weight_ratio, zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
 __all__ = [
@@ -117,7 +117,7 @@ class _Workspace:
         # the degree 4 n_max of the integrands |u|^2 Y_n Y_m.
         self.rule = QuadratureRule.for_degree(4 * n_max + 16, d)
         self.table = zonal_harmonic_table(n_max, d, self.rule.nodes)
-        self.ratio = SphereConstants.for_dimension(d).weight_ratio
+        self.ratio = weight_ratio(d)
 
     def density(self, coef: np.ndarray) -> tuple[np.ndarray, float]:
         """Node weights of B(u) = T diag(dens) T^T, and max |u|^2 at the nodes."""
@@ -162,14 +162,15 @@ def _pairs(vec: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
-def gamma_phase(state: NLSState, line_table: np.ndarray | None = None) -> float:
+def gamma_phase(state: NLSState, line_table: np.ndarray) -> float:
     """Resonant phase rate gamma(t; u) of the current state.
 
     Parameters
     ----------
     state : NLSState
-    line_table : ndarray, optional
-        Precomputed meridian products from line_integral_table.
+    line_table : ndarray
+        Meridian products line_integral_table(n_max, d) of the state's
+        truncation.
 
     Returns
     -------
@@ -179,8 +180,6 @@ def gamma_phase(state: NLSState, line_table: np.ndarray | None = None) -> float:
         raises.
     """
     coef = state.spectrum.coef
-    if line_table is None:
-        line_table = line_integral_table(state.spectrum.n_max, state.spectrum.d)
     value = complex(np.conj(coef) @ (line_table @ coef))
     scale = max(1.0, abs(value))
     if abs(value.imag) > 1e-12 * scale:
@@ -205,8 +204,6 @@ class NLSTrajectory:
     """Solver output: states at every step, including the initial one."""
 
     states: tuple
-    config: NLSConfig
-    wick: bool
 
     @property
     def initial(self) -> NLSState:
@@ -217,38 +214,26 @@ class NLSTrajectory:
         return self.states[-1]
 
     def mass_drift(self) -> float:
-        masses = [s.mass() for s in self.states]
-        return float(max(abs(m - masses[0]) for m in masses))
+        """Largest |mass(t) - mass(0)| over the states; NaN if any mass is NaN."""
+        masses = np.array([s.mass() for s in self.states])
+        return float(np.max(np.abs(masses - masses[0])))
 
 
-def solve(
-    initial: ZonalSpectrum | NLSState,
-    config: NLSConfig,
-    sign: int = 1,
-    wick: bool = False,
-) -> NLSTrajectory:
+def solve(initial: ZonalSpectrum, config: NLSConfig, sign: int = 1) -> NLSTrajectory:
     """Integrate the zonal cubic NLS to config.t_final.
 
     Parameters
     ----------
-    initial : ZonalSpectrum or NLSState
+    initial : ZonalSpectrum
     config : NLSConfig
     sign : int
-        sigma for the cubic term (ignored when an NLSState is given).
-    wick : bool
-        When True, evolve the Wick-ordered equation: the resonant
-        phase gamma is removed inside each step (per-step trapezoid
-        of gamma), so the output relates to the plain flow by the
-        gauge factor exp(-i sigma Phi).
+        sigma for the cubic term.
 
     Returns
     -------
     NLSTrajectory
     """
-    if isinstance(initial, NLSState):
-        state = initial
-    else:
-        state = NLSState.initial(initial, sign=sign)
+    state = NLSState.initial(initial, sign=sign)
     dt = config.dt
     n_steps = int(round(config.t_final / dt))
     if abs(n_steps * dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
@@ -265,8 +250,6 @@ def solve(
         # Phi advances by the trapezoid rule on gamma.
         moved = replace(state, spectrum=ZonalSpectrum(d=d, coef=coef))
         increment = 0.5 * dt * (gamma_phase(state, line) + gamma_phase(moved, line))
-        if wick:
-            coef = coef * np.exp(-1j * state.sign * increment)
         state = NLSState(
             spectrum=ZonalSpectrum(d=d, coef=coef),
             t=state.t + dt,
@@ -274,7 +257,7 @@ def solve(
             sign=state.sign,
         )
         states.append(state)
-    return NLSTrajectory(states=tuple(states), config=config, wick=wick)
+    return NLSTrajectory(states=tuple(states))
 
 
 @dataclass(frozen=True)
@@ -289,9 +272,6 @@ class SmoothingTable:
         ||P_N r(t)||_{L^2} and ||P_N u(t)||_{L^2}.
     r_weighted, u_weighted : ndarray
         The same norms multiplied by N^{s + eps}.
-    s, eps : float
-    t : float
-        Measurement time.
     """
 
     n_values: np.ndarray
@@ -299,17 +279,9 @@ class SmoothingTable:
     u_norms: np.ndarray
     r_weighted: np.ndarray
     u_weighted: np.ndarray
-    s: float
-    eps: float
-    t: float
 
 
-def smoothing_residual(
-    trajectory: NLSTrajectory,
-    s: float,
-    eps: float,
-    state_index: int = -1,
-) -> SmoothingTable:
+def smoothing_residual(trajectory: NLSTrajectory, s: float, eps: float) -> SmoothingTable:
     """Dyadic tails of r(t) = u(t) - e^{i t lambda} e^{i sigma Phi} u(0).
 
     The linear-flow reference carries the accumulated resonant phase;
@@ -320,16 +292,15 @@ def smoothing_residual(
     Parameters
     ----------
     trajectory : NLSTrajectory
+        Measured at its final state.
     s, eps : float
         Weight exponent s + eps applied to both norm columns.
-    state_index : int
-        Which trajectory state to measure (default: final).
 
     Returns
     -------
     SmoothingTable
     """
-    state = trajectory.states[state_index]
+    state = trajectory.final
     first = trajectory.initial
     d = state.spectrum.d
     degrees = np.arange(state.spectrum.n_max + 1)
@@ -358,7 +329,4 @@ def smoothing_residual(
         u_norms=np.array(u_norms),
         r_weighted=np.array(r_norms) * weight,
         u_weighted=np.array(u_norms) * weight,
-        s=float(s),
-        eps=float(eps),
-        t=state.t,
     )

@@ -11,8 +11,6 @@ from hypothesis import settings
 from scipy import integrate
 from scipy.special import eval_chebyu, eval_legendre, gamma as gamma_fn, roots_jacobi
 
-from talbotlab.spectra import TorusSpectrum
-
 # One Hypothesis profile for the suite: the time per example of the
 # FFT- and quadrature-backed properties follows the machine's load, so
 # no per-example deadline; each test keeps its own max_examples.
@@ -27,10 +25,7 @@ def random_phase(spec, seed):
     physical space.
     """
     rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.random(np.shape(spec.coef)))
-    if isinstance(spec, TorusSpectrum):
-        return spec.scaled(phases, real_valued=False)
-    return spec.scaled(phases)
+    return spec.scaled(np.exp(2j * np.pi * rng.random(np.shape(spec.coef))))
 
 
 def torus_coefficient(spec, m):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from talbotlab import __version__, cli, experiments
+from talbotlab import __version__, cli, experiments, fractal
 from talbotlab.experiments import (
     ExperimentResult,
     run_bilinear_contrast,
@@ -136,8 +136,16 @@ def _nan_array(values):
     return np.full(np.shape(values), math.nan)
 
 
-# Study -> (small driver arguments, kernel the driver looks up in
-# experiments, how its result turns into NaN).
+def _nan_imag(values):
+    out = np.array(values, dtype=complex)
+    out.imag = math.nan
+    return out
+
+
+# Case -> (small driver arguments, kernel the driver looks up in
+# experiments, or (module, name) of one it reaches through another
+# module, how its result turns into NaN).  A case id is its study's name, with
+# a ":" suffix for further cases of the same study.
 NAN_CASES = {
     "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), "jacobi_asymptotic",
                       lambda out: (_nan_array(out[0]), out[1])),
@@ -147,6 +155,10 @@ NAN_CASES = {
                  lambda out: dataclasses.replace(out, residual=math.nan)),
     "dimension-torus-step": (dict(m_max=64, grid=512, window=(3, 6)), "dim_t",
                              lambda out: dataclasses.replace(out, max_slope=math.nan)),
+    # Only the imaginary part goes NaN: a maximum of the two component
+    # slopes that drops NaN would pass on the real part alone.
+    "dimension-torus-step:imag": (dict(m_max=64, grid=512, window=(3, 6)),
+                                  (fractal, "evaluate_torus"), _nan_imag),
     "dimension-torus-polygon": (dict(m_max=16, grid=256, window=(3, 6)), "dim_t",
                                 lambda out: dataclasses.replace(out, max_slope=math.nan)),
     "dimension-zonal": (dict(n_max=63, grid=512, window=(3, 6)), "dim_t",
@@ -168,15 +180,15 @@ NAN_CASES = {
 
 
 def test_nan_cases_cover_every_study():
-    assert set(NAN_CASES) == set(cli._SPECS)
+    assert {case.split(":")[0] for case in NAN_CASES} == set(cli._SPECS)
 
 
-@pytest.mark.parametrize("study", sorted(NAN_CASES))
-def test_nan_from_an_inner_kernel_fails_the_verdict(study, monkeypatch):
-    kwargs, kernel, patch = NAN_CASES[study]
-    monkeypatch.setattr(experiments, kernel,
-                        _nan_after(getattr(experiments, kernel), patch))
-    result = cli._SPECS[study]["driver"](**kwargs)
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_nan_from_an_inner_kernel_fails_the_verdict(case, monkeypatch):
+    kwargs, kernel, patch = NAN_CASES[case]
+    owner, name = kernel if isinstance(kernel, tuple) else (experiments, kernel)
+    monkeypatch.setattr(owner, name, _nan_after(getattr(owner, name), patch))
+    result = cli._SPECS[case.split(":")[0]]["driver"](**kwargs)
     assert result.passed is False
     assert result.failure.startswith("non-finite measured value: ")
     summary = result.summary(config={}, seed=0, config_hash="")

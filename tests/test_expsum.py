@@ -19,17 +19,15 @@ def quadratic_phases(t, n):
         return np.array([complex(mpmath.expj(mpmath.mpf(int(v) ** 2) * t)) for v in n])
 
 
-def brute_block_sup(t, big_n, weights=None, damping=1.0, grid_factor=16):
+def brute_block_sup(t, big_n, weights=None, grid_factor=16):
     """Direct O(N^2 grid) evaluation of the running block supremum."""
     n = np.arange(big_n, 2 * big_n + 1)
     if weights is None:
         b = np.ones(n.size)
-    elif callable(weights):
-        b = np.array([weights(int(v)) for v in n], dtype=complex)
     else:
-        b = np.asarray(weights, dtype=complex)
+        b = np.array([weights(int(v)) for v in n], dtype=complex)
     x = 2.0 * math.pi * np.arange(grid_factor * big_n) / (grid_factor * big_n)
-    terms = (b * damping**n * quadratic_phases(t, n))[None, :] * np.exp(1j * np.outer(x, n))
+    terms = (b * quadratic_phases(t, n))[None, :] * np.exp(1j * np.outer(x, n))
     partials = np.cumsum(terms, axis=1)
     return float(np.max(np.abs(partials)))
 
@@ -49,12 +47,9 @@ def test_weighted_and_damped_blocks_match_brute_force():
     def weight(n):
         return n**-1.5
 
-    ours = weyl_block_sup(t, big_n, weights=weight, damping=0.9)
-    ref = brute_block_sup(t, big_n, weights=weight, damping=0.9)
+    ours = weyl_block_sup(t, big_n, weights=weight)
+    ref = brute_block_sup(t, big_n, weights=weight)
     assert ours.sup == pytest.approx(ref, rel=1e-12, abs=0.0)
-    arr = np.array([weight(n) for n in range(big_n, 2 * big_n + 1)])
-    ours_arr = weyl_block_sup(t, big_n, weights=arr, damping=0.9)
-    assert ours_arr.sup == pytest.approx(ours.sup, rel=1e-13, abs=0.0)
 
 
 def test_block_argmax_is_attained():
@@ -65,46 +60,43 @@ def test_block_argmax_is_attained():
     assert abs(val) == pytest.approx(res.sup, rel=1e-12, abs=0.0)
 
 
-def _direct_value(t, big_n, u, x, b, damping):
+def _direct_value(t, big_n, u, x, b):
     """|S(u, x)| summed term by term with directly computed phases."""
     n = np.arange(big_n, u + 1)
-    return abs(np.sum(b[: n.size] * damping**n * quadratic_phases(t, n) * np.exp(1j * n * x)))
+    return abs(np.sum(b[: n.size] * quadratic_phases(t, n) * np.exp(1j * n * x)))
 
 
 @st.composite
 def weyl_cases(draw):
     big_n = draw(st.integers(1, 40))
     grid_factor = draw(st.integers(1, 16))  # grid_factor * N < 2N + 1 folds
-    damping = draw(st.sampled_from((1.0, 0.0)) | st.floats(0.3, 1.0))
     if draw(st.booleans()):
         q = draw(st.integers(1, 12))
         t = 2.0 * math.pi * draw(st.integers(0, q)) / q
     else:
         t = draw(st.floats(-20.0, 20.0, allow_nan=False))
-    kind = draw(st.sampled_from(("none", "array", "callable")))
+    kind = draw(st.sampled_from(("none", "callable")))
     seed = draw(st.integers(0, 2**32 - 1))
-    return big_n, grid_factor, damping, t, kind, seed
+    return big_n, grid_factor, t, kind, seed
 
 
 @settings(max_examples=120)
 @given(weyl_cases())
 def test_block_sup_property_matches_brute_force(case):
-    big_n, grid_factor, damping, t, kind, seed = case
+    big_n, grid_factor, t, kind, seed = case
     n = np.arange(big_n, 2 * big_n + 1)
     b = np.random.default_rng(seed).standard_normal(n.size)
     if kind == "none":
         weights, b = None, np.ones(n.size)
-    elif kind == "array":
-        weights = b
     else:
         weights = dict(zip(n.tolist(), b.tolist())).__getitem__
-    res = weyl_block_sup(t, big_n, weights=weights, damping=damping, grid_factor=grid_factor)
-    ref = brute_block_sup(t, big_n, weights=weights, damping=damping, grid_factor=grid_factor)
+    res = weyl_block_sup(t, big_n, weights=weights, grid_factor=grid_factor)
+    ref = brute_block_sup(t, big_n, weights=weights, grid_factor=grid_factor)
     assert res.sup == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert big_n <= res.argmax_u <= 2 * big_n
     j = round(res.argmax_x * grid_factor * big_n / (2 * math.pi))
     assert res.argmax_x == 2.0 * math.pi * j / (grid_factor * big_n)
-    attained = _direct_value(t, big_n, res.argmax_u, res.argmax_x, b, damping)
+    attained = _direct_value(t, big_n, res.argmax_u, res.argmax_x, b)
     assert attained == pytest.approx(res.sup, rel=1e-12, abs=0.0)
 
 
@@ -142,8 +134,6 @@ def test_block_sup_at_acceptance_scale_matches_direct_phase_oracle():
 def test_block_validation():
     with pytest.raises(ValueError):
         weyl_block_sup(0.5, 0)
-    with pytest.raises(ValueError):
-        weyl_block_sup(0.5, 4, damping=1.5)
     with pytest.raises(ValueError):
         weyl_block_sup(0.5, 4, grid_factor=0)
     assert math.isnan(weyl_block_sup(math.nan, 4).sup)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbotlab.fitting import fit_line, fit_loglog, median_slope
+from talbotlab.fitting import fit_line, fit_loglog
 
 
 def test_exact_line_recovered():
@@ -40,14 +40,6 @@ def test_loglog_recovers_power_law():
     fit = fit_loglog(x, 5.0 * x**-1.5)
     assert fit.slope == pytest.approx(-1.5, abs=1e-12)
     assert 2.0**fit.intercept == pytest.approx(5.0, rel=1e-10, abs=0.0)
-
-
-def test_median_slope_of_fit_collection():
-    x = np.linspace(0.0, 1.0, 8)
-    fits = [fit_line(x, s * x) for s in (1.0, 3.0, 2.0, 5.0, 4.0)]
-    assert median_slope(fits) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        median_slope([])
 
 
 def test_short_input_rejected():

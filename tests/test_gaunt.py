@@ -159,12 +159,6 @@ def test_kappa_vector_matches_scalars():
         assert v == pytest.approx(kappa((3, 4, n)), abs=1e-14)
 
 
-def test_insufficient_rule_rejected():
-    rule = QuadratureRule.for_degree(4, 2)
-    with pytest.raises(ValueError, match="insufficient"):
-        kappa((8, 8, 8), d=2, rule=rule)
-
-
 def test_admissible_examples():
     assert admissible((1, 1, 2))
     assert admissible((3, 3, 3, 3))

@@ -53,7 +53,7 @@ def test_block_norm_single_mode_sup():
 
 def test_holder_fit_recovers_synthetic_exponent():
     j = np.arange(13)
-    gamma_hat, stderr, dropped = holder_exponent_fit(3.0 * 2.0 ** (-0.62 * j))
+    gamma_hat, stderr, dropped = holder_exponent_fit(3.0 * 2.0 ** (-0.62 * j), window=(0, 12))
     assert gamma_hat == pytest.approx(0.62, abs=1e-10)
     assert stderr < 1e-10
     assert dropped == []
@@ -63,7 +63,7 @@ def test_holder_fit_recovers_synthetic_exponent():
 
 def test_holder_fit_drops_vanishing_blocks():
     norms = [1.0, 0.5, 0.0, 0.125, 0.0625, 0.03125, 0.015625]
-    gamma_hat, _, dropped = holder_exponent_fit(norms)
+    gamma_hat, _, dropped = holder_exponent_fit(norms, window=(0, 6))
     assert dropped == [2]
     assert gamma_hat == pytest.approx(1.0, abs=1e-10)
 

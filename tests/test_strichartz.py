@@ -9,9 +9,9 @@ from scipy.special import gammaln, roots_legendre
 from conftest import random_phase
 from talbotlab.evolve import propagate_sphere
 from talbotlab.gaunt import QuadratureRule, kappa
-from talbotlab.specialfun import SphereConstants, zonal_harmonic_table
+from talbotlab.specialfun import weight_ratio, zonal_harmonic_table
 from talbotlab.spectra import ZonalSpectrum
-from talbotlab.strichartz import PairFrequencyDecomposition, bilinear_l2, l4_norm_beam
+from talbotlab.strichartz import bilinear_l2, l4_norm_beam, pair_frequency_classes
 
 
 def beam_l4_closed(n):
@@ -69,7 +69,7 @@ def l4_spacetime_grid(f, block_n, t_points=None):
         t_points = 2 * band + 8
     rule = QuadratureRule.for_degree(4 * (2 * block_n - 1), d)
     table = zonal_harmonic_table(int(degrees.max()), d, rule.nodes)[degrees]
-    ratio = SphereConstants.for_dimension(d).weight_ratio
+    ratio = weight_ratio(d)
     t = 2.0 * math.pi * np.arange(t_points) / t_points
     phases = np.exp(1j * np.outer(t, lam))
     fields = (phases * coef[None, :]) @ table
@@ -89,10 +89,10 @@ def block_data(p, block_n, d=2, seed=17):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_decomposition_partitions_all_pairs(d):
-    dec = PairFrequencyDecomposition.build(8, 4, d=d)
-    assert sum(len(v) for v in dec.classes.values()) == 8 * 4
+    classes = pair_frequency_classes(8, 4, d=d)
+    assert sum(len(v) for v in classes.values()) == 8 * 4
     seen = set()
-    for tau, pairs in dec.classes.items():
+    for tau, pairs in classes.items():
         for n, m in pairs:
             assert n * (n + d - 1) + m * (m + d - 1) == tau
             assert (n, m) not in seen
@@ -102,8 +102,7 @@ def test_decomposition_partitions_all_pairs(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_alpha_count_matches_enumeration(d):
-    dec = PairFrequencyDecomposition.build(16, 8, d=d)
-    for tau, pairs in dec.classes.items():
+    for tau, pairs in pair_frequency_classes(16, 8, d=d).items():
         assert alpha_count(16, 8, tau, d=d) == len(pairs), tau
     missing_tau = 3  # far below every attainable class
     assert alpha_count(16, 8, missing_tau, d=d) == 0
@@ -115,9 +114,9 @@ def test_alpha_count_stays_divisor_small():
     """Class sizes stay tiny while the pair count grows into the hundreds
     of thousands: the signature of the divisor-bound degeneracy count."""
     for block_m in (32, 64, 128, 256):
-        dec = PairFrequencyDecomposition.build(1024, block_m)
-        worst = max(len(v) for v in dec.classes.values())
-        mean = sum(len(v) for v in dec.classes.values()) / len(dec.classes)
+        classes = pair_frequency_classes(1024, block_m)
+        worst = max(len(v) for v in classes.values())
+        mean = sum(len(v) for v in classes.values()) / len(classes)
         assert worst <= 6
         assert worst < math.isqrt(block_m) + 2
         assert mean < 1.25
