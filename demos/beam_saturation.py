@@ -3,32 +3,23 @@
 The highest-weight harmonic (a beam concentrated on the equator) has
 quartic integral growing like sqrt(n), while products of zonal blocks
 with separated frequencies stay nearly orthogonal: the bilinear norm
-grows only like a tiny power of the lower block M.
+grows only like a tiny power of the lower block M.  This runs the
+strichartz study with beams up to degree 256.
 """
 
-import numpy as np
+from talbotlab.experiments import run_bilinear_contrast
 
-from talbotlab.fitting import fit_loglog
-from talbotlab.spectra import zonal_decay_family
-from talbotlab.strichartz import bilinear_l2, l4_norm_beam
-
-degrees = [8, 16, 32, 64, 128, 256]
-quartics = [l4_norm_beam(n) for n in degrees]
-beam_fit = fit_loglog(degrees, quartics, base=2)
+result = run_bilinear_contrast(beam_degrees=(8, 16, 32, 64, 128, 256))
 print("beam quartic integral by degree:")
-for n, q in zip(degrees, quartics):
-    print(f"  n={n:<4} integral={q:.4f}")
-print(f"growth exponent {beam_fit.slope:.3f} (saturates near 1/2)")
+for row in result.rows:
+    if row["study"] == "beam-quartic":
+        print(f"  n={row['index']:<4} integral={row['value']:.4f}")
+print(f"growth exponent {result.measured['beam_quartic_exponent']:.3f}"
+      " (saturates near 1/2)")
 
-data = zonal_decay_family(p=1.5, n_max=256, d=2)
-block_n = 128
-f_norm = float(np.linalg.norm(data.coef[block_n:2 * block_n]))
 print("\nzonal bilinear block ratios (N = 128):")
-ratios = []
-for m in (4, 8, 16, 32, 64):
-    g_norm = float(np.linalg.norm(data.coef[m:2 * m]))
-    ratio = bilinear_l2(data, data, block_n, m) / (f_norm * g_norm)
-    ratios.append(ratio)
-    print(f"  M={m:<3} normalized bilinear norm {ratio:.4f}")
-bil_fit = fit_loglog([4, 8, 16, 32, 64], ratios, base=2)
-print(f"growth exponent in M: {bil_fit.slope:.3f} (near zero)")
+for row in result.rows:
+    if row["study"] == "bilinear":
+        print(f"  M={row['index']:<3} normalized bilinear norm {row['ratio']:.4f}")
+print(f"growth exponent in M: {result.measured['bilinear_exponent']:.3f} (near zero)")
+print("pass" if result.passed else "fail")

@@ -3,27 +3,32 @@
 kappa(n1, n2, n3) is symmetric, non-negative, vanishes outside the
 triangle-type support, and composes under Parseval into quadruple
 products.  For kappa(n, n, n2, n3) the large-n limit is a meridian
-line integral, approached at rate 1/n.
+line integral, approached at rate 1/n.  The identities run the
+kappa-table study with tables up to n = 6; the limit runs the
+resonance study.
 """
 
-from talbotlab.fitting import fit_loglog
-from talbotlab.gaunt import kappa, parseval_compose_check, resonance_compare
+from talbotlab.experiments import run_kappa_suite, run_resonance_decay
+from talbotlab.gaunt import kappa
 
 print("support and symmetry on S^2:")
 for idx in [(0, 0, 0), (1, 1, 2), (2, 3, 5), (1, 1, 3), (1, 2, 5)]:
     print(f"  kappa{idx} = {kappa(idx):.6f}"
           f"   (reversed: {kappa(idx[::-1]):.6f})")
 
-print("\nParseval composition residuals (quadruple vs summed triples):")
-for quad in [(2, 2, 2, 2), (3, 4, 5, 6), (1, 2, 3, 4)]:
-    print(f"  {quad}: {parseval_compose_check(*quad):.2e}")
+suite = run_kappa_suite(n_max=6, scan_n_max=16)
+print("\nidentities over every tuple up to n = 6:")
+print("  d   min entry    off-support   permutation   Parseval     unclassified")
+for row in suite.rows:
+    print(f"  {row['d']}   {row['min_entry']:+.2e}   {row['support_max']:.2e}"
+          f"      {row['permutation_defect']:.1e}       {row['parseval_max']:.2e}"
+          f"   {row['unclassified']}")
+print(f"  {'pass' if suite.passed else 'fail'}")
 
+resonance = run_resonance_decay()
 print("\nresonant limit kappa(n, n, 3, 5) -> meridian line integral:")
-degrees = [16, 32, 64, 128, 256]
-diffs = []
-for n in degrees:
-    k_val, line, diff = resonance_compare(n, 3, 5)
-    diffs.append(diff)
-    print(f"  n={n:<4} kappa={k_val:.6f}  line={line:.6f}  diff={diff:.2e}")
-fit = fit_loglog(degrees, diffs, base=2)
-print(f"fitted decay exponent {fit.slope:.2f} (expect about -1 or faster)")
+for row in resonance.rows:
+    print(f"  n={row['n']:<4} kappa={row['kappa']:.6f}"
+          f"  line={row['line_integral']:.6f}  diff={row['difference']:.2e}")
+print(f"fitted decay exponent {resonance.measured['decay_exponent']:.2f}"
+      f" (expect about -1 or faster): {'pass' if resonance.passed else 'fail'}")

@@ -2,25 +2,29 @@
 
 With weights b_n = n^{-p} the running supremum over a dyadic block
 [N, 2N) scales like N^{1/2 - p} at generic times, while at rational
-times the sum stays of size N (no cancellation).
+times the sum stays of size N (no cancellation).  The generic-time
+part runs the weyl study on blocks N = 16..256.
 """
 
 import math
 
-import numpy as np
+from talbotlab.experiments import run_weyl_decay
+from talbotlab.expsum import weyl_block_sup
 
-from talbotlab.expsum import decay_slope_fit, weyl_block_sup
+result = run_weyl_decay(exponent_range=(4, 8))
+blocks = result.criteria["blocks"]
+print("panel time   weighted block sup for N = "
+      + ", ".join(str(n) for n in blocks))
+for first in range(0, len(result.rows), len(blocks)):
+    rows = result.rows[first:first + len(blocks)]
+    print(f"{rows[0]['t']:<12.6f} "
+          + "  ".join(f"{row['sup']:.3e}" for row in rows))
+print(f"panel-median exponent {result.measured['median_exponent']:.3f}"
+      f" (expect near -1.0): {'pass' if result.passed else 'fail'}")
 
-t_irr = 2 * math.pi * (math.sqrt(5) - 1) / 2
 t_rat = 2 * math.pi / 5
-blocks = [2**k for k in range(4, 10)]
-weight = lambda n: n**-1.5
-
-sups = [weyl_block_sup(t_irr, n, weights=weight).sup for n in blocks]
-fit = decay_slope_fit(np.array(blocks), np.array(sups))
-print(f"irrational time: fitted exponent {fit.slope:.3f} (expect near -1.0)")
-
-plain = [weyl_block_sup(t_rat, n).sup / n for n in blocks]
-print("rational time, unweighted sup/N:",
+plain = [weyl_block_sup(t_rat, n, weights=lambda m: 1.0).sup / n
+         for n in [2**k for k in range(4, 10)]]
+print("\nrational time 2pi/5, unweighted sup/N:",
       ", ".join(f"{v:.3f}" for v in plain))
 print("the normalized rational-time sums stay bounded away from zero")

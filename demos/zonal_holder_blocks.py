@@ -2,25 +2,17 @@
 
 Power-law zonal data a_n = n^{-p} keeps a Holder modulus under the
 half-wave-type flow: the weighted block sup norms 2^{0.4 j} ||P_j u||
-show no growth trend across dyadic levels.
+show no growth trend across dyadic levels.  This runs the zonal-holder
+study at n_max = 511 instead of its 8191.
 """
 
-import math
+from talbotlab.experiments import run_zonal_holder
 
-from talbotlab.evolve import TimePoint, propagate_sphere
-from talbotlab.lpbesov import block_norm_table, holder_exponent_fit
-from talbotlab.spectra import zonal_decay_family
-
-spec = zonal_decay_family(p=1.5, n_max=2047, d=2)
-t = TimePoint.irrational(2 * math.pi * (math.sqrt(3) - 1))
-evolved = propagate_sphere(spec, t)
-
-table = block_norm_table(evolved, j_max=10, p=math.inf)
-print("j   ||P_j u||_inf   2^{0.4 j} * norm")
-for j, norm in zip(table.levels, table.norms):
-    print(f"{j:<3} {norm:.5f}        {2 ** (0.4 * j) * norm:.5f}")
-
-weighted = [2 ** (0.4 * j) * n for j, n in zip(table.levels, table.norms)]
-fit, stderr, dropped = holder_exponent_fit(weighted, window=(2, 10))
-print(f"\nfitted log2 slope of the weighted norms: {-fit:.4f}"
-      f" (flat or negative means the Holder bound holds)")
+result = run_zonal_holder(n_max=511, j_max=8, window=(2, 8))
+print("panel time   log2 slope   peak level   peak 2^{0.4 j} ||P_j u||")
+for row in result.rows:
+    print(f"{row['t']:<12.6f} {row['slope']:>+10.4f}"
+          f"   {row['peak_level']:>10}   {row['peak_weighted_norm']:.5f}")
+print(f"\npanel-median slope {result.measured['median_slope']:.4f}"
+      f" (flat or negative means the Holder bound holds): "
+      f"{'pass' if result.passed else 'fail'}")

@@ -15,11 +15,11 @@ the measurement tools used to study these flows numerically:
     Propagators, physical-space samplers returning complex arrays, the
     rational-time quantization check, and the shared time panel.
 ``lpbesov``
-    Dyadic block norms of zonal spectra and the Holder exponent fit.
+    Dyadic block sup norms of zonal spectra.
 ``fractal``
     Box counting for curves and surfaces and log-log dimension fits.
 ``expsum``
-    Weighted quadratic Weyl block suprema and their decay fit.
+    Weighted quadratic Weyl block suprema.
 ``gaunt``
     Triple and quadruple product integrals of zonal harmonics, exact
     quadrature rules, resonance identities, and the count of tuples the
@@ -35,7 +35,9 @@ the measurement tools used to study these flows numerically:
 ``fitting``
     Least-squares line fits shared by the dimension, decay and norm fits.
 ``experiments``
-    One driver per study: frozen defaults, row data and a verdict.
+    One driver per study: frozen defaults, row data and a verdict.  The
+    drivers are the only code that fits a study's statistic; the demos
+    run them.
 ``cli``
     Command line entry points that drive each experiment and write CSV
     and JSON reports.

@@ -23,6 +23,7 @@ from .fractal import DomainConfig, dim_t
 from .gaunt import (
     FROZEN_LAMBDA_CONSTANTS,
     KappaTable,
+    QuadratureRule,
     admissible,
     count_unclassified,
     resonance_compare,
@@ -341,8 +342,7 @@ def run_zonal_holder(
     levels = np.arange(window[0], window[1] + 1)
     for tp in panel:
         evolved = propagate_sphere(data, tp)
-        table = block_norm_table(evolved, "inf", j_max)
-        norms = np.asarray(table.norms)[levels]
+        norms = block_norm_table(evolved, j_max)[levels]
         weighted = weight_exponent * levels + np.log2(norms)
         fit = fit_line(levels, weighted)
         slopes.append(fit.slope)
@@ -392,7 +392,7 @@ def run_weyl_decay(
             )
             sups.append(res.sup)
             rows.append({"t": tp.t, "kind": tp.kind, "N": block, "sup": res.sup})
-        fit = fit_loglog(blocks, sups, base=2)
+        fit = fit_loglog(blocks, sups)
         exponents.append(fit.slope)
     median = float(np.median(exponents))
     return ExperimentResult(
@@ -487,8 +487,6 @@ def run_kappa_suite(
 
 def _triple_tensor(n_max: int, d: int) -> np.ndarray:
     """kappa(n, a, b) for n <= 2 n_max and a, b <= n_max."""
-    from .gaunt import QuadratureRule
-
     rule = QuadratureRule.for_degree(4 * n_max, d)
     table = zonal_harmonic_table(2 * n_max, d, rule.nodes)
     ratio = weight_ratio(d)
@@ -517,7 +515,7 @@ def run_resonance_decay(
         rows.append({"n": n, "kappa": k_val, "line_integral": line,
                      "difference": diff})
         diffs.append(abs(diff))
-    fit = fit_loglog(list(degrees), diffs, base=2)
+    fit = fit_loglog(list(degrees), diffs)
     return ExperimentResult(
         name="resonance",
         passed=fit.slope <= max_exponent,
@@ -553,14 +551,14 @@ def run_bilinear_contrast(
         ratios.append(ratio)
         rows.append({"study": "bilinear", "index": m, "value": value,
                      "ratio": ratio})
-    bil_fit = fit_loglog(list(m_blocks), ratios, base=2)
+    bil_fit = fit_loglog(list(m_blocks), ratios)
     quartics = []
     for n in beam_degrees:
         q = l4_norm_beam(int(n))
         quartics.append(q)
         rows.append({"study": "beam-quartic", "index": int(n), "value": q,
                      "ratio": float("nan")})
-    beam_fit = fit_loglog(list(beam_degrees), quartics, base=2)
+    beam_fit = fit_loglog(list(beam_degrees), quartics)
     passed = (
         bil_fit.slope <= bilinear_tol
         and abs(beam_fit.slope - beam_expected) <= beam_tol
@@ -610,8 +608,8 @@ def run_nls_smoothing(
     drift = trajectory.mass_drift()
     table = smoothing_residual(trajectory, s=s, eps=eps)
     keep = table.n_values >= fit_n_min
-    fit_r = fit_loglog(table.n_values[keep], table.r_norms[keep], base=2)
-    fit_u = fit_loglog(table.n_values[keep], table.u_norms[keep], base=2)
+    fit_r = fit_loglog(table.n_values[keep], table.r_norms[keep])
+    fit_u = fit_loglog(table.n_values[keep], table.u_norms[keep])
     gain = fit_u.slope - fit_r.slope
     amp = 0.55 - 0.3j
     single = ZonalSpectrum(d=2, coef=np.array([amp, 0, 0, 0], dtype=complex))
@@ -669,8 +667,6 @@ def run_specialfun_checks(
     |Y_n - asymptotic| * n^{3/2} * sin(theta) per degree and requires
     one frozen constant to cover every degree in the panel.
     """
-    from .gaunt import QuadratureRule
-
     rule = QuadratureRule.for_degree(2 * ortho_n_max, d)
     table = zonal_harmonic_table(ortho_n_max, d, rule.nodes)
     ratio = weight_ratio(d)
@@ -682,7 +678,7 @@ def run_specialfun_checks(
         lo = SZEGO_WINDOW_C / n
         theta = np.linspace(lo, math.pi - lo, theta_points)
         exact = jacobi_symmetric(n, d, np.cos(theta))
-        approx, _ = jacobi_asymptotic(n, d, theta)
+        approx = jacobi_asymptotic(n, d, theta)
         scaled = np.abs(exact - approx) * float(n) ** 1.5 * np.sin(theta)
         c_n = float(scaled.max())
         rows.append({"n": int(n), "envelope_constant": c_n})

@@ -14,17 +14,13 @@ that leaves few prefixes to sum term by term.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import LineFit, fit_line
-
 __all__ = [
     "WeylBlockResult",
     "weyl_block_sup",
-    "decay_slope_fit",
 ]
 
 
@@ -87,7 +83,7 @@ def _running_chunks(coef: np.ndarray, n_values: np.ndarray, grid: int, size: int
 def weyl_block_sup(
     t: float,
     block_start: int,
-    weights=None,
+    weights,
     grid_factor: int = 16,
 ) -> WeylBlockResult:
     """Supremum of the weighted Weyl block starting at N = block_start.
@@ -98,8 +94,8 @@ def weyl_block_sup(
         Time multiplying the quadratic phase n^2.
     block_start : int
         N >= 1; the sum runs over n in [N, 2N].
-    weights : callable or None
-        b_n as a function of n; None means b_n = 1.
+    weights : callable
+        b_n as a function of n.
     grid_factor : int
         The x grid has grid_factor * N points on [0, 2 pi).
 
@@ -126,7 +122,7 @@ def weyl_block_sup(
     if grid < 1:
         raise ValueError("grid_factor must be >= 1")
     n_values = np.arange(big_n, 2 * big_n + 1)
-    coef = np.array([1.0 if weights is None else float(weights(int(n))) for n in n_values])
+    coef = np.array([float(weights(int(n))) for n in n_values])
     coef = coef * _quadratic_phases(t, n_values)
     mags = np.abs(coef)
     slack = _ROUNDOFF * float(np.sum(mags))
@@ -150,19 +146,3 @@ def weyl_block_sup(
                 best, best_u, best_j = float(sizes.flat[at]), int(n[row, 0]), int(cols[col])
     return WeylBlockResult(best, 2.0 * math.pi * best_j / grid, best_u)
 
-
-def decay_slope_fit(block_starts, sups) -> LineFit:
-    """Fitted log2-log2 decay exponent of block suprema against N.
-
-    Non-positive values are dropped (with a warning) before the fit;
-    at least three points must survive.
-    """
-    n = np.asarray(block_starts, dtype=float)
-    v = np.asarray(sups, dtype=float)
-    keep = v > 0.0
-    dropped = int(np.count_nonzero(~keep))
-    if dropped:
-        warnings.warn(f"dropped {dropped} non-positive values from decay fit")
-    if np.count_nonzero(keep) < 3:
-        raise ValueError("need at least three positive values for a decay fit")
-    return fit_line(np.log2(n[keep]), np.log2(v[keep]))

@@ -28,14 +28,11 @@ class LineFit:
     stderr : float
         Standard error of the slope.  Zero when the fit uses two points
         or is exact.
-    npoints : int
-        Number of points used.
     """
 
     slope: float
     intercept: float
     stderr: float
-    npoints: int
 
 
 def fit_line(x, y) -> LineFit:
@@ -70,18 +67,16 @@ def fit_line(x, y) -> LineFit:
         stderr = float(np.sqrt(sigma2 / sxx))
     else:
         stderr = 0.0
-    return LineFit(slope=slope, intercept=intercept, stderr=stderr, npoints=n)
+    return LineFit(slope=slope, intercept=intercept, stderr=stderr)
 
 
-def fit_loglog(sizes, values, base: float = 2.0) -> LineFit:
-    """Fit ``log(values)`` against ``log(sizes)`` in the given base.
+def fit_loglog(sizes, values) -> LineFit:
+    """Fit ``log2(values)`` against ``log2(sizes)``.
 
     Parameters
     ----------
     sizes, values : array_like
         Positive sequences of equal length.
-    base : float, optional
-        Logarithm base, 2 by default.
 
     Returns
     -------
@@ -92,5 +87,7 @@ def fit_loglog(sizes, values, base: float = 2.0) -> LineFit:
     values = np.asarray(values, dtype=float)
     if np.any(sizes <= 0) or np.any(values <= 0):
         raise ValueError("log-log fit needs strictly positive data")
-    lb = np.log(base)
+    # Not np.log2: dividing by log(2) is the arithmetic every fitted
+    # slope in the recorded outputs was computed with.
+    lb = np.log(2.0)
     return fit_line(np.log(sizes) / lb, np.log(values) / lb)

@@ -35,8 +35,6 @@ __all__ = [
     "FROZEN_LAMBDA_CONSTANTS",
     "admissible",
     "kappa",
-    "kappa_vector",
-    "parseval_compose_check",
     "count_unclassified",
     "line_integral_table",
     "resonance_compare",
@@ -117,22 +115,6 @@ def kappa(indices, d: int = 2) -> float:
     for i in idx:
         product = product * table[i]
     return weight_ratio(d) * rule.integrate(product)
-
-
-def kappa_vector(fixed, n_values, d: int = 2) -> np.ndarray:
-    """kappa(fixed + (n,)) for every n in n_values, sharing one rule."""
-    base = tuple(int(i) for i in fixed)
-    if len(base) not in (1, 2, 3) or any(i < 0 for i in base):
-        raise ValueError("fixed part must hold 1 to 3 non-negative degrees")
-    n_arr = np.asarray(n_values, dtype=int)
-    top = int(n_arr.max(initial=0))
-    rule = QuadratureRule.for_degree(sum(base) + top, d)
-    table = zonal_harmonic_table(max(*base, top), d, rule.nodes)
-    product = np.ones_like(rule.nodes)
-    for i in base:
-        product = product * table[i]
-    weighted = rule.weights * product
-    return weight_ratio(d) * (table[n_arr] @ weighted)
 
 
 @dataclass(frozen=True)
@@ -228,47 +210,6 @@ class KappaTable:
                     f"{key[0]},{key[1]},{key[2]},{key[3]},"
                     f"{repr(self.quads[key])}\n"
                 )
-
-    @classmethod
-    def load(cls, json_path, csv_path) -> "KappaTable":
-        with open(json_path, "r", encoding="ascii") as fh:
-            header = json.load(fh)
-        triples = {}
-        quads = {}
-        with open(csv_path, "r", encoding="ascii") as fh:
-            assert fh.readline().strip() == "n1,n2,n3,n4,value"
-            for line in fh:
-                parts = line.strip().split(",")
-                value = float(parts[4])
-                if parts[3] == "":
-                    triples[tuple(int(p) for p in parts[:3])] = value
-                else:
-                    quads[tuple(int(p) for p in parts[:4])] = value
-        return cls(
-            d=int(header["d"]),
-            n_max=int(header["n_max"]),
-            node_count=int(header["node_count"]),
-            triples=triples,
-            quads=quads,
-        )
-
-
-def parseval_compose_check(a: int, b: int, c: int, e: int, d: int = 2) -> float:
-    """Residual of the Parseval composition of a 4-index kappa.
-
-    The product of two zonal harmonics expands in the zonal basis with
-    triple-kappa coefficients, so
-
-        kappa(a, b, c, e) = sum_n kappa(n, a, b) * kappa(n, c, e).
-
-    Returns |sum - direct| with the intermediate range n <= a+b (the
-    support of the first factor, which contains all contributions).
-    """
-    direct = kappa((a, b, c, e), d)
-    inter = np.arange(0, a + b + 1)
-    left = kappa_vector((a, b), inter, d)
-    right = kappa_vector((c, e), inter, d)
-    return float(abs(float(left @ right) - direct))
 
 
 def _lambda_scan_arrays(n: int, n_max: int, d: int, c2: float):

@@ -412,13 +412,12 @@ def jacobi_asymptotic(n: int, d: int, theta):
 
     Returns
     -------
-    value : float or ndarray
+    float or ndarray
         n^{-1/2} k(theta) cos(M theta + gamma) with
         k(theta) = 2^{(d-1)/2} pi^{-1/2} sin(theta)^{-(d-1)/2},
-        M = n + (d-1)/2 and gamma = -(d-1) pi / 4.
-    remainder_bound : float or ndarray
-        C(d) n^{-3/2} / sin(theta) with the frozen constant
-        ``SZEGO_REMAINDER_C`` (calibrated for d in {2, 3}).
+        M = n + (d-1)/2 and gamma = -(d-1) pi / 4.  Its error is at
+        most C(d) n^{-3/2} / sin(theta) with the frozen constant
+        C(d) = ``SZEGO_REMAINDER_C[d]`` (calibrated for d in {2, 3}).
     """
     if n < 1:
         raise ValueError("asymptotic form needs n >= 1")
@@ -435,8 +434,4 @@ def jacobi_asymptotic(n: int, d: int, theta):
     big_m = n + (d - 1) / 2.0
     phase = -(d - 1) * math.pi / 4.0
     value = n ** (-0.5) * k_amp * np.cos(big_m * th + phase)
-    c_rem = SZEGO_REMAINDER_C.get(d, 2.0)
-    remainder = c_rem * n ** (-1.5) / sin_t
-    if scalar:
-        return float(value[0]), float(remainder[0])
-    return value, remainder
+    return float(value[0]) if scalar else value

@@ -101,6 +101,21 @@ def quad_product_integral(degrees, d):
     return val
 
 
+def kappa_vector(fixed, n_values, d):
+    """kappa(fixed + (n,)) for every n in n_values, from one scipy rule.
+
+    A Gauss-Jacobi rule with enough nodes to integrate the product of
+    the fixed harmonics and the highest Y_n exactly, and the scipy
+    closed-form harmonics: neither the library's quadrature sizing nor
+    its Jacobi recurrence.
+    """
+    n_values = np.asarray(n_values, dtype=int)
+    nodes, weights = sphere_rule(d, (sum(fixed) + int(n_values.max())) // 2 + 8)
+    for i in fixed:
+        weights = weights * zonal_oracle(i, d, nodes)
+    return np.array([zonal_oracle(int(n), d, nodes) @ weights for n in n_values])
+
+
 def quad_line_integral(n1, n2, d):
     """(1/pi) int_0^pi Y_{n1}(cos t) Y_{n2}(cos t) dt via scipy quad."""
 

@@ -148,7 +148,7 @@ def _nan_imag(values):
 # a ":" suffix for further cases of the same study.
 NAN_CASES = {
     "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), "jacobi_asymptotic",
-                      lambda out: (_nan_array(out[0]), out[1])),
+                      _nan_array),
     "kappa-table": (dict(n_max=4, dims=(2,), scan_n_max=8), "zonal_harmonic_table",
                     _nan_array),
     "quantize": (dict(m_max=64, q_max=3), "quantization_check",
@@ -173,7 +173,7 @@ NAN_CASES = {
                            single_mode_dt=5e-3), "smoothing_residual",
                       lambda out: dataclasses.replace(out, r_norms=_nan_array(out.r_norms))),
     "zonal-holder": (dict(n_max=255, j_max=7, window=(2, 7)), "block_norm_table",
-                     lambda out: dataclasses.replace(out, norms=_nan_array(out.norms))),
+                     _nan_array),
     "resonance": (dict(degrees=(16, 32)), "resonance_compare",
                   lambda out: (out[0], out[1], math.nan)),
 }

@@ -1,7 +1,6 @@
-"""Weyl sums: brute-force cross-checks and decay fits."""
+"""Weyl block suprema: brute-force and mpmath cross-checks."""
 
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -10,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talbotlab.experiments import time_panel
-from talbotlab.expsum import decay_slope_fit, weyl_block_sup
+from talbotlab.expsum import weyl_block_sup
+
+
+def unit(n):
+    """The unweighted block: b_n = 1."""
+    return 1.0
 
 
 def quadratic_phases(t, n):
@@ -19,13 +23,10 @@ def quadratic_phases(t, n):
         return np.array([complex(mpmath.expj(mpmath.mpf(int(v) ** 2) * t)) for v in n])
 
 
-def brute_block_sup(t, big_n, weights=None, grid_factor=16):
+def brute_block_sup(t, big_n, weights, grid_factor=16):
     """Direct O(N^2 grid) evaluation of the running block supremum."""
     n = np.arange(big_n, 2 * big_n + 1)
-    if weights is None:
-        b = np.ones(n.size)
-    else:
-        b = np.array([weights(int(v)) for v in n], dtype=complex)
+    b = np.array([weights(int(v)) for v in n], dtype=complex)
     x = 2.0 * math.pi * np.arange(grid_factor * big_n) / (grid_factor * big_n)
     terms = (b * quadratic_phases(t, n))[None, :] * np.exp(1j * np.outer(x, n))
     partials = np.cumsum(terms, axis=1)
@@ -35,8 +36,8 @@ def brute_block_sup(t, big_n, weights=None, grid_factor=16):
 @pytest.mark.parametrize("t", [0.3, 2 * math.pi * (math.sqrt(5) - 1) / 2, 2 * math.pi / 3])
 def test_block_sup_matches_brute_force(t):
     for big_n in (4, 9, 16):
-        ours = weyl_block_sup(t, big_n)
-        ref = brute_block_sup(t, big_n)
+        ours = weyl_block_sup(t, big_n, weights=unit)
+        ref = brute_block_sup(t, big_n, weights=unit)
         assert ours.sup == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -54,7 +55,7 @@ def test_weighted_and_damped_blocks_match_brute_force():
 
 def test_block_argmax_is_attained():
     t = 0.71
-    res = weyl_block_sup(t, 12)
+    res = weyl_block_sup(t, 12, weights=unit)
     n = np.arange(12, res.argmax_u + 1)
     val = np.sum(np.exp(1j * (n**2 * t + n * res.argmax_x)))
     assert abs(val) == pytest.approx(res.sup, rel=1e-12, abs=0.0)
@@ -75,7 +76,7 @@ def weyl_cases(draw):
         t = 2.0 * math.pi * draw(st.integers(0, q)) / q
     else:
         t = draw(st.floats(-20.0, 20.0, allow_nan=False))
-    kind = draw(st.sampled_from(("none", "callable")))
+    kind = draw(st.sampled_from(("unit", "callable")))
     seed = draw(st.integers(0, 2**32 - 1))
     return big_n, grid_factor, t, kind, seed
 
@@ -86,8 +87,8 @@ def test_block_sup_property_matches_brute_force(case):
     big_n, grid_factor, t, kind, seed = case
     n = np.arange(big_n, 2 * big_n + 1)
     b = np.random.default_rng(seed).standard_normal(n.size)
-    if kind == "none":
-        weights, b = None, np.ones(n.size)
+    if kind == "unit":
+        weights, b = unit, np.ones(n.size)
     else:
         weights = dict(zip(n.tolist(), b.tolist())).__getitem__
     res = weyl_block_sup(t, big_n, weights=weights, grid_factor=grid_factor)
@@ -133,34 +134,14 @@ def test_block_sup_at_acceptance_scale_matches_direct_phase_oracle():
 
 def test_block_validation():
     with pytest.raises(ValueError):
-        weyl_block_sup(0.5, 0)
+        weyl_block_sup(0.5, 0, weights=unit)
     with pytest.raises(ValueError):
-        weyl_block_sup(0.5, 4, grid_factor=0)
-    assert math.isnan(weyl_block_sup(math.nan, 4).sup)
-
-
-def test_decay_fit_recovers_exponent():
-    starts = 2 ** np.arange(3, 11)
-    fit = decay_slope_fit(starts, 3.0 * starts**-0.5)
-    assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_decay_fit_drops_nonpositive_with_warning():
-    starts = np.array([8, 16, 32, 64])
-    sups = np.array([1.0, 0.0, 0.25, 0.125])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fit = decay_slope_fit(starts, sups)
-    assert any("dropp" in str(w.message) or "positive" in str(w.message) for w in caught)
-    assert fit.npoints == 3
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError):
-            decay_slope_fit(np.array([8, 16]), np.array([0.0, 0.0]))
+        weyl_block_sup(0.5, 4, weights=unit, grid_factor=0)
+    assert math.isnan(weyl_block_sup(math.nan, 4, weights=unit).sup)
 
 
 def test_rational_time_shows_no_decay():
     """At t = 2 pi p / q the normalized block sums stay of size ~ N."""
     t = 2 * math.pi / 5
-    sups = [weyl_block_sup(t, big_n).sup / big_n for big_n in (8, 16, 32, 64)]
+    sups = [weyl_block_sup(t, big_n, weights=unit).sup / big_n for big_n in (8, 16, 32, 64)]
     assert min(sups) > 0.3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_line_integral, quad_product_integral
+from conftest import kappa_vector, quad_line_integral, quad_product_integral
 from talbotlab.gaunt import (
     FROZEN_LAMBDA_CONSTANTS,
     KappaTable,
@@ -18,9 +18,7 @@ from talbotlab.gaunt import (
     admissible,
     count_unclassified,
     kappa,
-    kappa_vector,
     line_integral_table,
-    parseval_compose_check,
     resonance_compare,
 )
 
@@ -154,7 +152,7 @@ def test_kappa_nonnegative_on_triples(d):
 
 
 def test_kappa_vector_matches_scalars():
-    vals = kappa_vector((3, 4), np.arange(0, 8))
+    vals = kappa_vector((3, 4), np.arange(0, 8), d=2)
     for n, v in zip(range(8), vals):
         assert v == pytest.approx(kappa((3, 4, n)), abs=1e-14)
 
@@ -164,6 +162,23 @@ def test_admissible_examples():
     assert admissible((3, 3, 3, 3))
     assert not admissible((1, 1, 3))
     assert not admissible((0, 0, 1))
+
+
+def parseval_compose_check(a, b, c, e, d):
+    """Residual of the Parseval composition of a 4-index kappa.
+
+    The product of two zonal harmonics expands in the zonal basis with
+    triple-kappa coefficients, so
+
+        kappa(a, b, c, e) = sum_n kappa(n, a, b) * kappa(n, c, e).
+
+    Returns |sum - direct| with the intermediate range n <= a+b (the
+    support of the first factor, which contains all contributions).
+    """
+    inter = np.arange(0, a + b + 1)
+    left = kappa_vector((a, b), inter, d)
+    right = kappa_vector((c, e), inter, d)
+    return abs(float(left @ right) - kappa((a, b, c, e), d))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -264,6 +279,25 @@ def test_resonance_difference_shrinks_with_degree():
     assert diffs[2] < 0.01
 
 
+def load_kappa_table(json_path, csv_path):
+    """Read a table written by ``KappaTable.save`` back (round-trip oracle)."""
+    with open(json_path, "r", encoding="ascii") as fh:
+        header = json.load(fh)
+    triples = {}
+    quads = {}
+    with open(csv_path, "r", encoding="ascii") as fh:
+        assert fh.readline().strip() == "n1,n2,n3,n4,value"
+        for line in fh:
+            parts = line.strip().split(",")
+            value = float(parts[4])
+            if parts[3] == "":
+                triples[tuple(int(p) for p in parts[:3])] = value
+            else:
+                quads[tuple(int(p) for p in parts[:4])] = value
+    return KappaTable(d=int(header["d"]), n_max=int(header["n_max"]),
+                      node_count=int(header["node_count"]), triples=triples, quads=quads)
+
+
 def test_kappa_table_build_value_and_roundtrip(tmp_path):
     table = KappaTable.build(6, d=2)
     assert table.value((3, 4, 5)) == pytest.approx(kappa((3, 4, 5)), abs=1e-12)
@@ -271,7 +305,7 @@ def test_kappa_table_build_value_and_roundtrip(tmp_path):
     assert table.min_entry() > -1e-12
     jp, cp = tmp_path / "kappa.json", tmp_path / "kappa.csv"
     table.save(jp, cp)
-    back = KappaTable.load(jp, cp)
+    back = load_kappa_table(jp, cp)
     assert back.d == table.d and back.n_max == table.n_max
     assert back.value((3, 4, 5)) == table.value((3, 4, 5))
     header = cp.read_text().splitlines()[0]

@@ -1,4 +1,4 @@
-"""Dyadic block norms of zonal spectra and the Holder exponent fit."""
+"""Dyadic block sup norms of zonal spectra."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from scipy.special import eval_legendre
 
 from conftest import random_phase
-from talbotlab.lpbesov import block_norm_table, holder_exponent_fit, probe_edges
+from talbotlab.lpbesov import block_norm_table, probe_edges
 from talbotlab.evolve import propagate_sphere, time_panel
 from talbotlab.specialfun import cosine_series_fft, zonal_cosine_blocks
 from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
@@ -20,22 +20,15 @@ def test_probe_edges_partition_degrees():
     assert all(int(b) == 2 ** (i + 1) for i, b in enumerate(edges[1:]))
 
 
-def test_block_norm_table_l2_matches_parseval():
-    spec = zonal_decay_family(1.5, 255)
-    table = block_norm_table(spec, 2.0, 7)
-    for j, norm in zip(table.levels, table.norms):
-        lo = 0 if j == 0 else 2**j
-        hi = min(2 ** (j + 1), 256)
-        manual = math.sqrt(float(np.sum(np.abs(spec.coef[lo:hi]) ** 2)))
-        assert norm == pytest.approx(manual, rel=1e-9, abs=0.0), j
-
-
-def test_block_norms_are_holder_ordered():
-    """On a probability measure, L^p block norms increase with p."""
+def test_block_sup_bounds_the_l2_block_norm():
+    """On a probability measure a block's L^2 norm, which Parseval reads
+    off its coefficients, is at most its sup norm."""
     spec = random_phase(zonal_decay_family(1.1, 127), seed=9)
-    tables = [block_norm_table(spec, p, 6) for p in (1.0, 2.0, np.inf)]
-    for lo, hi in zip(tables, tables[1:]):
-        assert np.all(np.asarray(lo.norms) <= np.asarray(hi.norms) * (1 + 1e-9))
+    sups = block_norm_table(spec, 6)
+    edges = probe_edges(6)
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        l2 = math.sqrt(float(np.sum(np.abs(spec.coef[lo:hi]) ** 2)))
+        assert 0.0 < l2 <= sups[j] * (1 + 1e-9), j
 
 
 def test_block_norm_single_mode_sup():
@@ -44,28 +37,12 @@ def test_block_norm_single_mode_sup():
     coef = np.zeros(33, dtype=complex)
     coef[20] = 2.0
     spec = ZonalSpectrum(d=2, coef=coef)
-    table = block_norm_table(spec, np.inf, 5)
+    norms = block_norm_table(spec, 5)
     theta = np.linspace(0.0, math.pi, 400001)
     exact = 2.0 * np.max(np.abs(math.sqrt(41) * eval_legendre(20, np.cos(theta))))
-    assert table.norms[4] == pytest.approx(exact, rel=1e-6, abs=0.0)
-    assert all(n == 0 for j, n in zip(table.levels, table.norms) if j != 4)
-
-
-def test_holder_fit_recovers_synthetic_exponent():
-    j = np.arange(13)
-    gamma_hat, stderr, dropped = holder_exponent_fit(3.0 * 2.0 ** (-0.62 * j), window=(0, 12))
-    assert gamma_hat == pytest.approx(0.62, abs=1e-10)
-    assert stderr < 1e-10
-    assert dropped == []
-    gamma_win, _, _ = holder_exponent_fit(2.0 ** (-0.3 * j), window=(4, 10))
-    assert gamma_win == pytest.approx(0.3, abs=1e-10)
-
-
-def test_holder_fit_drops_vanishing_blocks():
-    norms = [1.0, 0.5, 0.0, 0.125, 0.0625, 0.03125, 0.015625]
-    gamma_hat, _, dropped = holder_exponent_fit(norms, window=(0, 6))
-    assert dropped == [2]
-    assert gamma_hat == pytest.approx(1.0, abs=1e-10)
+    assert norms.shape == (6,)
+    assert norms[4] == pytest.approx(exact, rel=1e-6, abs=0.0)
+    assert all(n == 0 for j, n in enumerate(norms) if j != 4)
 
 
 def _mpmath_legendre_block(coef, lo, hi, theta):
@@ -90,7 +67,7 @@ def test_zonal_grid_block_matches_mpmath_at_acceptance_scale():
     edges = probe_edges(j_max)
     samples = cosine_series_fft(zonal_cosine_blocks(spec.coef, 2, edges)[j_max],
                                 2 * (grid - 1))[:grid]
-    block_sup = block_norm_table(spec, "inf", j_max).norms[j_max]
+    block_sup = block_norm_table(spec, j_max)[j_max]
     assert block_sup == pytest.approx(float(np.max(np.abs(samples))), rel=1e-14, abs=0.0)
     with mpmath.workdps(40):
         for k in (0, 1, 21845, grid - 1):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_phase
-from talbotlab.gaunt import kappa_vector, line_integral_table
+from conftest import kappa_vector, random_phase
+from talbotlab.gaunt import line_integral_table
 from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
 from talbotlab.znls import (
     NLSConfig,
