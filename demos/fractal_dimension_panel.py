@@ -7,21 +7,19 @@ function, so the dimension drops back to 1.
 
 import numpy as np
 
-from talbotlab.evolve import TimePoint
-from talbotlab.fractal import DomainConfig, dim_t
+from talbotlab.fractal import dim_t
 from talbotlab.spectra import torus_step
 
 spec = torus_step([(0.0, 1.0), (np.pi, -1.0)], m_max=4096)
-config = DomainConfig(grid_size=2**14, window=(4, 9))
 
-golden = TimePoint.irrational(2 * np.pi * (np.sqrt(5) - 1) / 2)
-sqrt2 = TimePoint.irrational(2 * np.pi * (np.sqrt(2) - 1))
-quarter = TimePoint.rational(1, 4)
+golden = 2 * np.pi * (np.sqrt(5) - 1) / 2
+sqrt2 = 2 * np.pi * (np.sqrt(2) - 1)
+quarter = 2 * np.pi / 4
 
 print("time              dim(Re)  dim(Im)  max")
-for label, tp in [("2pi*golden", golden), ("2pi*(sqrt2-1)", sqrt2),
-                  ("2pi*1/4", quarter)]:
-    report = dim_t(spec, tp, config)
+for label, t in [("2pi*golden", golden), ("2pi*(sqrt2-1)", sqrt2),
+                 ("2pi*1/4", quarter)]:
+    report = dim_t(spec, t, 2**14, (4, 9))
     print(f"{label:<17} {report.real.slope:.3f}    {report.imag.slope:.3f}"
           f"    {report.max_slope:.3f}")
 

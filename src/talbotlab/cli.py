@@ -35,6 +35,7 @@ import sys
 import typing
 
 from . import experiments
+from .evolve import DEFAULT_PANEL_SEED
 
 __all__ = ["main"]
 
@@ -57,7 +58,6 @@ _SPECS = {
 }
 
 _GROUP = "dimension"
-_DEFAULT_SEED = 1729
 
 
 class _UsageError(Exception):
@@ -99,7 +99,7 @@ def _add_study(sp: argparse.ArgumentParser, study: str, driver) -> None:
                     help="overwrite existing outputs")
     sp.add_argument("--seed", type=int,
                     help=f"time-panel seed, recorded in every summary "
-                         f"(default {_DEFAULT_SEED})")
+                         f"(default {DEFAULT_PANEL_SEED})")
     hints = typing.get_type_hints(driver)
     for param in inspect.signature(driver).parameters.values():
         if param.name != "seed":
@@ -154,7 +154,7 @@ def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
         value = getattr(args, key, None)
         if key != "seed" and value is not None:
             config[key] = value
-    file_seed = config.pop("seed", _DEFAULT_SEED)
+    file_seed = config.pop("seed", DEFAULT_PANEL_SEED)
     seed = int(file_seed) if args.seed is None else args.seed
     if "seed" in params:
         config["seed"] = seed

@@ -5,11 +5,12 @@ by e^{i t |m|^2} on T^d and by e^{i t n (n + d - 1)} on S^d.  At
 rational times t = 2 pi p / q the torus flow collapses to a finite
 combination of translates of the initial data with discrete-Fourier
 weights of the quadratic phase sequence; ``quantization_check``
-measures how exactly the implementation realizes that collapse.
+measures how exactly the implementation realizes that collapse, with
+the phases e^{2 pi i p lambda / q} reduced mod q so they stay exact.
 
 Almost-every-time statements are operationalized by a fixed panel of
-eight times: four explicit irrationals and four seeded uniform draws.
-Experiments report the median over the panel.
+eight float times: four explicit irrationals and four seeded uniform
+draws.  Experiments report the median over the panel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import specialfun as sf
 from .spectra import BeamSpectrum, TorusSpectrum, ZonalSpectrum
 
 __all__ = [
-    "TimePoint",
     "TIME_PANEL_BASE",
     "DEFAULT_PANEL_SEED",
     "time_panel",
@@ -49,55 +49,7 @@ TIME_PANEL_BASE = (
 DEFAULT_PANEL_SEED = 1729
 
 
-@dataclass(frozen=True)
-class TimePoint:
-    """A time value tagged by how it was chosen.
-
-    Attributes
-    ----------
-    t : float
-        The time.
-    kind : str
-        "rational" (t = 2 pi p / q with coprime p, q stored) or
-        "sampled-irrational".
-    p, q : int or None
-        Numerator and denominator for the rational kind.
-    """
-
-    t: float
-    kind: str
-    p: int | None = None
-    q: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("rational", "sampled-irrational"):
-            raise ValueError(f"unknown time kind {self.kind!r}")
-        if self.kind == "rational":
-            if self.p is None or self.q is None or self.q < 1:
-                raise ValueError("rational times need p and q >= 1")
-            if math.gcd(self.p, self.q) != 1:
-                raise ValueError("rational times store coprime p, q")
-
-    @classmethod
-    def rational(cls, p: int, q: int) -> "TimePoint":
-        """t = 2 pi p / q, reduced to lowest terms."""
-        if q == 0:
-            raise ValueError("denominator must be nonzero")
-        if q < 0:
-            p, q = -p, -q
-        g = math.gcd(p, q)
-        if g > 1:
-            p, q = p // g, q // g
-        if g == 0:
-            p, q = 0, 1
-        return cls(t=2.0 * math.pi * p / q, kind="rational", p=p, q=q)
-
-    @classmethod
-    def irrational(cls, t: float) -> "TimePoint":
-        return cls(t=float(t), kind="sampled-irrational")
-
-
-def time_panel(seed: int = DEFAULT_PANEL_SEED) -> list[TimePoint]:
+def time_panel(seed: int = DEFAULT_PANEL_SEED) -> list[float]:
     """The shared time panel: fixed irrationals plus four seeded draws.
 
     Parameters
@@ -108,12 +60,11 @@ def time_panel(seed: int = DEFAULT_PANEL_SEED) -> list[TimePoint]:
 
     Returns
     -------
-    list of TimePoint
+    list of float
     """
-    panel = [TimePoint.irrational(2.0 * math.pi * b) for b in TIME_PANEL_BASE]
+    panel = [2.0 * math.pi * b for b in TIME_PANEL_BASE]
     rng = np.random.default_rng(seed)
-    for t in rng.uniform(0.0, 2.0 * math.pi, size=4):
-        panel.append(TimePoint.irrational(float(t)))
+    panel.extend(float(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=4))
     return panel
 
 
@@ -127,11 +78,7 @@ def _unit_phases_rational(eigs: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.exp(2.0j * math.pi * residues / q)
 
 
-def _phases(eigs: np.ndarray, t) -> np.ndarray:
-    if isinstance(t, TimePoint):
-        if t.kind == "rational":
-            return _unit_phases_rational(eigs, t.p, t.q)
-        t = t.t
+def _phases(eigs: np.ndarray, t: float) -> np.ndarray:
     return np.exp(1j * float(t) * np.asarray(eigs, dtype=float))
 
 
@@ -141,15 +88,13 @@ def _torus_eigs(spec: TorusSpectrum) -> np.ndarray:
     return sum(a * a for a in axes)
 
 
-def propagate_torus(spec: TorusSpectrum, t) -> TorusSpectrum:
+def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
     """Free evolution on T^d: coefficients gain e^{i t |m|^2}.
 
     Parameters
     ----------
     spec : TorusSpectrum
-    t : float or TimePoint
-        Rational TimePoints are applied through modular arithmetic,
-        keeping the unimodular phases exact for large frequency boxes.
+    t : float
 
     Returns
     -------
@@ -159,7 +104,7 @@ def propagate_torus(spec: TorusSpectrum, t) -> TorusSpectrum:
     return spec.scaled(_phases(_torus_eigs(spec), t))
 
 
-def propagate_sphere(spec, t):
+def propagate_sphere(spec, t: float):
     """Free evolution on S^d: a_n gains e^{i t n (n + d - 1)}.
 
     Accepts ZonalSpectrum or BeamSpectrum and returns the same kind.
@@ -169,14 +114,6 @@ def propagate_sphere(spec, t):
     n = spec.degrees().astype(np.int64)
     eigs = n * (n + spec.d - 1)
     return spec.scaled(_phases(eigs, t))
-
-
-def _evaluate_torus_fft(spec: TorusSpectrum, sizes) -> np.ndarray:
-    placed = np.zeros(sizes, dtype=complex)
-    m = spec.frequencies()
-    idx = [np.mod(m, g) for g in sizes]
-    placed[np.ix_(*idx)] += spec.coef
-    return np.fft.ifftn(placed) * float(np.prod(sizes))
 
 
 def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
@@ -199,7 +136,12 @@ def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
         warnings.warn(
             "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=2
         )
-    return _evaluate_torus_fft(spec, (int(grid_size),) * spec.d)
+    sizes = (int(grid_size),) * spec.d
+    placed = np.zeros(sizes, dtype=complex)
+    m = spec.frequencies()
+    idx = [np.mod(m, g) for g in sizes]
+    placed[np.ix_(*idx)] += spec.coef
+    return np.fft.ifftn(placed) * float(np.prod(sizes))
 
 
 def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> np.ndarray:
@@ -280,9 +222,9 @@ def quantization_check(spec: TorusSpectrum, p: int, q: int) -> QuantizationResul
         raise ValueError("quantization check is stated on T^1")
     weights = quantization_weights(p, q)
     grid_size = q * math.ceil((2 * spec.m_max + 1) / q)
-    evolved = propagate_torus(spec, TimePoint.rational(p, q))
-    lhs = _evaluate_torus_fft(evolved, (grid_size,))
-    base = _evaluate_torus_fft(spec, (grid_size,))
+    evolved = spec.scaled(_unit_phases_rational(_torus_eigs(spec), p, q))
+    lhs = evaluate_torus(evolved, grid_size)
+    base = evaluate_torus(spec, grid_size)
     shift = grid_size // q
     rhs = np.zeros_like(base)
     for l in range(q):

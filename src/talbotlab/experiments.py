@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .evolve import propagate_sphere, quantization_check, time_panel
+from .evolve import DEFAULT_PANEL_SEED, propagate_sphere, quantization_check, time_panel
 from .expsum import weyl_block_sup
 from .fitting import fit_line, fit_loglog
-from .fractal import DomainConfig, dim_t
+from .fractal import dim_t
 from .gaunt import (
     FROZEN_LAMBDA_CONSTANTS,
     KappaTable,
@@ -45,7 +45,7 @@ from .spectra import (
     zonal_decay_family,
 )
 from .strichartz import bilinear_l2, l4_norm_beam
-from .znls import NLSConfig, smoothing_residual, solve
+from .znls import smoothing_residual, solve
 
 __all__ = [
     "ExperimentResult",
@@ -68,6 +68,10 @@ __all__ = [
 
 DEFAULT_STEP_JUMPS = ((0.0, 1.0), (math.pi, -1.0))
 DEFAULT_TRIANGLE = ((0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi))
+
+# The "kind" of every panel time in the rows: the panel holds only
+# sampled irrationals.
+_PANEL_KIND = "sampled-irrational"
 
 
 def _non_finite(value) -> bool:
@@ -214,14 +218,13 @@ def run_quantization(
 
 def _dimension_panel(spec, grid: int, window, seed: int):
     """Per-time graph dimensions over the panel and their median maximum."""
-    config = DomainConfig(grid_size=grid, window=tuple(window))
     rows = []
-    for tp in time_panel(seed=seed):
-        report = dim_t(spec, tp, config)
+    for t in time_panel(seed=seed):
+        report = dim_t(spec, t, grid, window)
         rows.append(
             {
-                "t": tp.t,
-                "kind": tp.kind,
+                "t": t,
+                "kind": _PANEL_KIND,
                 "dim_real": report.real.slope,
                 "dim_imag": report.imag.slope,
                 "dim_max": report.max_slope,
@@ -234,7 +237,7 @@ def run_torus_step_dimension(
     m_max: int = 2**14,
     grid: int = 2**16,
     window: tuple[int, int] = (5, 11),
-    seed: int = 1729,
+    seed: int = DEFAULT_PANEL_SEED,
     expected: float = 1.5,
     tol: float = 0.1,
 ) -> ExperimentResult:
@@ -256,7 +259,7 @@ def run_polygon_dimension(
     m_max: int = 2**9,
     grid: int = 2048,
     window: tuple[int, int] = (3, 8),
-    seed: int = 1729,
+    seed: int = DEFAULT_PANEL_SEED,
     expected: float = 2.5,
     tol: float = 0.2,
 ) -> ExperimentResult:
@@ -278,7 +281,7 @@ def run_zonal_dimension(
     n_max: int = 2047,
     grid: int = 2**14,
     window: tuple[int, int] = (4, 10),
-    seed: int = 1729,
+    seed: int = DEFAULT_PANEL_SEED,
     band: tuple[float, float] = (1.0, 2.0),
 ) -> ExperimentResult:
     """Great-circle graph dimension of evolved zonal power-law data.
@@ -302,7 +305,7 @@ def run_beam_dimension(
     degree: int = 64,
     grid: int = 2**14,
     window: tuple[int, int] = (4, 10),
-    seed: int = 1729,
+    seed: int = DEFAULT_PANEL_SEED,
     band: tuple[float, float] = (1.0, 2.0),
 ) -> ExperimentResult:
     """Equator graph dimension of an evolved single Gaussian beam."""
@@ -326,7 +329,7 @@ def run_zonal_holder(
     j_max: int = 12,
     weight_exponent: float = 0.4,
     window: tuple[int, int] = (2, 12),
-    seed: int = 1729,
+    seed: int = DEFAULT_PANEL_SEED,
     slope_tol: float = 0.02,
 ) -> ExperimentResult:
     """Boundedness of 2^{0.4 j} ||P_{2^j} u||_inf across the panel.
@@ -340,16 +343,16 @@ def run_zonal_holder(
     rows = []
     slopes = []
     levels = np.arange(window[0], window[1] + 1)
-    for tp in panel:
-        evolved = propagate_sphere(data, tp)
+    for t in panel:
+        evolved = propagate_sphere(data, t)
         norms = block_norm_table(evolved, j_max)[levels]
         weighted = weight_exponent * levels + np.log2(norms)
         fit = fit_line(levels, weighted)
         slopes.append(fit.slope)
         rows.append(
             {
-                "t": tp.t,
-                "kind": tp.kind,
+                "t": t,
+                "kind": _PANEL_KIND,
                 "slope": fit.slope,
                 "peak_level": int(levels[np.argmax(weighted)]),
                 "peak_weighted_norm": float(2.0 ** weighted.max()),
@@ -370,7 +373,7 @@ def run_weyl_decay(
     p: float = 1.5,
     exponent_range: tuple[int, int] = (4, 11),
     grid_factor: int = 16,
-    seed: int = 1729,
+    seed: int = DEFAULT_PANEL_SEED,
     expected: float = -1.0,
     tol: float = 0.1,
 ) -> ExperimentResult:
@@ -383,15 +386,15 @@ def run_weyl_decay(
     blocks = [2**k for k in range(exponent_range[0], exponent_range[1] + 1)]
     rows = []
     exponents = []
-    for tp in panel:
+    for t in panel:
         sups = []
         for block in blocks:
             res = weyl_block_sup(
-                tp.t, block, weights=lambda m: float(m) ** (-p),
+                t, block, weights=lambda m: float(m) ** (-p),
                 grid_factor=grid_factor,
             )
             sups.append(res.sup)
-            rows.append({"t": tp.t, "kind": tp.kind, "N": block, "sup": res.sup})
+            rows.append({"t": t, "kind": _PANEL_KIND, "N": block, "sup": res.sup})
         fit = fit_loglog(blocks, sups)
         exponents.append(fit.slope)
     median = float(np.median(exponents))
@@ -603,20 +606,18 @@ def run_nls_smoothing(
     fitted tail exponents is the measured smoothing gain.
     """
     data = zonal_decay_family(p, n_max, d=2)
-    config = NLSConfig(dt=dt, t_final=t_final)
-    trajectory = solve(data, config, sign=sign)
-    drift = trajectory.mass_drift()
-    table = smoothing_residual(trajectory, s=s, eps=eps)
+    run = solve(data, dt, t_final, sign=sign)
+    drift = run.mass_drift
+    table = smoothing_residual(run, s=s, eps=eps)
     keep = table.n_values >= fit_n_min
     fit_r = fit_loglog(table.n_values[keep], table.r_norms[keep])
     fit_u = fit_loglog(table.n_values[keep], table.u_norms[keep])
     gain = fit_u.slope - fit_r.slope
     amp = 0.55 - 0.3j
     single = ZonalSpectrum(d=2, coef=np.array([amp, 0, 0, 0], dtype=complex))
-    cfg_single = NLSConfig(dt=single_mode_dt, t_final=t_final)
-    traj_single = solve(single, cfg_single, sign=sign)
+    single_run = solve(single, single_mode_dt, t_final, sign=sign)
     exact = amp * np.exp(1j * sign * abs(amp) ** 2 * t_final)
-    single_err = float(abs(traj_single.final.spectrum.coef[0] - exact))
+    single_err = float(abs(single_run.final.coef[0] - exact))
     passed = (
         drift < mass_tol and gain >= gain_min and single_err < single_mode_tol
     )

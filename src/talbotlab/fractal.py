@@ -5,10 +5,10 @@ column counts: at level k the domain splits into 2^k columns (4^k
 cells in two dimensions) and each column contributes
 floor(oscillation / epsilon) + 1 vertical boxes of side
 epsilon = 2^{-k}; all levels come from one dyadic max/min pyramid
-(``box_count_series``).  The dimension estimate is the least-squares
-slope of log2 N(k) against k over a scale window, reported per
-component (real and imaginary parts) with the maximum as the headline
-value.
+(``box_count_series``).  The dimension estimate (``dim_t``) is the
+least-squares slope of log2 N(k) against k over a window of levels,
+reported per component (real and imaginary parts) with the maximum as
+the headline value.
 """
 
 from __future__ import annotations
@@ -28,41 +28,12 @@ from .fitting import LineFit, fit_line
 from .spectra import BeamSpectrum, TorusSpectrum, ZonalSpectrum
 
 __all__ = [
-    "BoxCountSeries",
-    "DomainConfig",
     "box_count_curve",
     "box_count_surface",
     "box_count_series",
-    "dimension_fit",
     "dim_t",
     "DimReport",
 ]
-
-
-@dataclass(frozen=True)
-class BoxCountSeries:
-    """Dyadic box counts of one graph component.
-
-    Attributes
-    ----------
-    k_values : ndarray
-        Dyadic levels; boxes at level k have side 2^{-k}.
-    counts : ndarray
-        Box counts N(E, 2^{-k}); positive and non-decreasing in k.
-    """
-
-    k_values: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.k_values, dtype=int)
-        c = np.asarray(self.counts, dtype=float)
-        if k.shape != c.shape or k.ndim != 1:
-            raise ValueError("levels and counts must be aligned 1-d arrays")
-        if np.any(c <= 0.0):
-            raise ValueError("box counts must be positive")
-        object.__setattr__(self, "k_values", k)
-        object.__setattr__(self, "counts", c)
 
 
 def _reduce_runs(op, values: np.ndarray, axis: int, r: int) -> np.ndarray:
@@ -91,7 +62,7 @@ def box_count_curve(samples, k: int) -> int:
         Sum over the 2^k columns of floor(oscillation / 2^{-k}) + 1.
     """
     values = np.asarray(samples, dtype=float).reshape(-1)
-    return int(box_count_series(values, [k]).counts[0])
+    return int(box_count_series(values, [k])[0])
 
 
 def box_count_surface(samples, k: int) -> int:
@@ -103,15 +74,16 @@ def box_count_surface(samples, k: int) -> int:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 2:
         raise ValueError("surface counting expects a 2-d sample array")
-    return int(box_count_series(values, [k]).counts[0])
+    return int(box_count_series(values, [k])[0])
 
 
-def box_count_series(samples, k_values) -> BoxCountSeries:
+def box_count_series(samples, k_values) -> np.ndarray:
     """Box counts of a 1-d (curve) or 2-d (surface) grid across levels.
 
     The grid is reduced once to the finest level, then each coarser
     level halves every axis pairwise; max and min are exact, so each
-    count equals a per-level reduction of its cells.
+    count equals a per-level reduction of its cells.  Returns the
+    counts as floats, in the order of ``k_values``.
     """
     values = np.asarray(samples, dtype=float)
     ks = [int(k) for k in k_values]
@@ -133,48 +105,7 @@ def box_count_series(samples, k_values) -> BoxCountSeries:
             hi = _reduce_runs(np.maximum, hi, axis, r)
             lo = _reduce_runs(np.minimum, lo, axis, r)
         counts[k] = np.sum(np.floor((hi - lo) / 2.0 ** (-k)) + 1.0)
-    return BoxCountSeries(k_values=np.array(ks, dtype=int),
-                          counts=np.array([counts[k] for k in ks], dtype=float))
-
-
-def dimension_fit(series: BoxCountSeries, window: tuple[int, int]) -> LineFit:
-    """Least-squares dimension estimate over an inclusive level window.
-
-    Parameters
-    ----------
-    series : BoxCountSeries
-    window : (int, int)
-        Inclusive level range; at least four levels must fall inside.
-
-    Returns
-    -------
-    LineFit
-        Slope of log2 N(k) against k, the dimension estimate.
-    """
-    lo, hi = window
-    keep = (series.k_values >= lo) & (series.k_values <= hi)
-    if np.count_nonzero(keep) < 4:
-        raise ValueError("need at least four levels inside the fit window")
-    return fit_line(series.k_values[keep], np.log2(series.counts[keep]))
-
-
-@dataclass(frozen=True)
-class DomainConfig:
-    """Evaluation and fit parameters for a dimension experiment.
-
-    Attributes
-    ----------
-    grid_size : int
-        Samples per axis for the physical-space evaluation.
-    window : tuple
-        Inclusive dyadic fit window (k_lo, k_hi); its levels are counted.
-    """
-
-    grid_size: int
-    window: tuple = (5, 11)
-
-    def levels(self) -> list[int]:
-        return list(range(self.window[0], self.window[1] + 1))
+    return np.array([counts[k] for k in ks], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -186,31 +117,35 @@ class DimReport:
     max_slope: float
 
 
-def _evaluate_for_dimension(spec, t, config: DomainConfig) -> np.ndarray:
+def _evaluate_for_dimension(spec, t: float, grid_size: int) -> np.ndarray:
     if isinstance(spec, TorusSpectrum):
         evolved = propagate_torus(spec, t)
-        return evaluate_torus(evolved, config.grid_size)
+        return evaluate_torus(evolved, grid_size)
     if isinstance(spec, ZonalSpectrum):
         evolved = propagate_sphere(spec, t)
-        return evaluate_zonal_circle(evolved, config.grid_size)
+        return evaluate_zonal_circle(evolved, grid_size)
     if isinstance(spec, BeamSpectrum):
         evolved = propagate_sphere(spec, t)
-        return evaluate_beam_equator(evolved, config.grid_size)
+        return evaluate_beam_equator(evolved, grid_size)
     raise TypeError("dimension experiments accept torus, zonal, or beam spectra")
 
 
-def dim_t(spec, t, config: DomainConfig) -> DimReport:
+def dim_t(spec, t: float, grid_size: int, window: tuple[int, int]) -> DimReport:
     """Graph dimension of the evolved field at time t.
 
-    Evaluates the evolution on the configured domain (the torus grid,
-    or a great-circle slice for sphere spectra), box counts the real
-    and imaginary parts, and fits both slopes.
+    Evaluates the evolution on the sampled domain (the torus grid, or
+    a great-circle slice for sphere spectra), box counts the real and
+    imaginary parts at every level of the window, and fits both
+    slopes of log2 N(k) against k.
 
     Parameters
     ----------
     spec : TorusSpectrum or ZonalSpectrum or BeamSpectrum
-    t : float or TimePoint
-    config : DomainConfig
+    t : float
+    grid_size : int
+        Samples per axis for the physical-space evaluation.
+    window : (int, int)
+        Inclusive dyadic fit window (k_lo, k_hi), at least four levels.
 
     Returns
     -------
@@ -218,7 +153,10 @@ def dim_t(spec, t, config: DomainConfig) -> DimReport:
         Fits for both components and their maximum slope, NaN if either
         slope is NaN.
     """
-    values = _evaluate_for_dimension(spec, t, config)
-    real, imag = (dimension_fit(box_count_series(comp, config.levels()), config.window)
+    levels = np.arange(window[0], window[1] + 1)
+    if levels.size < 4:
+        raise ValueError("need at least four levels inside the fit window")
+    values = _evaluate_for_dimension(spec, t, grid_size)
+    real, imag = (fit_line(levels, np.log2(box_count_series(comp, levels)))
                   for comp in (values.real, values.imag))
     return DimReport(real=real, imag=imag, max_slope=float(np.maximum(real.slope, imag.slope)))

@@ -225,10 +225,7 @@ def _lambda_scan_arrays(n: int, n_max: int, d: int, c2: float):
         n * (n + shift) - m1 * (m1 + shift) + m2 * (m2 + shift) - m3 * (m3 + shift)
     )
     gap = np.maximum(np.maximum(m1, m2), m3) * np.abs(n - np.maximum(m1, m3))
-    if c2 == 1.0:
-        keep &= h < gap
-    else:
-        keep &= h < c2 * gap
+    keep &= h < c2 * gap
     if not np.any(keep):
         return np.empty(0)
     i1, i2, i3 = np.nonzero(keep)

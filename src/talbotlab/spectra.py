@@ -27,7 +27,6 @@ __all__ = [
     "ZonalSpectrum",
     "BeamSpectrum",
     "torus_step",
-    "triangle_indicator",
     "torus_polygon_indicator",
     "zonal_decay_family",
 ]
@@ -221,12 +220,6 @@ def _signed_polygon_box(verts: np.ndarray, m_max: int) -> np.ndarray:
     cross = verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1]
     out[m_max, m_max] = 0.5 * np.sum(cross)
     return out / (2.0 * math.pi) ** 2
-
-
-def triangle_indicator(v0, v1, v2, m_max: int) -> TorusSpectrum:
-    """Exact Fourier coefficients of a triangle indicator on T^2."""
-    verts = np.array([v0, v1, v2], dtype=float)
-    return torus_polygon_indicator(verts, m_max)
 
 
 def torus_polygon_indicator(vertices, m_max: int) -> TorusSpectrum:

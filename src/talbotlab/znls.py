@@ -30,13 +30,15 @@ state-dependent phase
 
 accumulated into Phi(t) = integral_0^t gamma.  Nonlinear smoothing is
 measured on the residual r(t) = u(t) - e^{i t lambda} e^{i sigma Phi}
-u(0): its dyadic tail decays faster than the solution's.
+u(0): its dyadic tail decays faster than the solution's.  ``solve``
+keeps only what that measurement and the mass check read: the end
+states, t, Phi(t) and the largest mass drift over the steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,68 +47,13 @@ from .specialfun import weight_ratio, zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
 __all__ = [
-    "NLSConfig",
-    "NLSState",
-    "NLSTrajectory",
+    "NLSRun",
     "SmoothingTable",
     "gamma_phase",
     "nonlinearity_apply",
     "solve",
     "smoothing_residual",
 ]
-
-
-@dataclass(frozen=True)
-class NLSConfig:
-    """Time stepping of the zonal cubic NLS.
-
-    The truncation n_max is that of the initial spectrum.
-
-    Attributes
-    ----------
-    dt : float
-        Time step, > 0.
-    t_final : float
-        Integration horizon, an integer number of steps.
-    """
-
-    dt: float
-    t_final: float
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("time step must be positive")
-
-
-@dataclass(frozen=True)
-class NLSState:
-    """Solver state: spectrum, time, accumulated phase, and sign.
-
-    Attributes
-    ----------
-    spectrum : ZonalSpectrum
-    t : float
-    phase : float
-        Phi(t), the time integral of gamma up to t (real).
-    sign : int
-        sigma in {+1, -1} multiplying the cubic term.
-    """
-
-    spectrum: ZonalSpectrum
-    t: float
-    phase: float
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    @classmethod
-    def initial(cls, spectrum: ZonalSpectrum, sign: int = 1) -> "NLSState":
-        return cls(spectrum=spectrum, t=0.0, phase=0.0, sign=sign)
-
-    def mass(self) -> float:
-        return float(self.spectrum.l2_norm() ** 2)
 
 
 class _Workspace:
@@ -162,14 +109,15 @@ def _pairs(vec: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
-def gamma_phase(state: NLSState, line_table: np.ndarray) -> float:
-    """Resonant phase rate gamma(t; u) of the current state.
+def gamma_phase(coef: np.ndarray, line_table: np.ndarray) -> float:
+    """Resonant phase rate gamma(t; u) of the coefficients a_n.
 
     Parameters
     ----------
-    state : NLSState
+    coef : ndarray
+        Zonal coefficients a_0 .. a_{n_max}.
     line_table : ndarray
-        Meridian products line_integral_table(n_max, d) of the state's
+        Meridian products line_integral_table(n_max, d) of the same
         truncation.
 
     Returns
@@ -179,7 +127,6 @@ def gamma_phase(state: NLSState, line_table: np.ndarray) -> float:
         The Hermitian form is real; an imaginary part above 1e-12
         raises.
     """
-    coef = state.spectrum.coef
     value = complex(np.conj(coef) @ (line_table @ coef))
     scale = max(1.0, abs(value))
     if abs(value.imag) > 1e-12 * scale:
@@ -187,77 +134,92 @@ def gamma_phase(state: NLSState, line_table: np.ndarray) -> float:
     return 2.0 * value.real
 
 
-def nonlinearity_apply(state: NLSState) -> ZonalSpectrum:
+def nonlinearity_apply(spec: ZonalSpectrum) -> ZonalSpectrum:
     """Projection of |u|^2 u onto the zonal modes, as B(u) u.
 
     B(u) is the operator the nonlinear substep of ``solve`` rotates
     by.  Its quadrature is exact for the truncated cube.
     """
-    spec = state.spectrum
     ws = _Workspace(spec.n_max, spec.d)
     dens, _ = ws.density(spec.coef)
     return ZonalSpectrum(d=spec.d, coef=ws.product(dens, spec.coef))
 
 
 @dataclass(frozen=True)
-class NLSTrajectory:
-    """Solver output: states at every step, including the initial one."""
+class NLSRun:
+    """Solver output: the end states, the clock, the phase and the mass drift.
 
-    states: tuple
+    Attributes
+    ----------
+    initial, final : ZonalSpectrum
+        The data at t = 0 and at t.
+    t : float
+        Final time, the step summed once per step.
+    phase : float
+        Phi(t), the time integral of gamma up to t (real).
+    sign : int
+        sigma in {+1, -1} multiplying the cubic term.
+    mass_drift : float
+        Largest |mass(t_k) - mass(0)| over the steps, the mass being
+        ||u||_{L^2}^2; NaN if any mass is NaN.
+    """
 
-    @property
-    def initial(self) -> NLSState:
-        return self.states[0]
-
-    @property
-    def final(self) -> NLSState:
-        return self.states[-1]
-
-    def mass_drift(self) -> float:
-        """Largest |mass(t) - mass(0)| over the states; NaN if any mass is NaN."""
-        masses = np.array([s.mass() for s in self.states])
-        return float(np.max(np.abs(masses - masses[0])))
+    initial: ZonalSpectrum
+    final: ZonalSpectrum
+    t: float
+    phase: float
+    sign: int
+    mass_drift: float
 
 
-def solve(initial: ZonalSpectrum, config: NLSConfig, sign: int = 1) -> NLSTrajectory:
-    """Integrate the zonal cubic NLS to config.t_final.
+def solve(initial: ZonalSpectrum, dt: float, t_final: float, sign: int = 1) -> NLSRun:
+    """Integrate the zonal cubic NLS to t_final.
 
     Parameters
     ----------
     initial : ZonalSpectrum
-    config : NLSConfig
+        Initial data; its truncation n_max is the solver's.
+    dt : float
+        Time step, > 0.
+    t_final : float
+        Integration horizon, an integer number of steps.
     sign : int
-        sigma for the cubic term.
+        sigma in {+1, -1} for the cubic term.
 
     Returns
     -------
-    NLSTrajectory
+    NLSRun
     """
-    state = NLSState.initial(initial, sign=sign)
-    dt = config.dt
-    n_steps = int(round(config.t_final / dt))
-    if abs(n_steps * dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
+    if dt <= 0.0:
+        raise ValueError("time step must be positive")
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer number of steps")
-    d, n_max = state.spectrum.d, state.spectrum.n_max
+    d, n_max = initial.d, initial.n_max
     ws = _Workspace(n_max, d)
     line = line_integral_table(n_max, d)
     degrees = np.arange(n_max + 1)
     half_phase = np.exp(0.5j * dt * (degrees * (degrees + d - 1)))
-    states = [state]
+    spec, t, phase = initial, 0.0, 0.0
+    rate = gamma_phase(spec.coef, line)
+    masses = [spec.l2_norm() ** 2]
     for _ in range(n_steps):
-        coef = half_phase * state.spectrum.coef
-        coef = half_phase * ws.galerkin_rotation(coef, dt, state.sign)
+        coef = half_phase * spec.coef
+        coef = half_phase * ws.galerkin_rotation(coef, dt, sign)
+        spec = ZonalSpectrum(d=d, coef=coef)
         # Phi advances by the trapezoid rule on gamma.
-        moved = replace(state, spectrum=ZonalSpectrum(d=d, coef=coef))
-        increment = 0.5 * dt * (gamma_phase(state, line) + gamma_phase(moved, line))
-        state = NLSState(
-            spectrum=ZonalSpectrum(d=d, coef=coef),
-            t=state.t + dt,
-            phase=state.phase + increment,
-            sign=state.sign,
-        )
-        states.append(state)
-    return NLSTrajectory(states=tuple(states))
+        moved_rate = gamma_phase(spec.coef, line)
+        t += dt
+        phase += 0.5 * dt * (rate + moved_rate)
+        rate = moved_rate
+        masses.append(spec.l2_norm() ** 2)
+    masses = np.array(masses)
+    return NLSRun(
+        initial=initial, final=spec, t=t, phase=phase, sign=sign,
+        mass_drift=float(np.max(np.abs(masses - masses[0]))),
+    )
 
 
 @dataclass(frozen=True)
@@ -281,7 +243,7 @@ class SmoothingTable:
     u_weighted: np.ndarray
 
 
-def smoothing_residual(trajectory: NLSTrajectory, s: float, eps: float) -> SmoothingTable:
+def smoothing_residual(run: NLSRun, s: float, eps: float) -> SmoothingTable:
     """Dyadic tails of r(t) = u(t) - e^{i t lambda} e^{i sigma Phi} u(0).
 
     The linear-flow reference carries the accumulated resonant phase;
@@ -291,7 +253,7 @@ def smoothing_residual(trajectory: NLSTrajectory, s: float, eps: float) -> Smoot
 
     Parameters
     ----------
-    trajectory : NLSTrajectory
+    run : NLSRun
         Measured at its final state.
     s, eps : float
         Weight exponent s + eps applied to both norm columns.
@@ -300,26 +262,24 @@ def smoothing_residual(trajectory: NLSTrajectory, s: float, eps: float) -> Smoot
     -------
     SmoothingTable
     """
-    state = trajectory.final
-    first = trajectory.initial
-    d = state.spectrum.d
-    degrees = np.arange(state.spectrum.n_max + 1)
-    eigenvalues = degrees * (degrees + d - 1)
+    final = run.final
+    degrees = np.arange(final.n_max + 1)
+    eigenvalues = degrees * (degrees + final.d - 1)
     reference = (
-        np.exp(1j * state.t * eigenvalues)
-        * np.exp(1j * state.sign * state.phase)
-        * first.spectrum.coef
+        np.exp(1j * run.t * eigenvalues)
+        * np.exp(1j * run.sign * run.phase)
+        * run.initial.coef
     )
-    residual = state.spectrum.coef - reference
+    residual = final.coef - reference
     n_values = []
     r_norms = []
     u_norms = []
     block = 1
-    while block <= state.spectrum.n_max // 2:
-        lo, hi = block, min(2 * block, state.spectrum.n_max + 1)
+    while block <= final.n_max // 2:
+        lo, hi = block, min(2 * block, final.n_max + 1)
         n_values.append(block)
         r_norms.append(float(np.linalg.norm(residual[lo:hi])))
-        u_norms.append(float(np.linalg.norm(state.spectrum.coef[lo:hi])))
+        u_norms.append(float(np.linalg.norm(final.coef[lo:hi])))
         block *= 2
     n_arr = np.array(n_values, dtype=float)
     weight = n_arr ** (s + eps)

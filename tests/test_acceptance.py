@@ -12,7 +12,7 @@ import pytest
 
 from conftest import quad_triangle_coefficient, torus_coefficient
 from talbotlab import experiments as ex
-from talbotlab.spectra import triangle_indicator
+from talbotlab.spectra import torus_polygon_indicator
 
 TRIANGLE = ex.DEFAULT_TRIANGLE
 
@@ -74,7 +74,7 @@ def test_criterion_03_polygon_graph_dimension():
 
 
 def test_criterion_03_polygon_coefficient_oracle():
-    spec = triangle_indicator(*TRIANGLE, 8)
+    spec = torus_polygon_indicator(TRIANGLE, 8)
     worst = max(
         abs(torus_coefficient(spec, (m1, m2)) - quad_triangle_coefficient(m1, m2))
         for m1 in range(-8, 9)

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import random_phase, torus_coefficient, zonal_oracle
 from talbotlab.evolve import (
-    TimePoint,
+    _torus_eigs,
+    _unit_phases_rational,
     evaluate_beam_equator,
     evaluate_torus,
     evaluate_zonal_circle,
@@ -79,19 +80,13 @@ def test_sphere_propagator_eigenvalues():
     np.testing.assert_allclose(out.coef, beam.coef * np.exp(1j * n * (n + 1) * 0.11), atol=1e-14)
 
 
-def test_time_point_reduction_and_panel():
-    tp = TimePoint.rational(3, 6)
-    assert (tp.p, tp.q) == (1, 2)
-    assert tp.t == pytest.approx(2 * math.pi * 0.5)
-    assert tp.kind == "rational"
-    with pytest.raises(ValueError):
-        TimePoint.rational(1, 0)
+def test_time_panel_is_seeded_and_distinct():
     panel = time_panel(seed=1729)
-    panel2 = time_panel(seed=1729)
-    assert [p.t for p in panel] == [p.t for p in panel2]
-    assert all("irrational" in p.kind for p in panel)
+    assert panel == time_panel(seed=1729)
+    assert panel[4:] != time_panel(seed=1730)[4:]
+    assert all(isinstance(t, float) and 0.0 < t < 2 * math.pi for t in panel)
     assert len(panel) >= 5
-    assert len({round(p.t, 12) for p in panel}) == len(panel)
+    assert len({round(t, 12) for t in panel}) == len(panel)
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 5), (3, 7), (5, 12)])
@@ -150,7 +145,7 @@ def test_quantization_sides_match_mpmath_at_acceptance_scale():
     p, q, m_max = 3, 7, 4096
     spec = torus_step(SQUARE_WAVE, m_max)
     grid = q * math.ceil((2 * m_max + 1) / q)
-    lhs = evaluate_torus(propagate_torus(spec, TimePoint.rational(p, q)), grid)
+    lhs = evaluate_torus(spec.scaled(_unit_phases_rational(_torus_eigs(spec), p, q)), grid)
     base = evaluate_torus(spec, grid)
     weights = quantization_weights(p, q)
     rhs = sum(weights[l] * np.roll(base, -l * (grid // q)) for l in range(q))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbotlab.experiments import time_panel
+from talbotlab.evolve import time_panel
 from talbotlab.expsum import weyl_block_sup
 
 
@@ -114,7 +114,7 @@ def test_block_sup_at_acceptance_scale_matches_direct_phase_oracle():
     """
     big_n, grid_factor, p = 2048, 16, 1.5
     grid = grid_factor * big_n
-    t = time_panel(seed=1729)[0].t
+    t = time_panel(seed=1729)[0]
     res = weyl_block_sup(t, big_n, weights=lambda m: float(m) ** -p, grid_factor=grid_factor)
     n = np.arange(big_n, 2 * big_n + 1)
     coef = n.astype(float) ** -p * quadratic_phases(t, n)

@@ -59,3 +59,28 @@ def test_line_fit_is_exact_on_lines(slope, intercept):
     fit = fit_line(x, slope * x + intercept)
     assert abs(fit.slope - slope) < 1e-9
     assert abs(fit.intercept - intercept) < 1e-9
+
+
+def coordinates_with(axis, bad):
+    data = [np.array([1.0, 2.0, 4.0, 8.0]), np.array([3.0, 5.0, 7.0, 11.0])]
+    data[axis][2] = bad
+    return data
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_input_gives_nan_slope(axis, bad):
+    """A NaN slope fails every verdict, so non-finite data cannot pass."""
+    data = coordinates_with(axis, bad)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(fit_line(*data).slope)
+        assert np.isnan(fit_loglog(*data).slope)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_negative_infinity_gives_nan_line_and_rejected_loglog(axis):
+    data = coordinates_with(axis, -np.inf)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(fit_line(*data).slope)
+    with pytest.raises(ValueError, match="strictly positive"):
+        fit_loglog(*data)

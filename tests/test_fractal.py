@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbotlab.evolve import TimePoint
+from talbotlab.fitting import fit_line
 from talbotlab.fractal import (
-    BoxCountSeries,
-    DomainConfig,
     box_count_curve,
     box_count_series,
     box_count_surface,
     dim_t,
-    dimension_fit,
 )
 from talbotlab.spectra import torus_step
 
@@ -25,6 +22,12 @@ SQUARE_WAVE = ((0.0, 1.0), (math.pi, -1.0))
 def weierstrass(x, a=0.5, b=3, terms=40):
     """W(x) = sum a^k cos(b^k pi x), graph dimension 2 + log_b a."""
     return sum(a**k * np.cos(b**k * np.pi * x) for k in range(terms))
+
+
+def dimension_slope(samples, levels):
+    """Slope of log2 N(k) against k over the given levels."""
+    levels = list(levels)
+    return fit_line(levels, np.log2(box_count_series(samples, levels))).slope
 
 
 def reshape_box_count(samples, k):
@@ -80,9 +83,8 @@ def test_pyramid_counts_equal_per_level_reshape_counts(case):
         samples = field.imag
     else:
         samples = np.ascontiguousarray(field.real.T).T
-    series = box_count_series(samples, levels)
-    assert series.k_values.tolist() == levels
-    assert series.counts.tolist() == [float(reshape_box_count(samples, k)) for k in levels]
+    counts = box_count_series(samples, levels)
+    assert counts.tolist() == [float(reshape_box_count(samples, k)) for k in levels]
     k = levels[0]
     single = box_count_surface(samples, k) if samples.ndim == 2 else box_count_curve(samples, k)
     assert single == reshape_box_count(samples, k)
@@ -99,7 +101,7 @@ def test_series_validation():
         box_count_series(np.zeros(64), [-1, 2])
     with pytest.raises(ValueError):
         box_count_surface(np.zeros(64), 2)
-    assert box_count_series(np.zeros(64), []).counts.size == 0
+    assert box_count_series(np.zeros(64), []).size == 0
 
 
 def test_constant_counts_one_box_per_column():
@@ -110,25 +112,19 @@ def test_constant_counts_one_box_per_column():
 
 def test_linear_graph_has_dimension_one():
     x = np.linspace(0.0, 1.0, 2**14, endpoint=False)
-    series = box_count_series(2.0 * x, range(3, 10))
-    est = dimension_fit(series, (3, 9))
-    assert est.slope == pytest.approx(1.0, abs=0.05)
+    assert dimension_slope(2.0 * x, range(3, 10)) == pytest.approx(1.0, abs=0.05)
 
 
 def test_smooth_graph_has_dimension_one():
     x = np.linspace(0.0, 2 * np.pi, 2**14, endpoint=False)
-    series = box_count_series(np.sin(x), range(3, 10))
-    est = dimension_fit(series, (4, 9))
-    assert est.slope == pytest.approx(1.0, abs=0.07)
+    assert dimension_slope(np.sin(x), range(4, 10)) == pytest.approx(1.0, abs=0.07)
 
 
 def test_weierstrass_dimension():
     """W with a=1/2, b=3 has graph dimension 2 - log 2 / log 3 ~ 1.369."""
     x = np.linspace(0.0, 1.0, 2**16, endpoint=False)
-    series = box_count_series(weierstrass(x), range(3, 12))
-    est = dimension_fit(series, (5, 10))
     expected = 2.0 - math.log(2) / math.log(3)
-    assert est.slope == pytest.approx(expected, abs=0.1)
+    assert dimension_slope(weierstrass(x), range(5, 11)) == pytest.approx(expected, abs=0.1)
 
 
 def test_count_is_monotone_and_bounded():
@@ -155,8 +151,7 @@ def test_surface_of_smooth_function_has_dimension_two():
     x = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     z = np.sin(x)[:, None] * np.cos(x)[None, :]
     counts = [box_count_surface(z, k) for k in range(2, 7)]
-    series = BoxCountSeries(k_values=tuple(range(2, 7)), counts=tuple(counts))
-    est = dimension_fit(series, (2, 6))
+    est = fit_line(range(2, 7), np.log2(counts))
     assert est.slope == pytest.approx(2.0, abs=0.1)
 
 
@@ -176,31 +171,20 @@ def test_refinement_stability():
     slopes = []
     for size in (2**14, 2**15):
         x = np.linspace(0.0, 1.0, size, endpoint=False)
-        series = box_count_series(weierstrass(x), range(4, 11))
-        slopes.append(dimension_fit(series, (5, 10)).slope)
+        slopes.append(dimension_slope(weierstrass(x), range(5, 11)))
     assert abs(slopes[0] - slopes[1]) < 0.05 * expected
 
 
-def test_series_epsilons_and_validation():
-    series = BoxCountSeries(k_values=(2, 3), counts=(7, 19))
-    np.testing.assert_array_equal(series.k_values, [2, 3])
-    np.testing.assert_array_equal(series.counts, [7.0, 19.0])
-    with pytest.raises(ValueError):
-        BoxCountSeries(k_values=(2, 3), counts=(7,))
-    with pytest.raises(ValueError):
-        BoxCountSeries(k_values=(2,), counts=(0,))
-
-
-def test_dimension_fit_window_validation():
-    series = BoxCountSeries(k_values=(2, 3, 4), counts=(10, 30, 90))
-    with pytest.raises(ValueError):
-        dimension_fit(series, (2, 4))  # only three levels in window
+def test_dim_t_window_validation():
+    spec = torus_step(SQUARE_WAVE, 16)
+    with pytest.raises(ValueError, match="four levels"):
+        dim_t(spec, 1.0, 2**10, (2, 4))  # only three levels in window
+    assert dim_t(spec, 1.0, 2**10, (2, 5)).real.slope > 0.0
 
 
 def test_dim_t_torus_step_at_irrational_time():
     spec = torus_step(SQUARE_WAVE, 1024)
-    config = DomainConfig(grid_size=2**13, window=(4, 8))
-    report = dim_t(spec, TimePoint.irrational(2 * math.pi * 0.6180339887), config)
+    report = dim_t(spec, 2 * math.pi * 0.6180339887, 2**13, (4, 8))
     assert 1.2 <= report.real.slope <= 1.8
     assert 1.2 <= report.imag.slope <= 1.8
     assert report.max_slope == max(report.real.slope, report.imag.slope)
@@ -209,6 +193,5 @@ def test_dim_t_torus_step_at_irrational_time():
 def test_dim_t_torus_step_at_rational_time_is_piecewise():
     """At rational times the profile is a step function again: dimension 1."""
     spec = torus_step(SQUARE_WAVE, 4096)
-    config = DomainConfig(grid_size=2**14, window=(4, 9))
-    report = dim_t(spec, TimePoint.rational(1, 4), config)
+    report = dim_t(spec, 2 * math.pi / 4, 2**14, (4, 9))
     assert report.max_slope <= 1.25

@@ -10,7 +10,6 @@ from conftest import quad_triangle_coefficient, random_phase, torus_coefficient
 from talbotlab.spectra import (
     torus_polygon_indicator,
     torus_step,
-    triangle_indicator,
     zonal_decay_family,
 )
 
@@ -40,7 +39,7 @@ def fan_polygon_coefficients(vertices, m_max, base):
         tri = verts[[base, (base + j) % n, (base + j + 1) % n]]
         area = signed_area(tri)
         if abs(area) > 1e-12:
-            box += orientation * np.sign(area) * triangle_indicator(*tri, m_max).coef
+            box += orientation * np.sign(area) * torus_polygon_indicator(tri, m_max).coef
     return box
 
 
@@ -93,7 +92,7 @@ def test_step_input_validation():
 
 
 def test_triangle_coefficients_against_quadrature():
-    spec = triangle_indicator(*TRIANGLE, 8)
+    spec = torus_polygon_indicator(TRIANGLE, 8)
     assert torus_coefficient(spec, (0, 0)) == pytest.approx(0.125, abs=1e-13)
     for m1 in range(-3, 4):
         for m2 in range(-3, 4):
@@ -155,7 +154,7 @@ def test_zonal_difference_bound():
 
 
 def test_random_phase_preserves_magnitude():
-    spec = triangle_indicator(*TRIANGLE, 12)
+    spec = torus_polygon_indicator(TRIANGLE, 12)
     out1 = random_phase(spec, seed=7)
     out2 = random_phase(spec, seed=7)
     out3 = random_phase(spec, seed=8)

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from conftest import kappa_vector, random_phase
 from talbotlab.gaunt import line_integral_table
 from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
+from talbotlab import znls
 from talbotlab.znls import (
-    NLSConfig,
-    NLSState,
-    NLSTrajectory,
     _Workspace,
     gamma_phase,
     nonlinearity_apply,
@@ -21,14 +19,13 @@ from talbotlab.znls import (
 )
 
 
-def nonlinearity_kappa_sum(state):
+def nonlinearity_kappa_sum(spec):
     """Direct Gaunt-sum evaluation of the cubic term (oracle path).
 
     (|u|^2 u)^_n = sum over (n1, n2, n3) of
     a_{n1} conj(a_{n2}) a_{n3} kappa(n, n1, n2, n3); quadratic cost in
     the truncation, intended for small n_max cross-checks.
     """
-    spec = state.spectrum
     coef = spec.coef
     degrees = np.arange(spec.n_max + 1)
     out = np.zeros(spec.n_max + 1, dtype=complex)
@@ -74,43 +71,44 @@ def single_mode(n, amp, n_max, d=2):
 
 
 def test_config_validation():
-    NLSConfig(dt=1e-3, t_final=0.01)
-    with pytest.raises(ValueError):
-        NLSConfig(dt=-1e-3, t_final=0.01)
+    spec = zonal_decay_family(1.2, 8)
+    solve(spec, 1e-3, 1e-3, sign=-1)
+    with pytest.raises(ValueError, match="time step"):
+        solve(spec, -1e-3, 0.01)
+    with pytest.raises(ValueError, match="sign"):
+        solve(spec, 1e-3, 0.01, sign=2)
 
 
 def test_gamma_phase_closed_forms():
     table = line_integral_table(8, d=2)
-    zero = NLSState.initial(single_mode(3, 0.0, 8))
+    zero = single_mode(3, 0.0, 8).coef
     assert gamma_phase(zero, table) == 0.0
-    state0 = NLSState.initial(single_mode(0, 0.7 - 0.2j, 8))
-    assert gamma_phase(state0, table) == pytest.approx(
+    coef0 = single_mode(0, 0.7 - 0.2j, 8).coef
+    assert gamma_phase(coef0, table) == pytest.approx(
         2.0 * abs(0.7 - 0.2j) ** 2, rel=1e-12, abs=0.0)
     for n, amp in [(3, 0.5 - 0.25j), (7, 2.0j)]:
-        state = NLSState.initial(single_mode(n, amp, 8))
+        coef = single_mode(n, amp, 8).coef
         expected = 2.0 * abs(amp) ** 2 * table[n, n]
-        assert gamma_phase(state, table) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert gamma_phase(coef, table) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_gamma_phase_two_modes_manual():
     coef = np.zeros(7, dtype=complex)
     coef[2], coef[5] = 0.8 + 0.1j, -0.3 + 0.6j
-    state = NLSState.initial(ZonalSpectrum(d=2, coef=coef))
     table = line_integral_table(6, d=2)
     manual = 0.0
     for k in (2, 5):
         for l in (2, 5):
             manual += (np.conj(coef[k]) * coef[l] * table[k, l]).real * 2.0
-    assert gamma_phase(state, table) == pytest.approx(manual, rel=1e-12, abs=0.0)
+    assert gamma_phase(coef, table) == pytest.approx(manual, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_nonlinearity_quadrature_matches_kappa_sum(d):
     spec = random_phase(zonal_decay_family(1.1, 8, d=d), seed=21)
     spec = ZonalSpectrum(d=d, coef=spec.coef * np.exp(0.3j))
-    state = NLSState.initial(spec)
-    fast = nonlinearity_apply(state)
-    slow = nonlinearity_kappa_sum(state)
+    fast = nonlinearity_apply(spec)
+    slow = nonlinearity_kappa_sum(spec)
     np.testing.assert_allclose(fast.coef, slow.coef, atol=1e-9)
 
 
@@ -175,40 +173,33 @@ def test_rotation_against_mpmath_expm(sign):
 def test_constant_mode_closed_form_solution():
     """The constant mode rotates at exactly sigma |A|^2; nothing else excites."""
     amp = 0.55 - 0.3j
-    config = NLSConfig(dt=1e-4, t_final=0.05)
+    t_final = 0.05
     for sign in (1, -1):
-        traj = solve(single_mode(0, amp, 6), config, sign=sign)
-        final = traj.states[-1]
-        expected = amp * np.exp(1j * sign * abs(amp) ** 2 * config.t_final)
-        assert final.spectrum.coef[0] == pytest.approx(expected, abs=1e-10)
-        assert np.max(np.abs(final.spectrum.coef[1:])) < 1e-13
+        final = solve(single_mode(0, amp, 6), 1e-4, t_final, sign=sign).final
+        expected = amp * np.exp(1j * sign * abs(amp) ** 2 * t_final)
+        assert final.coef[0] == pytest.approx(expected, abs=1e-10)
+        assert np.max(np.abs(final.coef[1:])) < 1e-13
 
 
 def test_constant_mode_accumulated_phase():
     """For constant-mode data gamma is constant, so Phi = 2|A|^2 t exactly."""
     amp = 0.55 - 0.3j
-    config = NLSConfig(dt=1e-3, t_final=0.05)
-    traj = solve(single_mode(0, amp, 6), config, sign=1)
-    assert traj.states[-1].phase == pytest.approx(2 * abs(amp) ** 2 * 0.05, rel=1e-10, abs=0.0)
+    run = solve(single_mode(0, amp, 6), 1e-3, 0.05, sign=1)
+    assert run.phase == pytest.approx(2 * abs(amp) ** 2 * 0.05, rel=1e-10, abs=0.0)
 
 
 def test_mass_is_conserved_by_the_unitary_substep():
     spec = random_phase(zonal_decay_family(1.1, 24), seed=33)
-    config = NLSConfig(dt=1e-3, t_final=0.05)
-    traj = solve(spec, config, sign=1)
-    assert traj.mass_drift() < 1e-11
-    defocusing = solve(spec, config, sign=-1)
-    assert defocusing.mass_drift() < 1e-11
+    assert solve(spec, 1e-3, 0.05, sign=1).mass_drift < 1e-11
+    assert solve(spec, 1e-3, 0.05, sign=-1).mass_drift < 1e-11
 
 
 def test_second_order_convergence():
     spec = random_phase(zonal_decay_family(1.3, 16), seed=5)
     finals = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        config = NLSConfig(dt=dt, t_final=0.04)
-        finals[dt] = solve(spec, config, sign=1).states[-1].spectrum.coef
-    ref_config = NLSConfig(dt=6.25e-5, t_final=0.04)
-    ref = solve(spec, ref_config, sign=1).states[-1].spectrum.coef
+        finals[dt] = solve(spec, dt, 0.04, sign=1).final.coef
+    ref = solve(spec, 6.25e-5, 0.04, sign=1).final.coef
     err = {dt: np.max(np.abs(finals[dt] - ref)) for dt in finals}
     r1 = err[4e-3] / err[2e-3]
     r2 = err[2e-3] / err[1e-3]
@@ -216,51 +207,61 @@ def test_second_order_convergence():
     assert 3.2 < r2 < 4.8, err
 
 
-def test_mass_drift_is_nan_when_a_state_is_nan():
-    """A NaN mass must not vanish inside the maximum of the drifts."""
-    spec = zonal_decay_family(1.2, 8)
-    coef = spec.coef.copy()
-    coef[3] = np.nan
-    later = NLSState(spectrum=ZonalSpectrum(d=2, coef=coef), t=1e-3, phase=0.0, sign=1)
-    first = NLSState.initial(spec)
-    assert np.isnan(NLSTrajectory(states=(first, later, first)).mass_drift())
+def test_mass_drift_is_nan_when_a_state_is_nan(monkeypatch):
+    """A NaN mass must not vanish inside the maximum of the drifts.
+
+    The last of three substeps returns a NaN coefficient, so the NaN
+    mass comes after finite ones, where Python's ``max`` would drop it.
+    """
+    rotation = _Workspace.galerkin_rotation
+    calls = []
+
+    def poisoned(self, coef, dt, sign):
+        out = rotation(self, coef, dt, sign)
+        calls.append(None)
+        if len(calls) == 3:
+            out = out.copy()
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(znls._Workspace, "galerkin_rotation", poisoned)
+    run = solve(zonal_decay_family(1.2, 8), 1e-3, 3e-3)
+    assert len(calls) == 3
+    assert np.isnan(run.mass_drift)
 
 
 def test_linear_limit_for_tiny_data():
     amp = 1e-8
     spec = ZonalSpectrum(d=2, coef=amp * zonal_decay_family(1.5, 12).coef)
-    config = NLSConfig(dt=1e-3, t_final=0.05)
-    traj = solve(spec, config, sign=1)
+    run = solve(spec, 1e-3, 0.05, sign=1)
     n = np.arange(13, dtype=float)
-    linear = spec.coef * np.exp(1j * n * (n + 1) * config.t_final)
-    np.testing.assert_allclose(traj.states[-1].spectrum.coef, linear, atol=1e-22)
-    table = smoothing_residual(traj, s=0.5, eps=0.25)
+    linear = spec.coef * np.exp(1j * n * (n + 1) * 0.05)
+    np.testing.assert_allclose(run.final.coef, linear, atol=1e-22)
+    table = smoothing_residual(run, s=0.5, eps=0.25)
     assert max(table.r_norms) < 1e-20
 
 
 def test_step_strang_advances_time_and_phase():
     spec = random_phase(zonal_decay_family(1.2, 8), seed=2)
-    config = NLSConfig(dt=1e-3, t_final=1e-3)
-    traj = solve(spec, config)
-    out = traj.final
-    assert out.t == pytest.approx(1e-3)
-    assert out.phase > 0.0
-    assert out.mass() == pytest.approx(traj.initial.mass(), rel=1e-12, abs=0.0)
+    run = solve(spec, 1e-3, 1e-3)
+    assert run.t == pytest.approx(1e-3)
+    assert run.phase > 0.0
+    mass = spec.l2_norm() ** 2
+    assert run.final.l2_norm() ** 2 == pytest.approx(mass, rel=1e-12, abs=0.0)
 
 
 def test_smoothing_residual_initial_state_is_zero():
     spec = random_phase(zonal_decay_family(1.1, 32), seed=13)
-    traj = solve(spec, NLSConfig(dt=1e-3, t_final=0.0), sign=1)
-    assert traj.final.t == 0.0
-    table = smoothing_residual(traj, s=0.5, eps=0.25)
+    run = solve(spec, 1e-3, 0.0, sign=1)
+    assert run.t == 0.0
+    table = smoothing_residual(run, s=0.5, eps=0.25)
     assert max(table.r_norms) == 0.0
 
 
 def test_smoothing_table_structure():
     spec = random_phase(zonal_decay_family(1.1, 32), seed=13)
-    config = NLSConfig(dt=1e-3, t_final=0.02)
-    traj = solve(spec, config, sign=1)
-    table = smoothing_residual(traj, s=0.5, eps=0.25)
+    run = solve(spec, 1e-3, 0.02, sign=1)
+    table = smoothing_residual(run, s=0.5, eps=0.25)
     assert list(table.n_values) == [1, 2, 4, 8, 16]
     assert all(r >= 0 for r in table.r_norms)
     # both weighted columns carry the N^{s+eps} factor
@@ -274,10 +275,10 @@ def test_solver_rejects_non_finite_state():
     coef = np.zeros(9, dtype=complex)
     coef[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        solve(ZonalSpectrum(d=2, coef=coef), NLSConfig(dt=1e-3, t_final=1e-3))
+        solve(ZonalSpectrum(d=2, coef=coef), 1e-3, 1e-3)
 
 
 def test_solver_rejects_mismatched_sizes():
     spec = zonal_decay_family(1.5, 10)
     with pytest.raises(ValueError):
-        solve(spec, NLSConfig(dt=3e-3, t_final=0.01))  # 0.01/3e-3 not integral
+        solve(spec, 3e-3, 0.01)  # 0.01/3e-3 not integral
