@@ -212,28 +212,6 @@ class KappaTable:
                 )
 
 
-def _lambda_scan_arrays(n: int, n_max: int, d: int, c2: float):
-    """Bracket ratios of tuples left to Lambda_1 at fixed n (vectorized)."""
-    rng = np.arange(n_max + 1, dtype=np.int64)
-    m1, m2, m3 = rng[:, None, None], rng[None, :, None], rng[None, None, :]
-    top = np.maximum(np.maximum(m1, m2), np.maximum(m3, n))
-    total = m1 + m2 + m3 + n
-    keep = 2 * top <= total
-    keep &= (m1 != n) & (m3 != n)
-    shift = d - 1
-    h = np.abs(
-        n * (n + shift) - m1 * (m1 + shift) + m2 * (m2 + shift) - m3 * (m3 + shift)
-    )
-    gap = np.maximum(np.maximum(m1, m2), m3) * np.abs(n - np.maximum(m1, m3))
-    keep &= h < c2 * gap
-    if not np.any(keep):
-        return np.empty(0)
-    i1, i2, i3 = np.nonzero(keep)
-    br = np.sqrt(1.0 + rng.astype(float) ** 2)
-    prods = br[i1] * br[i2] * br[i3]
-    return prods / float(n) ** 1.5
-
-
 def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     """Admissible tuples with 1 <= n <= n_max that no Lambda set covers.
 
@@ -243,15 +221,43 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     |H| >= c2 max(n1, n2, n3) |n - max(n1, n3)|, where
     H = lambda_n - lambda_{n1} + lambda_{n2} - lambda_{n3} and
     lambda_m = m (m + d - 1).  ``constants`` is (c1, c2), by default
-    ``FROZEN_LAMBDA_CONSTANTS[d]``.
+    ``FROZEN_LAMBDA_CONSTANTS[d]``; both must be finite.
+
+    Lambda_1 prefilters the scan: only the triples with
+    <n1><n2><n3> / n_max^{3/2} < c1 are tested at each n.  The filter is
+    exact, not a heuristic: n^{3/2} <= n_max^{3/2} and correctly rounded
+    division is monotone, so a triple that Lambda_1 misses at some
+    n <= n_max also passes the filter.  At each n the survivors are
+    tested with the float comparison <n1><n2><n3> / n^{3/2} < c1.
     """
     if constants is None:
         constants = FROZEN_LAMBDA_CONSTANTS[d]
     c1, c2 = constants
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError("Lambda constants c1, c2 must be finite")
+    if n_max < 1:
+        return 0
+    rng = np.arange(n_max + 1, dtype=np.int64)
+    br = np.sqrt(1.0 + rng.astype(float) ** 2)
+    prods = br[:, None, None] * br[None, :, None] * br[None, None, :]
+    left = prods / float(n_max) ** 1.5 < c1
+    m1, m2, m3 = np.nonzero(left)
+    prods = prods[left]
+    shift = d - 1
+    lam = rng * (rng + shift)
+    lam_part = -lam[m1] + lam[m2] - lam[m3]
+    top = np.maximum(np.maximum(m1, m2), m3)
+    outer = np.maximum(m1, m3)
+    total = m1 + m2 + m3
     count = 0
+    # One n at a time: broadcasting over n too costs more peak memory
+    # than the loop saves in time.
     for n in range(1, n_max + 1):
-        ratios = _lambda_scan_arrays(n, n_max, d, c2)
-        count += int(np.count_nonzero(ratios < c1))
+        keep = 2 * np.maximum(top, n) <= total + n
+        keep &= (m1 != n) & (m3 != n)
+        keep &= np.abs(n * (n + shift) + lam_part) < c2 * (top * np.abs(n - outer))
+        keep &= prods / float(n) ** 1.5 < c1
+        count += int(np.count_nonzero(keep))
     return count
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -43,7 +44,8 @@ def lambda_classify(n1, n2, n3, n, d=2, constants=None):
         return "lambda0"
     if math.prod(math.sqrt(1.0 + m * m) for m in (n1, n2, n3)) >= c1 * n**1.5:
         return "lambda1"
-    if abs(h_symbol(n1, n2, n3, n, d)) >= c2 * max(n1, n2, n3) * abs(n - max(n1, n3)):
+    gap = max(n1, n2, n3) * abs(n - max(n1, n3))  # an integer: c2 * gap rounds once
+    if abs(h_symbol(n1, n2, n3, n, d)) >= c2 * gap:
         return "lambda2"
     return "unclassified"
 
@@ -65,6 +67,30 @@ def calibrate_lambda_constants(n_max, d=2, c2=1.0):
     bracket = np.sqrt(1.0 + m.astype(float) ** 2)
     ratio = bracket[n1] * bracket[n2] * bracket[n3] / n.astype(float) ** 1.5
     return float(np.min(ratio[left])), c2
+
+
+def count_unclassified_cube(n_max, d, constants):
+    """count_unclassified as a full scan: for every n, the whole
+    (n_max+1)^3 cube of (n1, n2, n3) is tested against every rule."""
+    c1, c2 = constants
+    rng = np.arange(n_max + 1, dtype=np.int64)
+    m1, m2, m3 = rng[:, None, None], rng[None, :, None], rng[None, None, :]
+    br = np.sqrt(1.0 + rng.astype(float) ** 2)
+    shift = d - 1
+    count = 0
+    for n in range(1, n_max + 1):
+        top = np.maximum(np.maximum(m1, m2), np.maximum(m3, n))
+        keep = 2 * top <= m1 + m2 + m3 + n
+        keep &= (m1 != n) & (m3 != n)
+        h = np.abs(
+            n * (n + shift) - m1 * (m1 + shift) + m2 * (m2 + shift) - m3 * (m3 + shift)
+        )
+        gap = np.maximum(np.maximum(m1, m2), m3) * np.abs(n - np.maximum(m1, m3))
+        keep &= h < c2 * gap
+        i1, i2, i3 = np.nonzero(keep)
+        prods = br[i1] * br[i2] * br[i3]
+        count += int(np.count_nonzero(prods / float(n) ** 1.5 < c1))
+    return count
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -229,6 +255,68 @@ def test_frozen_constants_below_calibrated_optimum(d):
     c1_frozen, c2_frozen = FROZEN_LAMBDA_CONSTANTS[d]
     assert c2 == c2_frozen
     assert c1_frozen <= c1_opt + 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, constants, expected",
+    [
+        (2, (2.0, 1.0), 3197),
+        (2, (1.2, 1.5), 1268),
+        (3, (2.0, 1.0), 3494),
+        (3, (1.2, 1.5), 1485),
+    ],
+)
+def test_count_unclassified_matches_full_cube_at_acceptance_scale(d, constants, expected):
+    """The Lambda_1-prefiltered scan equals the full-cube scan at n_max 64."""
+    assert count_unclassified_cube(64, d, constants) == expected
+    assert count_unclassified(64, d, constants) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    c1=st.floats(0.05, 30.0),
+    c2=st.floats(0.05, 4.0),
+    n_max=st.integers(1, 20),
+    d=st.sampled_from([2, 3]),
+)
+def test_count_unclassified_matches_scalar_classification_property(c1, c2, n_max, d):
+    """The Lambda_1 prefilter cuts the cube at c1 n_max^{3/2}; for most
+    draws of c1 and n_max that cut lies inside the cube, so triples on
+    both sides of it are checked against the scalar rules."""
+    expected = sum(
+        1 for n in range(1, n_max + 1)
+        for n1, n2, n3 in itertools.product(range(n_max + 1), repeat=3)
+        if admissible((n1, n2, n3, n))
+        and lambda_classify(n1, n2, n3, n, d, (c1, c2)) == "unclassified"
+    )
+    assert count_unclassified(n_max, d, (c1, c2)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_count_unclassified_rejects_non_finite_constants(bad):
+    """Every comparison with NaN is false, so a NaN constant would
+    otherwise read as "every tuple classified"."""
+    with pytest.raises(ValueError, match="finite"):
+        count_unclassified(16, 2, (bad, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        count_unclassified(16, 2, (0.88, bad))
+
+
+@pytest.mark.parametrize("n_max", [0, -1, -5])
+def test_count_unclassified_below_one_is_zero_without_warnings(n_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_unclassified(n_max, 2) == 0
+        assert count_unclassified(n_max, 3, (2.0, 1.0)) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_frozen_constants_at_their_claimed_scale(d):
+    """c1 leaves nothing unclassified for n <= 64, and c1 + 0.01 does:
+    c1 is the optimum at n_max 64 rounded down to two decimals."""
+    c1_frozen, c2_frozen = FROZEN_LAMBDA_CONSTANTS[d]
+    assert count_unclassified(64, d, (c1_frozen, c2_frozen)) == 0
+    assert count_unclassified(64, d, (c1_frozen + 0.01, c2_frozen)) > 0
 
 
 @settings(max_examples=120)
