@@ -1,23 +1,24 @@
 """Spectral laboratory for dispersive flows on flat tori and round spheres.
 
 The package simulates the free Schrodinger evolution on T^d (d = 1, 2) and
-on S^d (zonal sector, plus selected non-zonal families on S^2), together
-with the cubic flow on the zonal sector of S^2.  It provides
-the measurement tools used to study these flows numerically:
+on the zonal sector of S^d, together with the cubic flow on the zonal
+sector of S^2.  It provides the measurement tools used to study these
+flows numerically:
 
 ``specialfun``
     Symmetric Jacobi polynomials, unit-norm zonal harmonics and zonal
-    series, Gaussian beams, and the large-degree Jacobi asymptotics.
+    series, and the large-degree Jacobi asymptotics.
 ``spectra``
     Spectrum containers for torus and sphere data, exact coefficients of
     step and polygon indicators, and the zonal power-law family.
 ``evolve``
-    Propagators, physical-space samplers returning complex arrays, the
+    Propagators, the torus grid sampler returning complex arrays, the
     rational-time quantization check, and the shared time panel.
 ``lpbesov``
     Dyadic block sup norms of zonal spectra.
 ``fractal``
-    Box counting for curves and surfaces and log-log dimension fits.
+    Box counting for curves and surfaces and log-log dimension fits of
+    evolved torus data.
 ``expsum``
     Weighted quadratic Weyl block suprema.
 ``gaunt``

@@ -48,8 +48,6 @@ _SPECS = {
     "quantize": {"driver": experiments.run_quantization},
     "dimension-torus-step": {"driver": experiments.run_torus_step_dimension},
     "dimension-torus-polygon": {"driver": experiments.run_polygon_dimension},
-    "dimension-zonal": {"driver": experiments.run_zonal_dimension},
-    "dimension-beam": {"driver": experiments.run_beam_dimension},
     "weyl": {"driver": experiments.run_weyl_decay},
     "strichartz": {"driver": experiments.run_bilinear_contrast},
     "nls-smoothing": {"driver": experiments.run_nls_smoothing},

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specialfun as sf
-from .spectra import BeamSpectrum, TorusSpectrum, ZonalSpectrum
+from .spectra import TorusSpectrum, ZonalSpectrum
 
 __all__ = [
     "TIME_PANEL_BASE",
@@ -31,8 +30,6 @@ __all__ = [
     "propagate_torus",
     "propagate_sphere",
     "evaluate_torus",
-    "evaluate_zonal_circle",
-    "evaluate_beam_equator",
     "QuantizationResult",
     "quantization_weights",
     "quantization_check",
@@ -104,13 +101,10 @@ def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
     return spec.scaled(_phases(_torus_eigs(spec), t))
 
 
-def propagate_sphere(spec, t: float):
-    """Free evolution on S^d: a_n gains e^{i t n (n + d - 1)}.
-
-    Accepts ZonalSpectrum or BeamSpectrum and returns the same kind.
-    """
-    if not isinstance(spec, (ZonalSpectrum, BeamSpectrum)):
-        raise TypeError("propagate_sphere expects a sphere spectrum")
+def propagate_sphere(spec: ZonalSpectrum, t: float) -> ZonalSpectrum:
+    """Free evolution on S^d: a_n gains e^{i t n (n + d - 1)}."""
+    if not isinstance(spec, ZonalSpectrum):
+        raise TypeError("propagate_sphere expects a ZonalSpectrum")
     n = spec.degrees().astype(np.int64)
     eigs = n * (n + spec.d - 1)
     return spec.scaled(_phases(eigs, t))
@@ -142,28 +136,6 @@ def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
     idx = [np.mod(m, g) for g in sizes]
     placed[np.ix_(*idx)] += spec.coef
     return np.fft.ifftn(placed) * float(np.prod(sizes))
-
-
-def evaluate_zonal_circle(spec: ZonalSpectrum, n_points: int) -> np.ndarray:
-    """Sample a zonal expansion along a great circle through the poles.
-
-    The circle is parameterized by arclength s_k = 2 pi k / n_points;
-    the polar angle along it satisfies cos(theta(s)) = cos(s), so the
-    samples are the cosine series of the expansion, summed by one FFT.
-    """
-    beta = sf.zonal_cosine_blocks(spec.coef, spec.d, [0, spec.coef.size])[0]
-    return sf.cosine_series_fft(beta, n_points)
-
-
-def evaluate_beam_equator(spec: BeamSpectrum, n_points: int) -> np.ndarray:
-    """Sample sum a_n Y_n^{sign*n} on the equator at phi_k = 2 pi k / n_points."""
-    phi = 2.0 * math.pi * np.arange(n_points) / n_points
-    amps = np.array(
-        [sf.gaussian_beam(int(n), math.pi / 2.0, 0.0, spec.sign) for n in spec.degrees()],
-        dtype=complex,
-    )
-    modes = np.exp(1j * spec.sign * np.outer(spec.degrees(), phi))
-    return (spec.coef * amps) @ modes
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .specialfun import (
     zonal_harmonic_table,
 )
 from .spectra import (
-    BeamSpectrum,
     ZonalSpectrum,
     torus_polygon_indicator,
     torus_step,
@@ -55,8 +54,6 @@ __all__ = [
     "run_quantization",
     "run_torus_step_dimension",
     "run_polygon_dimension",
-    "run_zonal_dimension",
-    "run_beam_dimension",
     "run_zonal_holder",
     "run_weyl_decay",
     "run_kappa_suite",
@@ -271,53 +268,6 @@ def run_polygon_dimension(
         passed=abs(median - expected) <= tol,
         measured={"median_dim": median},
         criteria={"expected": expected, "tol": tol, "m_max": m_max,
-                  "grid": grid, "window": list(window)},
-        rows=tuple(rows),
-    )
-
-
-def run_zonal_dimension(
-    p: float = 1.5,
-    n_max: int = 2047,
-    grid: int = 2**14,
-    window: tuple[int, int] = (4, 10),
-    seed: int = DEFAULT_PANEL_SEED,
-    band: tuple[float, float] = (1.0, 2.0),
-) -> ExperimentResult:
-    """Great-circle graph dimension of evolved zonal power-law data.
-
-    The slice statistic is a heuristic (no covering theorem backs it);
-    the verdict only checks the curve-dimension sanity band.
-    """
-    spec = zonal_decay_family(p, n_max, d=2)
-    rows, median = _dimension_panel(spec, grid, window, seed)
-    return ExperimentResult(
-        name="dimension-zonal",
-        passed=band[0] <= median <= band[1],
-        measured={"median_dim": median},
-        criteria={"band": list(band), "p": p, "n_max": n_max,
-                  "grid": grid, "window": list(window)},
-        rows=tuple(rows),
-    )
-
-
-def run_beam_dimension(
-    degree: int = 64,
-    grid: int = 2**14,
-    window: tuple[int, int] = (4, 10),
-    seed: int = DEFAULT_PANEL_SEED,
-    band: tuple[float, float] = (1.0, 2.0),
-) -> ExperimentResult:
-    """Equator graph dimension of an evolved single Gaussian beam."""
-    coef = np.zeros(degree + 1, dtype=complex)
-    coef[degree] = 1.0
-    spec = BeamSpectrum(sign=1, coef=coef)
-    rows, median = _dimension_panel(spec, grid, window, seed)
-    return ExperimentResult(
-        name="dimension-beam",
-        passed=band[0] <= median <= band[1],
-        measured={"median_dim": median},
-        criteria={"band": list(band), "degree": degree,
                   "grid": grid, "window": list(window)},
         rows=tuple(rows),
     )

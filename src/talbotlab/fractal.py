@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import (
-    evaluate_beam_equator,
-    evaluate_torus,
-    evaluate_zonal_circle,
-    propagate_sphere,
-    propagate_torus,
-)
+from .evolve import evaluate_torus, propagate_torus
 from .fitting import LineFit, fit_line
-from .spectra import BeamSpectrum, TorusSpectrum, ZonalSpectrum
+from .spectra import TorusSpectrum
 
 __all__ = [
     "box_count_curve",
@@ -117,30 +111,18 @@ class DimReport:
     max_slope: float
 
 
-def _evaluate_for_dimension(spec, t: float, grid_size: int) -> np.ndarray:
-    if isinstance(spec, TorusSpectrum):
-        evolved = propagate_torus(spec, t)
-        return evaluate_torus(evolved, grid_size)
-    if isinstance(spec, ZonalSpectrum):
-        evolved = propagate_sphere(spec, t)
-        return evaluate_zonal_circle(evolved, grid_size)
-    if isinstance(spec, BeamSpectrum):
-        evolved = propagate_sphere(spec, t)
-        return evaluate_beam_equator(evolved, grid_size)
-    raise TypeError("dimension experiments accept torus, zonal, or beam spectra")
+def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
+          window: tuple[int, int]) -> DimReport:
+    """Graph dimension of the evolved torus field at time t.
 
-
-def dim_t(spec, t: float, grid_size: int, window: tuple[int, int]) -> DimReport:
-    """Graph dimension of the evolved field at time t.
-
-    Evaluates the evolution on the sampled domain (the torus grid, or
-    a great-circle slice for sphere spectra), box counts the real and
-    imaginary parts at every level of the window, and fits both
-    slopes of log2 N(k) against k.
+    Evaluates the evolution on the uniform torus grid, box counts the
+    real and imaginary parts at every level of the window, and fits
+    both slopes of log2 N(k) against k.
 
     Parameters
     ----------
-    spec : TorusSpectrum or ZonalSpectrum or BeamSpectrum
+    spec : TorusSpectrum
+        Data on T^1 (graph is a curve) or T^2 (graph is a surface).
     t : float
     grid_size : int
         Samples per axis for the physical-space evaluation.
@@ -156,7 +138,7 @@ def dim_t(spec, t: float, grid_size: int, window: tuple[int, int]) -> DimReport:
     levels = np.arange(window[0], window[1] + 1)
     if levels.size < 4:
         raise ValueError("need at least four levels inside the fit window")
-    values = _evaluate_for_dimension(spec, t, grid_size)
+    values = evaluate_torus(propagate_torus(spec, t), grid_size)
     real, imag = (fit_line(levels, np.log2(box_count_series(comp, levels)))
                   for comp in (values.real, values.imag))
     return DimReport(real=real, imag=imag, max_slope=float(np.maximum(real.slope, imag.slope)))

@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -223,24 +224,36 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     lambda_m = m (m + d - 1).  ``constants`` is (c1, c2), by default
     ``FROZEN_LAMBDA_CONSTANTS[d]``; both must be finite.
 
-    Lambda_1 prefilters the scan: only the triples with
-    <n1><n2><n3> / n_max^{3/2} < c1 are tested at each n.  The filter is
-    exact, not a heuristic: n^{3/2} <= n_max^{3/2} and correctly rounded
-    division is monotone, so a triple that Lambda_1 misses at some
-    n <= n_max also passes the filter.  At each n the survivors are
-    tested with the float comparison <n1><n2><n3> / n^{3/2} < c1.
+    The Lambda_1 test is exact integer arithmetic: with
+    P = (1 + n1^2)(1 + n2^2)(1 + n3^2), a tuple misses Lambda_1 exactly
+    when c1 > 0 and P < need(n) = ceil(c1^2 n^3), c1 taken as the exact
+    value of its float.  Since need grows with n, only the triples with
+    P < need(n_max) can miss Lambda_1 at any n <= n_max; they are found
+    once, and the survivors are tested at each n.  P is an int64, which
+    bounds n_max by 1448.
     """
     if constants is None:
         constants = FROZEN_LAMBDA_CONSTANTS[d]
     c1, c2 = constants
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError("Lambda constants c1, c2 must be finite")
-    if n_max < 1:
+    if n_max < 1 or c1 <= 0:
         return 0
+    top_p = (1 + n_max * n_max) ** 3
+    if top_p >= np.iinfo(np.int64).max:
+        raise ValueError(f"n_max {n_max} overflows the int64 bracket products; "
+                         "the largest n_max is 1448")
+    c1_squared = Fraction(c1) ** 2
+
+    def need(n: int) -> int:
+        # Capped one above the largest P, so it fits an int64 and
+        # every comparison keeps its truth value.
+        return min(math.ceil(c1_squared * n**3), top_p + 1)
+
     rng = np.arange(n_max + 1, dtype=np.int64)
-    br = np.sqrt(1.0 + rng.astype(float) ** 2)
+    br = 1 + rng * rng
     prods = br[:, None, None] * br[None, :, None] * br[None, None, :]
-    left = prods / float(n_max) ** 1.5 < c1
+    left = prods < need(n_max)
     m1, m2, m3 = np.nonzero(left)
     prods = prods[left]
     shift = d - 1
@@ -256,7 +269,7 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
         keep = 2 * np.maximum(top, n) <= total + n
         keep &= (m1 != n) & (m3 != n)
         keep &= np.abs(n * (n + shift) + lam_part) < c2 * (top * np.abs(n - outer))
-        keep &= prods / float(n) ** 1.5 < c1
+        keep &= prods < need(n)
         count += int(np.count_nonzero(keep))
     return count
 

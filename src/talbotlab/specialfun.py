@@ -1,8 +1,8 @@
 """Special functions on the round sphere S^d.
 
 Symmetric Jacobi polynomials, unit-norm zonal harmonics and zonal
-series, and the Gaussian beams of S^2, together with the large-degree
-asymptotic form of the Jacobi polynomials.
+series, together with the large-degree asymptotic form of the Jacobi
+polynomials.
 
 Zonal expansions are evaluated two ways.  At scattered points (such as
 quadrature nodes) the unit-norm three-term recurrence of
@@ -41,7 +41,6 @@ __all__ = [
     "zonal_series_blocks",
     "zonal_cosine_blocks",
     "cosine_series_fft",
-    "gaussian_beam",
     "jacobi_asymptotic",
 ]
 
@@ -362,39 +361,6 @@ def cosine_series_fft(beta, period: int) -> np.ndarray:
     # folded sequence even, so one forward FFT gives the cosine sums.
     even = 0.5 * (folded + np.roll(folded[::-1], 1))
     return np.fft.fft(even)
-
-
-def gaussian_beam(n: int, theta, phi, sign: int = 1):
-    """Gaussian beam Y_n^{sign*n} on S^2, concentrated on the equator.
-
-    Parameters
-    ----------
-    n : int
-        Degree.
-    theta, phi : float or array_like
-        Polar and azimuthal angles.
-    sign : int
-        +1 for Y_n^{+n}, -1 for Y_n^{-n}.
-
-    Returns
-    -------
-    complex or ndarray
-        (-sign)^n sqrt((2n+1) binom(2n,n)) 2^{-n} sin^n(theta)
-        e^{i sign n phi}, the binomial taken in log space.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    scalar = np.isscalar(theta) and np.isscalar(phi)
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    log_amp = 0.5 * (
-        math.log(2.0 * n + 1.0) + gammaln(2.0 * n + 1.0) - 2.0 * gammaln(n + 1.0)
-    ) - n * math.log(2.0)
-    parity = 1.0 if (n % 2 == 0) else -float(sign)
-    out = parity * math.exp(log_amp) * np.sin(th) ** n * np.exp(1j * sign * n * ph)
-    return complex(out) if scalar else np.asarray(out)
 
 
 def jacobi_asymptotic(n: int, d: int, theta):

@@ -1,18 +1,17 @@
 """Spectrum containers and initial-data families.
 
 Frequency-side representations of functions on the torus and the
-sphere: a dense-box container for T^d Fourier coefficients, coefficient
-sequences for zonal expansions and for the Gaussian-beam sector of S^2,
-plus the constructors used throughout the experiments (step functions,
-polygon indicators, power-law decay families).
+sphere: a dense-box container for T^d Fourier coefficients and a
+coefficient sequence for zonal expansions on S^d, plus the
+constructors used throughout the experiments (step functions, polygon
+indicators, the zonal power-law family).
 
 Conventions
 -----------
 The torus is T^d = [0, 2pi)^d with basis e^{i m.x} and
 f_hat(m) = (2pi)^{-d} * integral of f(x) e^{-i m.x} dx, so f_hat(0) is
-the mean value.  Sphere sequences index unit-norm zonal harmonics Y_n
-(or Y_n^{+-n} on S^2).  All containers are immutable after
-construction.
+the mean value.  Sphere sequences index unit-norm zonal harmonics Y_n.
+All containers are immutable after construction.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "TorusSpectrum",
     "ZonalSpectrum",
-    "BeamSpectrum",
     "torus_step",
     "torus_polygon_indicator",
     "zonal_decay_family",
@@ -104,41 +102,6 @@ class ZonalSpectrum:
 
     def scaled(self, multiplier) -> "ZonalSpectrum":
         return ZonalSpectrum(d=self.d, coef=self.coef * multiplier)
-
-
-@dataclass(frozen=True)
-class BeamSpectrum:
-    """Coefficients a_n on the Gaussian beams Y_n^{sign*n} of S^2.
-
-    Attributes
-    ----------
-    sign : int
-        +1 or -1, selecting the beam family.
-    coef : ndarray
-        Complex a_0 .. a_{n_max}.
-    """
-
-    sign: int
-    coef: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        arr = np.ascontiguousarray(np.atleast_1d(self.coef), dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must form a nonempty 1-d sequence")
-        object.__setattr__(self, "coef", arr)
-        self.coef.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return 2
-
-    def degrees(self) -> np.ndarray:
-        return np.arange(self.coef.size)
-
-    def scaled(self, multiplier) -> "BeamSpectrum":
-        return BeamSpectrum(sign=self.sign, coef=self.coef * multiplier)
 
 
 def torus_step(jumps, m_max: int) -> TorusSpectrum:

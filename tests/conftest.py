@@ -5,11 +5,13 @@ recurrence code paths: they go through scipy.special closed forms and
 scipy.integrate adaptive quadrature so that agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy import integrate
-from scipy.special import eval_chebyu, eval_legendre, gamma as gamma_fn, roots_jacobi
+from scipy.special import eval_chebyu, eval_legendre, gamma as gamma_fn, gammaln, roots_jacobi
 
 # One Hypothesis profile for the suite: the time per example of the
 # FFT- and quadrature-backed properties follows the machine's load, so
@@ -54,6 +56,18 @@ def zonal_oracle(n, d, x):
     if d == 3:
         return chebyshev_zonal(n, x)
     raise ValueError("oracle only covers d = 2, 3")
+
+
+def gaussian_beam(n, theta, phi):
+    """The Gaussian beam Y_n^n on S^2, unit norm in the probability measure.
+
+    (-1)^n sqrt((2n+1) binom(2n, n)) 2^{-n} sin^n(theta) e^{i n phi},
+    with the binomial taken in log space so large degrees stay finite.
+    """
+    log_amp = 0.5 * (
+        math.log(2.0 * n + 1.0) + gammaln(2.0 * n + 1.0) - 2.0 * gammaln(n + 1.0)
+    ) - n * math.log(2.0)
+    return (-1) ** n * math.exp(log_amp) * np.sin(theta) ** n * np.exp(1j * n * np.asarray(phi))
 
 
 def sphere_weight(d):

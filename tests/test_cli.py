@@ -303,9 +303,11 @@ def test_kappa_tolerances_and_specfun_dimension_are_flags(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("dimension", "torus-step", "--band", "1,2"),
-    ("dimension", "beam", "--m-max", "99"),
+    ("dimension", "torus-polygon", "--q-max", "99"),
     ("dimension",),
-    ("dimension", "zonal", "--window", "4,x"),
+    ("dimension", "torus-polygon", "--window", "4,x"),
+    ("dimension", "zonal"),
+    ("dimension", "beam"),
 ])
 def test_foreign_or_malformed_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as info:

@@ -6,21 +6,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_phase, torus_coefficient, zonal_oracle
+from conftest import random_phase, torus_coefficient
 from talbotlab.evolve import (
     _torus_eigs,
     _unit_phases_rational,
-    evaluate_beam_equator,
     evaluate_torus,
-    evaluate_zonal_circle,
     propagate_sphere,
     propagate_torus,
     quantization_check,
     quantization_weights,
     time_panel,
 )
-from talbotlab.spectra import BeamSpectrum, TorusSpectrum, torus_step, zonal_decay_family
-from talbotlab.specialfun import gaussian_beam
+from talbotlab.spectra import TorusSpectrum, torus_step, zonal_decay_family
 
 SQUARE_WAVE = ((0.0, 1.0), (math.pi, -1.0))
 
@@ -30,13 +27,6 @@ def torus_decay_family_2d(s, m_max):
     m = np.arange(-m_max, m_max + 1, dtype=float)
     box = (1.0 + m[:, None] ** 2 + m[None, :] ** 2) ** (-(1.0 + s) / 2.0)
     return TorusSpectrum(d=2, m_max=m_max, coef=box.astype(complex))
-
-
-def beam_decay_family(p, n_max):
-    """Beam data a_0 = 1, a_n = n^{-p} on Y_n^n."""
-    coef = np.ones(n_max + 1, dtype=complex)
-    coef[1:] = np.arange(1, n_max + 1, dtype=float) ** (-p)
-    return BeamSpectrum(sign=1, coef=coef)
 
 
 def evaluate_torus_direct(spec, sizes):
@@ -74,10 +64,8 @@ def test_sphere_propagator_eigenvalues():
         n = np.arange(7, dtype=float)
         expected = spec.coef * np.exp(1j * n * (n + d - 1) * t)
         np.testing.assert_allclose(out.coef, expected, atol=1e-14)
-    beam = beam_decay_family(1.0, 5)
-    out = propagate_sphere(beam, 0.11)
-    n = np.arange(6, dtype=float)
-    np.testing.assert_allclose(out.coef, beam.coef * np.exp(1j * n * (n + 1) * 0.11), atol=1e-14)
+    with pytest.raises(TypeError, match="ZonalSpectrum"):
+        propagate_sphere(torus_step(SQUARE_WAVE, 4), 0.11)
 
 
 def test_time_panel_is_seeded_and_distinct():
@@ -193,27 +181,3 @@ def test_evaluate_torus_warns_on_aliasing():
     spec = torus_step(SQUARE_WAVE, 40)
     with pytest.warns(UserWarning):
         evaluate_torus(spec, 32)
-
-
-def test_evaluate_zonal_against_oracle():
-    for d in (2, 3):
-        spec = zonal_decay_family(1.2, 12, d=d)
-        theta = 2 * math.pi * np.arange(25) / 25
-        ref = sum(spec.coef[n] * zonal_oracle(n, d, np.cos(theta)) for n in range(13))
-        np.testing.assert_allclose(evaluate_zonal_circle(spec, 25), ref, atol=1e-12)
-
-
-def test_zonal_circle_symmetry_and_consistency():
-    spec = zonal_decay_family(1.5, 16)
-    vals = evaluate_zonal_circle(spec, 64)
-    np.testing.assert_allclose(vals[1:], vals[1:][::-1], atol=1e-12)
-    s = 2 * math.pi * np.arange(64) / 64
-    ref = sum(spec.coef[n] * zonal_oracle(n, 2, np.cos(s)) for n in range(17))
-    np.testing.assert_allclose(vals, ref, atol=1e-12)
-
-
-def test_beam_equator_against_direct_sum():
-    spec = beam_decay_family(1.5, 8)
-    phi = 2 * math.pi * np.arange(24) / 24
-    ref = sum(spec.coef[n] * gaussian_beam(n, math.pi / 2, phi) for n in range(9))
-    np.testing.assert_allclose(evaluate_beam_equator(spec, 24), ref, atol=1e-12)

@@ -19,7 +19,6 @@ from talbotlab.experiments import (
     run_specialfun_checks,
     run_torus_step_dimension,
     run_weyl_decay,
-    run_zonal_dimension,
     run_zonal_holder,
     write_rows,
 )
@@ -50,12 +49,6 @@ def test_polygon_dimension_small():
     result = run_polygon_dimension(m_max=128, grid=512, window=(3, 6), tol=0.35)
     assert result.measured["median_dim"] == pytest.approx(2.5, abs=0.35)
     assert result.passed
-
-
-def test_zonal_dimension_small():
-    result = run_zonal_dimension(p=1.5, n_max=511, grid=4096, window=(4, 9))
-    assert result.passed
-    assert 1.0 <= result.measured["median_dim"] <= 2.0
 
 
 def test_zonal_holder_small():
@@ -161,10 +154,6 @@ NAN_CASES = {
                                   (fractal, "evaluate_torus"), _nan_imag),
     "dimension-torus-polygon": (dict(m_max=16, grid=256, window=(3, 6)), "dim_t",
                                 lambda out: dataclasses.replace(out, max_slope=math.nan)),
-    "dimension-zonal": (dict(n_max=63, grid=512, window=(3, 6)), "dim_t",
-                        lambda out: dataclasses.replace(out, max_slope=math.nan)),
-    "dimension-beam": (dict(degree=8, grid=512, window=(3, 6)), "dim_t",
-                       lambda out: dataclasses.replace(out, max_slope=math.nan)),
     "weyl": (dict(exponent_range=(3, 6)), "weyl_block_sup",
              lambda out: dataclasses.replace(out, sup=math.nan)),
     "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)),

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -42,7 +43,8 @@ def lambda_classify(n1, n2, n3, n, d=2, constants=None):
     c1, c2 = FROZEN_LAMBDA_CONSTANTS[d] if constants is None else constants
     if n1 == n or n3 == n:
         return "lambda0"
-    if math.prod(math.sqrt(1.0 + m * m) for m in (n1, n2, n3)) >= c1 * n**1.5:
+    # <n1><n2><n3> >= c1 n^{3/2}, squared in exact rational arithmetic.
+    if c1 <= 0 or math.prod(1 + m * m for m in (n1, n2, n3)) >= Fraction(c1) ** 2 * n**3:
         return "lambda1"
     gap = max(n1, n2, n3) * abs(n - max(n1, n3))  # an integer: c2 * gap rounds once
     if abs(h_symbol(n1, n2, n3, n, d)) >= c2 * gap:
@@ -69,13 +71,25 @@ def calibrate_lambda_constants(n_max, d=2, c2=1.0):
     return float(np.min(ratio[left])), c2
 
 
+def count_unclassified_scalar(n_max, d, constants):
+    """count_unclassified tuple by tuple, through lambda_classify."""
+    return sum(
+        1 for n in range(1, n_max + 1)
+        for n1, n2, n3 in itertools.product(range(n_max + 1), repeat=3)
+        if admissible((n1, n2, n3, n))
+        and lambda_classify(n1, n2, n3, n, d, constants) == "unclassified"
+    )
+
+
 def count_unclassified_cube(n_max, d, constants):
     """count_unclassified as a full scan: for every n, the whole
     (n_max+1)^3 cube of (n1, n2, n3) is tested against every rule."""
     c1, c2 = constants
+    if c1 <= 0:
+        return 0
     rng = np.arange(n_max + 1, dtype=np.int64)
     m1, m2, m3 = rng[:, None, None], rng[None, :, None], rng[None, None, :]
-    br = np.sqrt(1.0 + rng.astype(float) ** 2)
+    br = 1 + rng * rng
     shift = d - 1
     count = 0
     for n in range(1, n_max + 1):
@@ -89,7 +103,7 @@ def count_unclassified_cube(n_max, d, constants):
         keep &= h < c2 * gap
         i1, i2, i3 = np.nonzero(keep)
         prods = br[i1] * br[i2] * br[i3]
-        count += int(np.count_nonzero(prods / float(n) ** 1.5 < c1))
+        count += int(np.count_nonzero(prods < math.ceil(Fraction(c1) ** 2 * n**3)))
     return count
 
 
@@ -238,12 +252,7 @@ def test_count_unclassified_matches_scalar_classification(d):
     n_max = 12
     counts = []
     for constants in (FROZEN_LAMBDA_CONSTANTS[d], (2.0, 1.0), (1.2, 1.5)):
-        expected = sum(
-            1 for n in range(1, n_max + 1)
-            for n1, n2, n3 in itertools.product(range(n_max + 1), repeat=3)
-            if admissible((n1, n2, n3, n))
-            and lambda_classify(n1, n2, n3, n, d, constants) == "unclassified"
-        )
+        expected = count_unclassified_scalar(n_max, d, constants)
         assert count_unclassified(n_max, d, constants) == expected, constants
         counts.append(expected)
     assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
@@ -283,13 +292,34 @@ def test_count_unclassified_matches_scalar_classification_property(c1, c2, n_max
     """The Lambda_1 prefilter cuts the cube at c1 n_max^{3/2}; for most
     draws of c1 and n_max that cut lies inside the cube, so triples on
     both sides of it are checked against the scalar rules."""
-    expected = sum(
-        1 for n in range(1, n_max + 1)
-        for n1, n2, n3 in itertools.product(range(n_max + 1), repeat=3)
-        if admissible((n1, n2, n3, n))
-        and lambda_classify(n1, n2, n3, n, d, (c1, c2)) == "unclassified"
-    )
+    expected = count_unclassified_scalar(n_max, d, (c1, c2))
     assert count_unclassified(n_max, d, (c1, c2)) == expected
+
+
+def test_lambda1_boundary_tuple_is_classified():
+    """(2, 4, 4, 5) at c1 = 3.4 lies on the Lambda_1 boundary:
+    <2><4><4> = 17 sqrt(5) = (17/5) 5^{3/2}, and the float 3.4 is just
+    below 17/5, so the tuple is in Lambda_1.  A float quotient
+    <n1><n2><n3> / n^{3/2} rounds to just below 3.4 and misses it."""
+    constants = (3.4, 1e9)  # c2 so large that Lambda_2 takes nothing
+    assert (1 + 2 * 2) * (1 + 4 * 4) ** 2 == 1445 == Fraction(17, 5) ** 2 * 5**3
+    assert lambda_classify(2, 4, 4, 5, constants=constants) == "lambda1"
+    assert count_unclassified_scalar(5, 2, constants) == 292
+    assert count_unclassified(5, 2, constants) == 292
+    assert count_unclassified_cube(5, 2, constants) == 292
+
+
+def test_count_unclassified_bounds():
+    """A non-positive c1 puts every tuple in Lambda_1; an n_max whose
+    bracket products (1 + n_max^2)^3 overflow int64 is refused before
+    any array is built."""
+    for c1 in (0.0, -2.0):
+        assert count_unclassified(12, 2, (c1, 1e9)) == 0
+        assert count_unclassified_cube(12, 2, (c1, 1e9)) == 0
+        assert lambda_classify(7, 1, 2, 8, constants=(c1, 1e9)) == "lambda1"
+    assert (1 + 1448**2) ** 3 < 2**63 - 1 < (1 + 1449**2) ** 3
+    with pytest.raises(ValueError, match="1448"):
+        count_unclassified(1449, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

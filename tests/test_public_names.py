@@ -1,5 +1,6 @@
 """Each module's __all__ names exactly its public top-level definitions,
-and every public name and method has a caller outside the tests."""
+every public name and method has a caller outside the tests, and every
+study is an acceptance criterion."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pkgutil
 import pytest
 
 import talbotlab
+from talbotlab import cli
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(talbotlab.__path__))
 MODULES = {"talbotlab": talbotlab} | {
@@ -113,3 +115,16 @@ def test_every_public_name_has_a_caller():
                        for ref, where, line in refs):
                 unreached.append(qualified)
     assert sorted(unreached) == sorted(UNREACHED_ALLOWED)
+
+
+def test_every_study_is_an_acceptance_criterion():
+    """The acceptance suite calls exactly the CLI studies' drivers: a
+    study whose verdict no criterion gates has no place in the CLI."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    called = {
+        node.func.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "ex"
+        and node.func.attr.startswith("run_")
+    }
+    assert called == {spec["driver"].__name__ for spec in cli._SPECS.values()}

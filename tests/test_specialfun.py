@@ -1,4 +1,4 @@
-"""Zonal harmonics, Gaussian beams and asymptotics against scipy closed forms."""
+"""Zonal harmonics, the Gaussian-beam oracle and asymptotics against scipy closed forms."""
 
 import math
 
@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_legendre, sph_harm_y
 
-from conftest import sphere_rule, zonal_oracle
+from conftest import gaussian_beam, sphere_rule, zonal_oracle
 from talbotlab.specialfun import (
     SZEGO_REMAINDER_C,
     cosine_series_fft,
     eigenspace_dimension,
-    gaussian_beam,
     jacobi_asymptotic,
     jacobi_symmetric,
     jacobi_symmetric_table,
@@ -104,6 +103,7 @@ def test_zonal_case_of_spherical_harmonic():
 
 
 def test_gaussian_beam_is_extreme_harmonic():
+    """The test oracle conftest.gaussian_beam is scipy's Y_n^n, rescaled."""
     theta = np.linspace(0.05, np.pi - 0.05, 13)
     phi = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
     for n in (1, 4, 9):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, roots_legendre
 
-from conftest import random_phase
+from conftest import gaussian_beam, random_phase
 from talbotlab.evolve import propagate_sphere
 from talbotlab.gaunt import QuadratureRule, kappa
 from talbotlab.specialfun import weight_ratio, zonal_harmonic_table
@@ -181,8 +181,6 @@ def test_beam_l4_closed_form_values():
 
 def test_beam_l4_closed_form_oracle():
     """The Wallis closed form against Gauss-Legendre quadrature of |Y_n^n|^4."""
-    from talbotlab.specialfun import gaussian_beam
-
     for n in (2, 7, 31):
         x, w = roots_legendre(2 * n + 2)
         quartic = np.abs(gaussian_beam(n, np.arccos(x), 0.0)) ** 4
