@@ -38,10 +38,10 @@ flows numerically:
 ``experiments``
     One driver per study: frozen defaults, row data and a verdict.  The
     drivers are the only code that fits a study's statistic; the demos
-    run them.
+    run them.  The panel criteria share one loop over the time panel.
 ``cli``
-    Command line entry points that drive each experiment and write CSV
-    and JSON reports.
+    Command line entry points that drive each experiment.  The only
+    module that writes files: CSV rows, JSON summaries, value tables.
 """
 
 __version__ = "0.1.0"

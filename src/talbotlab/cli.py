@@ -3,10 +3,12 @@
 Each subcommand runs one reproducible study and writes a CSV of row
 data plus a JSON summary carrying the library version, the seed, the
 effective configuration and its hash, the measured headline numbers,
-and a pass/fail verdict against the configured tolerances.  Summaries
-are strict JSON: a non-finite measured value is written as null and
-named in the summary's "failure" key; any other non-finite value,
-such as a NaN tolerance, is a configuration error.
+and a pass/fail verdict against the configured tolerances; a value
+table a study builds goes next to it as a JSON header and a CSV body.
+This module writes every output file.  Summaries are strict JSON: a
+non-finite measured value is written as null and named in the
+summary's "failure" key; any other non-finite value, such as a NaN
+tolerance, is a configuration error.
 
 A study's driver signature in ``experiments`` is its only parameter
 list.  Every driver keyword is both a flag and a config-file key
@@ -30,11 +32,12 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 import typing
 
-from . import experiments
+from . import __version__, experiments
 from .evolve import DEFAULT_PANEL_SEED
 
 __all__ = ["main"]
@@ -159,34 +162,73 @@ def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
     return config, seed
 
 
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_rows(path, rows) -> None:
+    """Deterministic CSV: keys of the first row, repr-exact floats."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError("no rows to write")
+    fields = list(rows[0].keys())
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(fields) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(row[k]) for k in fields) + "\n")
+
+
+def _summary(result, config: dict, seed: int, config_hash: str) -> dict:
+    out = {
+        "subcommand": result.name,
+        "version": __version__,
+        "seed": seed,
+        "config": config,
+        "config_hash": config_hash,
+        # JSON has no NaN or inf: such a value is null, and
+        # "failure" names it.
+        "measured": {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in result.measured.items()},
+        "criteria": result.criteria,
+        "passed": result.passed,
+    }
+    if result.failure:
+        out["failure"] = result.failure
+    return out
+
+
 def _write_outputs(result, config: dict, seed: int, args) -> None:
     bases = [os.path.join(args.out, stem) for stem in (result.name, *result.tables)]
     for path in (base + ext for base in bases for ext in (".csv", ".json")):
         if os.path.exists(path) and not args.force:
             raise _UsageError(f"refusing to overwrite {path} (use --force)")
-    csv_path, json_path = bases[0] + ".csv", bases[0] + ".json"
     canonical = json.dumps(
         {"subcommand": result.name, "seed": seed, **config}, sort_keys=True,
     )
     digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
-    summary = result.summary(config=config, seed=seed, config_hash=digest)
+    # A header names its body relative to itself, however --out is spelled.
+    outputs = [(_summary(result, config, seed, digest), result.rows)] + [
+        ({**header, "body": stem + ".csv"}, rows)
+        for stem, (header, rows) in result.tables.items()
+    ]
     # Serialized before the directory or any file is written: a NaN or
     # inf outside "measured" is a ValueError and leaves no outputs.
-    text = json.dumps(summary, indent=2, default=str, allow_nan=False)
+    texts = [json.dumps(head, indent=2, default=str, allow_nan=False)
+             for head, _ in outputs]
     os.makedirs(args.out, exist_ok=True)
-    experiments.write_rows(csv_path, result.rows)
-    with open(json_path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
     status = "pass" if result.passed else "FAIL"
     print(f"{result.name}: {status}")
     if result.failure:
         print(f"  {result.failure}")
     for key, value in result.measured.items():
         print(f"  {key} = {value}")
-    print(f"  wrote {csv_path}, {json_path}")
-    for base, table in zip(bases[1:], result.tables.values()):
-        table.save(base + ".json", base + ".csv")
-        print(f"  wrote {base}.json, {base}.csv")
+    for base, text, (_, rows) in zip(bases, texts, outputs):
+        _write_rows(base + ".csv", rows)
+        with open(base + ".json", "w", encoding="ascii") as fh:
+            fh.write(text + "\n")
+        print(f"  wrote {base}.csv, {base}.json")
 
 
 def main(argv=None) -> int:

@@ -2,10 +2,10 @@
 
 Each driver runs one quantitative study end to end with explicit
 parameters, evaluates its pass criterion, and returns an
-ExperimentResult holding headline numbers plus per-row data ready for
-CSV export.  Time-dependent studies follow the panel protocol: a
-fixed set of sampled irrational times plus seeded random draws, with
-the median across the panel as the reported statistic.
+ExperimentResult holding headline numbers plus per-row data for the
+CLI to write.  Time-dependent studies follow the panel protocol, in
+one loop: a fixed set of sampled irrational times plus seeded random
+draws, with the median across the panel as the reported statistic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .evolve import DEFAULT_PANEL_SEED, propagate_sphere, quantization_check, time_panel
 from .expsum import weyl_block_sup
 from .fitting import fit_line, fit_loglog
@@ -48,7 +47,6 @@ from .znls import smoothing_residual, solve
 
 __all__ = [
     "ExperimentResult",
-    "write_rows",
     "DEFAULT_STEP_JUMPS",
     "DEFAULT_TRIANGLE",
     "run_quantization",
@@ -92,9 +90,9 @@ class ExperimentResult:
     rows : tuple
         Per-row dicts for CSV export (shared key set).
     tables : dict
-        Tables the study built, by output stem, for the caller to save
-        next to the summary with ``table.save(json_path, csv_path)``;
-        not part of ``summary()``.
+        Output stem -> (header dict, rows like ``rows``) of each value
+        table the study built; the CLI writes them next to the summary
+        as ``<stem>.json`` and ``<stem>.csv``.
     failure : str
         Why the verdict failed regardless of the criteria; set when a
         measured value is NaN or infinite, which always fails.
@@ -116,24 +114,6 @@ class ExperimentResult:
                 self, "failure", "non-finite measured value: " + ", ".join(bad)
             )
 
-    def summary(self, config: dict, seed: int, config_hash: str) -> dict:
-        out = {
-            "subcommand": self.name,
-            "version": __version__,
-            "seed": seed,
-            "config": config,
-            "config_hash": config_hash,
-            # JSON has no NaN or inf: such a value is null, and
-            # "failure" names it.
-            "measured": {k: None if _non_finite(v) else v
-                         for k, v in self.measured.items()},
-            "criteria": self.criteria,
-            "passed": self.passed,
-        }
-        if self.failure:
-            out["failure"] = self.failure
-        return out
-
 
 def _nan_max(values) -> float:
     """Largest of 0.0 and the values; NaN if any value is NaN.
@@ -142,24 +122,6 @@ def _nan_max(values) -> float:
     comparison with NaN is false, so it can silently drop a NaN.
     """
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_rows(path, rows) -> None:
-    """Deterministic CSV: keys of the first row, repr-exact floats."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to write")
-    fields = list(rows[0].keys())
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in fields) + "\n")
 
 
 def run_quantization(
@@ -177,6 +139,8 @@ def run_quantization(
     right.  By default every reduced fraction with q <= q_max is
     checked; giving q (and optionally p) restricts the sweep.
     """
+    if p is not None and q is None:
+        raise ValueError("p needs q: without q every fraction is swept")
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
     if q is not None:
         pairs = [
@@ -213,21 +177,35 @@ def run_quantization(
     )
 
 
-def _dimension_panel(spec, grid: int, window, seed: int):
-    """Per-time graph dimensions over the panel and their median maximum."""
-    rows = []
+def _panel(measure, seed: int):
+    """The rows, each led by "t" and "kind", and the median statistic of
+    ``measure(t) -> (statistic, rows)`` over the time panel."""
+    rows, statistics = [], []
     for t in time_panel(seed=seed):
+        statistic, measured = measure(t)
+        statistics.append(statistic)
+        rows += ({"t": t, "kind": _PANEL_KIND, **row} for row in measured)
+    return tuple(rows), float(np.median(statistics))
+
+
+def _dimension_study(name, spec, m_max, grid, window, seed, expected, tol):
+    """Panel-median graph dimension of the evolved ``spec``."""
+
+    def measure(t):
         report = dim_t(spec, t, grid, window)
-        rows.append(
-            {
-                "t": t,
-                "kind": _PANEL_KIND,
-                "dim_real": report.real.slope,
-                "dim_imag": report.imag.slope,
-                "dim_max": report.max_slope,
-            }
-        )
-    return rows, float(np.median([row["dim_max"] for row in rows]))
+        return report.max_slope, [{"dim_real": report.real.slope,
+                                   "dim_imag": report.imag.slope,
+                                   "dim_max": report.max_slope}]
+
+    rows, median = _panel(measure, seed)
+    return ExperimentResult(
+        name=name,
+        passed=abs(median - expected) <= tol,
+        measured={"median_dim": median},
+        criteria={"expected": expected, "tol": tol, "m_max": m_max,
+                  "grid": grid, "window": list(window)},
+        rows=rows,
+    )
 
 
 def run_torus_step_dimension(
@@ -240,15 +218,8 @@ def run_torus_step_dimension(
 ) -> ExperimentResult:
     """Panel-median graph dimension of evolved step data on T^1."""
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
-    rows, median = _dimension_panel(spec, grid, window, seed)
-    return ExperimentResult(
-        name="dimension-torus-step",
-        passed=abs(median - expected) <= tol,
-        measured={"median_dim": median},
-        criteria={"expected": expected, "tol": tol, "m_max": m_max,
-                  "grid": grid, "window": list(window)},
-        rows=tuple(rows),
-    )
+    return _dimension_study("dimension-torus-step", spec, m_max, grid, window,
+                            seed, expected, tol)
 
 
 def run_polygon_dimension(
@@ -262,15 +233,8 @@ def run_polygon_dimension(
 ) -> ExperimentResult:
     """Panel-median graph dimension of an evolved polygon indicator on T^2."""
     spec = torus_polygon_indicator(list(vertices), m_max=m_max)
-    rows, median = _dimension_panel(spec, grid, window, seed)
-    return ExperimentResult(
-        name="dimension-torus-polygon",
-        passed=abs(median - expected) <= tol,
-        measured={"median_dim": median},
-        criteria={"expected": expected, "tol": tol, "m_max": m_max,
-                  "grid": grid, "window": list(window)},
-        rows=tuple(rows),
-    )
+    return _dimension_study("dimension-torus-polygon", spec, m_max, grid, window,
+                            seed, expected, tol)
 
 
 def run_zonal_holder(
@@ -289,33 +253,24 @@ def run_zonal_holder(
     trend in j; the verdict bounds the panel-median fitted slope.
     """
     data = zonal_decay_family(p, n_max, d=2)
-    panel = time_panel(seed=seed)
-    rows = []
-    slopes = []
     levels = np.arange(window[0], window[1] + 1)
-    for t in panel:
-        evolved = propagate_sphere(data, t)
-        norms = block_norm_table(evolved, j_max)[levels]
+
+    def measure(t):
+        norms = block_norm_table(propagate_sphere(data, t), j_max)[levels]
         weighted = weight_exponent * levels + np.log2(norms)
-        fit = fit_line(levels, weighted)
-        slopes.append(fit.slope)
-        rows.append(
-            {
-                "t": t,
-                "kind": _PANEL_KIND,
-                "slope": fit.slope,
-                "peak_level": int(levels[np.argmax(weighted)]),
-                "peak_weighted_norm": float(2.0 ** weighted.max()),
-            }
-        )
-    median = float(np.median(slopes))
+        slope = fit_line(levels, weighted).slope
+        return slope, [{"slope": slope,
+                        "peak_level": int(levels[np.argmax(weighted)]),
+                        "peak_weighted_norm": float(2.0 ** weighted.max())}]
+
+    rows, median = _panel(measure, seed)
     return ExperimentResult(
         name="zonal-holder",
         passed=median <= slope_tol,
         measured={"median_slope": median},
         criteria={"slope_tol": slope_tol, "p": p, "n_max": n_max,
                   "weight_exponent": weight_exponent, "window": list(window)},
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
@@ -332,29 +287,23 @@ def run_weyl_decay(
     Weights b_n = n^{-p} give square-root cancellation over the block,
     so the running sup should scale like N^{1/2 - p}.
     """
-    panel = time_panel(seed=seed)
     blocks = [2**k for k in range(exponent_range[0], exponent_range[1] + 1)]
-    rows = []
-    exponents = []
-    for t in panel:
-        sups = []
-        for block in blocks:
-            res = weyl_block_sup(
-                t, block, weights=lambda m: float(m) ** (-p),
-                grid_factor=grid_factor,
-            )
-            sups.append(res.sup)
-            rows.append({"t": t, "kind": _PANEL_KIND, "N": block, "sup": res.sup})
-        fit = fit_loglog(blocks, sups)
-        exponents.append(fit.slope)
-    median = float(np.median(exponents))
+
+    def measure(t):
+        sups = [weyl_block_sup(t, block, weights=lambda m: float(m) ** (-p),
+                               grid_factor=grid_factor).sup
+                for block in blocks]
+        return (fit_loglog(blocks, sups).slope,
+                [{"N": block, "sup": sup} for block, sup in zip(blocks, sups)])
+
+    rows, median = _panel(measure, seed)
     return ExperimentResult(
         name="weyl",
         passed=abs(median - expected) <= tol,
         measured={"median_exponent": median},
         criteria={"expected": expected, "tol": tol, "p": p,
                   "blocks": blocks, "grid_factor": grid_factor},
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
@@ -374,7 +323,7 @@ def run_kappa_suite(
     rng = np.random.default_rng(0)
     for d in dims:
         table = KappaTable.build(n_max, d)
-        tables[f"kappa-values-d{d}"] = table
+        tables[f"kappa-values-d{d}"] = _table_output(table)
         min_entry = table.min_entry()
         support_max = _nan_max(
             abs(value)
@@ -436,6 +385,17 @@ def run_kappa_suite(
         rows=tuple(rows),
         tables=tables,
     )
+
+
+def _table_output(table: KappaTable):
+    """Header and (indices, value) rows of a table: triples, then quads, sorted."""
+    header = {"d": table.d, "n_max": table.n_max, "node_count": table.node_count,
+              "triples": len(table.triples), "quads": len(table.quads)}
+    rows = [{"n1": key[0], "n2": key[1], "n3": key[2],
+             "n4": key[3] if len(key) == 4 else "", "value": value}
+            for entries in (table.triples, table.quads)
+            for key, value in sorted(entries.items())]
+    return header, tuple(rows)
 
 
 def _triple_tensor(n_max: int, d: int) -> np.ndarray:

@@ -19,9 +19,7 @@ a meridian.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,35 +181,6 @@ class KappaTable:
         vals = list(self.triples.values()) + list(self.quads.values())
         return float(np.min(vals)) if vals else 0.0
 
-    def save(self, json_path, csv_path) -> None:
-        """Persist as a JSON header plus a CSV body (indices, value).
-
-        The header's "body" is the CSV path relative to the JSON file's
-        directory, so it does not depend on how that directory is named.
-        """
-        header = {
-            "d": self.d,
-            "n_max": self.n_max,
-            "node_count": self.node_count,
-            "triples": len(self.triples),
-            "quads": len(self.quads),
-            "body": os.path.relpath(csv_path, os.path.dirname(os.path.abspath(json_path))),
-        }
-        with open(json_path, "w", encoding="ascii") as fh:
-            json.dump(header, fh, indent=2)
-            fh.write("\n")
-        with open(csv_path, "w", encoding="ascii", newline="") as fh:
-            fh.write("n1,n2,n3,n4,value\n")
-            for key in sorted(self.triples):
-                fh.write(
-                    f"{key[0]},{key[1]},{key[2]},,{repr(self.triples[key])}\n"
-                )
-            for key in sorted(self.quads):
-                fh.write(
-                    f"{key[0]},{key[1]},{key[2]},{key[3]},"
-                    f"{repr(self.quads[key])}\n"
-                )
-
 
 def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     """Admissible tuples with 1 <= n <= n_max that no Lambda set covers.
@@ -229,8 +198,8 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     when c1 > 0 and P < need(n) = ceil(c1^2 n^3), c1 taken as the exact
     value of its float.  Since need grows with n, only the triples with
     P < need(n_max) can miss Lambda_1 at any n <= n_max; they are found
-    once, and the survivors are tested at each n.  P is an int64, which
-    bounds n_max by 1448.
+    once, an n1 slab at a time in O(n_max^2) memory, and tested at each
+    n.  P is an int64, which bounds n_max by 1448.
     """
     if constants is None:
         constants = FROZEN_LAMBDA_CONSTANTS[d]
@@ -252,10 +221,11 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
 
     rng = np.arange(n_max + 1, dtype=np.int64)
     br = 1 + rng * rng
-    prods = br[:, None, None] * br[None, :, None] * br[None, None, :]
-    left = prods < need(n_max)
-    m1, m2, m3 = np.nonzero(left)
-    prods = prods[left]
+    pairs = br[:, None] * br[None, :]
+    left = [np.nonzero(b * pairs < need(n_max)) for b in br]
+    m1 = np.repeat(rng, [m2.size for m2, _ in left])
+    m2, m3 = (np.concatenate(parts) for parts in zip(*left))
+    prods = br[m1] * br[m2] * br[m3]
     shift = d - 1
     lam = rng * (rng + shift)
     lam_part = -lam[m1] + lam[m2] - lam[m3]

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output files, config precedence, determinism."""
 
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -148,6 +149,16 @@ def test_driver_value_error_exits_two(tmp_path, capsys):
     code = run(tmp_path, "quantize", "--m-max", "64", "--p", "2", "--q", "4")
     assert code == 2
     assert "coprime" in capsys.readouterr().err
+
+
+def test_p_without_q_exits_two_without_outputs(tmp_path, capsys):
+    """Without q every fraction is swept: a lone p would be recorded in
+    the config and ignored."""
+    out_dir = tmp_path / "out"
+    assert main(["quantize", "--m-max", "64", "--q-max", "3", "--p", "2",
+                 "--out", str(out_dir)]) == 2
+    assert "p needs q" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_dimension_variant_dispatch(tmp_path):
@@ -341,3 +352,33 @@ def test_refused_kappa_overwrite_writes_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert run(tmp_path, *argv, "--force") == 0
     assert json.loads((tmp_path / "kappa-values-d3.json").read_text())["d"] == 3
+
+
+def file_writes(tree) -> list:
+    """Lines of the calls in a syntax tree that write a file: ``open``
+    with a write, append or update mode (or one not spelled out),
+    ``os.makedirs`` and ``json.dump``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            writes = any(not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+")
+                         for mode in modes)
+        else:
+            writes = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                      and (func.value.id, func.attr) in {("os", "makedirs"), ("json", "dump")})
+        if writes:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_cli_writes_files():
+    """Every output format lives in ``cli``: no other module writes a file."""
+    package = pathlib.Path(talbotlab.__file__).parent
+    assert file_writes(ast.parse(inspect.getsource(cli)))
+    writers = {path.name: file_writes(ast.parse(path.read_text(encoding="utf-8")))
+               for path in package.glob("*.py") if path.name != "cli.py"}
+    assert {name: lines for name, lines in writers.items() if lines} == {}

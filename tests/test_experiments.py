@@ -20,7 +20,6 @@ from talbotlab.experiments import (
     run_torus_step_dimension,
     run_weyl_decay,
     run_zonal_holder,
-    write_rows,
 )
 
 
@@ -116,7 +115,7 @@ def test_nan_residual_fails_the_verdict(monkeypatch):
     assert result.passed is False
     assert math.isnan(result.measured["max_residual"])
     assert "max_residual" in result.failure
-    summary = result.summary(config={}, seed=0, config_hash="")
+    summary = cli._summary(result, config={}, seed=0, config_hash="")
     assert summary["passed"] is False and "max_residual" in summary["failure"]
 
 
@@ -180,7 +179,7 @@ def test_nan_from_an_inner_kernel_fails_the_verdict(case, monkeypatch):
     result = cli._SPECS[case.split(":")[0]]["driver"](**kwargs)
     assert result.passed is False
     assert result.failure.startswith("non-finite measured value: ")
-    summary = result.summary(config={}, seed=0, config_hash="")
+    summary = cli._summary(result, config={}, seed=0, config_hash="")
     assert summary["passed"] is False and summary["failure"] == result.failure
 
 
@@ -188,17 +187,18 @@ def test_non_finite_measured_value_fails_any_verdict():
     result = ExperimentResult("x", True, {"a": 1.0, "b": math.inf, "n": 3}, {}, ())
     assert result.passed is False
     assert result.failure == "non-finite measured value: b"
-    assert result.summary(config={}, seed=0, config_hash="")["measured"] == {
+    assert cli._summary(result, config={}, seed=0, config_hash="")["measured"] == {
         "a": 1.0, "b": None, "n": 3,
     }
     clean = ExperimentResult("x", True, {"a": 1.0, "n": 3}, {}, ())
     assert clean.passed is True
-    assert "failure" not in clean.summary(config={}, seed=0, config_hash="")
+    assert "failure" not in cli._summary(clean, config={}, seed=0, config_hash="")
 
 
 def test_summary_embeds_reproducibility_fields():
     result = run_quantization(m_max=64, q_max=3)
-    summary = result.summary(config={"m_max": 64, "q_max": 3}, seed=7, config_hash="abc123")
+    summary = cli._summary(result, config={"m_max": 64, "q_max": 3}, seed=7,
+                           config_hash="abc123")
     payload = json.loads(json.dumps(summary))
     assert payload["subcommand"] == "quantize"
     assert payload["version"] == __version__
@@ -212,8 +212,8 @@ def test_summary_embeds_reproducibility_fields():
 def test_write_rows_deterministic(tmp_path):
     rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 0.25}]
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_rows(p1, rows)
-    write_rows(p2, rows)
+    cli._write_rows(p1, rows)
+    cli._write_rows(p2, rows)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "a,b"
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kappa_vector, quad_line_integral, quad_product_integral
+from talbotlab import cli
 from talbotlab.gaunt import (
     FROZEN_LAMBDA_CONSTANTS,
     KappaTable,
@@ -365,12 +367,29 @@ def test_every_admissible_tuple_is_classified(n1, n2, n3, n, d):
 
 
 def test_lambda1_bracket_condition_holds_when_reported():
-    c1, _ = FROZEN_LAMBDA_CONSTANTS[2]
-    for tup in [(5, 6, 5, 6), (8, 3, 7, 6), (12, 9, 10, 11)]:
-        n1, n2, n3, n = tup
-        if lambda_classify(*tup) == "lambda1":
-            prod = math.prod(math.sqrt(1 + m * m) for m in (n1, n2, n3))
-            assert prod >= c1 * (1 + n * n) ** 0.75
+    """Outside Lambda_0 a tuple is labelled lambda1 exactly when
+    (1 + n1^2)(1 + n2^2)(1 + n3^2) >= ceil(c1^2 n^3), the integer
+    form of <n1><n2><n3> >= c1 n^{3/2}."""
+    for d in (2, 3):
+        c1_squared = Fraction(FROZEN_LAMBDA_CONSTANTS[d][0]) ** 2
+        for n1, n2, n3, n in itertools.product(range(13), repeat=4):
+            if not admissible((n1, n2, n3, n)) or n in (n1, n3):
+                continue
+            meets = (1 + n1 * n1) * (1 + n2 * n2) * (1 + n3 * n3) >= math.ceil(
+                c1_squared * n**3)
+            assert (lambda_classify(n1, n2, n3, n, d=d) == "lambda1") == meets
+
+
+def test_count_unclassified_memory_is_quadratic_in_n_max():
+    """The Lambda_1 prefilter builds one n1 slab at a time: a whole
+    (n_max + 1)^3 int64 cube at n_max 200 would take 62 MiB."""
+    tracemalloc.start()
+    try:
+        assert count_unclassified(200, 2) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -398,7 +417,7 @@ def test_resonance_difference_shrinks_with_degree():
 
 
 def load_kappa_table(json_path, csv_path):
-    """Read a table written by ``KappaTable.save`` back (round-trip oracle)."""
+    """Read a value table the kappa-table study wrote back (round-trip oracle)."""
     with open(json_path, "r", encoding="ascii") as fh:
         header = json.load(fh)
     triples = {}
@@ -421,25 +440,21 @@ def test_kappa_table_build_value_and_roundtrip(tmp_path):
     assert table.value((3, 4, 5)) == pytest.approx(kappa((3, 4, 5)), abs=1e-12)
     assert table.value((1, 2, 3, 4)) == pytest.approx(kappa((1, 2, 3, 4)), abs=1e-12)
     assert table.min_entry() > -1e-12
-    jp, cp = tmp_path / "kappa.json", tmp_path / "kappa.csv"
-    table.save(jp, cp)
-    back = load_kappa_table(jp, cp)
-    assert back.d == table.d and back.n_max == table.n_max
-    assert back.value((3, 4, 5)) == table.value((3, 4, 5))
-    header = cp.read_text().splitlines()[0]
-    assert header == "n1,n2,n3,n4,value"
+    assert cli.main(["kappa-table", "--n-max", "6", "--dims", "2", "--scan-n-max", "8",
+                     "--out", str(tmp_path)]) == 0
+    jp, cp = tmp_path / "kappa-values-d2.json", tmp_path / "kappa-values-d2.csv"
+    assert cp.read_text().splitlines()[0] == "n1,n2,n3,n4,value"
+    assert load_kappa_table(jp, cp) == table
 
 
 def test_kappa_table_header_names_its_body_relative_to_itself(tmp_path, monkeypatch):
     """Two spellings of one output directory give byte-identical headers."""
-    table = KappaTable.build(4, d=2)
-    (tmp_path / "out").mkdir()
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path)
     texts = []
     for out in ("out", str(tmp_path / "elsewhere" / ".." / "out")):
-        base = f"{out}/kappa-values-d2"
-        table.save(base + ".json", base + ".csv")
+        assert cli.main(["kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "8",
+                         "--out", out, "--force"]) == 0
         texts.append((tmp_path / "out" / "kappa-values-d2.json").read_bytes())
     assert texts[0] == texts[1]
     body = json.loads(texts[0])["body"]
