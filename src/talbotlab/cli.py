@@ -3,27 +3,30 @@
 Each subcommand runs one reproducible study and writes a CSV of row
 data plus a JSON summary carrying the library version, the seed, the
 effective configuration and its hash, the measured headline numbers,
-and a pass/fail verdict against the configured tolerances; a value
-table a study builds goes next to it as a JSON header and a CSV body.
-This module writes every output file.  Summaries are strict JSON: a
-non-finite measured value is written as null and named in the
-summary's "failure" key; any other non-finite value, such as a NaN
-tolerance, is a configuration error.
+and a pass/fail verdict against the study's fixed thresholds (recorded
+under "criteria"); a value table a study builds goes next to it as a
+JSON header and a CSV body.  This module writes every output file.
+Summaries are strict JSON: a non-finite measured value is written as
+null and named in the summary's "failure" key; any other non-finite
+value, such as ``weyl --p nan``, is a configuration error.
 
 A study's driver signature in ``experiments`` is its only parameter
-list.  Every driver keyword is both a flag and a config-file key
+list: what the study measures, never its thresholds.  Every driver
+keyword is both a flag and a config-file key
 (``n_max`` <-> ``--n-max``), parsed as its annotation says: tuples as
-``a,b``, tuples of pairs as ``x0,y0;x1,y1``.  ``dimension <variant>``
-takes only that variant's flags.  A negative number written with an
-exponent needs the ``--flag=-1e-9`` form, because argparse reads a
-separate ``-1e-9`` as an option.  A study records ``seed`` in its
-config exactly when its driver takes one.
+``a,b``, tuples of pairs as ``x0,y0;x1,y1``.  A flag is spelled out in
+full (no prefix matching), and ``dimension <variant>`` takes only that
+variant's flags.  A negative number written with an exponent needs the
+``--flag=-1e-9`` form, because argparse reads a separate ``-1e-9`` as
+an option.  A study records ``seed`` in its config exactly when its
+driver takes one.
 
 Configuration precedence: built-in defaults, then a JSON config file
 (``--config``), then explicit flags.  Outputs are never overwritten
-unless ``--force`` is given, and every output path is checked before
-any file is written.  Exit status: 0 on pass, 1 on tolerance failure,
-2 on usage or configuration errors.
+unless ``--force`` is given; before any file is written, every output
+path is checked and every output is checked to have rows.  Exit
+status: 0 on pass, 1 on a failed verdict, 2 on usage or configuration
+errors.
 """
 
 from __future__ import annotations
@@ -68,15 +71,13 @@ class _UsageError(Exception):
 def _converter(hint):
     """Flag text -> value, as the driver annotation ``hint`` says.
 
-    ``X | None`` parses as X, a scalar type is its own parser, and
-    ``tuple[X, Y]`` or ``tuple[X, ...]`` splits on "," (on ";" when the
-    items are tuples themselves).
+    A scalar type is its own parser, and ``tuple[X, Y]`` or
+    ``tuple[X, ...]`` splits on "," (on ";" when the items are tuples
+    themselves).
     """
-    args = typing.get_args(hint)
-    if type(None) in args:
-        return _converter(next(a for a in args if a is not type(None)))
     if typing.get_origin(hint) is not tuple:
         return hint
+    args = typing.get_args(hint)
     variadic = args[-1] is Ellipsis
     items = [_converter(a) for a in (args[:1] if variadic else args)]
     sep = ";" if typing.get_origin(args[0]) is tuple else ","
@@ -128,7 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 variants = group.add_subparsers(dest="variant", required=True)
             command, owner = name[len(_GROUP) + 1:], variants
         summary = driver.__doc__.strip().splitlines()[0]
-        _add_study(owner.add_parser(command, help=summary, description=summary),
+        # No prefix matching: "quantize --q 3" is not "--q-max 3".
+        _add_study(owner.add_parser(command, help=summary, description=summary,
+                                    allow_abbrev=False),
                    name, driver)
     return parser
 
@@ -170,9 +173,6 @@ def _fmt(value) -> str:
 
 def _write_rows(path, rows) -> None:
     """Deterministic CSV: keys of the first row, repr-exact floats."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to write")
     fields = list(rows[0].keys())
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(fields) + "\n")
@@ -213,6 +213,9 @@ def _write_outputs(result, config: dict, seed: int, args) -> None:
         ({**header, "body": stem + ".csv"}, rows)
         for stem, (header, rows) in result.tables.items()
     ]
+    for base, (_, rows) in zip(bases, outputs):
+        if not rows:
+            raise ValueError(f"no rows to write to {base}.csv")
     # Serialized before the directory or any file is written: a NaN or
     # inf outside "measured" is a ValueError and leaves no outputs.
     texts = [json.dumps(head, indent=2, default=str, allow_nan=False)

@@ -3,9 +3,13 @@
 Each driver runs one quantitative study end to end with explicit
 parameters, evaluates its pass criterion, and returns an
 ExperimentResult holding headline numbers plus per-row data for the
-CLI to write.  Time-dependent studies follow the panel protocol, in
-one loop: a fixed set of sampled irrational times plus seeded random
-draws, with the median across the panel as the reported statistic.
+CLI to write.  A study's thresholds are fixed: each is written once,
+as a literal in the ``criteria`` dict the result records, and the
+verdict reads it from there, so no caller can loosen one.  The
+parameters are what the study measures.  Time-dependent studies follow
+the panel protocol, in one loop: a fixed set of sampled irrational
+times plus seeded random draws, with the median across the panel as
+the reported statistic.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class ExperimentResult:
     name : str
         Driver identifier (matches the CLI subcommand).
     passed : bool
-        All configured criteria met.
+        All criteria met.
     measured : dict
         Headline scalars (medians, exponents, residuals).
     criteria : dict
@@ -124,55 +128,32 @@ def _nan_max(values) -> float:
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
-def run_quantization(
-    m_max: int = 2**12,
-    q_max: int = 12,
-    tol: float = 1e-8,
-    p: int | None = None,
-    q: int | None = None,
-) -> ExperimentResult:
+def run_quantization(m_max: int = 2**12, q_max: int = 12) -> ExperimentResult:
     """Rational-time reconstruction residual over reduced p/q pairs.
 
     At t = 2 pi p / q the evolved step data must equal a combination
     of q translates of the initial data with discrete-Gauss-sum
     weights; the sup-norm residual is roundoff when the arithmetic is
-    right.  By default every reduced fraction with q <= q_max is
-    checked; giving q (and optionally p) restricts the sweep.
+    right.  Every reduced fraction p/q with 1 <= p <= q <= q_max is
+    checked.
     """
-    if p is not None and q is None:
-        raise ValueError("p needs q: without q every fraction is swept")
+    if q_max < 1:
+        raise ValueError("q_max must be at least 1")
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
-    if q is not None:
-        pairs = [
-            (pp, q) for pp in ([p] if p is not None else range(1, q + 1))
-            if math.gcd(pp, q) == 1
-        ]
-        if not pairs:
-            raise ValueError("p and q must be coprime")
-    else:
-        pairs = [
-            (pp, qq)
-            for qq in range(1, q_max + 1)
-            for pp in range(1, qq + 1)
-            if math.gcd(pp, qq) == 1
-        ]
     rows = []
-    for pp, qq in pairs:
-        check = quantization_check(spec, pp, qq)
-        rows.append(
-            {
-                "p": pp,
-                "q": qq,
-                "grid_size": check.grid_size,
-                "residual": check.residual,
-            }
-        )
+    for q in range(1, q_max + 1):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) == 1:
+                check = quantization_check(spec, p, q)
+                rows.append({"p": p, "q": q, "grid_size": check.grid_size,
+                             "residual": check.residual})
     worst = _nan_max(row["residual"] for row in rows)
+    criteria = {"max_residual_lt": 1e-8, "q_max": q_max, "m_max": m_max}
     return ExperimentResult(
         name="quantize",
-        passed=worst < tol,
+        passed=worst < criteria["max_residual_lt"],
         measured={"max_residual": worst, "pairs": len(rows)},
-        criteria={"max_residual_lt": tol, "q_max": q_max, "m_max": m_max},
+        criteria=criteria,
         rows=tuple(rows),
     )
 
@@ -189,7 +170,8 @@ def _panel(measure, seed: int):
 
 
 def _dimension_study(name, spec, m_max, grid, window, seed, expected, tol):
-    """Panel-median graph dimension of the evolved ``spec``."""
+    """Panel-median graph dimension of the evolved ``spec``; it passes
+    within ``tol`` of ``expected``."""
 
     def measure(t):
         report = dim_t(spec, t, grid, window)
@@ -198,12 +180,13 @@ def _dimension_study(name, spec, m_max, grid, window, seed, expected, tol):
                                    "dim_max": report.max_slope}]
 
     rows, median = _panel(measure, seed)
+    criteria = {"expected": expected, "tol": tol, "m_max": m_max,
+                "grid": grid, "window": list(window)}
     return ExperimentResult(
         name=name,
-        passed=abs(median - expected) <= tol,
+        passed=abs(median - criteria["expected"]) <= criteria["tol"],
         measured={"median_dim": median},
-        criteria={"expected": expected, "tol": tol, "m_max": m_max,
-                  "grid": grid, "window": list(window)},
+        criteria=criteria,
         rows=rows,
     )
 
@@ -213,13 +196,11 @@ def run_torus_step_dimension(
     grid: int = 2**16,
     window: tuple[int, int] = (5, 11),
     seed: int = DEFAULT_PANEL_SEED,
-    expected: float = 1.5,
-    tol: float = 0.1,
 ) -> ExperimentResult:
     """Panel-median graph dimension of evolved step data on T^1."""
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
     return _dimension_study("dimension-torus-step", spec, m_max, grid, window,
-                            seed, expected, tol)
+                            seed, expected=1.5, tol=0.1)
 
 
 def run_polygon_dimension(
@@ -228,13 +209,11 @@ def run_polygon_dimension(
     grid: int = 2048,
     window: tuple[int, int] = (3, 8),
     seed: int = DEFAULT_PANEL_SEED,
-    expected: float = 2.5,
-    tol: float = 0.2,
 ) -> ExperimentResult:
     """Panel-median graph dimension of an evolved polygon indicator on T^2."""
     spec = torus_polygon_indicator(list(vertices), m_max=m_max)
     return _dimension_study("dimension-torus-polygon", spec, m_max, grid, window,
-                            seed, expected, tol)
+                            seed, expected=2.5, tol=0.2)
 
 
 def run_zonal_holder(
@@ -244,14 +223,16 @@ def run_zonal_holder(
     weight_exponent: float = 0.4,
     window: tuple[int, int] = (2, 12),
     seed: int = DEFAULT_PANEL_SEED,
-    slope_tol: float = 0.02,
 ) -> ExperimentResult:
     """Boundedness of 2^{0.4 j} ||P_{2^j} u||_inf across the panel.
 
     For power-law zonal data the evolved field stays Holder
     continuous, so the weighted dyadic sup norms must show no growth
-    trend in j; the verdict bounds the panel-median fitted slope.
+    trend in j; the verdict bounds the panel-median fitted slope over
+    the levels of ``window``, which must lie in 0..j_max.
     """
+    if not 0 <= window[0] < window[1] <= j_max:
+        raise ValueError(f"window must satisfy 0 <= start < end <= j_max = {j_max}")
     data = zonal_decay_family(p, n_max, d=2)
     levels = np.arange(window[0], window[1] + 1)
 
@@ -264,12 +245,13 @@ def run_zonal_holder(
                         "peak_weighted_norm": float(2.0 ** weighted.max())}]
 
     rows, median = _panel(measure, seed)
+    criteria = {"slope_tol": 0.02, "p": p, "n_max": n_max,
+                "weight_exponent": weight_exponent, "window": list(window)}
     return ExperimentResult(
         name="zonal-holder",
-        passed=median <= slope_tol,
+        passed=median <= criteria["slope_tol"],
         measured={"median_slope": median},
-        criteria={"slope_tol": slope_tol, "p": p, "n_max": n_max,
-                  "weight_exponent": weight_exponent, "window": list(window)},
+        criteria=criteria,
         rows=rows,
     )
 
@@ -279,8 +261,6 @@ def run_weyl_decay(
     exponent_range: tuple[int, int] = (4, 11),
     grid_factor: int = 16,
     seed: int = DEFAULT_PANEL_SEED,
-    expected: float = -1.0,
-    tol: float = 0.1,
 ) -> ExperimentResult:
     """Panel-median decay exponent of weighted Weyl block suprema.
 
@@ -297,12 +277,13 @@ def run_weyl_decay(
                 [{"N": block, "sup": sup} for block, sup in zip(blocks, sups)])
 
     rows, median = _panel(measure, seed)
+    criteria = {"expected": -1.0, "tol": 0.1, "p": p,
+                "blocks": blocks, "grid_factor": grid_factor}
     return ExperimentResult(
         name="weyl",
-        passed=abs(median - expected) <= tol,
+        passed=abs(median - criteria["expected"]) <= criteria["tol"],
         measured={"median_exponent": median},
-        criteria={"expected": expected, "tol": tol, "p": p,
-                  "blocks": blocks, "grid_factor": grid_factor},
+        criteria=criteria,
         rows=rows,
     )
 
@@ -311,11 +292,22 @@ def run_kappa_suite(
     n_max: int = 12,
     dims: tuple[int, ...] = (2, 3),
     scan_n_max: int = 64,
-    nonneg_tol: float = -1e-10,
-    support_tol: float = 1e-10,
-    parseval_tol: float = 1e-8,
 ) -> ExperimentResult:
-    """Gaunt-integral identities and the Lambda classification scan."""
+    """Gaunt-integral identities and the Lambda classification scan.
+
+    Each of ``dims`` must have frozen Lambda constants (d = 2, 3).
+    """
+    unsupported = sorted(set(dims) - set(FROZEN_LAMBDA_CONSTANTS))
+    if unsupported:
+        raise ValueError(f"unsupported sphere dimension {unsupported[0]}: "
+                         f"dims must be among {sorted(FROZEN_LAMBDA_CONSTANTS)}")
+    criteria = {
+        "nonneg_tol": -1e-10,
+        "support_tol": 1e-10,
+        "parseval_tol": 1e-8,
+        "scan_n_max": scan_n_max,
+        "n_max": n_max,
+    }
     rows = []
     passed = True
     measured = {}
@@ -347,10 +339,10 @@ def run_kappa_suite(
         unclassified = count_unclassified(scan_n_max, d)
         c1, c2 = FROZEN_LAMBDA_CONSTANTS[d]
         ok = (
-            min_entry >= nonneg_tol
-            and support_max < support_tol
+            min_entry >= criteria["nonneg_tol"]
+            and support_max < criteria["support_tol"]
             and perm_defect == 0.0
-            and parseval_max < parseval_tol
+            and parseval_max < criteria["parseval_tol"]
             and unclassified == 0
         )
         passed = passed and ok
@@ -375,13 +367,7 @@ def run_kappa_suite(
         name="kappa-table",
         passed=passed,
         measured=measured,
-        criteria={
-            "nonneg_tol": nonneg_tol,
-            "support_tol": support_tol,
-            "parseval_tol": parseval_tol,
-            "scan_n_max": scan_n_max,
-            "n_max": n_max,
-        },
+        criteria=criteria,
         rows=tuple(rows),
         tables=tables,
     )
@@ -418,7 +404,6 @@ def run_resonance_decay(
     n3: int = 5,
     d: int = 2,
     degrees: tuple[int, ...] = (16, 32, 64, 128, 256),
-    max_exponent: float = -0.9,
 ) -> ExperimentResult:
     """Decay of kappa(n, n, n2, n3) toward its meridian line integral."""
     rows = []
@@ -429,11 +414,12 @@ def run_resonance_decay(
                      "difference": diff})
         diffs.append(abs(diff))
     fit = fit_loglog(list(degrees), diffs)
+    criteria = {"max_exponent": -0.9, "n2": n2, "n3": n3, "d": d}
     return ExperimentResult(
         name="resonance",
-        passed=fit.slope <= max_exponent,
+        passed=fit.slope <= criteria["max_exponent"],
         measured={"decay_exponent": fit.slope, "stderr": fit.stderr},
-        criteria={"max_exponent": max_exponent, "n2": n2, "n3": n3, "d": d},
+        criteria=criteria,
         rows=tuple(rows),
     )
 
@@ -443,9 +429,6 @@ def run_bilinear_contrast(
     block_n: int = 128,
     m_blocks: tuple[int, ...] = (4, 8, 16, 32, 64),
     beam_degrees: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512),
-    bilinear_tol: float = 0.15,
-    beam_expected: float = 0.5,
-    beam_tol: float = 0.1,
 ) -> ExperimentResult:
     """Zonal bilinear growth in M against the beam quartic growth in n.
 
@@ -472,9 +455,17 @@ def run_bilinear_contrast(
         rows.append({"study": "beam-quartic", "index": int(n), "value": q,
                      "ratio": float("nan")})
     beam_fit = fit_loglog(list(beam_degrees), quartics)
+    criteria = {
+        "bilinear_tol": 0.15,
+        "beam_expected": 0.5,
+        "beam_tol": 0.1,
+        "block_n": block_n,
+        "m_blocks": list(m_blocks),
+        "beam_degrees": list(beam_degrees),
+    }
     passed = (
-        bil_fit.slope <= bilinear_tol
-        and abs(beam_fit.slope - beam_expected) <= beam_tol
+        bil_fit.slope <= criteria["bilinear_tol"]
+        and abs(beam_fit.slope - criteria["beam_expected"]) <= criteria["beam_tol"]
     )
     return ExperimentResult(
         name="strichartz",
@@ -483,14 +474,7 @@ def run_bilinear_contrast(
             "bilinear_exponent": bil_fit.slope,
             "beam_quartic_exponent": beam_fit.slope,
         },
-        criteria={
-            "bilinear_tol": bilinear_tol,
-            "beam_expected": beam_expected,
-            "beam_tol": beam_tol,
-            "block_n": block_n,
-            "m_blocks": list(m_blocks),
-            "beam_degrees": list(beam_degrees),
-        },
+        criteria=criteria,
         rows=tuple(rows),
     )
 
@@ -504,10 +488,7 @@ def run_nls_smoothing(
     s: float = 0.5,
     eps: float = 0.25,
     fit_n_min: int = 8,
-    mass_tol: float = 1e-8,
-    gain_min: float = 0.2,
     single_mode_dt: float = 1e-4,
-    single_mode_tol: float = 1e-10,
 ) -> ExperimentResult:
     """Mass conservation, tail smoothing, and single-mode exactness.
 
@@ -528,8 +509,17 @@ def run_nls_smoothing(
     single_run = solve(single, single_mode_dt, t_final, sign=sign)
     exact = amp * np.exp(1j * sign * abs(amp) ** 2 * t_final)
     single_err = float(abs(single_run.final.coef[0] - exact))
+    criteria = {
+        "mass_tol": 1e-8,
+        "gain_min": 0.2,
+        "single_mode_tol": 1e-10,
+        "p": p, "n_max": n_max, "dt": dt, "t_final": t_final,
+        "fit_n_min": fit_n_min,
+    }
     passed = (
-        drift < mass_tol and gain >= gain_min and single_err < single_mode_tol
+        drift < criteria["mass_tol"]
+        and gain >= criteria["gain_min"]
+        and single_err < criteria["single_mode_tol"]
     )
     rows = [
         {
@@ -554,13 +544,7 @@ def run_nls_smoothing(
             "smoothing_gain": gain,
             "single_mode_error": single_err,
         },
-        criteria={
-            "mass_tol": mass_tol,
-            "gain_min": gain_min,
-            "single_mode_tol": single_mode_tol,
-            "p": p, "n_max": n_max, "dt": dt, "t_final": t_final,
-            "fit_n_min": fit_n_min,
-        },
+        criteria=criteria,
         rows=tuple(rows),
     )
 
@@ -570,20 +554,22 @@ def run_specialfun_checks(
     szego_degrees: tuple[int, ...] = (64, 128, 256, 512),
     theta_points: int = 512,
     d: int = 2,
-    ortho_tol: float = 1e-10,
 ) -> ExperimentResult:
     """Orthonormality defect and the Szego remainder envelope.
 
     The envelope check measures max over theta of
     |Y_n - asymptotic| * n^{3/2} * sin(theta) per degree and requires
-    one frozen constant to cover every degree in the panel.
+    one frozen constant to cover every degree in the panel; d must be
+    one with a frozen constant (2, 3).
     """
+    if d not in SZEGO_REMAINDER_C:
+        raise ValueError(f"unsupported sphere dimension {d}: "
+                         f"d must be among {sorted(SZEGO_REMAINDER_C)}")
     rule = QuadratureRule.for_degree(2 * ortho_n_max, d)
     table = zonal_harmonic_table(ortho_n_max, d, rule.nodes)
     ratio = weight_ratio(d)
     gram = ratio * ((table * rule.weights) @ table.T)
     ortho_defect = float(np.max(np.abs(gram - np.eye(ortho_n_max + 1))))
-    envelope_c = SZEGO_REMAINDER_C[d]
     rows = []
     for n in szego_degrees:
         lo = SZEGO_WINDOW_C / n
@@ -594,7 +580,14 @@ def run_specialfun_checks(
         c_n = float(scaled.max())
         rows.append({"n": int(n), "envelope_constant": c_n})
     fitted_c = _nan_max(row["envelope_constant"] for row in rows)
-    passed = ortho_defect < ortho_tol and fitted_c <= envelope_c
+    criteria = {
+        "ortho_tol": 1e-10,
+        "envelope_constant_max": SZEGO_REMAINDER_C[d],
+        "ortho_n_max": ortho_n_max,
+        "szego_degrees": list(szego_degrees),
+    }
+    passed = (ortho_defect < criteria["ortho_tol"]
+              and fitted_c <= criteria["envelope_constant_max"])
     return ExperimentResult(
         name="specfun-check",
         passed=passed,
@@ -602,11 +595,6 @@ def run_specialfun_checks(
             "orthonormality_defect": ortho_defect,
             "fitted_envelope_constant": fitted_c,
         },
-        criteria={
-            "ortho_tol": ortho_tol,
-            "envelope_constant_max": envelope_c,
-            "ortho_n_max": ortho_n_max,
-            "szego_degrees": list(szego_degrees),
-        },
+        criteria=criteria,
         rows=tuple(rows),
     )

@@ -23,7 +23,7 @@ def report(label: str, detail: str, ok: bool) -> None:
 
 def test_criterion_01_rational_time_quantization():
     t0 = time.monotonic()
-    result = ex.run_quantization(m_max=2**12, q_max=12, tol=1e-8)
+    result = ex.run_quantization(m_max=2**12, q_max=12)
     elapsed = time.monotonic() - t0
     residual = result.measured["max_residual"]
     ok = result.passed and elapsed < 10.0
@@ -40,9 +40,7 @@ def test_criterion_01_rational_time_quantization():
 
 def test_criterion_02_step_graph_dimension():
     t0 = time.monotonic()
-    result = ex.run_torus_step_dimension(
-        m_max=2**14, grid=2**16, window=(5, 11), expected=1.5, tol=0.1
-    )
+    result = ex.run_torus_step_dimension(m_max=2**14, grid=2**16, window=(5, 11))
     elapsed = time.monotonic() - t0
     median = result.measured["median_dim"]
     ok = result.passed and elapsed < 300.0
@@ -60,7 +58,6 @@ def test_criterion_02_step_graph_dimension():
 def test_criterion_03_polygon_graph_dimension():
     result = ex.run_polygon_dimension(
         vertices=TRIANGLE, m_max=2**9, grid=2048, window=(3, 8),
-        expected=2.5, tol=0.2,
     )
     median = result.measured["median_dim"]
     report(
@@ -93,7 +90,6 @@ def test_criterion_03_polygon_coefficient_oracle():
 def test_criterion_04_zonal_holder_trend():
     result = ex.run_zonal_holder(
         p=1.5, n_max=8191, j_max=12, weight_exponent=0.4, window=(2, 12),
-        slope_tol=0.02,
     )
     slope = result.measured["median_slope"]
     report(
@@ -120,10 +116,7 @@ def test_criterion_05_weyl_block_decay():
 
 
 def test_criterion_06_triple_integral_suite():
-    result = ex.run_kappa_suite(
-        n_max=12, dims=(2, 3), scan_n_max=64,
-        nonneg_tol=-1e-10, support_tol=1e-10, parseval_tol=1e-8,
-    )
+    result = ex.run_kappa_suite(n_max=12, dims=(2, 3), scan_n_max=64)
     m = result.measured
     detail = "; ".join(
         f"d={d}: min {m[f'd{d}_min_entry']:.1e} >= -1e-10,"
@@ -142,9 +135,7 @@ def test_criterion_06_triple_integral_suite():
 
 
 def test_criterion_07_resonance_asymptotics():
-    result = ex.run_resonance_decay(
-        n2=3, n3=5, d=2, degrees=(16, 32, 64, 128, 256), max_exponent=-0.9
-    )
+    result = ex.run_resonance_decay(n2=3, n3=5, d=2, degrees=(16, 32, 64, 128, 256))
     exponent = result.measured["decay_exponent"]
     report(
         "criterion 7 resonance asymptotics",
@@ -160,7 +151,6 @@ def test_criterion_08_bilinear_beam_contrast():
     result = ex.run_bilinear_contrast(
         p=1.5, block_n=128, m_blocks=(4, 8, 16, 32, 64),
         beam_degrees=(8, 16, 32, 64, 128, 256, 512),
-        bilinear_tol=0.15, beam_expected=0.5, beam_tol=0.1,
     )
     bil = result.measured["bilinear_exponent"]
     beam = result.measured["beam_quartic_exponent"]
@@ -177,8 +167,7 @@ def test_criterion_08_bilinear_beam_contrast():
 
 def test_criterion_09_cubic_smoothing():
     result = ex.run_nls_smoothing(
-        p=1.1, n_max=256, dt=1e-3, t_final=0.1, mass_tol=1e-8,
-        gain_min=0.2, single_mode_dt=1e-4, single_mode_tol=1e-10,
+        p=1.1, n_max=256, dt=1e-3, t_final=0.1, single_mode_dt=1e-4,
     )
     m = result.measured
     report(
@@ -198,9 +187,7 @@ def test_criterion_09_cubic_smoothing():
 
 
 def test_criterion_10_special_function_envelopes():
-    result = ex.run_specialfun_checks(
-        ortho_n_max=48, szego_degrees=(64, 128, 256, 512), ortho_tol=1e-10
-    )
+    result = ex.run_specialfun_checks(ortho_n_max=48, szego_degrees=(64, 128, 256, 512))
     defect = result.measured["orthonormality_defect"]
     constant = result.measured["fitted_envelope_constant"]
     report(

@@ -69,9 +69,13 @@ def test_refuses_overwrite_without_force(tmp_path, capsys):
                "--force") == 0
 
 
-def test_tolerance_failure_exits_one(tmp_path, capsys):
-    code = run(tmp_path, "quantize", "--m-max", "64", "--q-max", "3",
-               "--tol", "1e-22")
+def test_tolerance_failure_exits_one(tmp_path, capsys, monkeypatch):
+    real_check = experiments.quantization_check
+    monkeypatch.setattr(
+        experiments, "quantization_check",
+        lambda spec, p, q: dataclasses.replace(real_check(spec, p, q), residual=1.0),
+    )
+    code = run(tmp_path, "quantize", "--m-max", "64", "--q-max", "3")
     assert code == 1
     assert "quantize: FAIL" in capsys.readouterr().out
     summary = json.loads((tmp_path / "quantize.json").read_text())
@@ -100,12 +104,15 @@ def test_config_seed_key_is_recorded(tmp_path):
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    """A threshold such as ``tol`` is fixed in its study, not a key."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m_max": 64, "bogus_key": 1}))
-    code = main(["quantize", "--config", str(cfg), "--out",
-                 str(tmp_path / "out")])
-    assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    for key in ("bogus_key", "tol"):
+        cfg.write_text(json.dumps({"m_max": 64, key: 1}))
+        code = main(["quantize", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert f"unknown config keys for quantize: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_unreadable_and_malformed_config(tmp_path, capsys):
@@ -139,33 +146,64 @@ def test_non_finite_measured_value_is_written_as_null(tmp_path, monkeypatch):
 
 def test_non_finite_config_value_exits_two_without_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    assert main(["specfun-check", "--ortho-tol", "nan", "--szego-degrees", "64",
+    assert main(["weyl", "--p", "nan", "--exponent-range", "3,5", "--grid-factor", "8",
                  "--out", str(out_dir)]) == 2
     assert "not JSON compliant" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
 def test_driver_value_error_exits_two(tmp_path, capsys):
-    code = run(tmp_path, "quantize", "--m-max", "64", "--p", "2", "--q", "4")
-    assert code == 2
-    assert "coprime" in capsys.readouterr().err
-
-
-def test_p_without_q_exits_two_without_outputs(tmp_path, capsys):
-    """Without q every fraction is swept: a lone p would be recorded in
-    the config and ignored."""
+    """The default window (2, 12) reaches past j_max = 6."""
     out_dir = tmp_path / "out"
-    assert main(["quantize", "--m-max", "64", "--q-max", "3", "--p", "2",
+    assert main(["zonal-holder", "--n-max", "255", "--j-max", "6",
                  "--out", str(out_dir)]) == 2
-    assert "p needs q" in capsys.readouterr().err
+    assert "window must satisfy" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("specfun-check", "--d", "4"),
+    ("kappa-table", "--n-max", "4", "--dims", "2,4", "--scan-n-max", "8"),
+])
+def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "unsupported sphere dimension 4" in captured.err
+    assert "[2, 3]" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_empty_outputs_exit_two_before_any_verdict_or_file(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    assert main(["quantize", "--m-max", "64", "--q-max", "0", "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "q_max must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+    # Any driver's empty row set is refused by the CLI itself.
+    real = cli._SPECS["quantize"]["driver"]
+
+    @functools.wraps(real)
+    def empty(**kwargs):
+        return ExperimentResult(name="quantize", passed=True, measured={},
+                                criteria={}, rows=())
+
+    monkeypatch.setitem(cli._SPECS["quantize"], "driver", empty)
+    assert main(["quantize", "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "no rows to write to" in captured.err
+    assert captured.out == ""
     assert not out_dir.exists()
 
 
 def test_dimension_variant_dispatch(tmp_path):
     code = run(tmp_path, "dimension", "torus-step", "--m-max", "256",
-               "--grid", "2048", "--window", "4,8", "--tol", "0.5")
-    assert code == 0
+               "--grid", "2048", "--window", "4,8")
     summary = json.loads((tmp_path / "dimension-torus-step.json").read_text())
+    assert code == (0 if summary["passed"] else 1)
+    assert code == 1
     assert summary["subcommand"] == "dimension-torus-step"
     assert summary["config"]["seed"] == 1729
     assert 1.0 < summary["measured"]["median_dim"] < 2.0
@@ -247,10 +285,8 @@ def _flag_text(value):
 
 def _driver_params(study):
     sig = inspect.signature(cli._SPECS[study]["driver"])
-    # Defaults stand in for user values; the None defaults of quantize
-    # (p, q) get a coprime pair.
-    return {name: (p.default if p.default is not None else {"p": 1, "q": 3}[name])
-            for name, p in sig.parameters.items() if name != "seed"}
+    # Defaults stand in for user values.
+    return {name: p.default for name, p in sig.parameters.items() if name != "seed"}
 
 
 def _recording_driver(monkeypatch, study, seen):
@@ -298,12 +334,7 @@ def test_every_subcommand_has_help(study, capsys):
     assert "--config" in capsys.readouterr().out
 
 
-def test_kappa_tolerances_and_specfun_dimension_are_flags(tmp_path):
-    code = run(tmp_path, "kappa-table", "--n-max", "4", "--dims", "2",
-               "--scan-n-max", "16", "--nonneg-tol=-1e-9", "--support-tol", "1e-9")
-    assert code == 0
-    criteria = json.loads((tmp_path / "kappa-table.json").read_text())["criteria"]
-    assert criteria["nonneg_tol"] == -1e-9 and criteria["support_tol"] == 1e-9
+def test_specfun_dimension_is_a_flag(tmp_path):
     code = run(tmp_path, "specfun-check", "--d", "3", "--ortho-n-max", "8",
                "--szego-degrees", "64,128", "--theta-points", "64")
     assert code == 0
@@ -319,6 +350,11 @@ def test_kappa_tolerances_and_specfun_dimension_are_flags(tmp_path):
     ("dimension", "torus-polygon", "--window", "4,x"),
     ("dimension", "zonal"),
     ("dimension", "beam"),
+    # A study's thresholds are not flags, and no flag matches by prefix.
+    ("quantize", "--tol", "1"),
+    ("quantize", "--q", "3"),
+    ("kappa-table", "--nonneg-tol=-1"),
+    ("nls-smoothing", "--gain-min", "0"),
 ])
 def test_foreign_or_malformed_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as info:

@@ -28,13 +28,17 @@ def test_quantization_driver_small():
     assert result.passed
     assert result.measured["max_residual"] < 1e-10
     assert len(result.rows) == sum(1 for q in range(1, 7) for p in range(1, q + 1) if __import__("math").gcd(p, q) == 1)
-    single = run_quantization(m_max=256, p=3, q=8)
-    assert single.passed and len(single.rows) == 1
 
 
-def test_quantization_driver_rejects_bad_tolerance():
-    result = run_quantization(m_max=128, q_max=4, tol=1e-22)
+def test_quantization_driver_rejects_bad_tolerance(monkeypatch):
+    real_check = experiments.quantization_check
+    monkeypatch.setattr(
+        experiments, "quantization_check",
+        lambda spec, p, q: dataclasses.replace(real_check(spec, p, q), residual=1.0),
+    )
+    result = run_quantization(m_max=128, q_max=4)
     assert not result.passed
+    assert result.measured["max_residual"] == 1.0
 
 
 def test_torus_step_dimension_small():
@@ -45,8 +49,8 @@ def test_torus_step_dimension_small():
 
 
 def test_polygon_dimension_small():
-    result = run_polygon_dimension(m_max=128, grid=512, window=(3, 6), tol=0.35)
-    assert result.measured["median_dim"] == pytest.approx(2.5, abs=0.35)
+    result = run_polygon_dimension(m_max=128, grid=512, window=(3, 6))
+    assert result.measured["median_dim"] == pytest.approx(2.5, abs=0.2)
     assert result.passed
 
 
@@ -54,6 +58,15 @@ def test_zonal_holder_small():
     result = run_zonal_holder(p=1.5, n_max=1023, j_max=9, window=(2, 9))
     assert result.passed
     assert result.measured["median_slope"] <= 0.02
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_max=255, j_max=6),  # the default window (2, 12) reaches past j_max
+    dict(n_max=255, j_max=6, window=(-1, 6)),  # a negative level would wrap to j_max
+])
+def test_zonal_holder_rejects_a_window_outside_its_levels(kwargs):
+    with pytest.raises(ValueError, match="window must satisfy"):
+        run_zonal_holder(**kwargs)
 
 
 def test_weyl_decay_small():
