@@ -37,7 +37,6 @@ from .specialfun import (
     SZEGO_WINDOW_C,
     jacobi_asymptotic,
     jacobi_symmetric,
-    weight_ratio,
     zonal_harmonic_table,
 )
 from .spectra import (
@@ -137,8 +136,8 @@ def run_quantization(m_max: int = 2**12, q_max: int = 12) -> ExperimentResult:
     right.  Every reduced fraction p/q with 1 <= p <= q <= q_max is
     checked.
     """
-    if q_max < 1:
-        raise ValueError("q_max must be at least 1")
+    if m_max < 1 or q_max < 1:
+        raise ValueError("m_max and q_max must be at least 1")
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
     rows = []
     for q in range(1, q_max + 1):
@@ -295,12 +294,15 @@ def run_kappa_suite(
 ) -> ExperimentResult:
     """Gaunt-integral identities and the Lambda classification scan.
 
-    Each of ``dims`` must have frozen Lambda constants (d = 2, 3).
+    Each of ``dims`` must have frozen Lambda constants (d = 2, 3) and
+    appear once.
     """
     unsupported = sorted(set(dims) - set(FROZEN_LAMBDA_CONSTANTS))
     if unsupported:
         raise ValueError(f"unsupported sphere dimension {unsupported[0]}: "
                          f"dims must be among {sorted(FROZEN_LAMBDA_CONSTANTS)}")
+    if len(set(dims)) < len(dims):
+        raise ValueError("dims must not repeat a dimension")
     criteria = {
         "nonneg_tol": -1e-10,
         "support_tol": 1e-10,
@@ -388,12 +390,11 @@ def _triple_tensor(n_max: int, d: int) -> np.ndarray:
     """kappa(n, a, b) for n <= 2 n_max and a, b <= n_max."""
     rule = QuadratureRule.for_degree(4 * n_max, d)
     table = zonal_harmonic_table(2 * n_max, d, rule.nodes)
-    ratio = weight_ratio(d)
     out = np.zeros((2 * n_max + 1, n_max + 1, n_max + 1))
     for a in range(n_max + 1):
         for b in range(a, n_max + 1):
             pair = rule.weights * table[a] * table[b]
-            vals = ratio * (table @ pair)
+            vals = table @ pair
             out[:, a, b] = vals
             out[:, b, a] = vals
     return out
@@ -565,10 +566,11 @@ def run_specialfun_checks(
     if d not in SZEGO_REMAINDER_C:
         raise ValueError(f"unsupported sphere dimension {d}: "
                          f"d must be among {sorted(SZEGO_REMAINDER_C)}")
+    if theta_points < 2:
+        raise ValueError("theta_points must be at least 2 to span the window")
     rule = QuadratureRule.for_degree(2 * ortho_n_max, d)
     table = zonal_harmonic_table(ortho_n_max, d, rule.nodes)
-    ratio = weight_ratio(d)
-    gram = ratio * ((table * rule.weights) @ table.T)
+    gram = (table * rule.weights) @ table.T
     ortho_defect = float(np.max(np.abs(gram - np.eye(ortho_n_max + 1))))
     rows = []
     for n in szego_degrees:

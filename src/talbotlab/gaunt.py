@@ -6,15 +6,17 @@ The central object is
     product of unit-normalized zonal harmonics,
 
 reduced to a one-dimensional Gauss-Jacobi quadrature with weight
-(1 - x^2)^{(d-2)/2}.  Every integrand is a polynomial in cos(theta),
-so sufficiently many nodes make the quadrature exact rather than
-approximate.  kappa is symmetric in its indices, non-negative, and
-vanishes when one index exceeds the sum of the others.
+(1 - x^2)^{(d-2)/2}, normalized to total mass one (``QuadratureRule``).
+Every integrand is a polynomial in cos(theta), so sufficiently many
+nodes make the quadrature exact rather than approximate.  kappa is
+symmetric in its indices, non-negative, and vanishes when one index
+exceeds the sum of the others.
 
 The module also counts the admissible tuples that the Lambda_0 /
 Lambda_1 / Lambda_2 sets, with frozen constants, leave unclassified,
 and compares kappa(n, n, n2, n3) at large n with a line integral over
-a meridian.
+a meridian: the same normalized rule at d = 1, where it averages over
+theta in [0, pi].
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .specialfun import weight_ratio, zonal_harmonic_table
+from .specialfun import zonal_harmonic_table
 
 __all__ = [
     "QuadratureRule",
@@ -47,13 +49,18 @@ FROZEN_LAMBDA_CONSTANTS = {2: (0.88, 1.0), 3: (0.82, 1.0)}
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Jacobi rule on [-1, 1] with weight (1 - x^2)^{(d-2)/2}.
+    """The normalized measure of S^d pushed to x = cos(theta).
+
+    A Gauss-Jacobi rule on [-1, 1] with weight (1 - x^2)^{(d-2)/2},
+    scaled to total mass one, so ``integrate`` gives
+    (1/omega_d) integral over S^d of a zonal integrand.  At d = 1 it is
+    Gauss-Chebyshev: (1/pi) integral_0^pi f(cos theta) dtheta.
 
     Attributes
     ----------
     nodes, weights : ndarray
-        Quadrature nodes and weights; polynomials up to degree
-        2 * node_count - 1 integrate exactly.
+        Quadrature nodes and weights summing to one; polynomials up to
+        degree 2 * node_count - 1 integrate exactly.
     """
 
     nodes: np.ndarray
@@ -65,14 +72,14 @@ class QuadratureRule:
         count = total_degree // 2 + 8
         alpha = 0.5 * (d - 2)
         nodes, weights = roots_jacobi(count, alpha, alpha)
-        return cls(nodes=nodes, weights=weights)
+        return cls(nodes=nodes, weights=weights / weights.sum())
 
     @property
     def node_count(self) -> int:
         return self.nodes.size
 
     def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum approximating integral f(x) (1-x^2)^alpha dx."""
+        """Mean of a zonal integrand over S^d, sampled at the nodes."""
         return float(self.weights @ values)
 
 
@@ -104,8 +111,9 @@ def kappa(indices, d: int = 2) -> float:
     Returns
     -------
     float
-        (1/omega_d) integral of the product over S^d; symmetric in
-        the indices, non-negative, zero outside the polygon support.
+        (1/omega_d) integral of the product over S^d, the
+        ``QuadratureRule`` sum of the product at its nodes; symmetric
+        in the indices, non-negative, zero outside the polygon support.
     """
     idx = _as_indices(indices)
     rule = QuadratureRule.for_degree(sum(idx), d)
@@ -113,7 +121,7 @@ def kappa(indices, d: int = 2) -> float:
     product = np.ones_like(rule.nodes)
     for i in idx:
         product = product * table[i]
-    return weight_ratio(d) * rule.integrate(product)
+    return rule.integrate(product)
 
 
 @dataclass(frozen=True)
@@ -144,18 +152,17 @@ class KappaTable:
         """Evaluate all canonical 3- and 4-index kappa up to n_max."""
         rule = QuadratureRule.for_degree(4 * n_max, d)
         table = zonal_harmonic_table(n_max, d, rule.nodes)
-        ratio = weight_ratio(d)
         degrees = np.arange(n_max + 1)
         triples = {}
         quads = {}
         for n1 in range(n_max + 1):
             for n2 in range(n1, n_max + 1):
                 pair = rule.weights * table[n1] * table[n2]
-                vals = ratio * (table @ pair)
+                vals = table @ pair
                 for n3 in range(n2, n_max + 1):
                     triples[(n1, n2, n3)] = float(vals[n3])
                 for n3 in range(n2, n_max + 1):
-                    qvals = ratio * (table[n3:] @ (pair * table[n3]))
+                    qvals = table[n3:] @ (pair * table[n3])
                     for j, n4 in enumerate(degrees[n3:]):
                         quads[(n1, n2, n3, int(n4))] = float(qvals[j])
         return cls(
@@ -247,21 +254,18 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
 def line_integral_table(n_max: int, d: int = 2) -> np.ndarray:
     """Meridian products (1/pi) integral_0^pi Y_k Y_l dtheta.
 
-    Uses Gauss-Chebyshev nodes x_i = cos((2i-1) pi / (2M)) with
-    uniform weight pi / M, exact for the polynomial integrands up to
-    degree 2M - 1.
+    The normalized rule of S^1 (Gauss-Chebyshev, n_max + 8 nodes) is
+    exact for these integrands, polynomials of degree 2 n_max in
+    cos(theta).
 
     Returns
     -------
     ndarray
         Symmetric (n_max+1, n_max+1) matrix of line integrals.
     """
-    count = n_max + 8
-    i = np.arange(1, count + 1)
-    nodes = np.cos((2 * i - 1) * math.pi / (2 * count))
-    table = zonal_harmonic_table(n_max, d, nodes)
-    # (1/pi) * (pi/M) sum -> plain average over Chebyshev nodes.
-    return (table @ table.T) / count
+    rule = QuadratureRule.for_degree(2 * n_max, 1)
+    table = zonal_harmonic_table(n_max, d, rule.nodes)
+    return (table * rule.weights) @ table.T
 
 
 def resonance_compare(n: int, n2: int, n3: int, d: int = 2):

@@ -14,7 +14,8 @@ by one FFT (``cosine_series_fft``).
 Conventions
 -----------
 The inner product on S^d is (1/omega_d) * integral over S^d with the
-surface measure, so the constant function 1 has norm one.  A zonal
+surface measure, so the constant function 1 has norm one; for zonal
+integrands ``gaunt.QuadratureRule`` carries this normalization.  A zonal
 harmonic ``Y_n`` is normalized to unit norm in this inner product and
 positive at the north pole; on S^2 this gives
 ``Y_n(theta) = sqrt(2n+1) * P_n(cos theta)`` with ``P_n`` the Legendre
@@ -32,8 +33,6 @@ from scipy.special import gammaln
 __all__ = [
     "SZEGO_WINDOW_C",
     "SZEGO_REMAINDER_C",
-    "weight_ratio",
-    "surface_area",
     "eigenspace_dimension",
     "jacobi_symmetric",
     "jacobi_symmetric_table",
@@ -53,36 +52,6 @@ SZEGO_WINDOW_C = 8.0
 # and rounded up with margin (measured maxima: 0.76 at d=2, 0.71 at
 # d=3; the d=2 constant stays valid through n = 1024).
 SZEGO_REMAINDER_C = {2: 2.0, 3: 1.0}
-
-
-def surface_area(d: int) -> float:
-    """Surface measure of the unit sphere S^d embedded in R^{d+1}.
-
-    Parameters
-    ----------
-    d : int
-        Sphere dimension, at least 1.
-
-    Returns
-    -------
-    float
-        omega_d = 2 pi^{(d+1)/2} / Gamma((d+1)/2).
-    """
-    if d < 1:
-        raise ValueError("sphere dimension must be at least 1")
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
-
-
-def weight_ratio(d: int) -> float:
-    """omega_{d-1}/omega_d, the zonal reduction constant of S^d.
-
-    For zonal f, (1/omega_d) * integral of f over S^d equals
-    ``weight_ratio(d)`` times the integral of f(arccos x) against
-    (1 - x^2)^{(d-2)/2} dx on [-1, 1].  Needs d >= 2.
-    """
-    if d < 2:
-        raise ValueError("sphere dimension must be at least 2")
-    return surface_area(d - 1) / surface_area(d)
 
 
 def eigenspace_dimension(n: int, d: int) -> int:

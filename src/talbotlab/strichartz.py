@@ -8,8 +8,9 @@ lambda_n + lambda_m = tau.  No time grid is involved (the test suite
 keeps a dense-grid quadrature as a small-truncation oracle).
 
 Norms use probability measures on both factors
-(dsigma / omega_d and dt / 2 pi), so a single mode has unit L^2 norm
-and Holder comparisons are scale-free.
+(dsigma / omega_d, the measure ``QuadratureRule`` integrates, and
+dt / 2 pi), so a single mode has unit L^2 norm and Holder comparisons
+are scale-free.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .gaunt import QuadratureRule
-from .specialfun import weight_ratio, zonal_harmonic_table
+from .specialfun import zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
 __all__ = [
@@ -60,8 +61,8 @@ def bilinear_l2(
     Exact in time: the product is a trig polynomial with integer
     frequencies tau = lambda_n + lambda_m, so Parseval in
     L^2(dt / 2 pi) turns the space-time norm into a Pythagorean sum
-    over tau-classes of spatial L^2 norms, each computed by exact
-    Gauss-Jacobi quadrature.
+    over tau-classes of spatial L^2 norms, each computed by the exact
+    normalized rule ``QuadratureRule`` of S^d.
 
     Parameters
     ----------
@@ -82,7 +83,6 @@ def bilinear_l2(
     top = 2 * block_n - 1 + 2 * block_m - 1
     rule = QuadratureRule.for_degree(2 * top, d)
     table = zonal_harmonic_table(min(2 * block_n - 1, max(f.n_max, g.n_max)), d, rule.nodes)
-    ratio = weight_ratio(d)
 
     def coef_at(spec: ZonalSpectrum, n: int) -> complex:
         return complex(spec.coef[n]) if n <= spec.n_max else 0.0
@@ -98,7 +98,7 @@ def bilinear_l2(
             h += w * (table[n] * table[m])
             nonzero = True
         if nonzero:
-            total += ratio * rule.integrate(np.abs(h) ** 2)
+            total += rule.integrate(np.abs(h) ** 2)
     return math.sqrt(total)
 
 
@@ -119,5 +119,4 @@ def l4_norm_beam(n: int) -> float:
         - n * math.log(4.0)
     )
     values = np.exp(2.0 * log_c2 + 2.0 * n * np.log1p(-rule.nodes**2))
-    ratio = weight_ratio(2)
-    return float(ratio * rule.integrate(values))
+    return rule.integrate(values)

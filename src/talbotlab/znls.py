@@ -11,15 +11,15 @@ prediction and applies the unitary rotation exp(i sigma dt B) with
 
     B_nm = (1/omega_d) integral |u|^2 Y_n Y_m dsigma,
 
-given by exact Gauss-Jacobi quadrature; B is real symmetric, so
-mass is conserved to roundoff, and B(u) u is the zonal projection of
-the cubic term |u|^2 u.  B is never formed: with T the table of Y_n
-at the nodes and w the weights, B v = T diag(w |u|^2) T^T v (times
-the weight ratio) costs two products with T, and exp(i sigma dt B) v
-is summed as a Taylor series.  Exact quadrature and orthonormality
-give ||B|| <= max |u|^2 over the nodes, so the step is cut into
-ceil(dt max |u|^2) substeps with ||tau B|| <= 1, and each series
-stops at the first term below 1e-17 of its partial sum.  The work
+given by the exact normalized rule ``QuadratureRule``; B is real
+symmetric, so mass is conserved to roundoff, and B(u) u is the zonal
+projection of the cubic term |u|^2 u.  B is never formed: with T the
+table of Y_n at the nodes and w the rule's weights,
+B v = T diag(w |u|^2) T^T v costs two products with T, and
+exp(i sigma dt B) v is summed as a Taylor series.  Exact quadrature
+and orthonormality give ||B|| <= max |u|^2 over the nodes, so the
+step is cut into ceil(dt max |u|^2) substeps with ||tau B|| <= 1, and
+each series stops at the first term below 1e-17 of its partial sum.  The work
 depends only on the data, and a time step makes no LAPACK call.
 
 The resonant part of the nonlinearity acts asymptotically as the
@@ -43,14 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaunt import QuadratureRule, line_integral_table
-from .specialfun import weight_ratio, zonal_harmonic_table
+from .specialfun import zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
 __all__ = [
     "NLSRun",
     "SmoothingTable",
     "gamma_phase",
-    "nonlinearity_apply",
     "solve",
     "smoothing_residual",
 ]
@@ -64,13 +63,12 @@ class _Workspace:
         # the degree 4 n_max of the integrands |u|^2 Y_n Y_m.
         self.rule = QuadratureRule.for_degree(4 * n_max + 16, d)
         self.table = zonal_harmonic_table(n_max, d, self.rule.nodes)
-        self.ratio = weight_ratio(d)
 
     def density(self, coef: np.ndarray) -> tuple[np.ndarray, float]:
         """Node weights of B(u) = T diag(dens) T^T, and max |u|^2 at the nodes."""
         u_nodes = self.table.T @ _pairs(coef)
         modulus = np.sum(u_nodes * u_nodes, axis=1)
-        return self.ratio * self.rule.weights * modulus, float(modulus.max())
+        return self.rule.weights * modulus, float(modulus.max())
 
     def product(self, dens: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """B v, without forming B."""
@@ -132,17 +130,6 @@ def gamma_phase(coef: np.ndarray, line_table: np.ndarray) -> float:
     if abs(value.imag) > 1e-12 * scale:
         raise AssertionError("gamma form must be real (Hermitian)")
     return 2.0 * value.real
-
-
-def nonlinearity_apply(spec: ZonalSpectrum) -> ZonalSpectrum:
-    """Projection of |u|^2 u onto the zonal modes, as B(u) u.
-
-    B(u) is the operator the nonlinear substep of ``solve`` rotates
-    by.  Its quadrature is exact for the truncated cube.
-    """
-    ws = _Workspace(spec.n_max, spec.d)
-    dens, _ = ws.density(spec.coef)
-    return ZonalSpectrum(d=spec.d, coef=ws.product(dens, spec.coef))
 
 
 @dataclass(frozen=True)

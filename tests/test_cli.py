@@ -175,6 +175,24 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # m_max 0 keeps no modes: a zero field whose residual cannot fail.
+    (("quantize", "--m-max", "0", "--q-max", "2"), "m_max and q_max must be at least 1"),
+    # One theta per degree samples only the window edge, not a max over theta.
+    (("specfun-check", "--theta-points", "1", "--szego-degrees", "64,128"),
+     "theta_points must be at least 2"),
+    (("kappa-table", "--n-max", "4", "--dims", "2,2", "--scan-n-max", "8"),
+     "dims must not repeat a dimension"),
+])
+def test_degenerate_study_parameters_exit_two_without_outputs(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_empty_outputs_exit_two_before_any_verdict_or_file(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "out"
     assert main(["quantize", "--m-max", "64", "--q-max", "0", "--out", str(out_dir)]) == 2

@@ -109,18 +109,23 @@ def count_unclassified_cube(n_max, d, constants):
     return count
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_quadrature_rule_integrates_monomials(d):
-    """The raw rule carries the unnormalized Jacobi weight (1-x^2)^alpha."""
+    """The rule is the normalized measure: the Jacobi weight (1-x^2)^alpha
+    divided by its integral, so its weights sum to one."""
     from scipy.integrate import quad as squad
 
     rule = QuadratureRule.for_degree(12, d)
     assert 2 * rule.node_count - 1 >= 12
-    alpha = (d - 2) / 2
+    assert rule.weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    # QUADPACK's algebraic weight (1+x)^alpha (1-x)^alpha handles the
+    # endpoint singularities of d = 1.
+    jacobi = dict(weight="alg", wvar=((d - 2) / 2, (d - 2) / 2))
+    mass, _ = squad(lambda x: 1.0, -1, 1, **jacobi)
     for k in (0, 1, 2, 3, 7, 12):
         ours = rule.integrate(rule.nodes**k)
-        direct, _ = squad(lambda x: x**k * (1 - x * x) ** alpha, -1, 1)
-        assert ours == pytest.approx(direct, abs=1e-13), k
+        direct, _ = squad(lambda x: x**k, -1, 1, **jacobi)
+        assert ours == pytest.approx(direct / mass, abs=1e-13), k
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -400,6 +405,37 @@ def test_line_integral_table_against_quadrature(d):
     for n1, n2 in [(0, 0), (1, 1), (2, 4), (3, 5), (8, 8), (0, 6)]:
         ref = quad_line_integral(n1, n2, d)
         assert table[n1, n2] == pytest.approx(ref, abs=1e-10), (n1, n2)
+
+
+def meridian_mpmath_d2(pairs, n_max, count):
+    """(1/pi) integral_0^pi Y_k Y_l dtheta on S^2 at 40 digits: Gauss-Chebyshev
+    with ``count`` closed-form nodes cos((2i - 1) pi / (2 count)) and the
+    Legendre recurrence, exact while 2 n_max < 2 count."""
+    with mpmath.workdps(40):
+        rows = []
+        for i in range(1, count + 1):
+            x = mpmath.cos((2 * i - 1) * mpmath.pi / (2 * count))
+            p = [mpmath.mpf(1), x]
+            for n in range(1, n_max):
+                p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+            rows.append(p)
+        return [float(mpmath.sqrt((2 * k + 1) * (2 * l + 1))
+                      * mpmath.fsum(row[k] * row[l] for row in rows) / count)
+                for k, l in pairs]
+
+
+def test_line_integral_table_at_acceptance_scale_against_mpmath():
+    """The meridian table of criterion 7's top degree, n_max 256, on 65
+    entries.  Max error 3.0e-12; closed-form Chebyshev nodes of the same
+    count give 2.8e-12."""
+    n_max = 256
+    rng = np.random.default_rng(5)
+    pairs = [tuple(int(v) for v in rng.integers(0, n_max + 1, 2)) for _ in range(60)]
+    pairs += [(0, 0), (3, 5), (0, n_max), (n_max - 1, n_max), (n_max, n_max)]
+    exact = meridian_mpmath_d2(pairs, n_max, count=n_max + 64)
+    table = line_integral_table(n_max, 2)
+    ours = [table[k, l] for k, l in pairs]
+    np.testing.assert_allclose(ours, exact, rtol=0.0, atol=1e-11)
 
 
 def test_resonance_compare_structure():

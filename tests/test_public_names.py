@@ -52,13 +52,6 @@ CALLER_FILES = sorted(
      ROOT / "tests" / "test_acceptance.py"]
 )
 
-# Public names no caller reaches, each kept for the stated reason.
-UNREACHED_ALLOWED = {
-    "talbotlab.znls.nonlinearity_apply":
-        "the B(u) u form of the substep's operator, gated against the kappa sum in tests",
-}
-
-
 def references() -> list:
     """(name, path, line) of every identifier a caller file uses.
 
@@ -106,7 +99,7 @@ def public_surface(module):
 
 def test_every_public_name_has_a_caller():
     """A public name or method that only tests reach is a knob no study
-    needs: delete it, or allowlist it with a reason."""
+    needs: delete it, or move it into the tests as an oracle."""
     refs = references()
     unreached = []
     for module in MODULES.values():
@@ -114,7 +107,7 @@ def test_every_public_name_has_a_caller():
             if not any(ref == name and not (where == path and lo <= line <= hi)
                        for ref, where, line in refs):
                 unreached.append(qualified)
-    assert sorted(unreached) == sorted(UNREACHED_ALLOWED)
+    assert unreached == []
 
 
 def test_every_study_is_an_acceptance_criterion():

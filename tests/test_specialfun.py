@@ -16,7 +16,6 @@ from talbotlab.specialfun import (
     jacobi_asymptotic,
     jacobi_symmetric,
     jacobi_symmetric_table,
-    surface_area,
     zonal_cosine_blocks,
     zonal_harmonic_table,
     zonal_series_blocks,
@@ -154,11 +153,6 @@ def test_asymptotic_outside_window_rejected():
         jacobi_asymptotic(64, 2, np.array([0.05]))
     with pytest.raises(ValueError):
         jacobi_asymptotic(64, 2, np.array([np.pi - 0.05]))
-
-
-def test_surface_area_values():
-    assert surface_area(2) == pytest.approx(4 * np.pi, rel=1e-14, abs=0.0)
-    assert surface_area(3) == pytest.approx(2 * np.pi**2, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=40)

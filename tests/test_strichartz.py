@@ -9,7 +9,7 @@ from scipy.special import gammaln, roots_legendre
 from conftest import gaussian_beam, random_phase
 from talbotlab.evolve import propagate_sphere
 from talbotlab.gaunt import QuadratureRule, kappa
-from talbotlab.specialfun import weight_ratio, zonal_harmonic_table
+from talbotlab.specialfun import zonal_harmonic_table
 from talbotlab.spectra import ZonalSpectrum
 from talbotlab.strichartz import bilinear_l2, l4_norm_beam, pair_frequency_classes
 
@@ -69,12 +69,11 @@ def l4_spacetime_grid(f, block_n, t_points=None):
         t_points = 2 * band + 8
     rule = QuadratureRule.for_degree(4 * (2 * block_n - 1), d)
     table = zonal_harmonic_table(int(degrees.max()), d, rule.nodes)[degrees]
-    ratio = weight_ratio(d)
     t = 2.0 * math.pi * np.arange(t_points) / t_points
     phases = np.exp(1j * np.outer(t, lam))
     fields = (phases * coef[None, :]) @ table
     quartic = np.abs(fields) ** 4
-    per_t = ratio * (quartic @ rule.weights)
+    per_t = quartic @ rule.weights
     return float(np.mean(per_t) ** 0.25)
 
 

@@ -13,7 +13,6 @@ from talbotlab import znls
 from talbotlab.znls import (
     _Workspace,
     gamma_phase,
-    nonlinearity_apply,
     smoothing_residual,
     solve,
 )
@@ -39,11 +38,22 @@ def nonlinearity_kappa_sum(spec):
     return ZonalSpectrum(d=spec.d, coef=out)
 
 
+def nonlinearity_apply(spec):
+    """Projection of |u|^2 u onto the zonal modes, as B(u) u.
+
+    B(u) is the operator the nonlinear substep of ``solve`` rotates by,
+    applied through the solver's own matrix-free product.
+    """
+    ws = _Workspace(spec.n_max, spec.d)
+    dens, _ = ws.density(spec.coef)
+    return ZonalSpectrum(d=spec.d, coef=ws.product(dens, spec.coef))
+
+
 def density_matrix(ws, coef):
-    """B(u) = ratio T diag(w |u|^2) T^T as a dense matrix (oracle path)."""
+    """B(u) = T diag(w |u|^2) T^T as a dense matrix (oracle path)."""
     u_nodes = ws.table.T @ coef
     density = ws.rule.weights * np.abs(u_nodes) ** 2
-    return ws.ratio * ((ws.table * density) @ ws.table.T)
+    return (ws.table * density) @ ws.table.T
 
 
 def unitary_apply(b, vec, dt, sign):
@@ -145,7 +155,7 @@ def test_rotation_against_mpmath_expm(sign):
     with mpmath.workdps(40):
         table = mpmath.matrix(ws.table.tolist())
         dens = [
-            mpmath.mpf(ws.ratio) * mpmath.mpf(w) * abs(mpmath.fsum(
+            mpmath.mpf(w) * abs(mpmath.fsum(
                 table[n, k] * mpmath.mpc(complex(coef[n])) for n in range(n_max + 1)
             )) ** 2
             for k, w in enumerate(ws.rule.weights)
