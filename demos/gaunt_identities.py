@@ -11,13 +11,13 @@ resonance study.
 from talbotlab.experiments import run_kappa_suite, run_resonance_decay
 from talbotlab.gaunt import kappa
 
-print("support and symmetry on S^2:")
+print("support on S^2:")
 for idx in [(0, 0, 0), (1, 1, 2), (2, 3, 5), (1, 1, 3), (1, 2, 5)]:
-    print(f"  kappa{idx} = {kappa(idx):.6f}"
-          f"   (reversed: {kappa(idx[::-1]):.6f})")
+    print(f"  kappa{idx} = {kappa(idx):.6f}")
 
 suite = run_kappa_suite(n_max=6, scan_n_max=16)
-print("\nidentities over every tuple up to n = 6:")
+print("\nidentities over every tuple up to n = 6 (permutation: largest change of"
+      " a kappa tensor under any reordering of its indices):")
 print("  d   min entry    off-support   permutation   Parseval     unclassified")
 for row in suite.rows:
     print(f"  {row['d']}   {row['min_entry']:+.2e}   {row['support_max']:.2e}"

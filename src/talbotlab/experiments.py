@@ -14,6 +14,7 @@ the reported statistic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -295,7 +296,7 @@ def run_kappa_suite(
     """Gaunt-integral identities and the Lambda classification scan.
 
     Each of ``dims`` must have frozen Lambda constants (d = 2, 3) and
-    appear once.
+    appear once; the scan needs at least one degree, scan_n_max >= 1.
     """
     unsupported = sorted(set(dims) - set(FROZEN_LAMBDA_CONSTANTS))
     if unsupported:
@@ -303,10 +304,13 @@ def run_kappa_suite(
                          f"dims must be among {sorted(FROZEN_LAMBDA_CONSTANTS)}")
     if len(set(dims)) < len(dims):
         raise ValueError("dims must not repeat a dimension")
+    if scan_n_max < 1:
+        raise ValueError("scan_n_max must be at least 1")
     criteria = {
         "nonneg_tol": -1e-10,
         "support_tol": 1e-10,
         "parseval_tol": 1e-8,
+        "perm_tol": 1e-12,
         "scan_n_max": scan_n_max,
         "n_max": n_max,
     }
@@ -314,57 +318,40 @@ def run_kappa_suite(
     passed = True
     measured = {}
     tables = {}
-    rng = np.random.default_rng(0)
     for d in dims:
         table = KappaTable.build(n_max, d)
         tables[f"kappa-values-d{d}"] = _table_output(table)
-        min_entry = table.min_entry()
+        min_entry = float(np.min([table.triple.min(), table.quad.min()]))
         support_max = _nan_max(
-            abs(value)
-            for key, value in {**table.triples, **table.quads}.items()
-            if not admissible(key)
+            np.abs(x[~admissible(np.indices(x.shape))]).max(initial=0.0)
+            for x in (table.triple, table.quad)
         )
-        # Permutation exactness: canonical storage vs shuffled queries.
-        defects = []
-        keys = list(table.quads.keys())
-        for key in [keys[int(i)] for i in rng.integers(0, len(keys), 12)]:
-            shuffled = list(key)
-            rng.shuffle(shuffled)
-            defects.append(abs(table.value(shuffled) - table.value(key)))
-        perm_defect = _nan_max(defects)
-        # Parseval composition across every canonical 4-tuple.
-        triple = _triple_tensor(n_max, d)
-        parseval_max = _nan_max(
-            abs(float(triple[:, a, b] @ triple[:, c, e]) - direct)
-            for (a, b, c, e), direct in table.quads.items()
+        # Q and the slab of T with every index <= n_max are symmetric in
+        # all their indices; a transpose differs only by the roundoff of
+        # the other factor order in the products that built it.
+        perm_defect = _nan_max(
+            np.abs(x - x.transpose(axes)).max()
+            for x in (table.triple[: n_max + 1], table.quad)
+            for axes in itertools.permutations(range(x.ndim))
         )
+        # Parseval: kappa(a, b, c, e) = sum_n kappa(n, a, b) kappa(n, c, e).
+        parseval = np.einsum("nab,nce->abce", table.triple, table.triple)
+        parseval_max = float(np.max(np.abs(parseval - table.quad)))
         unclassified = count_unclassified(scan_n_max, d)
-        c1, c2 = FROZEN_LAMBDA_CONSTANTS[d]
         ok = (
             min_entry >= criteria["nonneg_tol"]
             and support_max < criteria["support_tol"]
-            and perm_defect == 0.0
+            and perm_defect < criteria["perm_tol"]
             and parseval_max < criteria["parseval_tol"]
             and unclassified == 0
         )
         passed = passed and ok
-        measured[f"d{d}_min_entry"] = min_entry
-        measured[f"d{d}_support_max"] = support_max
-        measured[f"d{d}_parseval_max"] = parseval_max
-        measured[f"d{d}_unclassified"] = unclassified
-        rows.append(
-            {
-                "d": d,
-                "min_entry": min_entry,
-                "support_max": support_max,
-                "permutation_defect": perm_defect,
-                "parseval_max": parseval_max,
-                "unclassified": unclassified,
-                "c1": c1,
-                "c2": c2,
-                "passed": ok,
-            }
-        )
+        row = {"min_entry": min_entry, "support_max": support_max,
+               "permutation_defect": perm_defect, "parseval_max": parseval_max,
+               "unclassified": unclassified}
+        measured.update({f"d{d}_{key}": value for key, value in row.items()})
+        c1, c2 = FROZEN_LAMBDA_CONSTANTS[d]
+        rows.append({"d": d, **row, "c1": c1, "c2": c2, "passed": ok})
     return ExperimentResult(
         name="kappa-table",
         passed=passed,
@@ -376,28 +363,18 @@ def run_kappa_suite(
 
 
 def _table_output(table: KappaTable):
-    """Header and (indices, value) rows of a table: triples, then quads, sorted."""
+    """Header and (indices, value) rows of the canonical (sorted) index
+    tuples: triples, then quads, each in lexicographic order."""
+    degrees = range(table.n_max + 1)
+    triples = list(itertools.combinations_with_replacement(degrees, 3))
+    quads = list(itertools.combinations_with_replacement(degrees, 4))
     header = {"d": table.d, "n_max": table.n_max, "node_count": table.node_count,
-              "triples": len(table.triples), "quads": len(table.quads)}
+              "triples": len(triples), "quads": len(quads)}
     rows = [{"n1": key[0], "n2": key[1], "n3": key[2],
-             "n4": key[3] if len(key) == 4 else "", "value": value}
-            for entries in (table.triples, table.quads)
-            for key, value in sorted(entries.items())]
+             "n4": key[3] if len(key) == 4 else "", "value": float(values[key])}
+            for values, keys in ((table.triple, triples), (table.quad, quads))
+            for key in keys]
     return header, tuple(rows)
-
-
-def _triple_tensor(n_max: int, d: int) -> np.ndarray:
-    """kappa(n, a, b) for n <= 2 n_max and a, b <= n_max."""
-    rule = QuadratureRule.for_degree(4 * n_max, d)
-    table = zonal_harmonic_table(2 * n_max, d, rule.nodes)
-    out = np.zeros((2 * n_max + 1, n_max + 1, n_max + 1))
-    for a in range(n_max + 1):
-        for b in range(a, n_max + 1):
-            pair = rule.weights * table[a] * table[b]
-            vals = table @ pair
-            out[:, a, b] = vals
-            out[:, b, a] = vals
-    return out
 
 
 def run_resonance_decay(

@@ -10,7 +10,9 @@ reduced to a one-dimensional Gauss-Jacobi quadrature with weight
 Every integrand is a polynomial in cos(theta), so sufficiently many
 nodes make the quadrature exact rather than approximate.  kappa is
 symmetric in its indices, non-negative, and vanishes when one index
-exceeds the sum of the others.
+exceeds the sum of the others.  ``kappa`` evaluates one tuple;
+``KappaTable`` holds every 3- and 4-index value up to a degree as two
+dense tensors, built from one rule and one harmonic table.
 
 The module also counts the admissible tuples that the Lambda_0 /
 Lambda_1 / Lambda_2 sets, with frozen constants, leave unclassified,
@@ -83,10 +85,14 @@ class QuadratureRule:
         return float(self.weights @ values)
 
 
-def admissible(indices) -> bool:
-    """Polygon support condition: max index <= sum of the others."""
-    idx = [int(i) for i in indices]
-    return 2 * max(idx) <= sum(idx)
+def admissible(indices):
+    """Polygon support condition: max index <= sum of the others.
+
+    ``indices`` may also stack index arrays along its first axis, as
+    ``np.indices`` does; the condition then holds elementwise.
+    """
+    idx = np.asarray(indices)
+    return 2 * idx.max(0) <= idx.sum(0)
 
 
 def _as_indices(indices) -> tuple[int, ...]:
@@ -124,12 +130,13 @@ def kappa(indices, d: int = 2) -> float:
     return rule.integrate(product)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KappaTable:
-    """Cached kappa values over all index tuples up to n_max.
+    """Every 3- and 4-index kappa up to n_max, as two dense tensors.
 
-    Storage is canonical (indices sorted ascending), which makes
-    permutation invariance exact by construction.
+    Both come from one exact quadrature rule and one harmonic table, as
+    products of the nodal arrays, so a tensor and its index transposes
+    differ only by the roundoff of different factor orders.
 
     Attributes
     ----------
@@ -137,56 +144,32 @@ class KappaTable:
     n_max : int
     node_count : int
         Nodes in the shared exact quadrature rule.
-    triples, quads : dict
-        Canonical index tuple -> value.
+    triple : ndarray
+        ``triple[n, a, b]`` = kappa(n, a, b) for n <= 2 n_max and
+        a, b <= n_max: every degree in the product of two harmonics.
+    quad : ndarray
+        ``quad[a, b, c, e]`` = kappa(a, b, c, e) for indices <= n_max.
     """
 
     d: int
     n_max: int
     node_count: int
-    triples: dict
-    quads: dict
+    triple: np.ndarray
+    quad: np.ndarray
 
     @classmethod
     def build(cls, n_max: int, d: int = 2) -> "KappaTable":
-        """Evaluate all canonical 3- and 4-index kappa up to n_max."""
+        """Evaluate both tensors with one rule and one harmonic table."""
         rule = QuadratureRule.for_degree(4 * n_max, d)
-        table = zonal_harmonic_table(n_max, d, rule.nodes)
-        degrees = np.arange(n_max + 1)
-        triples = {}
-        quads = {}
-        for n1 in range(n_max + 1):
-            for n2 in range(n1, n_max + 1):
-                pair = rule.weights * table[n1] * table[n2]
-                vals = table @ pair
-                for n3 in range(n2, n_max + 1):
-                    triples[(n1, n2, n3)] = float(vals[n3])
-                for n3 in range(n2, n_max + 1):
-                    qvals = table[n3:] @ (pair * table[n3])
-                    for j, n4 in enumerate(degrees[n3:]):
-                        quads[(n1, n2, n3, int(n4))] = float(qvals[j])
-        return cls(
-            d=d,
-            n_max=n_max,
-            node_count=rule.node_count,
-            triples=triples,
-            quads=quads,
-        )
-
-    def value(self, indices) -> float:
-        """Look up kappa by any ordering of the indices."""
-        key = tuple(sorted(int(i) for i in indices))
-        if any(i > self.n_max for i in key):
-            raise KeyError(f"index beyond table n_max={self.n_max}")
-        if len(key) == 3:
-            return self.triples[key]
-        if len(key) == 4:
-            return self.quads[key]
-        raise ValueError("table stores 3- and 4-index values")
-
-    def min_entry(self) -> float:
-        vals = list(self.triples.values()) + list(self.quads.values())
-        return float(np.min(vals)) if vals else 0.0
+        table = zonal_harmonic_table(2 * n_max, d, rule.nodes)
+        low = table[: n_max + 1]
+        pairs = low[:, None, :] * low[None, :, :]
+        weighted = pairs * rule.weights
+        triple = np.einsum("nk,abk->nab", table, weighted)
+        quad = np.einsum("abk,cek->abce", weighted, pairs)
+        triple.flags.writeable = quad.flags.writeable = False
+        return cls(d=d, n_max=n_max, node_count=rule.node_count,
+                   triple=triple, quad=quad)
 
 
 def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:

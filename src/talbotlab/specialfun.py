@@ -187,6 +187,8 @@ def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
     ndarray
         Shape ``(n_max+1, len(x))``; row n holds Y_n(arccos x).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x)
     rows = np.empty((n_max + 1, x.size), dtype=float)

@@ -121,6 +121,7 @@ def test_criterion_06_triple_integral_suite():
     detail = "; ".join(
         f"d={d}: min {m[f'd{d}_min_entry']:.1e} >= -1e-10,"
         f" support {m[f'd{d}_support_max']:.1e} < 1e-10,"
+        f" permutation {m[f'd{d}_permutation_defect']:.1e} < 1e-12,"
         f" parseval {m[f'd{d}_parseval_max']:.1e} < 1e-8,"
         f" unclassified(n<=64) {m[f'd{d}_unclassified']}"
         for d in (2, 3)
@@ -129,6 +130,7 @@ def test_criterion_06_triple_integral_suite():
     for d in (2, 3):
         assert m[f"d{d}_min_entry"] >= -1e-10
         assert m[f"d{d}_support_max"] < 1e-10
+        assert m[f"d{d}_permutation_defect"] < 1e-12
         assert m[f"d{d}_parseval_max"] < 1e-8
         assert m[f"d{d}_unclassified"] == 0
     assert result.passed

@@ -183,6 +183,16 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
      "theta_points must be at least 2"),
     (("kappa-table", "--n-max", "4", "--dims", "2,2", "--scan-n-max", "8"),
      "dims must not repeat a dimension"),
+    # A negative degree leaves no harmonic table to build.
+    (("kappa-table", "--n-max", "-1", "--dims", "2", "--scan-n-max", "8"),
+     "n_max must be non-negative"),
+    (("specfun-check", "--ortho-n-max", "-1", "--szego-degrees", "64,128"),
+     "n_max must be non-negative"),
+    # An empty Lambda scan counts nothing unclassified whatever the constants.
+    (("kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "0"),
+     "scan_n_max must be at least 1"),
+    (("kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "-3"),
+     "scan_n_max must be at least 1"),
 ])
 def test_degenerate_study_parameters_exit_two_without_outputs(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"

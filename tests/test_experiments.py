@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from talbotlab import __version__, cli, experiments, fractal
+from talbotlab import __version__, cli, experiments, fractal, gaunt
 from talbotlab.experiments import (
     ExperimentResult,
     run_bilinear_contrast,
@@ -83,6 +83,47 @@ def test_kappa_suite_small():
         assert result.measured[f"d{d}_support_max"] < 1e-10
         assert result.measured[f"d{d}_parseval_max"] < 1e-8
         assert result.measured[f"d{d}_min_entry"] > -1e-10
+        assert result.measured[f"d{d}_permutation_defect"] < 1e-12
+
+
+def test_kappa_suite_fails_on_an_asymmetric_quad(monkeypatch):
+    """One admissible off-diagonal entry of Q moved by 1e-9: below the
+    Parseval tolerance, inside the support, far from negative; only the
+    permutation check sees it."""
+    real = experiments.KappaTable.build
+
+    def perturbed(n_max, d=2):
+        table = real(n_max, d)
+        quad = table.quad.copy()
+        quad[1, 2, 3, 4] += 1e-9
+        return dataclasses.replace(table, quad=quad)
+
+    monkeypatch.setattr(experiments.KappaTable, "build", staticmethod(perturbed))
+    result = run_kappa_suite(n_max=6, dims=(2,), scan_n_max=8)
+    assert result.passed is False
+    assert result.measured["d2_permutation_defect"] >= 1e-9
+    assert result.measured["d2_parseval_max"] < result.criteria["parseval_tol"]
+    assert result.measured["d2_support_max"] < result.criteria["support_tol"]
+
+
+def test_kappa_suite_builds_one_rule_and_table_per_dimension(monkeypatch):
+    """Each kappa is computed once: one quadrature rule and one harmonic
+    table per dimension."""
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gaunt.QuadratureRule, "for_degree",
+                        staticmethod(counting(gaunt.QuadratureRule, "for_degree")))
+    monkeypatch.setattr(gaunt, "zonal_harmonic_table", counting(gaunt, "zonal_harmonic_table"))
+    assert run_kappa_suite(n_max=4, dims=(2, 3), scan_n_max=8).passed
+    assert sorted(calls) == ["for_degree"] * 2 + ["zonal_harmonic_table"] * 2
 
 
 def test_resonance_decay_small():
@@ -154,8 +195,8 @@ def _nan_imag(values):
 NAN_CASES = {
     "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), "jacobi_asymptotic",
                       _nan_array),
-    "kappa-table": (dict(n_max=4, dims=(2,), scan_n_max=8), "zonal_harmonic_table",
-                    _nan_array),
+    "kappa-table": (dict(n_max=4, dims=(2,), scan_n_max=8),
+                    (gaunt, "zonal_harmonic_table"), _nan_array),
     "quantize": (dict(m_max=64, q_max=3), "quantization_check",
                  lambda out: dataclasses.replace(out, residual=math.nan)),
     "dimension-torus-step": (dict(m_max=64, grid=512, window=(3, 6)), "dim_t",

@@ -211,6 +211,14 @@ def test_admissible_examples():
     assert not admissible((0, 0, 1))
 
 
+def test_admissible_mask_matches_the_scalar_predicate():
+    """Stacked index arrays give the predicate of each tuple."""
+    mask = admissible(np.indices((5, 4, 4, 3)))
+    assert mask.shape == (5, 4, 4, 3)
+    for key in itertools.product(range(5), range(4), range(4), range(3)):
+        assert mask[key] == admissible(key), key
+
+
 def parseval_compose_check(a, b, c, e, d):
     """Residual of the Parseval composition of a 4-index kappa.
 
@@ -453,34 +461,80 @@ def test_resonance_difference_shrinks_with_degree():
 
 
 def load_kappa_table(json_path, csv_path):
-    """Read a value table the kappa-table study wrote back (round-trip oracle)."""
+    """Read a value table the kappa-table study wrote back (round-trip oracle).
+
+    Returns the header and {canonical index tuple: value} of the rows.
+    """
     with open(json_path, "r", encoding="ascii") as fh:
         header = json.load(fh)
-    triples = {}
-    quads = {}
+    entries = {}
     with open(csv_path, "r", encoding="ascii") as fh:
         assert fh.readline().strip() == "n1,n2,n3,n4,value"
         for line in fh:
-            parts = line.strip().split(",")
-            value = float(parts[4])
-            if parts[3] == "":
-                triples[tuple(int(p) for p in parts[:3])] = value
-            else:
-                quads[tuple(int(p) for p in parts[:4])] = value
-    return KappaTable(d=int(header["d"]), n_max=int(header["n_max"]),
-                      node_count=int(header["node_count"]), triples=triples, quads=quads)
+            *indices, value = line.strip().split(",")
+            entries[tuple(int(p) for p in indices if p)] = float(value)
+    return header, entries
+
+
+def canonical_entries(table):
+    """{sorted index tuple: value} of every 3- and 4-index entry with
+    indices <= n_max, read straight from the tensors."""
+    degrees = range(table.n_max + 1)
+    return {key: float(values[key])
+            for values, r in ((table.triple, 3), (table.quad, 4))
+            for key in itertools.combinations_with_replacement(degrees, r)}
 
 
 def test_kappa_table_build_value_and_roundtrip(tmp_path):
     table = KappaTable.build(6, d=2)
-    assert table.value((3, 4, 5)) == pytest.approx(kappa((3, 4, 5)), abs=1e-12)
-    assert table.value((1, 2, 3, 4)) == pytest.approx(kappa((1, 2, 3, 4)), abs=1e-12)
-    assert table.min_entry() > -1e-12
+    assert table.triple.shape == (13, 7, 7) and table.quad.shape == (7, 7, 7, 7)
+    assert table.triple[5, 3, 4] == pytest.approx(kappa((3, 4, 5)), abs=1e-12)
+    assert table.triple[12, 6, 6] == pytest.approx(kappa((6, 6, 12)), abs=1e-12)
+    assert table.quad[4, 2, 3, 1] == pytest.approx(kappa((1, 2, 3, 4)), abs=1e-12)
+    assert min(table.triple.min(), table.quad.min()) > -1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        table.quad[0, 0, 0, 0] = 2.0
     assert cli.main(["kappa-table", "--n-max", "6", "--dims", "2", "--scan-n-max", "8",
                      "--out", str(tmp_path)]) == 0
     jp, cp = tmp_path / "kappa-values-d2.json", tmp_path / "kappa-values-d2.csv"
     assert cp.read_text().splitlines()[0] == "n1,n2,n3,n4,value"
-    assert load_kappa_table(jp, cp) == table
+    header, entries = load_kappa_table(jp, cp)
+    expected = canonical_entries(table)
+    assert list(entries) == list(expected)  # triples, then quads, each sorted
+    assert entries == expected
+    assert header["node_count"] == table.node_count
+    assert (header["triples"], header["quads"]) == (math.comb(9, 3), math.comb(10, 4))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kappa_table_at_acceptance_scale_against_scalar_kappa(d):
+    """Every canonical entry of both tensors at criterion 6's n_max 12,
+    the rows 12 < n <= 24 of T included, equals the scalar path to
+    1e-12 max(1, |kappa|).  Both paths share the Gauss-Jacobi weights,
+    whose relative error (4e-13 at 32 nodes on S^3) bounds their
+    agreement: the largest differences are 1.4e-12 (S^2) and 4.2e-12
+    (S^3), at entries near 2.5 and 10."""
+    n_max = 12
+    table = KappaTable.build(n_max, d)
+    top = range(n_max + 1)
+    keys = [(n, a, b) for a, b in itertools.combinations_with_replacement(top, 2)
+            for n in range(b, 2 * n_max + 1)]
+    keys += list(itertools.combinations_with_replacement(top, 4))
+    ours = [table.triple[key] if len(key) == 3 else table.quad[key] for key in keys]
+    scalar = [kappa(key, d) for key in keys]
+    np.testing.assert_allclose(ours, scalar, rtol=1e-12, atol=1e-12)
+
+
+def test_kappa_table_quads_against_mpmath():
+    """A seeded sample of Q at n_max 12 on S^2 against 40-digit values,
+    to the tolerance of the scalar acceptance-scale check."""
+    table = KappaTable.build(12, 2)
+    rng = np.random.default_rng(11)
+    keys = [tuple(int(v) for v in rng.integers(0, 13, 4)) for _ in range(40)]
+    keys += [(12, 12, 12, 12), (1, 1, 1, 1), (0, 12, 12, 0)]
+    with mpmath.workdps(40):
+        exact = [float(kappa_mpmath_d2(*key)) for key in keys]
+    np.testing.assert_allclose([table.quad[key] for key in keys], exact, rtol=1e-12, atol=1e-12)
 
 
 def test_kappa_table_header_names_its_body_relative_to_itself(tmp_path, monkeypatch):
