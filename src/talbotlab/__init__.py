@@ -6,8 +6,9 @@ sector of S^2.  It provides the measurement tools used to study these
 flows numerically:
 
 ``specialfun``
-    Symmetric Jacobi polynomials, unit-norm zonal harmonics and zonal
-    series, and the large-degree Jacobi asymptotics.
+    Unit-norm zonal harmonics and their Gauss rule from one recurrence,
+    symmetric Jacobi polynomials, zonal series, and the large-degree
+    Jacobi asymptotics.
 ``spectra``
     Spectrum containers for torus and sphere data, exact coefficients of
     step and polygon indicators, and the zonal power-law family.

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .specialfun import zonal_harmonic_table
+from .specialfun import gauss_rule, zonal_harmonic_table
 
 __all__ = [
     "QuadratureRule",
@@ -56,7 +55,9 @@ class QuadratureRule:
     A Gauss-Jacobi rule on [-1, 1] with weight (1 - x^2)^{(d-2)/2},
     scaled to total mass one, so ``integrate`` gives
     (1/omega_d) integral over S^d of a zonal integrand.  At d = 1 it is
-    Gauss-Chebyshev: (1/pi) integral_0^pi f(cos theta) dtheta.
+    Gauss-Chebyshev: (1/pi) integral_0^pi f(cos theta) dtheta.  Newton
+    on Y_N gives the nodes, Christoffel numbers the weights
+    (``specialfun.gauss_rule``).
 
     Attributes
     ----------
@@ -71,10 +72,8 @@ class QuadratureRule:
     @classmethod
     def for_degree(cls, total_degree: int, d: int) -> "QuadratureRule":
         """Rule sized for polynomial integrands up to total_degree."""
-        count = total_degree // 2 + 8
-        alpha = 0.5 * (d - 2)
-        nodes, weights = roots_jacobi(count, alpha, alpha)
-        return cls(nodes=nodes, weights=weights / weights.sum())
+        nodes, weights = gauss_rule(total_degree // 2 + 8, d)
+        return cls(nodes=nodes, weights=weights)
 
     @property
     def node_count(self) -> int:
@@ -112,7 +111,7 @@ def kappa(indices, d: int = 2) -> float:
     indices : sequence of int
         2, 3, or 4 degrees.
     d : int
-        Sphere dimension.
+        Sphere dimension, at least 2.
 
     Returns
     -------
@@ -122,6 +121,8 @@ def kappa(indices, d: int = 2) -> float:
         in the indices, non-negative, zero outside the polygon support.
     """
     idx = _as_indices(indices)
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
     rule = QuadratureRule.for_degree(sum(idx), d)
     table = zonal_harmonic_table(max(idx), d, rule.nodes)
     product = np.ones_like(rule.nodes)

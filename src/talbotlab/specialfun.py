@@ -1,15 +1,17 @@
 """Special functions on the round sphere S^d.
 
-Symmetric Jacobi polynomials, unit-norm zonal harmonics and zonal
-series, together with the large-degree asymptotic form of the Jacobi
-polynomials.
+Unit-norm zonal harmonics, their Gauss rule, symmetric Jacobi
+polynomials and zonal series, together with the large-degree
+asymptotic form of the Jacobi polynomials.
 
-Zonal expansions are evaluated two ways.  At scattered points (such as
-quadrature nodes) the unit-norm three-term recurrence of
-``zonal_harmonic_table`` gives every degree.  On uniform grids in the
-polar angle, each degree block is rewritten as a cosine series through
-the Gegenbauer cosine expansion (``zonal_cosine_blocks``) and summed
-by one FFT (``cosine_series_fft``).
+One three-term recurrence, x Y_{n-1} = a_n Y_n + a_{n-1} Y_{n-2} with
+closed-form a_n, defines the zonal family: ``zonal_harmonic_table``
+runs it at scattered points such as quadrature nodes, ``gauss_rule``
+takes its nodes and weights from it, and ``jacobi_symmetric`` is a
+rescaled row.  On uniform grids in the polar angle, each degree block
+is rewritten as a cosine series through the Gegenbauer cosine
+expansion (``zonal_cosine_blocks``) and summed by one FFT
+(``cosine_series_fft``).
 
 Conventions
 -----------
@@ -19,8 +21,7 @@ integrands ``gaunt.QuadratureRule`` carries this normalization.  A zonal
 harmonic ``Y_n`` is normalized to unit norm in this inner product and
 positive at the north pole; on S^2 this gives
 ``Y_n(theta) = sqrt(2n+1) * P_n(cos theta)`` with ``P_n`` the Legendre
-polynomial.  All Gamma-function ratios and binomials are computed in
-log space so degrees well past 150 stay finite.
+polynomial.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "SZEGO_WINDOW_C",
     "SZEGO_REMAINDER_C",
     "eigenspace_dimension",
     "jacobi_symmetric",
-    "jacobi_symmetric_table",
     "zonal_harmonic_table",
+    "gauss_rule",
     "zonal_series_blocks",
     "zonal_cosine_blocks",
     "cosine_series_fft",
@@ -75,54 +75,57 @@ def eigenspace_dimension(n: int, d: int) -> int:
     return math.comb(n + d, d) - math.comb(n + d - 2, d)
 
 
-def _check_unit_interval(x: np.ndarray) -> None:
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
+def _recurrence_coeffs(n_max: int, d: int) -> np.ndarray:
+    """a_0 = 0, a_1 .. a_{n_max} of x Y_{n-1} = a_n Y_n + a_{n-1} Y_{n-2}.
 
-
-def _jacobi_recurrence_coeffs(n_max: int, d: int):
-    """(c1, c2, c3) of c1 P_n = c2 x P_{n-1} - c3 P_{n-2}, n = 2 .. n_max.
-
-    The symmetric Jacobi three-term recurrence with
-    alpha = beta = (d-2)/2.
+    a_n^2 = n (n+d-2) / ((2n+d-1)(2n+d-3)) and a_1^2 = 1/(d+1), for
+    every d >= 1 (on S^1, Y_0 = 1 and Y_n = sqrt(2) cos(n theta)).
     """
-    a = (d - 2) / 2.0
+    a = np.zeros(n_max + 1)
+    if n_max >= 1:
+        a[1] = math.sqrt(1.0 / (d + 1))
     n = np.arange(2, n_max + 1, dtype=float)
-    c1 = 2.0 * n * (n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
-    c2 = (2.0 * n + 2.0 * a - 1.0) * (2.0 * n + 2.0 * a) * (2.0 * n + 2.0 * a - 2.0)
-    c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + 2.0 * a)
-    return c1, c2, c3
+    a[2:] = np.sqrt(n * (n + d - 2) / ((2 * n + d - 1) * (2 * n + d - 3)))
+    return a
 
 
-def jacobi_symmetric_table(n_max: int, d: int, x) -> np.ndarray:
-    """All symmetric Jacobi polynomials up to degree ``n_max`` at ``x``.
+def _zonal_rows(n_max: int, d: int, x: np.ndarray) -> np.ndarray:
+    """Y_0 .. Y_{n_max} at x from the recurrence; no argument checks."""
+    a = _recurrence_coeffs(n_max, d)
+    rows = np.empty((n_max + 1, *x.shape), dtype=float)
+    rows[0] = 1.0
+    if n_max >= 1:
+        rows[1] = x / a[1]
+    for n in range(2, n_max + 1):
+        rows[n] = (x * rows[n - 1] - a[n - 1] * rows[n - 2]) / a[n]
+    return rows
+
+
+def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
+    """All unit-norm zonal harmonics up to degree ``n_max`` at ``x``.
 
     Parameters
     ----------
     n_max : int
         Largest degree.
     d : int
-        Sphere dimension; the Jacobi parameters are
-        alpha = beta = (d-2)/2.
+        Sphere dimension, at least 2.
     x : array_like
-        Points in [-1, 1].
+        Cosines of the polar angle, in [-1, 1].
 
     Returns
     -------
     ndarray
-        Shape ``(n_max+1,) + x.shape`` (x taken at least 1-d); row n
-        holds P_n^{(alpha,alpha)}(x) from the three-term recurrence.
+        Shape ``(n_max+1, len(x))``; row n holds Y_n(arccos x).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(x)
-    rows = np.empty((n_max + 1, *x.shape), dtype=float)
-    rows[0] = 1.0
-    if n_max >= 1:
-        rows[1] = ((d - 2) / 2.0 + 1.0) * x
-    c1, c2, c3 = _jacobi_recurrence_coeffs(n_max, d)
-    for n in range(2, n_max + 1):
-        rows[n] = (c2[n - 2] * x * rows[n - 1] - c3[n - 2] * rows[n - 2]) / c1[n - 2]
-    return rows
+    if np.any(np.abs(x) > 1.0 + 1e-12):
+        raise ValueError("argument must lie in [-1, 1]")
+    return _zonal_rows(n_max, d, x)
 
 
 def jacobi_symmetric(n: int, d: int, x):
@@ -140,66 +143,55 @@ def jacobi_symmetric(n: int, d: int, x):
     Returns
     -------
     float or ndarray
-        Row n of ``jacobi_symmetric_table``: exact for n in {0, 1} and
-        computed by the stable three-term recurrence otherwise.
+        Row n of ``zonal_harmonic_table`` times P_n(1) / sqrt(dim_n),
+        with P_n(1) = prod_{k <= n} (k + alpha) / k.
     """
-    if n < 0 or d < 2:
-        raise ValueError("need n >= 0 and d >= 2")
-    out = jacobi_symmetric_table(n, d, x)[n]
+    alpha = (d - 2) / 2.0
+    at_one = math.prod((k + alpha) / k for k in range(1, n + 1))
+    scale = at_one / math.sqrt(eigenspace_dimension(n, d))
+    out = zonal_harmonic_table(n, d, x)[n] * scale
     return float(out[0]) if np.isscalar(x) else out
 
 
-def _normalized_recurrence_coeffs(n_max: int, d: int):
-    """Coefficients (A_n, B_n) of Y_n = A_n x Y_{n-1} - B_n Y_{n-2}.
+_NEWTON_CAP = 30
 
-    Valid for n >= 2; derived from the Jacobi recurrence and the ratio
-    of unit-norm factors, so the recurrence works directly on the
-    normalized rows and stays O(1)-conditioned.
+
+def gauss_rule(count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the ``count``-point Gauss rule of S^d.
+
+    The measure is (1 - x^2)^{(d-2)/2} dx on [-1, 1] scaled to mass one,
+    d >= 1, and polynomials up to degree 2 count - 1 integrate exactly.
+    As in Hale and Townsend (SIAM J. Sci. Comput. 35, 2013), Newton's
+    method on the recurrence finds the zeros x_k of Y_N, N = count,
+    from theta_k = (k + lambda/2 - 1/2) pi / (N + lambda),
+    lambda = (d-1)/2 (exact for d = 1 and 3), with
+    (1 - x^2) Y_N' = -N x Y_N + (2N+d-1) a_N Y_{N-1}, until every step
+    is below 1e-15.  The weights are the Christoffel numbers
+    1 / sum_{n < N} Y_n(x_k)^2, normalized to sum to one.
     """
-    a = (d - 2) / 2.0
-    n = np.arange(2, n_max + 1, dtype=float)
-    c1, c2, c3 = _jacobi_recurrence_coeffs(n_max, d)
-    dims = np.array([eigenspace_dimension(m, d) for m in range(n_max + 1)], dtype=float)
-    # r_n / r_{n-1} with r_n = sqrt(dim_n) / P_n(1); P_n(1)/P_{n-1}(1) = (n+alpha)/n.
-    rho = np.sqrt(dims[2:] / dims[1:-1]) * (n / (n + a))
-    rho_prev = np.empty_like(rho)
-    rho_prev[0] = np.sqrt(dims[1] / dims[0]) * (1.0 / (1.0 + a))
-    rho_prev[1:] = rho[:-1]
-    A = (c2 / c1) * rho
-    B = (c3 / c1) * rho * rho_prev
-    return A, B
-
-
-def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
-    """All unit-norm zonal harmonics up to degree ``n_max`` at ``x``.
-
-    Parameters
-    ----------
-    n_max : int
-        Largest degree.
-    d : int
-        Sphere dimension.
-    x : array_like
-        Cosines of the polar angle, in [-1, 1].
-
-    Returns
-    -------
-    ndarray
-        Shape ``(n_max+1, len(x))``; row n holds Y_n(arccos x).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(x)
-    rows = np.empty((n_max + 1, x.size), dtype=float)
-    rows[0] = 1.0
-    if n_max >= 1:
-        rows[1] = math.sqrt(eigenspace_dimension(1, d)) * x
-    if n_max >= 2:
-        A, B = _normalized_recurrence_coeffs(n_max, d)
-        for n in range(2, n_max + 1):
-            rows[n] = A[n - 2] * x * rows[n - 1] - B[n - 2] * rows[n - 2]
-    return rows
+    if count < 1:
+        raise ValueError("a Gauss rule needs at least one node")
+    if d < 1:
+        raise ValueError("sphere dimension must be at least 1")
+    lam = (d - 1) / 2.0
+    k = np.arange(count, 0, -1, dtype=float)
+    x = np.cos((k + lam / 2.0 - 0.5) * math.pi / (count + lam))
+    coupling = (2 * count + d - 1) * _recurrence_coeffs(count, d)[count]
+    for _ in range(_NEWTON_CAP):
+        rows = _zonal_rows(count, d, x)
+        slope = (coupling * rows[count - 1] - count * x * rows[count]) / ((1.0 - x) * (1.0 + x))
+        step = rows[count] / slope
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    else:
+        raise ValueError(f"Newton iteration for the {count}-node rule on S^{d} "
+                         f"did not converge in {_NEWTON_CAP} steps")
+    # Weights need rows at the final nodes: reusing the rows from before
+    # the last step, even one below 1e-15, puts kappa(3, 4, n) 1e-14 off.
+    rows = _zonal_rows(count - 1, d, x)
+    weights = 1.0 / np.einsum("nk,nk->k", rows, rows)
+    return x, weights / weights.sum()
 
 
 def _block_ranges(edges, n_max: int):
@@ -247,6 +239,12 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     return sums
 
 
+def _log_pochhammer_ratios(c: float, top: int) -> np.ndarray:
+    """log((c)_k / k!), 0 <= k < top, as cumulative sums of log((c+i)/(1+i))."""
+    i = np.arange(top - 1, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.log1p((c - 1.0) / (1.0 + i)))))
+
+
 def zonal_cosine_blocks(coef, d: int, edges) -> list:
     """Cosine-series coefficients of each degree block of a zonal expansion.
 
@@ -282,12 +280,10 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     ranges = _block_ranges(edges, coef.size - 1)
     top = max(ranges[-1][1], 1)
     lam = (d - 1) / 2.0
-    k = np.arange(top, dtype=float)
-    log_g = gammaln(k + lam) - gammaln(lam) - gammaln(k + 1.0)
+    log_g = _log_pochhammer_ratios(lam, top)
     # log of sqrt(dim_n) / C_n^lambda(1), with C_n^lambda(1) = (2 lambda)_n / n!.
     dims = [eigenspace_dimension(n, d) for n in range(top)]
-    log_c1 = gammaln(k + 2.0 * lam) - gammaln(2.0 * lam) - gammaln(k + 1.0)
-    log_norm = 0.5 * np.log(dims) - log_c1
+    log_norm = 0.5 * np.log(dims) - _log_pochhammer_ratios(2.0 * lam, top)
     blocks = []
     for lo, hi in ranges:
         beta = np.zeros(hi, dtype=complex)

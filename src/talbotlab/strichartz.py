@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gaunt import QuadratureRule
 from .specialfun import zonal_harmonic_table
@@ -114,8 +113,8 @@ def l4_norm_beam(n: int) -> float:
     rule = QuadratureRule.for_degree(4 * n, 2)
     log_c2 = (
         math.log(2 * n + 1)
-        + gammaln(2 * n + 1)
-        - 2.0 * gammaln(n + 1)
+        + math.lgamma(2 * n + 1)
+        - 2.0 * math.lgamma(n + 1)
         - n * math.log(4.0)
     )
     values = np.exp(2.0 * log_c2 + 2.0 * n * np.log1p(-rule.nodes**2))

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from scipy import integrate
-from scipy.special import eval_chebyu, eval_legendre, gamma as gamma_fn, gammaln, roots_jacobi
+from scipy.special import (
+    binom,
+    eval_chebyu,
+    eval_gegenbauer,
+    eval_legendre,
+    gamma as gamma_fn,
+    gammaln,
+    roots_jacobi,
+)
 
 # One Hypothesis profile for the suite: the time per example of the
 # FFT- and quadrature-backed properties follows the machine's load, so
@@ -50,12 +58,18 @@ def chebyshev_zonal(n, x):
 
 
 def zonal_oracle(n, d, x):
-    """Normalized zonal harmonic through scipy closed forms (d = 2, 3)."""
+    """Normalized zonal harmonic through scipy closed forms.
+
+    Legendre on S^2, Chebyshev-U on S^3, and otherwise
+    sqrt(dim_n) C_n^lambda(x) / C_n^lambda(1) with lambda = (d-1)/2.
+    """
     if d == 2:
         return legendre_zonal(n, x)
     if d == 3:
         return chebyshev_zonal(n, x)
-    raise ValueError("oracle only covers d = 2, 3")
+    lam = (d - 1) / 2
+    dim = math.comb(n + d, d) - math.comb(n + d - 2, d)
+    return math.sqrt(dim) * eval_gegenbauer(n, lam, x) / binom(n + 2 * lam - 1, n)
 
 
 def gaussian_beam(n, theta, phi):
@@ -87,13 +101,16 @@ def sphere_weight(d):
 def sphere_rule(d, count):
     """Gauss-Jacobi rule for the normalized zonal measure, via scipy.
 
-    Returns nodes and weights summing to one; exact for polynomial
-    integrands of degree up to 2 * count - 1.
+    The nodes of ``roots_jacobi`` with the Christoffel weights
+    1 / sum_{n < count} Y_n(x_k)^2 of the closed-form harmonics:
+    scipy's own weights already err by 4.4e-13 relative at 32 nodes on
+    S^3.  Returns nodes and weights summing to one; exact for
+    polynomial integrands of degree up to 2 * count - 1.
     """
     alpha = (d - 2) / 2
-    nodes, weights = roots_jacobi(count, alpha, alpha)
-    weights = weights / np.sum(weights)
-    return nodes, weights
+    nodes, _ = roots_jacobi(count, alpha, alpha)
+    weights = 1.0 / sum(zonal_oracle(n, d, nodes) ** 2 for n in range(count))
+    return nodes, weights / np.sum(weights)
 
 
 def quad_product_integral(degrees, d):

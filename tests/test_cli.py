@@ -193,6 +193,9 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
      "scan_n_max must be at least 1"),
     (("kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "-3"),
      "scan_n_max must be at least 1"),
+    # Zonal harmonics need a sphere: S^1 has no kappa, and d = 0 no measure.
+    (("resonance", "--d", "1"), "sphere dimension must be at least 2"),
+    (("resonance", "--d", "0"), "sphere dimension must be at least 2"),
 ])
 def test_degenerate_study_parameters_exit_two_without_outputs(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
@@ -282,6 +285,18 @@ def test_nls_smoothing_outputs_do_not_depend_on_blas_threads(tmp_path):
             [(out / name).read_bytes() for name in ("nls-smoothing.json", "nls-smoothing.csv")]
         )
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    """The library needs NumPy alone; scipy is a test-only oracle."""
+    src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, talbotlab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_different_seed_changes_panel(tmp_path):

@@ -169,7 +169,7 @@ def test_kappa_at_acceptance_scale_against_mpmath():
     with mpmath.workdps(50):
         assert float(kappa_mpmath_d2(1, 1, 1, 1)) == pytest.approx(1.8, rel=1e-15, abs=0.0)
         exact = float(kappa_mpmath_d2(256, 256, 3, 5))
-    assert kappa((256, 256, 3, 5), d=2) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert kappa((256, 256, 3, 5), d=2) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_kappa_is_exactly_permutation_invariant():
@@ -202,6 +202,24 @@ def test_kappa_vector_matches_scalars():
     vals = kappa_vector((3, 4), np.arange(0, 8), d=2)
     for n, v in zip(range(8), vals):
         assert v == pytest.approx(kappa((3, 4, n)), abs=1e-14)
+
+
+def test_kappa_and_its_oracle_against_mpmath():
+    """Both sides of the check above sit within 3e-15 of the exact kappa
+    (measured: 1.4e-15 for the library, 2.0e-15 for the oracle, whose
+    scipy Gauss-Jacobi weights alone gave 1.5e-14)."""
+    vals = kappa_vector((3, 4), np.arange(0, 8), d=2)
+    with mpmath.workdps(50):
+        exact = [float(kappa_mpmath_d2(3, 4, n, 0)) for n in range(8)]
+    np.testing.assert_allclose(vals, exact, rtol=0.0, atol=3e-15)
+    np.testing.assert_allclose([kappa((3, 4, n)) for n in range(8)], exact,
+                               rtol=0.0, atol=3e-15)
+
+
+def test_kappa_needs_a_sphere_of_dimension_two():
+    for d in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2"):
+            kappa((1, 1, 2), d=d)
 
 
 def test_admissible_examples():
@@ -510,10 +528,9 @@ def test_kappa_table_build_value_and_roundtrip(tmp_path):
 def test_kappa_table_at_acceptance_scale_against_scalar_kappa(d):
     """Every canonical entry of both tensors at criterion 6's n_max 12,
     the rows 12 < n <= 24 of T included, equals the scalar path to
-    1e-12 max(1, |kappa|).  Both paths share the Gauss-Jacobi weights,
-    whose relative error (4e-13 at 32 nodes on S^3) bounds their
-    agreement: the largest differences are 1.4e-12 (S^2) and 4.2e-12
-    (S^3), at entries near 2.5 and 10."""
+    1e-12 max(1, |kappa|).  Both paths share the Gauss-Jacobi rule, so
+    they differ by the roundoff of their sums: the largest differences
+    are 1.4e-14 (S^2) and 6.2e-14 (S^3)."""
     n_max = 12
     table = KappaTable.build(n_max, d)
     top = range(n_max + 1)
@@ -523,6 +540,12 @@ def test_kappa_table_at_acceptance_scale_against_scalar_kappa(d):
     ours = [table.triple[key] if len(key) == 3 else table.quad[key] for key in keys]
     scalar = [kappa(key, d) for key in keys]
     np.testing.assert_allclose(ours, scalar, rtol=1e-12, atol=1e-12)
+
+
+def test_kappa_table_exact_value_on_s3():
+    """On S^3, Y_n = U_n and U_9 U_9 = sum_{k <= 9} U_{2k}, so
+    kappa(9, 9, 10, 10) = 10 exactly: the rule's weights decide it."""
+    assert KappaTable.build(12, 3).quad[9, 9, 10, 10] == pytest.approx(10.0, rel=1e-14, abs=0.0)
 
 
 def test_kappa_table_quads_against_mpmath():

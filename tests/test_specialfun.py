@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_jacobi, roots_legendre, sph_harm_y
+from scipy.special import eval_jacobi, roots_jacobi, roots_legendre, sph_harm_y
 
 from conftest import gaussian_beam, sphere_rule, zonal_oracle
 from talbotlab.specialfun import (
     SZEGO_REMAINDER_C,
     cosine_series_fft,
     eigenspace_dimension,
+    gauss_rule,
     jacobi_asymptotic,
     jacobi_symmetric,
-    jacobi_symmetric_table,
     zonal_cosine_blocks,
     zonal_harmonic_table,
     zonal_series_blocks,
@@ -56,9 +56,59 @@ def test_table_matches_scalar_calls():
     table = zonal_harmonic_table(12, 3, x)
     for n in range(13):
         np.testing.assert_allclose(table[n], zonal_oracle(n, 3, x), rtol=1e-12, atol=1e-12)
-    jt = jacobi_symmetric_table(12, 5, x)
-    for n in range(13):
-        np.testing.assert_allclose(jt[n], jacobi_symmetric(n, 5, x), rtol=1e-12, atol=1e-12)
+
+
+# Node rounding (about 1e-16) times the relative slope of the
+# Christoffel function at the end nodes, which grows like N^2, bounds the
+# weights.  scipy's roots_jacobi weights on S^3 miss this bound by 8x
+# (N = 32) to 240x (N = 1032).
+def _weight_bound(count):
+    return 5e-17 * count**2
+
+
+@pytest.mark.parametrize("count", [32, 136, 528, 1032])
+def test_gauss_rule_closed_forms(count):
+    """S^1: Gauss-Chebyshev, nodes cos((2k-1) pi / 2N) and equal weights.
+    S^3: nodes cos(k pi / (N+1)) and weights proportional to
+    sin^2(k pi / (N+1)).  S^2: the nodes of scipy's roots_legendre."""
+    k = np.arange(1, count + 1)
+    nodes, weights = gauss_rule(count, 1)
+    np.testing.assert_allclose(nodes, np.cos((2 * k[::-1] - 1) * np.pi / (2 * count)),
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(weights, 1.0 / count, rtol=_weight_bound(count), atol=0.0)
+    theta = k[::-1] * np.pi / (count + 1)
+    nodes, weights = gauss_rule(count, 3)
+    np.testing.assert_allclose(nodes, np.cos(theta), rtol=0.0, atol=1e-15)
+    exact = np.sin(theta) ** 2
+    np.testing.assert_allclose(weights, exact / exact.sum(), rtol=_weight_bound(count), atol=0.0)
+    nodes, _ = gauss_rule(count, 2)
+    np.testing.assert_allclose(nodes, roots_jacobi(count, 0.0, 0.0)[0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_gauss_rule_against_scipy_nodes(d):
+    """Newton converges from the asymptotic guesses in every dimension,
+    including the one-node rule; nodes ascend, weights sum to one."""
+    alpha = (d - 2) / 2
+    for count in (1, 2, 3, 17, 100):
+        nodes, weights = gauss_rule(count, d)
+        np.testing.assert_allclose(nodes, roots_jacobi(count, alpha, alpha)[0],
+                                   rtol=0.0, atol=1e-15)
+        assert np.all(np.diff(nodes) > 0)
+        assert weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+
+def test_dimension_checks():
+    """The rule needs d >= 1 (S^1 is the meridian average); harmonic
+    tables, like kappa, need a sphere of dimension at least 2."""
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            gauss_rule(8, d)
+    with pytest.raises(ValueError, match="at least one node"):
+        gauss_rule(0, 2)
+    for d in (1, 0):
+        with pytest.raises(ValueError, match="at least 2"):
+            zonal_harmonic_table(4, d, [0.5])
 
 
 @pytest.mark.parametrize("d,expected", [(2, 5), (3, 9), (4, 14), (5, 20)])
