@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolve import _quadratic_phases
+
 __all__ = [
     "WeylBlockResult",
     "weyl_block_sup",
@@ -50,16 +52,6 @@ _BOUND_CHUNK = 64
 _REFINE_CHUNK = 16
 _FFT_BATCH = 8
 _ROUNDOFF = 1e-10
-
-
-def _quadratic_phases(t: float, n_values: np.ndarray) -> np.ndarray:
-    """exp(i n^2 t); n^2 (split at bit 26) times t_hi (26-bit Veltkamp) is exact."""
-    scaled = 134217729.0 * t  # (2^27 + 1) t
-    t_hi = scaled - (scaled - t)
-    m = n_values.astype(np.int64) ** 2
-    m_lo = m & ((1 << 26) - 1)
-    exact = np.exp(1j * ((m - m_lo) * t_hi)) * np.exp(1j * (m_lo * t_hi))
-    return exact * np.exp(1j * (m * (t - t_hi)))
 
 
 def _running_chunks(coef: np.ndarray, n_values: np.ndarray, grid: int, size: int):

@@ -167,15 +167,20 @@ def gauss_rule(count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     lambda = (d-1)/2 (exact for d = 1 and 3), with
     (1 - x^2) Y_N' = -N x Y_N + (2N+d-1) a_N Y_{N-1}, until every step
     is below 1e-15.  The weights are the Christoffel numbers
-    1 / sum_{n < N} Y_n(x_k)^2, normalized to sum to one.
+    1 / sum_{n < N} Y_n(x_k)^2, normalized to sum to one.  The rule is
+    symmetric, x_{N+1-k} = -x_k, so both passes run on the ceil(N/2)
+    nodes x >= 0 and the rest are their mirror images; the middle node
+    of an odd N is exactly 0.
     """
     if count < 1:
         raise ValueError("a Gauss rule needs at least one node")
     if d < 1:
         raise ValueError("sphere dimension must be at least 1")
     lam = (d - 1) / 2.0
-    k = np.arange(count, 0, -1, dtype=float)
+    k = np.arange((count + 1) // 2, 0, -1, dtype=float)
     x = np.cos((k + lam / 2.0 - 0.5) * math.pi / (count + lam))
+    if count % 2:
+        x[0] = 0.0
     coupling = (2 * count + d - 1) * _recurrence_coeffs(count, d)[count]
     for _ in range(_NEWTON_CAP):
         rows = _zonal_rows(count, d, x)
@@ -191,6 +196,9 @@ def gauss_rule(count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     # the last step, even one below 1e-15, puts kappa(3, 4, n) 1e-14 off.
     rows = _zonal_rows(count - 1, d, x)
     weights = 1.0 / np.einsum("nk,nk->k", rows, rows)
+    mirrored = slice(count % 2, None)
+    x = np.concatenate([-x[mirrored][::-1], x])
+    weights = np.concatenate([weights[mirrored][::-1], weights])
     return x, weights / weights.sum()
 
 

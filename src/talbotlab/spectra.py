@@ -144,45 +144,43 @@ def torus_step(jumps, m_max: int) -> TorusSpectrum:
     return TorusSpectrum(d=1, m_max=m_max, coef=box)
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with the removable singularity filled by series."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-6
-    safe = np.where(small, 1.0, z)
-    out = (np.exp(safe) - 1.0) / safe
-    series = 1.0 + z / 2.0 + z * z / 6.0
-    return np.where(small, series, out)
-
-
 def _signed_polygon_box(verts: np.ndarray, m_max: int) -> np.ndarray:
     """Fourier box of the signed indicator of a polygonal chain.
 
     Traversal order fixes the sign: counterclockwise gives +indicator.
-    Uses the divergence-theorem edge reduction; each edge contributes a
-    phi1 term, and frequencies with m_1 = 0 take the companion form in
-    the second coordinate.
+    Uses the divergence-theorem edge reduction: the edge from a to b,
+    u = b - a, contributes (e^{-i m.b} - e^{-i m.a}) / (-i m.u), built
+    from outer products of the 1-d exponentials at the vertices, or
+    e^{-i m.a} (1 + z/2 + z^2/6), z = -i m.u, where |m.u| < 1e-6.  The
+    sum weighted by u_2 is divided by -i m_1; on the row m_1 = 0 the
+    sum weighted by -u_1 is divided by -i m_2 instead.
     """
     m = np.arange(-m_max, m_max + 1)
-    m1 = m[:, None].astype(float)
-    m2 = m[None, :].astype(float)
-    sum_x = np.zeros((m.size, m.size), dtype=complex)
-    sum_y = np.zeros_like(sum_x)
+    waves = np.exp(-1j * np.multiply.outer(verts, m))
+    box = np.zeros((m.size, m.size), dtype=complex)
+    row = np.zeros(m.size, dtype=complex)
     nverts = verts.shape[0]
     for j in range(nverts):
-        a = verts[j]
-        u = verts[(j + 1) % nverts] - verts[j]
-        base = np.exp(-1j * (m1 * a[0] + m2 * a[1]))
-        edge = _phi1(-1j * (m1 * u[0] + m2 * u[1])) * base
-        sum_x += u[1] * edge
-        sum_y += -u[0] * edge
-    out = np.zeros_like(sum_x)
-    mask_x = m1 != 0.0
-    np.divide(sum_x, -1j * m1, out=out, where=mask_x)
-    mask_y = (m1 == 0.0) & (m2 != 0.0)
-    np.divide(sum_y, -1j * m2, out=out, where=mask_y)
+        k = (j + 1) % nverts
+        u = verts[k] - verts[j]
+        start = np.multiply.outer(waves[j, 0], waves[j, 1])
+        edge = np.multiply.outer(waves[k, 0], waves[k, 1])
+        edge -= start
+        mu = np.add.outer(m * u[0], m * u[1])
+        small = np.abs(mu) < 1e-6
+        edge /= -1j * np.where(small, 1.0, mu)
+        z = -1j * mu[small]
+        edge[small] = start[small] * (1.0 + z / 2.0 + z * z / 6.0)
+        box += u[1] * edge
+        row -= u[0] * edge[m_max]
+    box[:m_max] /= -1j * m[:m_max, None]
+    box[m_max + 1:] /= -1j * m[m_max + 1:, None]
+    box[m_max, :m_max] = row[:m_max] / (-1j * m[:m_max])
+    box[m_max, m_max + 1:] = row[m_max + 1:] / (-1j * m[m_max + 1:])
     cross = verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1]
-    out[m_max, m_max] = 0.5 * np.sum(cross)
-    return out / (2.0 * math.pi) ** 2
+    box[m_max, m_max] = 0.5 * np.sum(cross)
+    box /= (2.0 * math.pi) ** 2
+    return box
 
 
 def torus_polygon_indicator(vertices, m_max: int) -> TorusSpectrum:

@@ -1,12 +1,15 @@
 """Box-counting dimension estimates on graphs of known fractal dimension."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talbotlab.evolve import time_panel
+from talbotlab.experiments import DEFAULT_TRIANGLE
 from talbotlab.fitting import fit_line
 from talbotlab.fractal import (
     box_count_curve,
@@ -14,7 +17,7 @@ from talbotlab.fractal import (
     box_count_surface,
     dim_t,
 )
-from talbotlab.spectra import torus_step
+from talbotlab.spectra import torus_polygon_indicator, torus_step
 
 SQUARE_WAVE = ((0.0, 1.0), (math.pi, -1.0))
 
@@ -195,3 +198,18 @@ def test_dim_t_torus_step_at_rational_time_is_piecewise():
     spec = torus_step(SQUARE_WAVE, 4096)
     report = dim_t(spec, 2 * math.pi / 4, 2**14, (4, 9))
     assert report.max_slope <= 1.25
+
+
+def test_dim_t_peak_memory_at_criterion_3_scale():
+    """One dim_t on the criterion-3 triangle (m_max 512, grid 2048^2)
+    peaks below 128 MiB, two 64 MiB fields.  Measured 112 MiB: the field,
+    the slab of the first FFT pass and the propagated box; the full-box
+    evaluation held four copies of the field and peaked at 208 MiB."""
+    spec = torus_polygon_indicator(DEFAULT_TRIANGLE, 512)
+    tracemalloc.start()
+    try:
+        dim_t(spec, time_panel()[0], 2048, (3, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20

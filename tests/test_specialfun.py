@@ -88,13 +88,15 @@ def test_gauss_rule_closed_forms(count):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_gauss_rule_against_scipy_nodes(d):
     """Newton converges from the asymptotic guesses in every dimension,
-    including the one-node rule; nodes ascend, weights sum to one."""
+    including the one-node rule; nodes ascend, the rule is exactly
+    symmetric about 0, weights sum to one."""
     alpha = (d - 2) / 2
     for count in (1, 2, 3, 17, 100):
         nodes, weights = gauss_rule(count, d)
         np.testing.assert_allclose(nodes, roots_jacobi(count, alpha, alpha)[0],
                                    rtol=0.0, atol=1e-15)
         assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
         assert weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
