@@ -8,10 +8,18 @@ weights of the quadratic phase sequence; ``quantization_check``
 measures how exactly the implementation realizes that collapse, with
 the phases e^{2 pi i p lambda / q} reduced mod q so they stay exact.
 
-Grid evaluation on T^d (``evaluate_torus``) runs an inverse FFT one
+Grid evaluation on T^d (``torus_strips``) runs an inverse FFT one
 axis at a time: each axis is zero-padded to the grid, or folded onto it
 by summation when the grid is too small to hold every frequency, and
-transformed in place, so the first pass touches only the nonzero rows.
+transformed in place.  Every pass but the last runs on the 2 m_max + 1
+nonzero rows; the last pass makes the field one column strip at a time,
+and a caller reduces each strip as it comes, so a consumer such as box
+counting never holds the whole field (``evaluate_torus`` assembles the
+strips).  Row chunks and strips run on a thread pool with one worker per
+CPU the process may use, at most four, so peak memory is the row-pass
+slab plus about one strip per worker; each 1-d transform is the same
+arithmetic on any worker, so the samples do not depend on the worker
+count.
 
 Almost-every-time statements are operationalized by a fixed panel of
 eight float times: four explicit irrationals and four seeded uniform
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +45,7 @@ __all__ = [
     "propagate_torus",
     "propagate_sphere",
     "evaluate_torus",
+    "torus_strips",
     "QuantizationResult",
     "quantization_weights",
     "quantization_check",
@@ -81,18 +91,22 @@ def _unit_phases_rational(eigs: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.exp(2.0j * math.pi * residues / q)
 
 
-def _phases(eigs: np.ndarray, t: float) -> np.ndarray:
-    return np.exp(1j * float(t) * np.asarray(eigs, dtype=float))
+def _exact_phases(t: float, eigs: np.ndarray) -> np.ndarray:
+    """exp(i lambda t) for integer eigenvalues |lambda| < 2^53, to roundoff.
 
-
-def _quadratic_phases(t: float, n_values: np.ndarray) -> np.ndarray:
-    """exp(i n^2 t); n^2 (split at bit 26) times t_hi (26-bit Veltkamp) is exact."""
+    lambda splits at bit 26 and t into a 26-bit Veltkamp head t_hi and
+    its tail; the head products (27 by 26 and 26 by 26 significant bits)
+    are exact, so only lambda (t - t_hi), about 2^-27 of lambda t, is
+    rounded before an exponential.
+    """
+    lam = np.asarray(eigs, dtype=np.int64)
+    if lam.size and int(np.max(np.abs(lam))) >= 2**53:
+        raise ValueError("exact phases need |eigenvalue| < 2^53")
     scaled = 134217729.0 * t  # (2^27 + 1) t
     t_hi = scaled - (scaled - t)
-    m = n_values.astype(np.int64) ** 2
-    m_lo = m & ((1 << 26) - 1)
-    exact = np.exp(1j * ((m - m_lo) * t_hi)) * np.exp(1j * (m_lo * t_hi))
-    return exact * np.exp(1j * (m * (t - t_hi)))
+    lam_lo = lam & ((1 << 26) - 1)
+    exact = np.exp(1j * ((lam - lam_lo) * t_hi)) * np.exp(1j * (lam_lo * t_hi))
+    return exact * np.exp(1j * (lam * (t - t_hi)))
 
 
 def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
@@ -101,7 +115,7 @@ def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
     The multiplier is the outer product of the 1-d phases e^{i t m^2},
     so exponentials are taken at 2 m_max + 1 points only; each phase is
     accurate to roundoff, since t m^2 is split into exact products
-    before the exponential (``_quadratic_phases``).
+    before the exponential (``_exact_phases``).
 
     Parameters
     ----------
@@ -113,44 +127,151 @@ def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
     TorusSpectrum
         Same support.
     """
-    phases = _quadratic_phases(float(t), spec.frequencies())
+    phases = _exact_phases(float(t), spec.frequencies().astype(np.int64) ** 2)
     return spec.scaled(functools.reduce(np.multiply.outer, [phases] * spec.d))
 
 
 def propagate_sphere(spec: ZonalSpectrum, t: float) -> ZonalSpectrum:
-    """Free evolution on S^d: a_n gains e^{i t n (n + d - 1)}."""
+    """Free evolution on S^d: a_n gains e^{i t n (n + d - 1)}, each phase
+    accurate to roundoff (``_exact_phases``)."""
     if not isinstance(spec, ZonalSpectrum):
         raise TypeError("propagate_sphere expects a ZonalSpectrum")
     n = spec.degrees().astype(np.int64)
     eigs = n * (n + spec.d - 1)
-    return spec.scaled(_phases(eigs, t))
+    return spec.scaled(_exact_phases(float(t), eigs))
 
 
-def _place_axis(values: np.ndarray, axis: int, grid_size: int) -> np.ndarray:
+# Columns per strip of the last transform pass and rows per chunk of
+# the others: 128 columns of a 2048-point axis are 4 MiB of samples.
+_STRIP_WIDTH = 128
+
+# Most pool workers.  Each live worker holds one strip and its
+# reduction, about 6 MiB at criterion 3 on top of the 48 MiB of the
+# propagated box and the row-pass slab, so the cap keeps a dim_t there
+# near 72 MiB on any machine.
+_MAX_WORKERS = 4
+
+
+def _worker_count() -> int:
+    """CPUs the process may run on (its affinity mask where the platform
+    has one, else all of them), at most ``_MAX_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _map_pool(fn, items: list) -> list:
+    """[fn(item) for item in items] on a thread pool of ``_worker_count()``
+    workers, at most one per item."""
+    workers = min(_worker_count(), len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    # Imported here, so that the studies that never pool (all but the
+    # T^d dimension ones) pay neither its import time nor its memory.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _slices(size: int, width: int) -> list:
+    return [slice(lo, min(lo + width, size)) for lo in range(0, size, width)]
+
+
+def _place_axis(values: np.ndarray, axis: int, grid_size: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Frequencies -m_max .. m_max of one axis put in FFT bins m mod grid_size.
 
     Zero-padding is two slice copies; below 2 m_max + 1 bins the
-    wrapped coefficients are folded by summation.
+    wrapped coefficients are folded by summation.  Fills ``out`` if given.
     """
     m_max = values.shape[axis] // 2
     lead = (slice(None),) * axis
-    placed = np.zeros(values.shape[:axis] + (grid_size,) + values.shape[axis + 1:],
-                      dtype=complex)
+    if out is None:
+        out = np.empty(values.shape[:axis] + (grid_size,) + values.shape[axis + 1:],
+                       dtype=complex)
     if grid_size < 2 * m_max + 1:
-        np.add.at(placed, lead + (np.arange(-m_max, m_max + 1) % grid_size,), values)
+        out[...] = 0.0
+        np.add.at(out, lead + (np.arange(-m_max, m_max + 1) % grid_size,), values)
     else:
-        placed[lead + (slice(0, m_max + 1),)] = values[lead + (slice(m_max, None),)]
-        placed[lead + (slice(grid_size - m_max, grid_size),)] = values[lead + (slice(0, m_max),)]
-    return placed
+        out[lead + (slice(0, m_max + 1),)] = values[lead + (slice(m_max, None),)]
+        out[lead + (slice(m_max + 1, grid_size - m_max),)] = 0.0
+        out[lead + (slice(grid_size - m_max, grid_size),)] = values[lead + (slice(0, m_max),)]
+    return out
+
+
+def _transform(values: np.ndarray, axes, grid_size: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Place ``values`` on the grid and inverse-transform it in place,
+    unscaled (``norm="forward"``), along each of ``axes`` in turn; the
+    last pass fills ``out`` if given."""
+    axes = list(axes)
+    for axis in axes:
+        values = _place_axis(values, axis, grid_size, out if axis == axes[-1] else None)
+        np.fft.ifft(values, axis=axis, norm="forward", out=values)
+    return values
+
+
+def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1) -> list:
+    """``reduce(strip)`` of each column strip of the sampled field, in order.
+
+    The strips split the last axis into runs of about 128 grid columns,
+    a whole number of ``cell`` columns (the last may be shorter); on
+    T^1 the field is one strip.  Every
+    transform pass but the last (axis 0) runs on the 2 m_max + 1
+    nonzero axis-0 rows, in chunks; the last pass places and transforms
+    one strip at a time, and ``reduce`` sees it before the next is made.
+    Row chunks and strips run on a thread pool of one worker per CPU
+    the process may run on, at most four and at most one per strip, so
+    ``reduce`` must be thread-safe; the strips are the same whatever
+    the worker count.  Each live worker holds one strip, so peak memory
+    is the row-pass slab plus about one strip and its reduction per
+    worker.
+
+    Parameters
+    ----------
+    spec : TorusSpectrum
+    grid_size : int
+        Points per axis, as in ``evaluate_torus``.
+    reduce : callable
+        Maps a complex strip of shape (grid_size,) * (d - 1) + (w,) to
+        the value reported for it.
+    cell : int
+        Every strip but the last holds a multiple of ``cell`` columns.
+
+    Returns
+    -------
+    list
+        The ``reduce`` values, strip by strip along the last axis.
+    """
+    size = int(grid_size)
+    if size < 2 * spec.m_max + 1:
+        warnings.warn(
+            "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=3
+        )
+    coef = spec.coef
+    if spec.d == 1:
+        return [reduce(_transform(coef, (0,), size))]
+    rows = np.empty((coef.shape[0],) + (size,) * (spec.d - 1), dtype=complex)
+    inner = range(spec.d - 1, 0, -1)
+    _map_pool(lambda chunk: _transform(coef[chunk], inner, size, rows[chunk]),
+              _slices(coef.shape[0], _STRIP_WIDTH))
+    width = cell * max(1, _STRIP_WIDTH // cell)
+    return _map_pool(lambda cols: reduce(_transform(rows[..., cols], (0,), size)),
+                     _slices(size, width))
 
 
 def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
     """Sample sum f_hat(m) e^{i m.x} on the uniform grid.
 
-    The transform runs one axis at a time, last axis first: each axis
-    is placed on the grid and inverse-transformed in place, unscaled
-    (``norm="forward"``), so the first pass touches only the
-    2 m_max + 1 nonzero rows and no pass allocates a second field.
+    The field is assembled from the column strips of ``torus_strips``:
+    one axis at a time, last axis first, each axis is placed on the grid
+    and inverse-transformed in place, unscaled, so the first pass
+    touches only the 2 m_max + 1 nonzero rows.  Row chunks and strips
+    run on a thread pool of one worker per CPU the process may use, at
+    most four; the samples do not depend on the worker count.
 
     Parameters
     ----------
@@ -166,15 +287,8 @@ def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
     ndarray
         Complex samples of shape (grid_size,) * d.
     """
-    if grid_size < 2 * spec.m_max + 1:
-        warnings.warn(
-            "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=2
-        )
-    values = spec.coef
-    for axis in reversed(range(spec.d)):
-        values = _place_axis(values, axis, int(grid_size))
-        np.fft.ifft(values, axis=axis, norm="forward", out=values)
-    return values
+    return np.concatenate(torus_strips(spec, grid_size, lambda strip: strip),
+                          axis=-1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _quadratic_phases
+from .evolve import _exact_phases
 
 __all__ = [
     "WeylBlockResult",
@@ -115,7 +115,7 @@ def weyl_block_sup(
         raise ValueError("grid_factor must be >= 1")
     n_values = np.arange(big_n, 2 * big_n + 1)
     coef = np.array([float(weights(int(n))) for n in n_values])
-    coef = coef * _quadratic_phases(t, n_values)
+    coef = coef * _exact_phases(t, n_values ** 2)
     mags = np.abs(coef)
     slack = _ROUNDOFF * float(np.sum(mags))
     if not math.isfinite(slack):

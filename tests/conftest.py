@@ -28,6 +28,27 @@ settings.register_profile("talbotlab", deadline=None)
 settings.load_profile("talbotlab")
 
 
+def evaluate_torus_whole(spec, grid_size):
+    """The whole sampled field at once (oracle of the strip evaluation):
+    one axis at a time, last axis first, each axis zero-padded to the
+    grid (folded onto it by summation below 2 m_max + 1 points) and
+    inverse-transformed in place, unscaled."""
+    values = spec.coef
+    for axis in reversed(range(spec.d)):
+        m_max = values.shape[axis] // 2
+        lead = (slice(None),) * axis
+        placed = np.zeros(values.shape[:axis] + (grid_size,) + values.shape[axis + 1:],
+                          dtype=complex)
+        if grid_size < 2 * m_max + 1:
+            np.add.at(placed, lead + (np.arange(-m_max, m_max + 1) % grid_size,), values)
+        else:
+            placed[lead + (slice(0, m_max + 1),)] = values[lead + (slice(m_max, None),)]
+            placed[lead + (slice(grid_size - m_max, grid_size),)] = values[lead + (slice(0, m_max),)]
+        np.fft.ifft(placed, axis=axis, norm="forward", out=placed)
+        values = placed
+    return values
+
+
 def random_phase(spec, seed):
     """The spectrum with seeded i.i.d. uniform unimodular phases on each entry.
 

@@ -287,6 +287,31 @@ def test_nls_smoothing_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_polygon_dimension_outputs_do_not_depend_on_cpu_count(tmp_path):
+    """The strip pool has one worker per CPU in the process's affinity
+    mask; a child pinned to one CPU and one pinned to two write the same
+    criterion-3 bytes.  Only the children's affinity is set."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform: a child cannot be pinned")
+    src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cpus = sorted(os.sched_getaffinity(0))
+    outputs = []
+    for count in (1, 2):
+        if count > len(cpus):
+            pytest.skip("one CPU in the affinity mask: no two-CPU run to compare")
+        out = tmp_path / f"cpus{count}"
+        child = (f"import os, sys; os.sched_setaffinity(0, {cpus[:count]}); "
+                 "from talbotlab.cli import main; sys.exit(main(sys.argv[1:]))")
+        subprocess.run([sys.executable, "-c", child, "dimension", "torus-polygon",
+                        "--seed", "1729", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("dimension-torus-polygon.json", "dimension-torus-polygon.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_loads_no_scipy():
     """The library needs NumPy alone; scipy is a test-only oracle."""
     src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])

@@ -119,6 +119,23 @@ def test_sphere_propagator_eigenvalues():
         propagate_sphere(torus_step(SQUARE_WAVE, 4), 0.11)
 
 
+def test_sphere_phases_match_mpmath_at_criterion_4_scale():
+    """The phases e^{i t n (n + 1)} of zonal_decay_family(1.5, 8191) at
+    the eight panel times, against mpmath at 40 digits: every one is
+    within 1e-15 (measured 4.0e-16).  exp(i t lambda) of the rounded
+    product t lambda was up to 3.0e-8 off."""
+    spec = zonal_decay_family(1.5, 8191)
+    n = spec.degrees().astype(np.int64)
+    eigs = (n * (n + 1)).tolist()
+    worst = 0.0
+    with mpmath.workdps(40):
+        for t in time_panel():
+            phases = propagate_sphere(spec, t).coef / spec.coef
+            exact = np.array([complex(mpmath.expj(mpmath.mpf(t) * lam)) for lam in eigs])
+            worst = max(worst, float(np.max(np.abs(phases - exact))))
+    assert worst < 1e-15
+
+
 def test_time_panel_is_seeded_and_distinct():
     panel = time_panel(seed=1729)
     assert panel == time_panel(seed=1729)

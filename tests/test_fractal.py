@@ -1,6 +1,7 @@
 """Box-counting dimension estimates on graphs of known fractal dimension."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbotlab.evolve import time_panel
-from talbotlab.experiments import DEFAULT_TRIANGLE
+from conftest import evaluate_torus_whole
+from talbotlab import evolve
+from talbotlab.evolve import evaluate_torus, propagate_torus, time_panel
+from talbotlab.experiments import DEFAULT_STEP_JUMPS, DEFAULT_TRIANGLE
 from talbotlab.fitting import fit_line
 from talbotlab.fractal import (
+    _torus_box_counts,
     box_count_curve,
     box_count_series,
     box_count_surface,
@@ -200,16 +204,96 @@ def test_dim_t_torus_step_at_rational_time_is_piecewise():
     assert report.max_slope <= 1.25
 
 
-def test_dim_t_peak_memory_at_criterion_3_scale():
-    """One dim_t on the criterion-3 triangle (m_max 512, grid 2048^2)
-    peaks below 128 MiB, two 64 MiB fields.  Measured 112 MiB: the field,
-    the slab of the first FFT pass and the propagated box; the full-box
-    evaluation held four copies of the field and peaked at 208 MiB."""
+def _dim_t_peak(monkeypatch, workers):
+    """tracemalloc peak of one dim_t on the criterion-3 triangle (m_max
+    512, grid 2048^2) with the strip pool at ``workers`` workers."""
+    monkeypatch.setattr(evolve, "_worker_count", lambda: workers)
     spec = torus_polygon_indicator(DEFAULT_TRIANGLE, 512)
     tracemalloc.start()
     try:
         dim_t(spec, time_panel()[0], 2048, (3, 8))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+
+
+def test_dim_t_peak_memory_at_criterion_3_scale(monkeypatch):
+    """One dim_t at criterion-3 scale with two pool workers peaks below
+    64 MiB, one 64 MiB field.  Measured 59.6 MiB: the propagated box and
+    its phase multiplier, then the 32 MiB slab of the row pass and a
+    4 MiB column strip per worker; the field is never built.  A
+    whole-field evaluation peaked at 112 MiB, and the full-box one
+    before it at 208 MiB."""
+    assert _dim_t_peak(monkeypatch, 2) < 64 * 2**20
+
+
+def test_dim_t_peak_memory_per_worker(monkeypatch):
+    """Each worker past two adds at most about one strip and its
+    reduction (6 MiB), and at the pool's cap a dim_t at criterion-3
+    scale stays below the 112 MiB of a whole-field evaluation."""
+    two = _dim_t_peak(monkeypatch, 2)
+    assert _dim_t_peak(monkeypatch, 8) - two < 6 * 6 * 2**20
+    assert _dim_t_peak(monkeypatch, evolve._MAX_WORKERS) < 112 * 2**20
+
+
+def test_worker_count_follows_the_cpus_up_to_the_cap(monkeypatch):
+    """The pool takes the affinity mask where the platform has one, else
+    the CPU count, and never more than _MAX_WORKERS workers."""
+    monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert evolve._worker_count() == evolve._MAX_WORKERS
+    monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert evolve._worker_count() == 1
+    monkeypatch.delattr(evolve.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(evolve.os, "cpu_count", lambda: 3)
+    assert evolve._worker_count() == 3
+    monkeypatch.setattr(evolve.os, "cpu_count", lambda: None)
+    assert evolve._worker_count() == 1
+
+
+# Case -> (data, grid, fit window).  The criterion-3 triangle gives 16
+# full strips of 128 columns; the criterion-2 step data are one strip;
+# the aliasing grid (256 < 2 * 160 + 1) folds in each of its two
+# strips; at grid 640 and top level 5 a strip holds 6 cells of 20
+# columns, so the last strip is 40 columns wide.
+STRIP_CASES = {
+    "criterion-3": (lambda: torus_polygon_indicator(DEFAULT_TRIANGLE, 512), 2048, (3, 8)),
+    "step": (lambda: torus_step(DEFAULT_STEP_JUMPS, 2**14), 2**16, (5, 11)),
+    "aliasing": (lambda: torus_polygon_indicator(DEFAULT_TRIANGLE, 160), 256, (2, 6)),
+    "short-last-strip": (lambda: torus_polygon_indicator(DEFAULT_TRIANGLE, 100), 640, (2, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIP_CASES))
+def test_strip_counts_equal_whole_field_counts(case, recwarn):
+    """The box counts dim_t takes from column strips equal, exactly,
+    the counts of the whole field built at once, and the strips that
+    evaluate_torus assembles are that field bit for bit."""
+    build, grid, window = STRIP_CASES[case]
+    spec = propagate_torus(build(), time_panel()[1])
+    levels = list(range(window[0], window[1] + 1))
+    whole = evaluate_torus_whole(spec, grid)
+    expected = [box_count_series(part, levels).tolist() for part in (whole.real, whole.imag)]
+    assert _torus_box_counts(spec, grid, levels).tolist() == expected
+    assert np.array_equal(evaluate_torus(spec, grid), whole)
+    assert bool(recwarn.list) == (case == "aliasing")
+
+
+def test_strips_on_more_workers_than_cores(monkeypatch):
+    """Eight workers, one per row chunk or strip, switching threads every
+    microsecond, still give the whole field's bits and counts: workers
+    share only disjoint slices of the row-pass slab."""
+    monkeypatch.setattr(evolve, "_worker_count", lambda: 8)
+    spec = propagate_torus(torus_polygon_indicator(DEFAULT_TRIANGLE, 256), time_panel()[2])
+    levels = [3, 4, 5, 6, 7]
+    whole = evaluate_torus_whole(spec, 1024)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = _torus_box_counts(spec, 1024, levels)
+        field = evaluate_torus(spec, 1024)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts.tolist() == [box_count_series(part, levels).tolist()
+                               for part in (whole.real, whole.imag)]
+    assert np.array_equal(field, whole)
