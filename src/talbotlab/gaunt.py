@@ -38,7 +38,6 @@ __all__ = [
     "admissible",
     "kappa",
     "count_unclassified",
-    "line_integral_table",
     "resonance_compare",
 ]
 
@@ -235,23 +234,6 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     return count
 
 
-def line_integral_table(n_max: int, d: int = 2) -> np.ndarray:
-    """Meridian products (1/pi) integral_0^pi Y_k Y_l dtheta.
-
-    The normalized rule of S^1 (Gauss-Chebyshev, n_max + 8 nodes) is
-    exact for these integrands, polynomials of degree 2 n_max in
-    cos(theta).
-
-    Returns
-    -------
-    ndarray
-        Symmetric (n_max+1, n_max+1) matrix of line integrals.
-    """
-    rule = QuadratureRule.for_degree(2 * n_max, 1)
-    table = zonal_harmonic_table(n_max, d, rule.nodes)
-    return (table * rule.weights) @ table.T
-
-
 def resonance_compare(n: int, n2: int, n3: int, d: int = 2):
     """kappa(n, n, n2, n3) against its large-n meridian limit.
 
@@ -265,5 +247,8 @@ def resonance_compare(n: int, n2: int, n3: int, d: int = 2):
     if max(n2, n3) > n:
         raise ValueError("resonance comparison needs n2, n3 <= n")
     k_val = kappa((n, n, n2, n3), d)
-    line = float(line_integral_table(max(n2, n3), d)[n2, n3])
+    # The rule of S^1 is exact for Y_{n2} Y_{n3}, of degree n2 + n3 in cos(theta).
+    rule = QuadratureRule.for_degree(2 * max(n2, n3), 1)
+    table = zonal_harmonic_table(max(n2, n3), d, rule.nodes)
+    line = rule.integrate(table[n2] * table[n3])
     return (k_val, line, k_val - line)

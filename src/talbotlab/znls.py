@@ -5,9 +5,11 @@ Coefficientwise the truncated flow is
     d a_n / dt = i lambda_n a_n + i sigma (|u|^2 u)^_n,
     lambda_n = n (n + d - 1),
 
-integrated by Strang splitting.  The linear half-steps are exact
-phase rotations.  The nonlinear substep freezes |u|^2 at a half-step
-prediction and applies the unitary rotation exp(i sigma dt B) with
+integrated by Strang splitting.  The linear half-steps are the exact
+phase rotations e^{i dt lambda_n / 2} of ``evolve.propagate_sphere``,
+computed once per ``solve``.  The nonlinear substep freezes |u|^2 at a
+half-step prediction and applies the unitary rotation exp(i sigma dt B)
+with
 
     B_nm = (1/omega_d) integral |u|^2 Y_n Y_m dsigma,
 
@@ -25,14 +27,17 @@ depends only on the data, and a time step makes no LAPACK call.
 The resonant part of the nonlinearity acts asymptotically as the
 state-dependent phase
 
-    gamma(t; v) = (2/pi) sum_{k,l} conj(v_k) v_l
-                  integral_0^pi Y_k Y_l dtheta,
+    gamma(t; u) = (2/pi) integral_0^pi |u|^2 dtheta,
 
-accumulated into Phi(t) = integral_0^t gamma.  Nonlinear smoothing is
-measured on the residual r(t) = u(t) - e^{i t lambda} e^{i sigma Phi}
-u(0): its dyadic tail decays faster than the solution's.  ``solve``
-keeps only what that measurement and the mass check read: the end
-states, t, Phi(t) and the largest mass drift over the steps.
+twice the meridian average of |u|^2.  The normalized rule of S^1
+(``QuadratureRule`` at d = 1) is exact for |u|^2, a polynomial of
+degree 2 n_max in cos(theta), so gamma is the nodal sum
+2 sum_i w_i |u(x_i)|^2, accumulated into Phi(t) = integral_0^t gamma.
+Nonlinear smoothing is measured on the residual
+r(t) = u(t) - e^{i t lambda} e^{i sigma Phi} u(0): its dyadic tail
+decays faster than the solution's.  ``solve`` keeps only what that
+measurement and the mass check read: the end states, t, Phi(t) and the
+largest mass drift over the steps.
 """
 
 from __future__ import annotations
@@ -42,33 +47,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaunt import QuadratureRule, line_integral_table
+from .evolve import propagate_sphere
+from .gaunt import QuadratureRule
 from .specialfun import zonal_harmonic_table
 from .spectra import ZonalSpectrum
 
 __all__ = [
     "NLSRun",
     "SmoothingTable",
-    "gamma_phase",
     "solve",
     "smoothing_residual",
 ]
 
 
 class _Workspace:
-    """Quadrature rule and harmonic table of one truncation."""
+    """Quadrature rules and harmonic tables of one truncation: the
+    sphere's for B(u), the meridian's for gamma."""
 
     def __init__(self, n_max: int, d: int):
         # 2 n_max + 16 nodes, exact through degree 4 n_max + 31: above
         # the degree 4 n_max of the integrands |u|^2 Y_n Y_m.
         self.rule = QuadratureRule.for_degree(4 * n_max + 16, d)
         self.table = zonal_harmonic_table(n_max, d, self.rule.nodes)
+        # The rule of S^1 is exact for |u|^2 on a meridian, of degree 2 n_max.
+        self.meridian = QuadratureRule.for_degree(2 * n_max, 1)
+        self.meridian_table = zonal_harmonic_table(n_max, d, self.meridian.nodes)
 
     def density(self, coef: np.ndarray) -> tuple[np.ndarray, float]:
         """Node weights of B(u) = T diag(dens) T^T, and max |u|^2 at the nodes."""
-        u_nodes = self.table.T @ _pairs(coef)
-        modulus = np.sum(u_nodes * u_nodes, axis=1)
+        modulus = _modulus(self.table, coef)
         return self.rule.weights * modulus, float(modulus.max())
+
+    def gamma(self, coef: np.ndarray) -> float:
+        """Resonant phase rate gamma(u) = (2/pi) integral_0^pi |u|^2 dtheta."""
+        return 2.0 * self.meridian.integrate(_modulus(self.meridian_table, coef))
 
     def product(self, dens: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """B v, without forming B."""
@@ -107,29 +119,10 @@ def _pairs(vec: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
-def gamma_phase(coef: np.ndarray, line_table: np.ndarray) -> float:
-    """Resonant phase rate gamma(t; u) of the coefficients a_n.
-
-    Parameters
-    ----------
-    coef : ndarray
-        Zonal coefficients a_0 .. a_{n_max}.
-    line_table : ndarray
-        Meridian products line_integral_table(n_max, d) of the same
-        truncation.
-
-    Returns
-    -------
-    float
-        (2/pi) sum_{k,l} conj(a_k) a_l integral_0^pi Y_k Y_l dtheta.
-        The Hermitian form is real; an imaginary part above 1e-12
-        raises.
-    """
-    value = complex(np.conj(coef) @ (line_table @ coef))
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > 1e-12 * scale:
-        raise AssertionError("gamma form must be real (Hermitian)")
-    return 2.0 * value.real
+def _modulus(table: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """|u|^2 at the nodes of a harmonic table."""
+    u_nodes = table.T @ _pairs(coef)
+    return np.sum(u_nodes * u_nodes, axis=1)
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ class NLSRun:
     initial, final : ZonalSpectrum
         The data at t = 0 and at t.
     t : float
-        Final time, the step summed once per step.
+        Final time, the number of steps times the step.
     phase : float
         Phi(t), the time integral of gamma up to t (real).
     sign : int
@@ -169,7 +162,7 @@ def solve(initial: ZonalSpectrum, dt: float, t_final: float, sign: int = 1) -> N
     dt : float
         Time step, > 0.
     t_final : float
-        Integration horizon, an integer number of steps.
+        Integration horizon, >= 0 and an integer number of steps.
     sign : int
         sigma in {+1, -1} for the cubic term.
 
@@ -181,30 +174,29 @@ def solve(initial: ZonalSpectrum, dt: float, t_final: float, sign: int = 1) -> N
         raise ValueError("time step must be positive")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer number of steps")
     d, n_max = initial.d, initial.n_max
     ws = _Workspace(n_max, d)
-    line = line_integral_table(n_max, d)
-    degrees = np.arange(n_max + 1)
-    half_phase = np.exp(0.5j * dt * (degrees * (degrees + d - 1)))
-    spec, t, phase = initial, 0.0, 0.0
-    rate = gamma_phase(spec.coef, line)
+    half_phase = propagate_sphere(ZonalSpectrum(d=d, coef=np.ones(n_max + 1)), 0.5 * dt).coef
+    spec, phase = initial, 0.0
+    rate = ws.gamma(spec.coef)
     masses = [spec.l2_norm() ** 2]
     for _ in range(n_steps):
         coef = half_phase * spec.coef
         coef = half_phase * ws.galerkin_rotation(coef, dt, sign)
         spec = ZonalSpectrum(d=d, coef=coef)
         # Phi advances by the trapezoid rule on gamma.
-        moved_rate = gamma_phase(spec.coef, line)
-        t += dt
+        moved_rate = ws.gamma(spec.coef)
         phase += 0.5 * dt * (rate + moved_rate)
         rate = moved_rate
         masses.append(spec.l2_norm() ** 2)
     masses = np.array(masses)
     return NLSRun(
-        initial=initial, final=spec, t=t, phase=phase, sign=sign,
+        initial=initial, final=spec, t=n_steps * dt, phase=phase, sign=sign,
         mass_drift=float(np.max(np.abs(masses - masses[0]))),
     )
 
@@ -219,18 +211,14 @@ class SmoothingTable:
         Dyadic block starts N (blocks cover [N, 2N)).
     r_norms, u_norms : ndarray
         ||P_N r(t)||_{L^2} and ||P_N u(t)||_{L^2}.
-    r_weighted, u_weighted : ndarray
-        The same norms multiplied by N^{s + eps}.
     """
 
     n_values: np.ndarray
     r_norms: np.ndarray
     u_norms: np.ndarray
-    r_weighted: np.ndarray
-    u_weighted: np.ndarray
 
 
-def smoothing_residual(run: NLSRun, s: float, eps: float) -> SmoothingTable:
+def smoothing_residual(run: NLSRun) -> SmoothingTable:
     """Dyadic tails of r(t) = u(t) - e^{i t lambda} e^{i sigma Phi} u(0).
 
     The linear-flow reference carries the accumulated resonant phase;
@@ -242,21 +230,13 @@ def smoothing_residual(run: NLSRun, s: float, eps: float) -> SmoothingTable:
     ----------
     run : NLSRun
         Measured at its final state.
-    s, eps : float
-        Weight exponent s + eps applied to both norm columns.
 
     Returns
     -------
     SmoothingTable
     """
     final = run.final
-    degrees = np.arange(final.n_max + 1)
-    eigenvalues = degrees * (degrees + final.d - 1)
-    reference = (
-        np.exp(1j * run.t * eigenvalues)
-        * np.exp(1j * run.sign * run.phase)
-        * run.initial.coef
-    )
+    reference = propagate_sphere(run.initial, run.t).coef * np.exp(1j * run.sign * run.phase)
     residual = final.coef - reference
     n_values = []
     r_norms = []
@@ -268,12 +248,8 @@ def smoothing_residual(run: NLSRun, s: float, eps: float) -> SmoothingTable:
         r_norms.append(float(np.linalg.norm(residual[lo:hi])))
         u_norms.append(float(np.linalg.norm(final.coef[lo:hi])))
         block *= 2
-    n_arr = np.array(n_values, dtype=float)
-    weight = n_arr ** (s + eps)
     return SmoothingTable(
         n_values=np.array(n_values),
         r_norms=np.array(r_norms),
         u_norms=np.array(u_norms),
-        r_weighted=np.array(r_norms) * weight,
-        u_weighted=np.array(u_norms) * weight,
     )

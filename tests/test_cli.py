@@ -196,6 +196,8 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
     # Zonal harmonics need a sphere: S^1 has no kappa, and d = 0 no measure.
     (("resonance", "--d", "1"), "sphere dimension must be at least 2"),
     (("resonance", "--d", "0"), "sphere dimension must be at least 2"),
+    # A negative horizon is not a run of zero steps.
+    (("nls-smoothing", "--n-max", "16", "--t-final=-0.1"), "t_final must be"),
 ])
 def test_degenerate_study_parameters_exit_two_without_outputs(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
@@ -423,6 +425,9 @@ def test_specfun_dimension_is_a_flag(tmp_path):
     ("quantize", "--q", "3"),
     ("kappa-table", "--nonneg-tol=-1"),
     ("nls-smoothing", "--gain-min", "0"),
+    # The weight exponent of the weighted columns is fixed at s + eps = 3/4.
+    ("nls-smoothing", "--s", "0.5"),
+    ("nls-smoothing", "--eps", "0.25"),
 ])
 def test_foreign_or_malformed_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as info:

@@ -22,9 +22,9 @@ from talbotlab.gaunt import (
     admissible,
     count_unclassified,
     kappa,
-    line_integral_table,
     resonance_compare,
 )
+from talbotlab.znls import _Workspace
 
 
 def h_symbol(n1, n2, n3, n, d=2):
@@ -425,12 +425,13 @@ def test_count_unclassified_memory_is_quadratic_in_n_max():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_line_integral_table_against_quadrature(d):
-    table = line_integral_table(8, d=d)
-    assert table.shape == (9, 9)
-    np.testing.assert_allclose(table, table.T, atol=1e-15)
+    """The meridian line integral of ``resonance_compare`` against scipy
+    quad, and symmetric in its two degrees."""
     for n1, n2 in [(0, 0), (1, 1), (2, 4), (3, 5), (8, 8), (0, 6)]:
+        line = resonance_compare(8, n1, n2, d)[1]
+        assert line == resonance_compare(8, n2, n1, d)[1], (n1, n2)
         ref = quad_line_integral(n1, n2, d)
-        assert table[n1, n2] == pytest.approx(ref, abs=1e-10), (n1, n2)
+        assert line == pytest.approx(ref, abs=1e-10), (n1, n2)
 
 
 def meridian_mpmath_d2(pairs, n_max, count):
@@ -451,23 +452,28 @@ def meridian_mpmath_d2(pairs, n_max, count):
 
 
 def test_line_integral_table_at_acceptance_scale_against_mpmath():
-    """The meridian table of criterion 7's top degree, n_max 256, on 65
-    entries.  Max error 3.0e-12; closed-form Chebyshev nodes of the same
-    count give 2.8e-12."""
+    """The nodal gamma of criterion 9's truncation, n_max 256, by
+    polarization on 65 meridian products:
+    (1/pi) integral Y_k Y_l = (gamma(e_k + e_l) - gamma(e_k) - gamma(e_l)) / 4.
+    Max error 1.9e-12."""
     n_max = 256
     rng = np.random.default_rng(5)
     pairs = [tuple(int(v) for v in rng.integers(0, n_max + 1, 2)) for _ in range(60)]
     pairs += [(0, 0), (3, 5), (0, n_max), (n_max - 1, n_max), (n_max, n_max)]
     exact = meridian_mpmath_d2(pairs, n_max, count=n_max + 64)
-    table = line_integral_table(n_max, 2)
-    ours = [table[k, l] for k, l in pairs]
+    ws = _Workspace(n_max, 2)
+    unit = np.eye(n_max + 1)
+    ours = [(ws.gamma(unit[k] + unit[l]) - ws.gamma(unit[k]) - ws.gamma(unit[l])) / 4.0
+            for k, l in pairs]
     np.testing.assert_allclose(ours, exact, rtol=0.0, atol=1e-11)
 
 
 def test_resonance_compare_structure():
     full, line, diff = resonance_compare(32, 3, 5)
     assert diff == pytest.approx(full - line, abs=1e-15)
-    assert line == pytest.approx(float(line_integral_table(5)[3, 5]), abs=1e-15)
+    # 40-digit oracle; the float sum is 2.5e-15 from it.
+    exact = meridian_mpmath_d2([(3, 5)], 5, count=16)[0]
+    assert line == pytest.approx(exact, abs=1e-14)
     with pytest.raises(ValueError):
         resonance_compare(4, 3, 5)  # needs n2, n3 <= n
 

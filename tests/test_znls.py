@@ -1,5 +1,8 @@
 """Zonal cubic NLS solver: oracles, invariants, and convergence order."""
 
+import math
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kappa_vector, random_phase
-from talbotlab.gaunt import line_integral_table
+from talbotlab.experiments import run_nls_smoothing
 from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
 from talbotlab import znls
 from talbotlab.znls import (
     _Workspace,
-    gamma_phase,
     smoothing_residual,
     solve,
 )
@@ -74,6 +76,19 @@ def random_coefficients(n_max, seed):
     return raw / np.arange(1, n_max + 2)
 
 
+def meridian_product_d2(k, l):
+    """(1/pi) integral_0^pi Y_k Y_l dtheta on S^2, exact up to one rounding.
+
+    P_n(cos theta) = sum_j c_j c_{n-j} e^{i (n - 2j) theta} with
+    c_j = binom(2j, j) / 4^j, so the meridian average of P_k P_l is the
+    rational sum of the products of coefficients of equal frequency.
+    """
+    c = [Fraction(math.comb(2 * j, j), 4**j) for j in range(max(k, l) + 1)]
+    total = sum(c[j] * c[k - j] * c[m] * c[l - m]
+                for j in range(k + 1) for m in range(l + 1) if k - 2 * j == l - 2 * m)
+    return math.sqrt((2 * k + 1) * (2 * l + 1)) * float(total)
+
+
 def single_mode(n, amp, n_max, d=2):
     coef = np.zeros(n_max + 1, dtype=complex)
     coef[n] = amp
@@ -89,28 +104,38 @@ def test_config_validation():
         solve(spec, 1e-3, 0.01, sign=2)
 
 
+@pytest.mark.parametrize("t_final", [-0.1, -1e-3, math.nan, math.inf])
+def test_solve_rejects_negative_or_non_finite_t_final(t_final):
+    """A negative horizon is an error, not a run of zero steps."""
+    with pytest.raises(ValueError, match="t_final"):
+        solve(zonal_decay_family(1.2, 8), 1e-3, t_final)
+
+
 def test_gamma_phase_closed_forms():
-    table = line_integral_table(8, d=2)
+    """The nodal gamma of a single mode is 2 |A|^2 times its exact
+    meridian average."""
+    ws = _Workspace(8, 2)
     zero = single_mode(3, 0.0, 8).coef
-    assert gamma_phase(zero, table) == 0.0
+    assert ws.gamma(zero) == 0.0
     coef0 = single_mode(0, 0.7 - 0.2j, 8).coef
-    assert gamma_phase(coef0, table) == pytest.approx(
+    assert ws.gamma(coef0) == pytest.approx(
         2.0 * abs(0.7 - 0.2j) ** 2, rel=1e-12, abs=0.0)
     for n, amp in [(3, 0.5 - 0.25j), (7, 2.0j)]:
         coef = single_mode(n, amp, 8).coef
-        expected = 2.0 * abs(amp) ** 2 * table[n, n]
-        assert gamma_phase(coef, table) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        expected = 2.0 * abs(amp) ** 2 * meridian_product_d2(n, n)
+        assert ws.gamma(coef) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_gamma_phase_two_modes_manual():
+    """The nodal gamma of two modes is the Hermitian form of the exact
+    meridian products."""
     coef = np.zeros(7, dtype=complex)
     coef[2], coef[5] = 0.8 + 0.1j, -0.3 + 0.6j
-    table = line_integral_table(6, d=2)
     manual = 0.0
     for k in (2, 5):
         for l in (2, 5):
-            manual += (np.conj(coef[k]) * coef[l] * table[k, l]).real * 2.0
-    assert gamma_phase(coef, table) == pytest.approx(manual, rel=1e-12, abs=0.0)
+            manual += (np.conj(coef[k]) * coef[l] * meridian_product_d2(k, l)).real * 2.0
+    assert _Workspace(6, 2).gamma(coef) == pytest.approx(manual, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -247,8 +272,20 @@ def test_linear_limit_for_tiny_data():
     n = np.arange(13, dtype=float)
     linear = spec.coef * np.exp(1j * n * (n + 1) * 0.05)
     np.testing.assert_allclose(run.final.coef, linear, atol=1e-22)
-    table = smoothing_residual(run, s=0.5, eps=0.25)
+    table = smoothing_residual(run)
     assert max(table.r_norms) < 1e-20
+
+
+def test_linear_limit_at_criterion_9_scale():
+    """Tiny criterion-9 data follow the linear flow with its resonant
+    phase: every dyadic shell of the residual is at roundoff of the
+    solution's.  A clock summed step by step ends 7e-17 past t = 0.1
+    and leaves 2.5e-12 here."""
+    spec = ZonalSpectrum(d=2, coef=1e-8 * zonal_decay_family(1.1, 256).coef)
+    run = solve(spec, 1e-3, 0.1, sign=1)
+    table = smoothing_residual(run)
+    assert np.all(table.r_norms / table.u_norms < 5e-13), table.r_norms / table.u_norms
+    assert run.t == 0.1
 
 
 def test_step_strang_advances_time_and_phase():
@@ -264,21 +301,25 @@ def test_smoothing_residual_initial_state_is_zero():
     spec = random_phase(zonal_decay_family(1.1, 32), seed=13)
     run = solve(spec, 1e-3, 0.0, sign=1)
     assert run.t == 0.0
-    table = smoothing_residual(run, s=0.5, eps=0.25)
+    table = smoothing_residual(run)
     assert max(table.r_norms) == 0.0
 
 
 def test_smoothing_table_structure():
     spec = random_phase(zonal_decay_family(1.1, 32), seed=13)
     run = solve(spec, 1e-3, 0.02, sign=1)
-    table = smoothing_residual(run, s=0.5, eps=0.25)
+    table = smoothing_residual(run)
     assert list(table.n_values) == [1, 2, 4, 8, 16]
     assert all(r >= 0 for r in table.r_norms)
-    # both weighted columns carry the N^{s+eps} factor
-    for n, r, rw in zip(table.n_values, table.r_norms, table.r_weighted):
-        assert rw == pytest.approx(r * n**0.75, rel=1e-12, abs=0.0)
-    for n, u, uw in zip(table.n_values, table.u_norms, table.u_weighted):
-        assert uw == pytest.approx(u * n**0.75, rel=1e-12, abs=0.0)
+    # both weighted columns of the study's rows carry the N^{s+eps} factor
+    rows = run_nls_smoothing(n_max=32, dt=1e-3, t_final=0.02, fit_n_min=2,
+                             single_mode_dt=1e-3).rows
+    assert [row["N"] for row in rows] == [1, 2, 4, 8, 16]
+    for row in rows:
+        assert row["residual_weighted"] == pytest.approx(
+            row["residual_norm"] * row["N"] ** 0.75, rel=1e-12, abs=0.0)
+        assert row["solution_weighted"] == pytest.approx(
+            row["solution_norm"] * row["N"] ** 0.75, rel=1e-12, abs=0.0)
 
 
 def test_solver_rejects_non_finite_state():
