@@ -298,9 +298,9 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
         # Term j pairs degree n = m + 2j with g_j g_{n-j}, for the
         # block degrees n >= 2j.
         for j in range((hi + 1) // 2 if lo < hi else 0):
-            n = np.arange(max(lo, 2 * j), hi)
-            scale = np.exp(log_norm[n] + log_g[j] + log_g[n - j])
-            beta[n - 2 * j] += coef[n] * scale
+            n0 = max(lo, 2 * j)
+            scale = np.exp(log_norm[n0:hi] + log_g[j] + log_g[n0 - j:hi - j])
+            beta[n0 - 2 * j:hi - 2 * j] += coef[n0:hi] * scale
         beta[1:] *= 2.0
         blocks.append(beta)
     return blocks
