@@ -128,6 +128,12 @@ def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
     return _zonal_rows(n_max, d, x)
 
 
+def _pochhammer_ratios(c: float, top: int) -> np.ndarray:
+    """(c)_k / k!, 0 <= k < top, as running products of (c+i)/(1+i)."""
+    i = np.arange(top - 1, dtype=float)
+    return np.concatenate(([1.0], np.cumprod((c + i) / (1.0 + i))))
+
+
 def jacobi_symmetric(n: int, d: int, x):
     """Symmetric Jacobi polynomial P_n^{((d-2)/2,(d-2)/2)} at ``x``.
 
@@ -144,10 +150,10 @@ def jacobi_symmetric(n: int, d: int, x):
     -------
     float or ndarray
         Row n of ``zonal_harmonic_table`` times P_n(1) / sqrt(dim_n),
-        with P_n(1) = prod_{k <= n} (k + alpha) / k.
+        with P_n(1) = (alpha + 1)_n / n!.
     """
     alpha = (d - 2) / 2.0
-    at_one = math.prod((k + alpha) / k for k in range(1, n + 1))
+    at_one = _pochhammer_ratios(alpha + 1.0, n + 1)[n]
     scale = at_one / math.sqrt(eigenspace_dimension(n, d))
     out = zonal_harmonic_table(n, d, x)[n] * scale
     return float(out[0]) if np.isscalar(x) else out
@@ -247,12 +253,6 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     return sums
 
 
-def _log_pochhammer_ratios(c: float, top: int) -> np.ndarray:
-    """log((c)_k / k!), 0 <= k < top, as cumulative sums of log((c+i)/(1+i))."""
-    i = np.arange(top - 1, dtype=float)
-    return np.concatenate(([0.0], np.cumsum(np.log1p((c - 1.0) / (1.0 + i)))))
-
-
 def zonal_cosine_blocks(coef, d: int, edges) -> list:
     """Cosine-series coefficients of each degree block of a zonal expansion.
 
@@ -264,6 +264,11 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     beta_m = (2 - delta_{m0}) sum_j w_{m+2j} g_j g_{m+j} and
     w_n = coef[n] sqrt(dim_n) / C_n^lambda(1).  Every term of the
     expansion is non-negative, so the sum has no cancellation.
+
+    g_k and C_n^lambda(1) = (2 lambda)_n / n! are running products of
+    (c+i)/(1+i), and dim_n = (n + lambda) / lambda * C_n^lambda(1) gives
+    w_n = coef[n] sqrt((n + lambda) / (lambda C_n^lambda(1))), so no
+    logarithm, exponential or integer dimension enters the sum.
 
     Parameters
     ----------
@@ -288,10 +293,9 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     ranges = _block_ranges(edges, coef.size - 1)
     top = max(ranges[-1][1], 1)
     lam = (d - 1) / 2.0
-    log_g = _log_pochhammer_ratios(lam, top)
-    # log of sqrt(dim_n) / C_n^lambda(1), with C_n^lambda(1) = (2 lambda)_n / n!.
-    dims = [eigenspace_dimension(n, d) for n in range(top)]
-    log_norm = 0.5 * np.log(dims) - _log_pochhammer_ratios(2.0 * lam, top)
+    g = _pochhammer_ratios(lam, top)
+    n = np.arange(top)
+    w = coef[:top] * np.sqrt((n + lam) / (lam * _pochhammer_ratios(2.0 * lam, top)))
     blocks = []
     for lo, hi in ranges:
         beta = np.zeros(hi, dtype=complex)
@@ -299,8 +303,7 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
         # block degrees n >= 2j.
         for j in range((hi + 1) // 2 if lo < hi else 0):
             n0 = max(lo, 2 * j)
-            scale = np.exp(log_norm[n0:hi] + log_g[j] + log_g[n0 - j:hi - j])
-            beta[n0 - 2 * j:hi - 2 * j] += coef[n0:hi] * scale
+            beta[n0 - 2 * j:hi - 2 * j] += w[n0:hi] * (g[j] * g[n0 - j:hi - j])
         beta[1:] *= 2.0
         blocks.append(beta)
     return blocks

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,7 +218,7 @@ def test_parity_property(n, d, x):
 
 @st.composite
 def _zonal_blocks_case(draw):
-    d = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.sampled_from([2, 3, 4, 5, 6]))
     n_max = draw(st.integers(0, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     cuts = draw(st.sets(st.integers(0, 2 * n_max + 8), min_size=2, max_size=8))
@@ -257,6 +258,27 @@ def test_cosine_fft_blocks_match_recurrence_table(case):
     circle = np.array([cosine_series_fft(b, n_points) for b in betas])
     ref = _table_block_sums(coef, d, np.cos(s), edges)
     np.testing.assert_allclose(circle, ref, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_degree_cosine_block_matches_mpmath(d):
+    """The block of coef = e_n at n = 8191 is the Gegenbauer cosine
+    expansion itself: beta_{n-2j} = 2 sqrt(dim_n) / C_n^lambda(1)
+    g_j g_{n-j} with g_k = (lambda)_k / k!, here against 40-digit
+    values to 1e-14 relative in every entry."""
+    n = 8191
+    coef = np.zeros(n + 1)
+    coef[n] = 1.0
+    beta = zonal_cosine_blocks(coef, d, [n, n + 1])[0]
+    assert beta.shape == (n + 1,)
+    assert np.all(beta.imag == 0.0) and np.all(beta[n - 1::-2] == 0.0)
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(d - 1) / 2
+        g = [mpmath.rf(lam, k) / mpmath.factorial(k) for k in range(n + 1)]
+        norm = mpmath.sqrt(eigenspace_dimension(n, d)) * mpmath.factorial(n) / mpmath.rf(2 * lam, n)
+        exact = np.array([float(2 * norm * g[j] * g[n - j]) for j in range(n // 2 + 1)])
+    got = beta.real[n::-2]
+    assert np.max(np.abs(got - exact) / exact) < 1e-14
 
 
 def test_cosine_series_fft_folds_indices_past_the_period():
