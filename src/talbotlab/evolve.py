@@ -320,8 +320,7 @@ def quantization_weights(p: int, q: int) -> np.ndarray:
     if math.gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
     n = np.arange(q, dtype=np.int64)
-    g = np.exp(2.0j * math.pi * ((p * (n * n % q)) % q) / q)
-    return np.fft.fft(g) / q
+    return np.fft.fft(_unit_phases_rational(n * n, p, q)) / q
 
 
 def quantization_check(spec: TorusSpectrum, p: int, q: int) -> QuantizationResult:

@@ -263,12 +263,10 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     sum_m beta_m cos(m theta), where
     beta_m = (2 - delta_{m0}) sum_j w_{m+2j} g_j g_{m+j} and
     w_n = coef[n] sqrt(dim_n) / C_n^lambda(1).  Every term of the
-    expansion is non-negative, so the sum has no cancellation.
-
-    g_k and C_n^lambda(1) = (2 lambda)_n / n! are running products of
-    (c+i)/(1+i), and dim_n = (n + lambda) / lambda * C_n^lambda(1) gives
-    w_n = coef[n] sqrt((n + lambda) / (lambda C_n^lambda(1))), so no
-    logarithm, exponential or integer dimension enters the sum.
+    expansion is non-negative, so the sum has no cancellation.  g_k and
+    C_n^lambda(1) = (2 lambda)_n / n! are running products of (c+i)/(1+i),
+    and dim_n = (n + lambda) / lambda * C_n^lambda(1) turns w_n into
+    coef[n] sqrt((n + lambda) / (lambda C_n^lambda(1))): no log or exp.
 
     Parameters
     ----------

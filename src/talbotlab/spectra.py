@@ -144,10 +144,11 @@ def torus_step(jumps, m_max: int) -> TorusSpectrum:
     return TorusSpectrum(d=1, m_max=m_max, coef=box)
 
 
-def _signed_polygon_box(verts: np.ndarray, m_max: int) -> np.ndarray:
+def _signed_polygon_box(verts: np.ndarray, m_max: int, area: float) -> np.ndarray:
     """Fourier box of the signed indicator of a polygonal chain.
 
     Traversal order fixes the sign: counterclockwise gives +indicator.
+    ``area``, the chain's signed shoelace area, is (2 pi)^2 times entry (0, 0).
     Uses the divergence-theorem edge reduction: the edge from a to b,
     u = b - a, contributes (e^{-i m.b} - e^{-i m.a}) / (-i m.u), built
     from outer products of the 1-d exponentials at the vertices, or
@@ -177,8 +178,7 @@ def _signed_polygon_box(verts: np.ndarray, m_max: int) -> np.ndarray:
     box[m_max + 1:] /= -1j * m[m_max + 1:, None]
     box[m_max, :m_max] = row[:m_max] / (-1j * m[:m_max])
     box[m_max, m_max + 1:] = row[m_max + 1:] / (-1j * m[m_max + 1:])
-    cross = verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1]
-    box[m_max, m_max] = 0.5 * np.sum(cross)
+    box[m_max, m_max] = area
     box /= (2.0 * math.pi) ** 2
     return box
 
@@ -208,7 +208,7 @@ def torus_polygon_indicator(vertices, m_max: int) -> TorusSpectrum:
         raise ValueError("polygon is degenerate (zero area)")
     if area < 0.0:
         verts = verts[::-1]
-    box = _signed_polygon_box(verts, m_max)
+    box = _signed_polygon_box(verts, m_max, abs(area))
     return TorusSpectrum(d=2, m_max=m_max, coef=box)
 
 
