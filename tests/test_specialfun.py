@@ -275,7 +275,8 @@ def test_single_degree_cosine_block_matches_mpmath(d):
     with mpmath.workdps(40):
         lam = mpmath.mpf(d - 1) / 2
         g = [mpmath.rf(lam, k) / mpmath.factorial(k) for k in range(n + 1)]
-        norm = mpmath.sqrt(eigenspace_dimension(n, d)) * mpmath.factorial(n) / mpmath.rf(2 * lam, n)
+        at_one = mpmath.rf(2 * lam, n) / mpmath.factorial(n)  # C_n^lambda(1)
+        norm = mpmath.sqrt(eigenspace_dimension(n, d)) / at_one
         exact = np.array([float(2 * norm * g[j] * g[n - j]) for j in range(n // 2 + 1)])
     got = beta.real[n::-2]
     assert np.max(np.abs(got - exact) / exact) < 1e-14
