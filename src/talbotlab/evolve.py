@@ -15,11 +15,12 @@ transformed in place.  Every pass but the last runs on the 2 m_max + 1
 nonzero rows; the last pass makes the field one column strip at a time,
 and a caller reduces each strip as it comes, so a consumer such as box
 counting never holds the whole field (``evaluate_torus`` assembles the
-strips).  Row chunks and strips run on a thread pool with one worker per
-CPU the process may use, at most four, so peak memory is the row-pass
-slab plus about one strip per worker; each 1-d transform is the same
-arithmetic on any worker, so the samples do not depend on the worker
-count.
+strips).  Given a time t, the first pass multiplies each row chunk by
+its torus phases as it places it, so the propagated box is never built.
+Row chunks and strips run on a thread pool with one worker per CPU the
+process may use, at most four, so peak memory is the row-pass slab plus
+about one strip per worker; each 1-d transform is the same arithmetic
+on any worker, so the samples do not depend on the worker count.
 
 Almost-every-time statements are operationalized by a fixed panel of
 eight float times: four explicit irrationals and four seeded uniform
@@ -109,6 +110,11 @@ def _exact_phases(t: float, eigs: np.ndarray) -> np.ndarray:
     return exact * np.exp(1j * (lam * (t - t_hi)))
 
 
+def _torus_phases(spec: TorusSpectrum, t: float) -> np.ndarray:
+    """The 1-d phases e^{i t m^2}, m = -m_max .. m_max, of the T^d flow."""
+    return _exact_phases(float(t), spec.frequencies().astype(np.int64) ** 2)
+
+
 def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
     """Free evolution on T^d: coefficients gain e^{i t |m|^2}.
 
@@ -127,7 +133,7 @@ def propagate_torus(spec: TorusSpectrum, t: float) -> TorusSpectrum:
     TorusSpectrum
         Same support.
     """
-    phases = _exact_phases(float(t), spec.frequencies().astype(np.int64) ** 2)
+    phases = _torus_phases(spec, t)
     return spec.scaled(functools.reduce(np.multiply.outer, [phases] * spec.d))
 
 
@@ -146,9 +152,8 @@ def propagate_sphere(spec: ZonalSpectrum, t: float) -> ZonalSpectrum:
 _STRIP_WIDTH = 128
 
 # Most pool workers.  Each live worker holds one strip and its
-# reduction, about 6 MiB at criterion 3 on top of the 48 MiB of the
-# propagated box and the row-pass slab, so the cap keeps a dim_t there
-# near 72 MiB on any machine.
+# reduction, about 4 MiB at criterion 3 on top of the 32 MiB row-pass
+# slab, so the cap keeps a dim_t there near 52 MiB on any machine.
 _MAX_WORKERS = 4
 
 
@@ -214,7 +219,8 @@ def _transform(values: np.ndarray, axes, grid_size: int,
     return values
 
 
-def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1) -> list:
+def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1,
+                 t: float | None = None) -> list:
     """``reduce(strip)`` of each column strip of the sampled field, in order.
 
     The strips split the last axis into runs of about 128 grid columns,
@@ -223,12 +229,15 @@ def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1) -> 
     transform pass but the last (axis 0) runs on the 2 m_max + 1
     nonzero axis-0 rows, in chunks; the last pass places and transforms
     one strip at a time, and ``reduce`` sees it before the next is made.
-    Row chunks and strips run on a thread pool of one worker per CPU
-    the process may run on, at most four and at most one per strip, so
-    ``reduce`` must be thread-safe; the strips are the same whatever
-    the worker count.  Each live worker holds one strip, so peak memory
-    is the row-pass slab plus about one strip and its reduction per
-    worker.
+    Given ``t``, each row chunk is multiplied by its phases e^{i t |m|^2}
+    as it is placed, the same products ``propagate_torus`` forms, so the
+    strips are those of the propagated spectrum bit for bit.  Row chunks
+    and strips run on a thread pool of one worker per CPU the process
+    may run on, at most four and at most one per strip, so ``reduce``
+    must be thread-safe; the strips are the same whatever the worker
+    count.  Each live worker holds one row chunk and its phases, then
+    one strip and its reduction, so peak memory is the row-pass slab
+    (32 MiB at criterion 3) plus about 4 MiB per worker.
 
     Parameters
     ----------
@@ -240,6 +249,9 @@ def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1) -> 
         the value reported for it.
     cell : int
         Every strip but the last holds a multiple of ``cell`` columns.
+    t : float, optional
+        Time of the free flow to apply; the field of ``spec`` itself if
+        omitted.
 
     Returns
     -------
@@ -252,11 +264,23 @@ def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1) -> 
             "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=3
         )
     coef = spec.coef
+    phases = None if t is None else _torus_phases(spec, t)
+
+    def evolved(chunk):
+        if phases is None:
+            return coef[chunk]
+        # np.multiply, not "*": numpy may compute "a * temporary" in the
+        # temporary's buffer with the operands swapped, and the complex
+        # product rounds differently then; this keeps the order of
+        # propagate_torus, so the samples match it bit for bit.
+        return np.multiply(coef[chunk], functools.reduce(
+            np.multiply.outer, [phases[chunk]] + [phases] * (spec.d - 1)))
+
     if spec.d == 1:
-        return [reduce(_transform(coef, (0,), size))]
+        return [reduce(_transform(evolved(slice(None)), (0,), size))]
     rows = np.empty((coef.shape[0],) + (size,) * (spec.d - 1), dtype=complex)
     inner = range(spec.d - 1, 0, -1)
-    _map_pool(lambda chunk: _transform(coef[chunk], inner, size, rows[chunk]),
+    _map_pool(lambda chunk: _transform(evolved(chunk), inner, size, rows[chunk]),
               _slices(coef.shape[0], _STRIP_WIDTH))
     width = cell * max(1, _STRIP_WIDTH // cell)
     return _map_pool(lambda cols: reduce(_transform(rows[..., cols], (0,), size)),

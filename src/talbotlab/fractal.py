@@ -10,8 +10,9 @@ dimension estimate (``dim_t``) is the least-squares slope of log2 N(k)
 against k over a window of levels, reported per component (real and
 imaginary parts) with the maximum as the headline value.
 
-``dim_t`` never builds the sampled field: the column strips of
-``evolve.torus_strips``, made on a thread pool of one worker per CPU
+``dim_t`` never builds the propagated spectrum or the sampled field:
+the column strips of ``evolve.torus_strips``, which applies the time
+phases in its row pass, made on a thread pool of one worker per CPU
 the process may use (at most four), are reduced as they come to the max and min of
 their finest cells, and the same pyramid runs on the joined extrema.
 Max and min are exact, so the counts equal those of the whole field
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``evaluate_torus`` is unused here but stays importable from this
-# module: the benchmark's tracer looks it up here.
+# ``evaluate_torus`` and ``propagate_torus`` are unused here but stay
+# importable from this module: the benchmark's tracer looks them up here.
 from .evolve import evaluate_torus, propagate_torus, torus_strips  # noqa: F401
 from .fitting import LineFit, fit_line
 from .spectra import TorusSpectrum
@@ -134,9 +135,11 @@ def box_count_series(samples, k_values) -> np.ndarray:
     return _pyramid_counts(hi, lo, top, ks)
 
 
-def _torus_box_counts(spec: TorusSpectrum, grid_size: int, ks: list) -> np.ndarray:
+def _torus_box_counts(spec: TorusSpectrum, grid_size: int, ks: list,
+                      t: float | None = None) -> np.ndarray:
     """Box counts of the real and imaginary parts of the sampled field of
-    ``spec``, shape (2, len(ks)), from its column strips.
+    ``spec``, evolved to time ``t`` if given, shape (2, len(ks)), from its
+    column strips.
 
     Each strip (``torus_strips``) is reduced at once to the max and min
     of its finest-level cells, for both parts; the strips hold whole
@@ -151,7 +154,7 @@ def _torus_box_counts(spec: TorusSpectrum, grid_size: int, ks: list) -> np.ndarr
     def reduce(strip):
         return np.stack([_cell_extrema(part, runs) for part in (strip.real, strip.imag)])
 
-    extrema = np.concatenate(torus_strips(spec, size, reduce, cell), axis=-1)
+    extrema = np.concatenate(torus_strips(spec, size, reduce, cell, t), axis=-1)
     return np.stack([_pyramid_counts(hi, lo, top, ks) for hi, lo in extrema])
 
 
@@ -169,14 +172,16 @@ def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
     """Graph dimension of the evolved torus field at time t.
 
     Evaluates the evolution on the uniform torus grid one column strip
-    at a time, on a thread pool of one worker per CPU the process may
-    use (at most four), and reduces each strip at once to the max and
-    min of its finest cells; box counts the real and imaginary parts at
+    at a time, with the time phases applied in the row pass, on a
+    thread pool of one worker per CPU the process may use (at most
+    four), and reduces each strip at once to the max and min of its
+    finest cells; box counts the real and imaginary parts at
     every level of the window from those extrema, exactly as for the
     whole field, and fits both slopes of log2 N(k) against k.  The
-    result does not depend on the worker count.  At criterion-3 scale
-    (grid 2048^2) the peak is about 48 MiB for the propagated box and
-    the row-pass slab plus about 6 MiB per worker.
+    result does not depend on the worker count, and equals that of the
+    propagated spectrum (``propagate_torus``) bit for bit.  At
+    criterion-3 scale (grid 2048^2) the peak is about 36 MiB for the
+    row-pass slab plus about 4 MiB per worker.
 
     Parameters
     ----------
@@ -197,6 +202,6 @@ def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
     levels = np.arange(window[0], window[1] + 1)
     if levels.size < 4:
         raise ValueError("need at least four levels inside the fit window")
-    counts = _torus_box_counts(propagate_torus(spec, t), grid_size, levels.tolist())
+    counts = _torus_box_counts(spec, grid_size, levels.tolist(), t)
     real, imag = (fit_line(levels, np.log2(count)) for count in counts)
     return DimReport(real=real, imag=imag, max_slope=float(np.maximum(real.slope, imag.slope)))

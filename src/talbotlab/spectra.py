@@ -144,6 +144,11 @@ def torus_step(jumps, m_max: int) -> TorusSpectrum:
     return TorusSpectrum(d=1, m_max=m_max, coef=box)
 
 
+# m_1 rows per chunk of the polygon box: 128 rows of a 1025-wide box
+# are 2 MiB of complex entries.
+_ROW_CHUNK = 128
+
+
 def _signed_polygon_box(verts: np.ndarray, m_max: int, area: float) -> np.ndarray:
     """Fourier box of the signed indicator of a polygonal chain.
 
@@ -154,32 +159,40 @@ def _signed_polygon_box(verts: np.ndarray, m_max: int, area: float) -> np.ndarra
     from outer products of the 1-d exponentials at the vertices, or
     e^{-i m.a} (1 + z/2 + z^2/6), z = -i m.u, where |m.u| < 1e-6.  The
     sum weighted by u_2 is divided by -i m_1; on the row m_1 = 0 the
-    sum weighted by -u_1 is divided by -i m_2 instead.
+    sum weighted by -u_1 is divided by -i m_2 instead.  The box is built
+    ``_ROW_CHUNK`` m_1 rows at a time, so each per-edge temporary covers
+    one chunk; every entry gets the same float operations either way.
     """
     m = np.arange(-m_max, m_max + 1)
     waves = np.exp(-1j * np.multiply.outer(verts, m))
     box = np.zeros((m.size, m.size), dtype=complex)
     row = np.zeros(m.size, dtype=complex)
     nverts = verts.shape[0]
-    for j in range(nverts):
-        k = (j + 1) % nverts
-        u = verts[k] - verts[j]
-        start = np.multiply.outer(waves[j, 0], waves[j, 1])
-        edge = np.multiply.outer(waves[k, 0], waves[k, 1])
-        edge -= start
-        mu = np.add.outer(m * u[0], m * u[1])
-        small = np.abs(mu) < 1e-6
-        edge /= -1j * np.where(small, 1.0, mu)
-        z = -1j * mu[small]
-        edge[small] = start[small] * (1.0 + z / 2.0 + z * z / 6.0)
-        box += u[1] * edge
-        row -= u[0] * edge[m_max]
-    box[:m_max] /= -1j * m[:m_max, None]
-    box[m_max + 1:] /= -1j * m[m_max + 1:, None]
-    box[m_max, :m_max] = row[:m_max] / (-1j * m[:m_max])
-    box[m_max, m_max + 1:] = row[m_max + 1:] / (-1j * m[m_max + 1:])
-    box[m_max, m_max] = area
-    box /= (2.0 * math.pi) ** 2
+    for lo in range(0, m.size, _ROW_CHUNK):
+        rows = slice(lo, min(lo + _ROW_CHUNK, m.size))
+        chunk = box[rows]
+        axis_row = m_max - lo if lo <= m_max < rows.stop else None
+        for j in range(nverts):
+            k = (j + 1) % nverts
+            u = verts[k] - verts[j]
+            start = np.multiply.outer(waves[j, 0, rows], waves[j, 1])
+            edge = np.multiply.outer(waves[k, 0, rows], waves[k, 1])
+            edge -= start
+            mu = np.add.outer(m[rows] * u[0], m * u[1])
+            small = np.abs(mu) < 1e-6
+            edge /= -1j * np.where(small, 1.0, mu)
+            z = -1j * mu[small]
+            edge[small] = start[small] * (1.0 + z / 2.0 + z * z / 6.0)
+            chunk += u[1] * edge
+            if axis_row is not None:
+                row -= u[0] * edge[axis_row]
+        nonzero = m[rows] != 0
+        chunk[nonzero] /= -1j * m[rows][nonzero, None]
+        if axis_row is not None:
+            chunk[axis_row, :m_max] = row[:m_max] / (-1j * m[:m_max])
+            chunk[axis_row, m_max + 1:] = row[m_max + 1:] / (-1j * m[m_max + 1:])
+            chunk[axis_row, m_max] = area
+        chunk /= (2.0 * math.pi) ** 2
     return box
 
 

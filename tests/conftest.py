@@ -49,6 +49,37 @@ def evaluate_torus_whole(spec, grid_size):
     return values
 
 
+def signed_polygon_box_whole(verts, m_max, area):
+    """The whole polygon box at once (oracle of the row-chunked build of
+    ``spectra._signed_polygon_box``): every per-edge temporary covers
+    the whole box, with the same outer products and edge order."""
+    m = np.arange(-m_max, m_max + 1)
+    waves = np.exp(-1j * np.multiply.outer(verts, m))
+    box = np.zeros((m.size, m.size), dtype=complex)
+    row = np.zeros(m.size, dtype=complex)
+    nverts = verts.shape[0]
+    for j in range(nverts):
+        k = (j + 1) % nverts
+        u = verts[k] - verts[j]
+        start = np.multiply.outer(waves[j, 0], waves[j, 1])
+        edge = np.multiply.outer(waves[k, 0], waves[k, 1])
+        edge -= start
+        mu = np.add.outer(m * u[0], m * u[1])
+        small = np.abs(mu) < 1e-6
+        edge /= -1j * np.where(small, 1.0, mu)
+        z = -1j * mu[small]
+        edge[small] = start[small] * (1.0 + z / 2.0 + z * z / 6.0)
+        box += u[1] * edge
+        row -= u[0] * edge[m_max]
+    box[:m_max] /= -1j * m[:m_max, None]
+    box[m_max + 1:] /= -1j * m[m_max + 1:, None]
+    box[m_max, :m_max] = row[:m_max] / (-1j * m[:m_max])
+    box[m_max, m_max + 1:] = row[m_max + 1:] / (-1j * m[m_max + 1:])
+    box[m_max, m_max] = area
+    box /= (2.0 * math.pi) ** 2
+    return box
+
+
 def random_phase(spec, seed):
     """The spectrum with seeded i.i.d. uniform unimodular phases on each entry.
 

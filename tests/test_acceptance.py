@@ -3,16 +3,20 @@
 Each test runs one full-scale study, prints a single line with the
 measured value against its threshold, and asserts the verdict.  The
 -rP pytest option surfaces the printed lines in the run summary, so
-the whole suite reads as a checklist.
+the whole suite reads as a checklist.  The rational-time controls
+show that the dimension gates can fail on real data, where the paper
+says they must.
 """
 
+import math
 import time
 
 import pytest
 
 from conftest import quad_triangle_coefficient, torus_coefficient
 from talbotlab import experiments as ex
-from talbotlab.spectra import torus_polygon_indicator
+from talbotlab.fractal import dim_t
+from talbotlab.spectra import torus_polygon_indicator, torus_step
 
 TRIANGLE = ex.DEFAULT_TRIANGLE
 
@@ -82,6 +86,34 @@ def test_criterion_03_polygon_coefficient_oracle():
         "criterion 3b polygon coefficients",
         f"max defect vs adaptive quadrature {worst:.3e} <= 1e-06"
         " for max|m| <= 8",
+        ok,
+    )
+    assert ok
+
+
+# Case -> (data, grid, fit window, expected, tol): the frozen
+# parameters and gates of criteria 2 and 3.
+DIMENSION_GATES = {
+    "criterion-2": (lambda: torus_step(list(ex.DEFAULT_STEP_JUMPS), 2**14), 2**16, (5, 11),
+                    1.5, 0.1),
+    "criterion-3": (lambda: torus_polygon_indicator(TRIANGLE, 2**9), 2048, (3, 8), 2.5, 0.2),
+}
+
+
+@pytest.mark.parametrize("p, q", [(1, 5), (3, 7)])
+@pytest.mark.parametrize("case", sorted(DIMENSION_GATES))
+def test_dimension_gate_fails_at_rational_time(case, p, q):
+    """At t = 2 pi p / q the flow is a finite sum of translates of the
+    data (criterion 1), so the graph is not fractal and the per-time
+    dimension lies outside the gate: criterion 2 measured 1.018 and
+    1.020, criterion 3 2.078 and 2.099."""
+    build, grid, window, expected, tol = DIMENSION_GATES[case]
+    dim = dim_t(build(), 2.0 * math.pi * p / q, grid, window).max_slope
+    ok = abs(dim - expected) > tol
+    report(
+        f"{case} control",
+        f"graph dimension {dim:.3f} at t = 2pi*{p}/{q} lies outside"
+        f" {expected} +/- {tol}",
         ok,
     )
     assert ok

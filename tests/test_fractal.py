@@ -219,12 +219,13 @@ def _dim_t_peak(monkeypatch, workers):
 
 def test_dim_t_peak_memory_at_criterion_3_scale(monkeypatch):
     """One dim_t at criterion-3 scale with two pool workers peaks below
-    64 MiB, one 64 MiB field.  Measured 59.6 MiB: the propagated box and
-    its phase multiplier, then the 32 MiB slab of the row pass and a
-    4 MiB column strip per worker; the field is never built.  A
-    whole-field evaluation peaked at 112 MiB, and the full-box one
-    before it at 208 MiB."""
-    assert _dim_t_peak(monkeypatch, 2) < 64 * 2**20
+    48 MiB.  Measured 43.5 MiB: the 32 MiB slab of the row pass, which
+    applies the time phases chunk by chunk, then a 4 MiB column strip
+    and its reduction per worker; neither the propagated box nor the
+    field is built.  Propagating the whole box first peaked at 59.6 MiB,
+    a whole-field evaluation at 112 MiB, and the full-box one before it
+    at 208 MiB."""
+    assert _dim_t_peak(monkeypatch, 2) < 48 * 2**20
 
 
 def test_dim_t_peak_memory_per_worker(monkeypatch):
@@ -267,33 +268,43 @@ STRIP_CASES = {
 @pytest.mark.parametrize("case", sorted(STRIP_CASES))
 def test_strip_counts_equal_whole_field_counts(case, recwarn):
     """The box counts dim_t takes from column strips equal, exactly,
-    the counts of the whole field built at once, and the strips that
-    evaluate_torus assembles are that field bit for bit."""
+    the counts of the whole field built at once, whether the strips
+    apply the time phases in their row pass or get the propagated data,
+    and the strips that evaluate_torus assembles are that field bit for
+    bit."""
     build, grid, window = STRIP_CASES[case]
-    spec = propagate_torus(build(), time_panel()[1])
+    t = time_panel()[1]
+    data = build()
+    spec = propagate_torus(data, t)
     levels = list(range(window[0], window[1] + 1))
     whole = evaluate_torus_whole(spec, grid)
     expected = [box_count_series(part, levels).tolist() for part in (whole.real, whole.imag)]
     assert _torus_box_counts(spec, grid, levels).tolist() == expected
+    assert _torus_box_counts(data, grid, levels, t).tolist() == expected
     assert np.array_equal(evaluate_torus(spec, grid), whole)
     assert bool(recwarn.list) == (case == "aliasing")
 
 
 def test_strips_on_more_workers_than_cores(monkeypatch):
     """Eight workers, one per row chunk or strip, switching threads every
-    microsecond, still give the whole field's bits and counts: workers
-    share only disjoint slices of the row-pass slab."""
+    microsecond, still give the whole field's bits and counts, with the
+    time phases applied in the row pass too: workers share only disjoint
+    slices of the row-pass slab."""
     monkeypatch.setattr(evolve, "_worker_count", lambda: 8)
-    spec = propagate_torus(torus_polygon_indicator(DEFAULT_TRIANGLE, 256), time_panel()[2])
+    t = time_panel()[2]
+    data = torus_polygon_indicator(DEFAULT_TRIANGLE, 256)
+    spec = propagate_torus(data, t)
     levels = [3, 4, 5, 6, 7]
     whole = evaluate_torus_whole(spec, 1024)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         counts = _torus_box_counts(spec, 1024, levels)
+        phased = _torus_box_counts(data, 1024, levels, t)
         field = evaluate_torus(spec, 1024)
     finally:
         sys.setswitchinterval(interval)
-    assert counts.tolist() == [box_count_series(part, levels).tolist()
-                               for part in (whole.real, whole.imag)]
+    expected = [box_count_series(part, levels).tolist() for part in (whole.real, whole.imag)]
+    assert counts.tolist() == expected
+    assert phased.tolist() == expected
     assert np.array_equal(field, whole)
