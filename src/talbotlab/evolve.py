@@ -153,7 +153,8 @@ _STRIP_WIDTH = 128
 
 # Most pool workers.  Each live worker holds one strip and its
 # reduction, about 4 MiB at criterion 3 on top of the 32 MiB row-pass
-# slab, so the cap keeps a dim_t there near 52 MiB on any machine.
+# slab, or one Weyl block's scratch, about 14 MiB at criterion 5, so
+# the cap keeps either study near 55 MiB on any machine.
 _MAX_WORKERS = 4
 
 
@@ -174,7 +175,8 @@ def _map_pool(fn, items: list) -> list:
     if workers < 2:
         return [fn(item) for item in items]
     # Imported here, so that the studies that never pool (all but the
-    # T^d dimension ones) pay neither its import time nor its memory.
+    # T^d dimension ones and weyl) pay neither its import time nor its
+    # memory.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:

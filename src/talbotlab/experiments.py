@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import DEFAULT_PANEL_SEED, propagate_sphere, quantization_check, time_panel
+from .evolve import (
+    DEFAULT_PANEL_SEED,
+    _map_pool,
+    propagate_sphere,
+    quantization_check,
+    time_panel,
+)
 from .expsum import weyl_block_sup
 from .fitting import fit_line, fit_loglog
 from .fractal import dim_t
@@ -268,11 +274,16 @@ def run_weyl_decay(
     so the running sup should scale like N^{1/2 - p}.
     """
     blocks = [2**k for k in range(exponent_range[0], exponent_range[1] + 1)]
+    # Every (time, block) pair is one pool job, the largest blocks first:
+    # a block costs about N^2, so the longest jobs start before the rest
+    # fill in around them.
+    jobs = [(t, block) for block in reversed(blocks) for t in time_panel(seed=seed)]
+    found = _map_pool(lambda job: weyl_block_sup(
+        *job, weights=lambda m: float(m) ** (-p), grid_factor=grid_factor).sup, jobs)
+    block_sups = dict(zip(jobs, found))
 
     def measure(t):
-        sups = [weyl_block_sup(t, block, weights=lambda m: float(m) ** (-p),
-                               grid_factor=grid_factor).sup
-                for block in blocks]
+        sups = [block_sups[t, block] for block in blocks]
         return (fit_loglog(blocks, sups).slope,
                 [{"N": block, "sup": sup} for block, sup in zip(blocks, sups)])
 

@@ -4,19 +4,24 @@ Each test runs one full-scale study, prints a single line with the
 measured value against its threshold, and asserts the verdict.  The
 -rP pytest option surfaces the printed lines in the run summary, so
 the whole suite reads as a checklist.  The rational-time controls
-show that the dimension gates can fail on real data, where the paper
-says they must.
+show that the gates of criteria 2-5 can fail on real data, where the
+paper says they must.
 """
 
 import math
 import time
 
+import numpy as np
 import pytest
 
 from conftest import quad_triangle_coefficient, torus_coefficient
 from talbotlab import experiments as ex
+from talbotlab.evolve import propagate_sphere
+from talbotlab.expsum import weyl_block_sup
+from talbotlab.fitting import fit_line, fit_loglog
 from talbotlab.fractal import dim_t
-from talbotlab.spectra import torus_polygon_indicator, torus_step
+from talbotlab.lpbesov import block_norm_table
+from talbotlab.spectra import torus_polygon_indicator, torus_step, zonal_decay_family
 
 TRIANGLE = ex.DEFAULT_TRIANGLE
 
@@ -134,6 +139,21 @@ def test_criterion_04_zonal_holder_trend():
     assert result.passed
 
 
+def test_holder_gate_fails_at_rational_time():
+    """At t = 2 pi / 5 the phases e^{i t n(n+1)} take only five values, so
+    the flow brings no cancellation across a dyadic block and the
+    weighted block norms grow with j: measured slope +0.375, above the
+    0.02 gate (frozen window 2..12, weight exponent 0.4)."""
+    levels = np.arange(2, 13)
+    data = zonal_decay_family(1.5, 8191, d=2)
+    norms = block_norm_table(propagate_sphere(data, 2.0 * math.pi / 5), 12)[levels]
+    slope = fit_line(levels, 0.4 * levels + np.log2(norms)).slope
+    ok = slope > 0.02
+    report("criterion 4 control",
+           f"slope {slope:+.4f} at t = 2pi*1/5 lies above 0.02", ok)
+    assert ok
+
+
 def test_criterion_05_weyl_block_decay():
     result = ex.run_weyl_decay(p=1.5, exponent_range=(4, 11))
     exponent = result.measured["median_exponent"]
@@ -145,6 +165,22 @@ def test_criterion_05_weyl_block_decay():
     )
     assert exponent == pytest.approx(-1.0, abs=0.1)
     assert result.passed
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 5), (3, 7)])
+def test_weyl_gate_fails_at_rational_time(p, q):
+    """At t = 2 pi p / q the phases e^{i n^2 t} repeat with period q, so a
+    block sums without cancellation and its sup decays like N^{1 - 1.5}:
+    measured exponents -0.523, -0.540 and -0.561, outside -1.0 +/- 0.1."""
+    t = 2.0 * math.pi * p / q
+    blocks = [2**k for k in range(4, 12)]
+    sups = [weyl_block_sup(t, n, weights=lambda m: float(m) ** -1.5, grid_factor=16).sup
+            for n in blocks]
+    exponent = fit_loglog(blocks, sups).slope
+    ok = abs(exponent + 1.0) > 0.1
+    report("criterion 5 control",
+           f"exponent {exponent:.3f} at t = 2pi*{p}/{q} lies outside -1.0 +/- 0.1", ok)
+    assert ok
 
 
 def test_criterion_06_triple_integral_suite():

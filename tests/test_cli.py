@@ -289,10 +289,12 @@ def test_nls_smoothing_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_polygon_dimension_outputs_do_not_depend_on_cpu_count(tmp_path):
-    """The strip pool has one worker per CPU in the process's affinity
-    mask; a child pinned to one CPU and one pinned to two write the same
-    criterion-3 bytes.  Only the children's affinity is set."""
+@pytest.mark.parametrize("study", ["dimension-torus-polygon", "weyl"])
+def test_pooled_study_outputs_do_not_depend_on_cpu_count(study, tmp_path):
+    """The pool has one worker per CPU in the process's affinity mask; a
+    child pinned to one CPU and one pinned to two write the same bytes
+    for criterion 3 (column strips) and criterion 5 (Weyl block jobs).
+    Only the children's affinity is set."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform: a child cannot be pinned")
     src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
@@ -306,11 +308,10 @@ def test_polygon_dimension_outputs_do_not_depend_on_cpu_count(tmp_path):
         out = tmp_path / f"cpus{count}"
         child = (f"import os, sys; os.sched_setaffinity(0, {cpus[:count]}); "
                  "from talbotlab.cli import main; sys.exit(main(sys.argv[1:]))")
-        subprocess.run([sys.executable, "-c", child, "dimension", "torus-polygon",
+        subprocess.run([sys.executable, "-c", child, *_argv_prefix(study),
                         "--seed", "1729", "--out", str(out)],
                        env=env, check=True, capture_output=True)
-        outputs.append([(out / name).read_bytes() for name in
-                        ("dimension-torus-polygon.json", "dimension-torus-polygon.csv")])
+        outputs.append([(out / f"{study}.{ext}").read_bytes() for ext in ("json", "csv")])
     assert outputs[0] == outputs[1]
 
 
