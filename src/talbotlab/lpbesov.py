@@ -8,6 +8,10 @@ across levels is the B^gamma_{infty,infty} reading of C^gamma, which
 Level convention: the probe level j >= 1 is the sharp shell with
 N = 2^j, and level 0 absorbs everything below frequency 2, so the
 levels partition the whole spectrum.
+
+Each block is an even trigonometric polynomial in the polar angle
+(``specialfun.zonal_cosine_blocks``), so its samples on the uniform
+theta grid come from the T^1 torus transform (``evolve.torus_strips``).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import specialfun as sf
+from .evolve import torus_strips
 from .spectra import ZonalSpectrum
 
 __all__ = [
@@ -52,20 +57,25 @@ def block_norm_table(spec: ZonalSpectrum, j_max: int) -> np.ndarray:
     -------
     ndarray
         The sup norm of level j at index j.  Each block is turned into
-        its Gegenbauer cosine series (``specialfun.zonal_cosine_blocks``)
-        and sampled by one FFT (``specialfun.cosine_series_fft``) on the
-        uniform theta grid of [0, pi], one block at a time.  The grid has
-        8 points per top degree, at least 512 and at most 2^17.
+        its Gegenbauer cosine series, a T^1 spectrum in theta
+        (``specialfun.zonal_cosine_blocks``), and sampled by the torus
+        transform (``evolve.torus_strips``) on the uniform theta grid of
+        [0, pi], one block at a time.  The grid has 8 points per top
+        degree, at least 512 and at most 2^17.
     """
     if not isinstance(spec, ZonalSpectrum):
         raise TypeError("block norms are implemented for zonal spectra")
     edges = probe_edges(j_max)
     grid_points = min(max(512, _OVERSAMPLE * int(edges[-1])), 1 << 17)
-    period = max(2 * (grid_points - 1), 1)
-    # Reduce each block's samples before the next FFT: the samples are
-    # far larger than the cosine coefficients, and holding every
-    # block's at once would set the peak memory.
-    return np.array([
-        float(np.max(np.abs(sf.cosine_series_fft(beta, period)[:grid_points])))
-        for beta in sf.zonal_cosine_blocks(spec.coef, spec.d, edges)
-    ])
+    # linspace(0, pi, grid_points) is the first grid_points samples of
+    # the circle grid of this period.  Each block's samples are reduced
+    # before the next block is sampled: they are far larger than its
+    # coefficients, and holding every block's at once would set the
+    # peak memory.
+    period = 2 * (grid_points - 1)
+
+    def sup(samples):
+        return float(np.max(np.abs(samples[:grid_points])))
+
+    return np.array([torus_strips(block, period, sup)[0]
+                     for block in sf.zonal_cosine_blocks(spec.coef, spec.d, edges)])

@@ -5,13 +5,15 @@ polynomials and zonal series, together with the large-degree
 asymptotic form of the Jacobi polynomials.
 
 One three-term recurrence, x Y_{n-1} = a_n Y_n + a_{n-1} Y_{n-2} with
-closed-form a_n, defines the zonal family: ``zonal_harmonic_table``
-runs it at scattered points such as quadrature nodes, ``gauss_rule``
-takes its nodes and weights from it, and ``jacobi_symmetric`` is a
-rescaled row.  On uniform grids in the polar angle, each degree block
-is rewritten as a cosine series through the Gegenbauer cosine
-expansion (``zonal_cosine_blocks``) and summed by one FFT
-(``cosine_series_fft``).
+closed-form a_n, defines the zonal family, and it is walked one row
+at a time: ``zonal_harmonic_table`` stacks the rows at scattered
+points such as quadrature nodes, ``gauss_rule`` keeps the last two for
+Newton's method and a running sum of squares for its weights, and
+``jacobi_symmetric`` is the last row, rescaled.  Through the Gegenbauer
+cosine expansion each degree block is an even trigonometric polynomial
+in the polar angle, returned as a T^1 spectrum
+(``zonal_cosine_blocks``), so uniform polar grids are sampled by the
+torus transform of ``evolve``.
 
 Conventions
 -----------
@@ -27,8 +29,11 @@ polynomial.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
+
+from .spectra import TorusSpectrum
 
 __all__ = [
     "SZEGO_WINDOW_C",
@@ -39,7 +44,6 @@ __all__ = [
     "gauss_rule",
     "zonal_series_blocks",
     "zonal_cosine_blocks",
-    "cosine_series_fft",
     "jacobi_asymptotic",
 ]
 
@@ -89,16 +93,27 @@ def _recurrence_coeffs(n_max: int, d: int) -> np.ndarray:
     return a
 
 
-def _zonal_rows(n_max: int, d: int, x: np.ndarray) -> np.ndarray:
-    """Y_0 .. Y_{n_max} at x from the recurrence; no argument checks."""
+def _zonal_rows(n_max: int, d: int, x: np.ndarray):
+    """Y_0 .. Y_{n_max} at x, one row at a time, from the recurrence;
+    no argument checks."""
     a = _recurrence_coeffs(n_max, d)
-    rows = np.empty((n_max + 1, *x.shape), dtype=float)
-    rows[0] = 1.0
-    if n_max >= 1:
-        rows[1] = x / a[1]
-    for n in range(2, n_max + 1):
-        rows[n] = (x * rows[n - 1] - a[n - 1] * rows[n - 2]) / a[n]
-    return rows
+    prev, row = np.zeros_like(x), np.ones_like(x)
+    yield row
+    for n in range(1, n_max + 1):
+        prev, row = row, (x * row - a[n - 1] * prev) / a[n]
+        yield row
+
+
+def _checked_points(n_max: int, d: int, x) -> np.ndarray:
+    """``x`` as a float array, after the argument checks of the zonal rows."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(x) > 1.0 + 1e-12):
+        raise ValueError("argument must lie in [-1, 1]")
+    return x
 
 
 def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
@@ -118,14 +133,11 @@ def zonal_harmonic_table(n_max: int, d: int, x) -> np.ndarray:
     ndarray
         Shape ``(n_max+1, len(x))``; row n holds Y_n(arccos x).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if d < 2:
-        raise ValueError("sphere dimension must be at least 2")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
-    return _zonal_rows(n_max, d, x)
+    x = _checked_points(n_max, d, x)
+    table = np.empty((n_max + 1, x.size))
+    for n, row in enumerate(_zonal_rows(n_max, d, x)):
+        table[n] = row
+    return table
 
 
 def _pochhammer_ratios(c: float, top: int) -> np.ndarray:
@@ -150,12 +162,14 @@ def jacobi_symmetric(n: int, d: int, x):
     -------
     float or ndarray
         Row n of ``zonal_harmonic_table`` times P_n(1) / sqrt(dim_n),
-        with P_n(1) = (alpha + 1)_n / n!.
+        with P_n(1) = (alpha + 1)_n / n!; the recurrence keeps only
+        its last two rows.
     """
+    points = _checked_points(n, d, x)
     alpha = (d - 2) / 2.0
     at_one = _pochhammer_ratios(alpha + 1.0, n + 1)[n]
     scale = at_one / math.sqrt(eigenspace_dimension(n, d))
-    out = zonal_harmonic_table(n, d, x)[n] * scale
+    out = deque(_zonal_rows(n, d, points), maxlen=1)[0] * scale
     return float(out[0]) if np.isscalar(x) else out
 
 
@@ -189,9 +203,9 @@ def gauss_rule(count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         x[0] = 0.0
     coupling = (2 * count + d - 1) * _recurrence_coeffs(count, d)[count]
     for _ in range(_NEWTON_CAP):
-        rows = _zonal_rows(count, d, x)
-        slope = (coupling * rows[count - 1] - count * x * rows[count]) / ((1.0 - x) * (1.0 + x))
-        step = rows[count] / slope
+        below, top = deque(_zonal_rows(count, d, x), maxlen=2)
+        slope = (coupling * below - count * x * top) / ((1.0 - x) * (1.0 + x))
+        step = top / slope
         x = x - step
         if np.max(np.abs(step)) < 1e-15:
             break
@@ -200,8 +214,8 @@ def gauss_rule(count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
                          f"did not converge in {_NEWTON_CAP} steps")
     # Weights need rows at the final nodes: reusing the rows from before
     # the last step, even one below 1e-15, puts kappa(3, 4, n) 1e-14 off.
-    rows = _zonal_rows(count - 1, d, x)
-    weights = 1.0 / np.einsum("nk,nk->k", rows, rows)
+    # The squares are summed in degree order as the recurrence walks.
+    weights = 1.0 / sum(row * row for row in _zonal_rows(count - 1, d, x))
     mirrored = slice(count % 2, None)
     x = np.concatenate([-x[mirrored][::-1], x])
     weights = np.concatenate([weights[mirrored][::-1], weights])
@@ -223,8 +237,8 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     Sums coef[n] * Y_n(arccos x) over each block
     edges[b] <= n < edges[b+1], using the rows of
     ``zonal_harmonic_table``.  Meant for scattered points such as
-    quadrature nodes; uniform grids go through ``zonal_cosine_blocks``
-    and ``cosine_series_fft``.
+    quadrature nodes; uniform polar grids go through
+    ``zonal_cosine_blocks`` and the torus transform.
 
     Parameters
     ----------
@@ -254,14 +268,14 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
 
 
 def zonal_cosine_blocks(coef, d: int, edges) -> list:
-    """Cosine-series coefficients of each degree block of a zonal expansion.
+    """Each degree block of a zonal expansion as a T^1 spectrum in theta.
 
     With lambda = (d-1)/2, Y_n(theta) = sqrt(dim_n) C_n^lambda(cos theta)
     / C_n^lambda(1), and the Gegenbauer cosine expansion (DLMF 18.5.11)
-    C_n^lambda(cos theta) = sum_k g_k g_{n-k} cos((n-2k) theta) with
-    g_k = (lambda)_k / k! turns the block sum of coef[n] * Y_n into
-    sum_m beta_m cos(m theta), where
-    beta_m = (2 - delta_{m0}) sum_j w_{m+2j} g_j g_{m+j} and
+    C_n^lambda(cos theta) = sum_k g_k g_{n-k} e^{i (n-2k) theta} with
+    g_k = (lambda)_k / k! turns the block sum of coef[n] * Y_n into the
+    even trigonometric polynomial sum_m beta_m e^{i m theta}, where
+    beta_{-m} = beta_m = sum_j w_{m+2j} g_j g_{m+j} and
     w_n = coef[n] sqrt(dim_n) / C_n^lambda(1).  Every term of the
     expansion is non-negative, so the sum has no cancellation.  g_k and
     C_n^lambda(1) = (2 lambda)_n / n! are running products of (c+i)/(1+i),
@@ -280,10 +294,12 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
 
     Returns
     -------
-    list of ndarray
-        One complex array per block edges[b] <= n < edges[b+1]; entry m
-        is beta_m, and its length is min(edges[b+1], n_max + 1); a
-        block past n_max is all zeros.
+    list of TorusSpectrum
+        One even d = 1 spectrum per block edges[b] <= n < edges[b+1],
+        with m_max = min(edges[b+1], n_max + 1) - 1 and beta_m at
+        frequency m; a block past n_max is all zeros.  Its samples on
+        the uniform grid of period 2 (G - 1) start with the polar grid
+        linspace(0, pi, G).
     """
     if d < 2:
         raise ValueError("sphere dimension must be at least 2")
@@ -296,47 +312,15 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     w = coef[:top] * np.sqrt((n + lam) / (lam * _pochhammer_ratios(2.0 * lam, top)))
     blocks = []
     for lo, hi in ranges:
-        beta = np.zeros(hi, dtype=complex)
+        beta = np.zeros(max(hi, 1), dtype=complex)
         # Term j pairs degree n = m + 2j with g_j g_{n-j}, for the
         # block degrees n >= 2j.
         for j in range((hi + 1) // 2 if lo < hi else 0):
             n0 = max(lo, 2 * j)
             beta[n0 - 2 * j:hi - 2 * j] += w[n0:hi] * (g[j] * g[n0 - j:hi - j])
-        beta[1:] *= 2.0
-        blocks.append(beta)
+        blocks.append(TorusSpectrum(d=1, m_max=beta.size - 1,
+                                    coef=np.concatenate((beta[:0:-1], beta))))
     return blocks
-
-
-def cosine_series_fft(beta, period: int) -> np.ndarray:
-    """Values of sum_m beta_m cos(m s) at s_k = 2 pi k / period.
-
-    Indices are folded modulo ``period`` before one FFT, so the samples
-    are exact for any number of terms, including more than the period.
-    The polar grid linspace(0, pi, G) is the first G samples of the
-    period 2 (G - 1).
-
-    Parameters
-    ----------
-    beta : array_like
-        Complex cosine coefficients beta_0, beta_1, ...
-    period : int
-        Number of samples on the full circle, at least 1.
-
-    Returns
-    -------
-    ndarray
-        Complex, length ``period``.
-    """
-    if period < 1:
-        raise ValueError("period must be at least 1")
-    beta = np.asarray(beta, dtype=complex)
-    padded = np.zeros(-(-max(beta.size, 1) // period) * period, dtype=complex)
-    padded[: beta.size] = beta
-    folded = padded.reshape(-1, period).sum(axis=0)
-    # Splitting each cos(m s) into e^{ims}/2 + e^{-ims}/2 makes the
-    # folded sequence even, so one forward FFT gives the cosine sums.
-    even = 0.5 * (folded + np.roll(folded[::-1], 1))
-    return np.fft.fft(even)
 
 
 def jacobi_asymptotic(n: int, d: int, theta):

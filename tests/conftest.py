@@ -49,6 +49,19 @@ def evaluate_torus_whole(spec, grid_size):
     return values
 
 
+def cosine_series_fft(block, period):
+    """Samples of a zonal block at s_k = 2 pi k / period by one forward
+    FFT of its cosine series (oracle of the torus transform): the
+    coefficients of cos(m s), m >= 0, are folded modulo the period,
+    split back into e^{ims}/2 + e^{-ims}/2, and transformed."""
+    beta = np.array(block.coef[block.m_max:])
+    beta[1:] *= 2.0
+    padded = np.zeros(-(-beta.size // period) * period, dtype=complex)
+    padded[: beta.size] = beta
+    folded = padded.reshape(-1, period).sum(axis=0)
+    return np.fft.fft(0.5 * (folded + np.roll(folded[::-1], 1)))
+
+
 def signed_polygon_box_whole(verts, m_max, area):
     """The whole polygon box at once (oracle of the row-chunked build of
     ``spectra._signed_polygon_box``): every per-edge temporary covers

@@ -327,6 +327,28 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_sphere_studies_never_import_the_pool(tmp_path):
+    """zonal-holder samples its blocks as one T^1 strip each, and the
+    five sphere-quadrature studies never reach the torus transform, so
+    a child that runs all six through cli.main never imports
+    concurrent.futures (0.65 MB of RSS, and its import time)."""
+    src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [["zonal-holder", "--n-max", "255", "--j-max", "7", "--window", "2,7"],
+            ["kappa-table"], ["resonance"], ["strichartz"], ["nls-smoothing"],
+            ["specfun-check"]]
+    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    child = ("import json, sys; from talbotlab.cli import main; "
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+             "print(json.dumps([codes, 'concurrent.futures' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
+                          check=True, capture_output=True, text=True)
+    codes, pooled = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert not pooled
+
+
 def test_different_seed_changes_panel(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     base = ["weyl", "--p", "1.5", "--exponent-range", "3,6",

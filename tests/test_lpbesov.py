@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from conftest import random_phase
+from conftest import cosine_series_fft, random_phase
 from talbotlab.lpbesov import block_norm_table, probe_edges
-from talbotlab.evolve import propagate_sphere, time_panel
-from talbotlab.specialfun import cosine_series_fft, zonal_cosine_blocks
+from talbotlab.evolve import evaluate_torus, propagate_sphere, time_panel
+from talbotlab.specialfun import zonal_cosine_blocks
 from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
 
 
@@ -45,6 +45,14 @@ def test_block_norm_single_mode_sup():
     assert all(n == 0 for j, n in enumerate(norms) if j != 4)
 
 
+def test_blocks_past_n_max_have_sup_zero():
+    """At n_max = 10 the levels 4 and 5 hold no degree: their blocks are
+    empty and read exactly 0, the others do not."""
+    spec = random_phase(zonal_decay_family(1.1, 10), seed=3)
+    norms = block_norm_table(spec, 5)
+    assert np.all(norms[:4] > 0.0) and np.all(norms[4:] == 0.0)
+
+
 def _mpmath_legendre_block(coef, lo, hi, theta):
     """sum_{lo <= n < hi} coef[n] sqrt(2n+1) P_n(cos theta) by the Bonnet
     recurrence in 40-digit arithmetic."""
@@ -59,18 +67,35 @@ def _mpmath_legendre_block(coef, lo, hi, theta):
 
 
 def test_zonal_grid_block_matches_mpmath_at_acceptance_scale():
-    """Top block (j = 12, degrees 4096..8191) of the criterion-4 data at
-    n_max = 8191 on the 65,536-point theta grid, checked at both poles
-    and two interior grid points against a 40-digit recurrence."""
+    """Criterion-4 data at n_max = 8191 and the first panel time on the
+    65,536-point theta grid: every block sup agrees to 1e-15 relative
+    with the one FFT of the block's cosine series (the sampling path
+    before the torus transform), and the top block (j = 12, degrees
+    4096..8191) of both paths is checked at both poles and two interior
+    grid points against a 40-digit recurrence."""
     n_max, j_max, grid = 8191, 12, 65536
     spec = propagate_sphere(zonal_decay_family(1.5, n_max), time_panel()[0])
     edges = probe_edges(j_max)
-    samples = cosine_series_fft(zonal_cosine_blocks(spec.coef, 2, edges)[j_max],
-                                2 * (grid - 1))[:grid]
-    block_sup = block_norm_table(spec, j_max)[j_max]
-    assert block_sup == pytest.approx(float(np.max(np.abs(samples))), rel=1e-14, abs=0.0)
+    blocks = zonal_cosine_blocks(spec.coef, 2, edges)
+    period = 2 * (grid - 1)
+    cosine = [cosine_series_fft(block, period)[:grid] for block in blocks]
+    sups = block_norm_table(spec, j_max)
+    np.testing.assert_allclose(sups, [np.max(np.abs(c)) for c in cosine], rtol=1e-15, atol=0.0)
+    paths = {"torus": evaluate_torus(blocks[j_max], period)[:grid], "cosine": cosine[j_max]}
+    assert float(np.max(np.abs(paths["torus"]))) == sups[j_max]
+    points = (0, 1, 21845, grid - 1)
+    errors = {name: [] for name in paths}
     with mpmath.workdps(40):
-        for k in (0, 1, 21845, grid - 1):
+        for k in points:
             theta = mpmath.pi * k / (grid - 1)
             exact = _mpmath_legendre_block(spec.coef, edges[j_max], edges[j_max + 1], theta)
-            assert abs(samples[k] - exact) < 1e-10 * block_sup
+            for name, samples in paths.items():
+                errors[name].append(abs(samples[k] - exact) / sups[j_max])
+    for name, errs in errors.items():
+        assert max(errs) < 1e-10, name
+    closer = ["tie" if t == c else ("torus" if t < c else "cosine")
+              for t, c in zip(errors["torus"], errors["cosine"])]
+    print("top block against 40 digits, error relative to its sup at k =", points)
+    for name, errs in errors.items():
+        print(f"  {name}: " + ", ".join(f"{e:.3e}" for e in errs))
+    print("  closer:", ", ".join(closer))

@@ -1,6 +1,7 @@
 """Zonal harmonics, the Gaussian-beam oracle and asymptotics against scipy closed forms."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre, sph_harm_y
 
 from conftest import gaussian_beam, sphere_rule, zonal_oracle
+from talbotlab.evolve import evaluate_torus
 from talbotlab.specialfun import (
     SZEGO_REMAINDER_C,
-    cosine_series_fft,
     eigenspace_dimension,
     gauss_rule,
     jacobi_asymptotic,
@@ -99,6 +100,27 @@ def test_gauss_rule_against_scipy_nodes(d):
         assert np.all(np.diff(nodes) > 0)
         assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
         assert weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+
+def test_recurrence_walks_keep_a_few_rows():
+    """gauss_rule keeps only the last two rows of each Newton walk and a
+    running sum of squares for its weights, and jacobi_symmetric only
+    row n.  Walks that store the whole row table peak at 8.2 MiB for the
+    1032-node rule of strichartz.l4_norm_beam(512) on S^2 and at 2.1 MB
+    for specfun-check's largest degree (n = 512 at 512 points); these
+    peak at 0.07 MiB and 29 kB."""
+    x = np.cos(np.linspace(0.1, 3.0, 512))
+    tracemalloc.start()
+    try:
+        gauss_rule(1032, 2)
+        rule_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        jacobi_symmetric(512, 2, x)
+        row_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rule_peak < 2**20
+    assert row_peak < 2**16
 
 
 def test_dimension_checks():
@@ -232,30 +254,42 @@ def _table_block_sums(coef, d, x, edges):
     return np.array([coef[lo:hi] @ table[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])])
 
 
+ALIAS_WARNING = r"grid smaller than 2\*m_max\+1 aliases"
+
+
+def _block_samples(block, grid_size):
+    """evaluate_torus of a block, which must warn exactly when the grid
+    folds its frequencies."""
+    if grid_size < 2 * block.m_max + 1:
+        with pytest.warns(UserWarning, match=ALIAS_WARNING):
+            return evaluate_torus(block, grid_size)
+    return evaluate_torus(block, grid_size)
+
+
 @settings(max_examples=60)
 @given(case=_zonal_blocks_case())
-def test_cosine_fft_blocks_match_recurrence_table(case):
-    """Grid samples of each block agree with the recurrence rows, on the
-    polar grid [0, pi] and on the great circle, for any grid length
-    (short circles fold high cosine indices)."""
+def test_torus_sampled_blocks_match_recurrence_table(case):
+    """Torus-transform samples of each block agree with the recurrence
+    rows, on the polar grid [0, pi] and on the great circle, for any
+    grid length (short grids fold high frequencies)."""
     d, n_max, seed, edges, n_points = case
     rng = np.random.default_rng(seed)
     coef = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     scale = 1.0 + np.sum(np.abs(coef) * np.sqrt(
         [eigenspace_dimension(n, d) for n in range(n_max + 1)]))
-    betas = zonal_cosine_blocks(coef, d, edges)
-    assert len(betas) == len(edges) - 1
+    blocks = zonal_cosine_blocks(coef, d, edges)
+    assert len(blocks) == len(edges) - 1
 
     theta = np.linspace(0.0, math.pi, n_points)
-    polar = np.array([cosine_series_fft(b, max(2 * (n_points - 1), 1))[:n_points]
-                      for b in betas])
+    polar = np.array([_block_samples(b, max(2 * (n_points - 1), 1))[:n_points]
+                      for b in blocks])
     ref = _table_block_sums(coef, d, np.cos(theta), edges)
     np.testing.assert_allclose(polar, ref, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(zonal_series_blocks(coef, d, np.cos(theta), edges),
                                ref, rtol=0, atol=1e-12 * scale)
 
     s = 2.0 * math.pi * np.arange(n_points) / n_points
-    circle = np.array([cosine_series_fft(b, n_points) for b in betas])
+    circle = np.array([_block_samples(b, n_points) for b in blocks])
     ref = _table_block_sums(coef, d, np.cos(s), edges)
     np.testing.assert_allclose(circle, ref, rtol=0, atol=1e-12 * scale)
 
@@ -263,33 +297,38 @@ def test_cosine_fft_blocks_match_recurrence_table(case):
 @pytest.mark.parametrize("d", [2, 3])
 def test_single_degree_cosine_block_matches_mpmath(d):
     """The block of coef = e_n at n = 8191 is the Gegenbauer cosine
-    expansion itself: beta_{n-2j} = 2 sqrt(dim_n) / C_n^lambda(1)
-    g_j g_{n-j} with g_k = (lambda)_k / k!, here against 40-digit
-    values to 1e-14 relative in every entry."""
+    expansion itself: the even spectrum with beta_{+-(n-2j)} =
+    sqrt(dim_n) / C_n^lambda(1) g_j g_{n-j}, g_k = (lambda)_k / k!,
+    here against 40-digit values to 1e-14 relative in every entry."""
     n = 8191
     coef = np.zeros(n + 1)
     coef[n] = 1.0
-    beta = zonal_cosine_blocks(coef, d, [n, n + 1])[0]
-    assert beta.shape == (n + 1,)
-    assert np.all(beta.imag == 0.0) and np.all(beta[n - 1::-2] == 0.0)
+    block = zonal_cosine_blocks(coef, d, [n, n + 1])[0]
+    assert block.d == 1 and block.m_max == n
+    beta = block.coef
+    assert np.array_equal(beta, beta[::-1])
+    assert np.all(beta.imag == 0.0) and np.all(beta[1::2] == 0.0)
     with mpmath.workdps(40):
         lam = mpmath.mpf(d - 1) / 2
         g = [mpmath.rf(lam, k) / mpmath.factorial(k) for k in range(n + 1)]
         at_one = mpmath.rf(2 * lam, n) / mpmath.factorial(n)  # C_n^lambda(1)
         norm = mpmath.sqrt(eigenspace_dimension(n, d)) / at_one
-        exact = np.array([float(2 * norm * g[j] * g[n - j]) for j in range(n // 2 + 1)])
-    got = beta.real[n::-2]
+        exact = np.array([float(norm * g[j] * g[n - j]) for j in range(n // 2 + 1)])
+    got = beta.real[2 * n::-2][:n // 2 + 1]
     assert np.max(np.abs(got - exact) / exact) < 1e-14
 
 
-def test_cosine_series_fft_folds_indices_past_the_period():
-    beta = np.array([0.5, 1.0, -2.0, 0.25j, 3.0, 1.5])
+def test_zonal_block_folds_past_its_period():
+    """Grids shorter than a block's 2 m_max + 1 frequencies fold them by
+    summation, so the samples stay exact: a six-degree block on circles
+    of 1 to 12 points against the recurrence rows at cos(s_k)."""
+    coef = np.array([0.5, 1.0, -2.0, 0.25j, 3.0, 1.5])
+    block = zonal_cosine_blocks(coef, 2, [0, coef.size])[0]
     for period in (1, 2, 3, 4, 5, 7, 12):
         s = 2.0 * math.pi * np.arange(period) / period
-        direct = np.cos(np.outer(s, np.arange(beta.size))) @ beta
-        np.testing.assert_allclose(cosine_series_fft(beta, period), direct, atol=1e-13)
-    with pytest.raises(ValueError):
-        cosine_series_fft(beta, 0)
+        direct = coef @ zonal_harmonic_table(coef.size - 1, 2, np.cos(s))
+        np.testing.assert_allclose(_block_samples(block, period), direct,
+                                   rtol=0, atol=1e-13)
 
 
 def test_zonal_blocks_reject_bad_edges():
