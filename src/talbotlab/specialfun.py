@@ -297,9 +297,9 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     list of TorusSpectrum
         One even d = 1 spectrum per block edges[b] <= n < edges[b+1],
         with m_max = min(edges[b+1], n_max + 1) - 1 and beta_m at
-        frequency m; a block past n_max is all zeros.  Its samples on
-        the uniform grid of period 2 (G - 1) start with the polar grid
-        linspace(0, pi, G).
+        frequency m; a block past n_max is the zero spectrum with
+        m_max 0.  Its samples on the uniform grid of period 2 (G - 1)
+        start with the polar grid linspace(0, pi, G).
     """
     if d < 2:
         raise ValueError("sphere dimension must be at least 2")
@@ -312,7 +312,7 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     w = coef[:top] * np.sqrt((n + lam) / (lam * _pochhammer_ratios(2.0 * lam, top)))
     blocks = []
     for lo, hi in ranges:
-        beta = np.zeros(max(hi, 1), dtype=complex)
+        beta = np.zeros(hi if lo < hi else 1, dtype=complex)
         # Term j pairs degree n = m + 2j with g_j g_{n-j}, for the
         # block degrees n >= 2j.
         for j in range((hi + 1) // 2 if lo < hi else 0):

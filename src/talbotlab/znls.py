@@ -101,7 +101,10 @@ class _Workspace:
                 k += 1
                 term = (scale / k) * self.product(dens, term)
                 total = total + term
-                if np.linalg.norm(term) <= 1e-17 * np.linalg.norm(total):
+                # ||term|| <= 1e-17 ||total||, squared: the float views
+                # need no sqrt and no real/imag copies.
+                head, acc = term.view(np.float64), total.view(np.float64)
+                if head @ head <= 1e-34 * (acc @ acc):
                     break
             vec = total
         return vec

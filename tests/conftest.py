@@ -21,6 +21,9 @@ from scipy.special import (
     roots_jacobi,
 )
 
+from talbotlab.gaunt import QuadratureRule
+from talbotlab.specialfun import zonal_harmonic_table
+
 # One Hypothesis profile for the suite: the time per example of the
 # FFT- and quadrature-backed properties follows the machine's load, so
 # no per-example deadline; each test keeps its own max_examples.
@@ -91,6 +94,45 @@ def signed_polygon_box_whole(verts, m_max, area):
     box[m_max, m_max] = area
     box /= (2.0 * math.pi) ** 2
     return box
+
+
+def pair_frequency_classes(block_n, block_m, d=2):
+    """Pairs (n, m) in [N, 2N) x [M, 2M) grouped by lambda_n + lambda_m:
+    a dict tau -> list of (n, m), every pair under exactly one tau."""
+    classes = {}
+    for n in range(block_n, 2 * block_n):
+        for m in range(block_m, 2 * block_m):
+            classes.setdefault(n * (n + d - 1) + m * (m + d - 1), []).append((n, m))
+    return classes
+
+
+def bilinear_l2_by_class(f, g, block_n, block_m):
+    """The bilinear space-time norm one tau-class at a time (oracle of
+    ``strichartz.bilinear_l2``): for each class, sum w_nm Y_n Y_m at
+    the nodes in Python and integrate its squared modulus.  It checks
+    the split into moments and cross terms, so it samples the same
+    rule and table as the library."""
+    d = f.d
+    top = 2 * block_n - 1 + 2 * block_m - 1
+    rule = QuadratureRule.for_degree(2 * top, d)
+    table = zonal_harmonic_table(min(2 * block_n - 1, max(f.n_max, g.n_max)), d, rule.nodes)
+
+    def coef_at(spec, n):
+        return complex(spec.coef[n]) if n <= spec.n_max else 0.0
+
+    total = 0.0
+    for pairs in pair_frequency_classes(block_n, block_m, d).values():
+        h = np.zeros(rule.nodes.size, dtype=complex)
+        nonzero = False
+        for n, m in pairs:
+            w = coef_at(f, n) * coef_at(g, m)
+            if w == 0.0:
+                continue
+            h += w * (table[n] * table[m])
+            nonzero = True
+        if nonzero:
+            total += rule.integrate(np.abs(h) ** 2)
+    return math.sqrt(total)
 
 
 def random_phase(spec, seed):

@@ -47,8 +47,11 @@ def test_block_norm_single_mode_sup():
 
 def test_blocks_past_n_max_have_sup_zero():
     """At n_max = 10 the levels 4 and 5 hold no degree: their blocks are
-    empty and read exactly 0, the others do not."""
+    one-coefficient zero spectra and read exactly 0, the others do not."""
     spec = random_phase(zonal_decay_family(1.1, 10), seed=3)
+    blocks = zonal_cosine_blocks(spec.coef, spec.d, probe_edges(5))
+    assert [block.m_max for block in blocks] == [1, 3, 7, 10, 0, 0]
+    assert np.all(blocks[4].coef == 0.0) and np.all(blocks[5].coef == 0.0)
     norms = block_norm_table(spec, 5)
     assert np.all(norms[:4] > 0.0) and np.all(norms[4:] == 0.0)
 
