@@ -9,11 +9,13 @@ resonance study.
 """
 
 from talbotlab.experiments import run_kappa_suite, run_resonance_decay
-from talbotlab.gaunt import kappa
+from talbotlab.gaunt import KappaTable
 
+# triple[n, a, b] = kappa(n, a, b) for n <= 2 n_max and a, b <= n_max.
+table = KappaTable.build(3, d=2)
 print("support on S^2:")
-for idx in [(0, 0, 0), (1, 1, 2), (2, 3, 5), (1, 1, 3), (1, 2, 5)]:
-    print(f"  kappa{idx} = {kappa(idx):.6f}")
+for a, b, n in [(0, 0, 0), (1, 1, 2), (2, 3, 5), (1, 1, 3), (1, 2, 5)]:
+    print(f"  kappa{(a, b, n)} = {table.triple[n, a, b]:.6f}")
 
 suite = run_kappa_suite(n_max=6, scan_n_max=16)
 print("\nidentities over every tuple up to n = 6 (permutation: largest change of"

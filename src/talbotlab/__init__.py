@@ -23,9 +23,11 @@ flows numerically:
 ``expsum``
     Weighted quadratic Weyl block suprema.
 ``gaunt``
-    Triple and quadruple product integrals of zonal harmonics, exact
-    quadrature rules, resonance identities, and the count of tuples the
-    near-resonance classification leaves out.
+    Exact quadrature rules, every triple and quadruple product integral
+    of zonal harmonics up to a degree, the resonant products
+    kappa(n, n, n2, n3) of a list of degrees against their meridian
+    limit, each family from one rule and one harmonic table, and the
+    count of tuples the near-resonance classification leaves out.
 ``znls``
     The zonal cubic flow: Strang splitting with a unitary Galerkin
     substep exp(i sigma dt B(u)), applied matrix-free from the
@@ -33,7 +35,8 @@ flows numerically:
     resonant phase, and smoothing diagnostics.
 ``strichartz``
     Bilinear space-time L^2 norms of zonal pairs on S^d x [0, 2pi),
-    exact in time, and beam quartic norms by exact quadrature.
+    exact in time, for a list of blocks on one rule, and beam quartic
+    norms in closed form.
 ``fitting``
     Least-squares line fits shared by the dimension, decay and norm fits.
 ``experiments``

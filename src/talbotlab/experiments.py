@@ -395,14 +395,12 @@ def run_resonance_decay(
     degrees: tuple[int, ...] = (16, 32, 64, 128, 256),
 ) -> ExperimentResult:
     """Decay of kappa(n, n, n2, n3) toward its meridian line integral."""
-    rows = []
-    diffs = []
-    for n in degrees:
-        k_val, line, diff = resonance_compare(n, n2, n3, d)
-        rows.append({"n": n, "kappa": k_val, "line_integral": line,
-                     "difference": diff})
-        diffs.append(abs(diff))
-    fit = fit_loglog(list(degrees), diffs)
+    kappas, line = resonance_compare(degrees, n2, n3, d)
+    diffs = kappas - line
+    rows = [{"n": n, "kappa": float(k_val), "line_integral": line,
+             "difference": float(diff)}
+            for n, k_val, diff in zip(degrees, kappas, diffs)]
+    fit = fit_loglog(list(degrees), np.abs(diffs))
     criteria = {"max_exponent": -0.9, "n2": n2, "n3": n3, "d": d}
     return ExperimentResult(
         name="resonance",
@@ -429,12 +427,11 @@ def run_bilinear_contrast(
     f_norm = float(np.linalg.norm(data.coef[block_n:2 * block_n]))
     rows = []
     ratios = []
-    for m in m_blocks:
+    for m, value in zip(m_blocks, bilinear_l2(data, data, block_n, m_blocks)):
         g_norm = float(np.linalg.norm(data.coef[m:2 * m]))
-        value = bilinear_l2(data, data, block_n, m)
-        ratio = value / (f_norm * g_norm)
+        ratio = float(value) / (f_norm * g_norm)
         ratios.append(ratio)
-        rows.append({"study": "bilinear", "index": m, "value": value,
+        rows.append({"study": "bilinear", "index": m, "value": float(value),
                      "ratio": ratio})
     bil_fit = fit_loglog(list(m_blocks), ratios)
     quartics = []

@@ -10,9 +10,11 @@ reduced to a one-dimensional Gauss-Jacobi quadrature with weight
 Every integrand is a polynomial in cos(theta), so sufficiently many
 nodes make the quadrature exact rather than approximate.  kappa is
 symmetric in its indices, non-negative, and vanishes when one index
-exceeds the sum of the others.  ``kappa`` evaluates one tuple;
-``KappaTable`` holds every 3- and 4-index value up to a degree as two
-dense tensors, built from one rule and one harmonic table.
+exceeds the sum of the others.  A study builds one rule and one
+harmonic table, sized for its largest degree, and reads every kappa it
+needs from them: ``KappaTable`` holds every 3- and 4-index value up to
+a degree as two dense tensors, and ``resonance_compare`` the values
+kappa(n, n, n2, n3) of a list of degrees n.
 
 The module also counts the admissible tuples that the Lambda_0 /
 Lambda_1 / Lambda_2 sets, with frozen constants, leave unclassified,
@@ -36,7 +38,6 @@ __all__ = [
     "KappaTable",
     "FROZEN_LAMBDA_CONSTANTS",
     "admissible",
-    "kappa",
     "count_unclassified",
     "resonance_compare",
 ]
@@ -91,43 +92,6 @@ def admissible(indices):
     """
     idx = np.asarray(indices)
     return 2 * idx.max(0) <= idx.sum(0)
-
-
-def _as_indices(indices) -> tuple[int, ...]:
-    idx = tuple(sorted(int(i) for i in indices))
-    if len(idx) not in (2, 3, 4):
-        raise ValueError("kappa takes 2, 3, or 4 degree indices")
-    if idx[0] < 0:
-        raise ValueError("degrees must be non-negative")
-    return idx
-
-
-def kappa(indices, d: int = 2) -> float:
-    """Normalized integral of a product of zonal harmonics.
-
-    Parameters
-    ----------
-    indices : sequence of int
-        2, 3, or 4 degrees.
-    d : int
-        Sphere dimension, at least 2.
-
-    Returns
-    -------
-    float
-        (1/omega_d) integral of the product over S^d, the
-        ``QuadratureRule`` sum of the product at its nodes; symmetric
-        in the indices, non-negative, zero outside the polygon support.
-    """
-    idx = _as_indices(indices)
-    if d < 2:
-        raise ValueError("sphere dimension must be at least 2")
-    rule = QuadratureRule.for_degree(sum(idx), d)
-    table = zonal_harmonic_table(max(idx), d, rule.nodes)
-    product = np.ones_like(rule.nodes)
-    for i in idx:
-        product = product * table[i]
-    return rule.integrate(product)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,21 +198,43 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     return count
 
 
-def resonance_compare(n: int, n2: int, n3: int, d: int = 2):
-    """kappa(n, n, n2, n3) against its large-n meridian limit.
+def resonance_compare(degrees, n2: int, n3: int, d: int = 2):
+    """kappa(n, n, n2, n3) for each n of ``degrees``, and their large-n
+    meridian limit.
+
+    Every kappa is one nodal sum on the rule and harmonic table of the
+    largest n; the limit does not depend on n.
+
+    Parameters
+    ----------
+    degrees : sequence of int
+        The degrees n, at least one, none below n2 or n3.
+    n2, n3 : int
+        Non-negative degrees.
+    d : int
+        Sphere dimension, at least 2.
 
     Returns
     -------
-    (float, float, float)
-        The kappa value, the line integral
-        (1/pi) integral_0^pi Y_{n2} Y_{n3} dtheta, and their
-        difference (kappa minus line integral).
+    (ndarray, float)
+        kappa(n, n, n2, n3) for each n, in the order of ``degrees``, and
+        the line integral (1/pi) integral_0^pi Y_{n2} Y_{n3} dtheta.
     """
-    if max(n2, n3) > n:
+    degrees = np.asarray(degrees, dtype=int)
+    if degrees.size == 0:
+        raise ValueError("resonance comparison needs at least one degree n")
+    if min(n2, n3) < 0:
+        raise ValueError("degrees must be non-negative")
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
+    if max(n2, n3) > degrees.min():
         raise ValueError("resonance comparison needs n2, n3 <= n")
-    k_val = kappa((n, n, n2, n3), d)
+    n_top = int(degrees.max())
+    rule = QuadratureRule.for_degree(2 * n_top + n2 + n3, d)
+    table = zonal_harmonic_table(n_top, d, rule.nodes)
+    pair = table[n2] * table[n3]
+    kappas = np.array([rule.integrate(pair * table[n] * table[n]) for n in degrees])
     # The rule of S^1 is exact for Y_{n2} Y_{n3}, of degree n2 + n3 in cos(theta).
-    rule = QuadratureRule.for_degree(2 * max(n2, n3), 1)
-    table = zonal_harmonic_table(max(n2, n3), d, rule.nodes)
-    line = rule.integrate(table[n2] * table[n3])
-    return (k_val, line, k_val - line)
+    meridian = QuadratureRule.for_degree(2 * max(n2, n3), 1)
+    line_table = zonal_harmonic_table(max(n2, n3), d, meridian.nodes)
+    return kappas, meridian.integrate(line_table[n2] * line_table[n3])

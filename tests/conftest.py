@@ -96,6 +96,27 @@ def signed_polygon_box_whole(verts, m_max, area):
     return box
 
 
+def kappa(indices, d=2):
+    """Normalized integral of a product of 2, 3 or 4 zonal harmonics, one
+    tuple at a time (the per-tuple oracle of ``gaunt.KappaTable`` and
+    ``gaunt.resonance_compare``): the library's rule sized for this
+    tuple's total degree and its harmonic table, multiplied in sorted
+    index order, so a permutation of the indices gives the same float."""
+    idx = tuple(sorted(int(i) for i in indices))
+    if len(idx) not in (2, 3, 4):
+        raise ValueError("kappa takes 2, 3, or 4 degree indices")
+    if idx[0] < 0:
+        raise ValueError("degrees must be non-negative")
+    if d < 2:
+        raise ValueError("sphere dimension must be at least 2")
+    rule = QuadratureRule.for_degree(sum(idx), d)
+    table = zonal_harmonic_table(max(idx), d, rule.nodes)
+    product = np.ones_like(rule.nodes)
+    for i in idx:
+        product = product * table[i]
+    return rule.integrate(product)
+
+
 def pair_frequency_classes(block_n, block_m, d=2):
     """Pairs (n, m) in [N, 2N) x [M, 2M) grouped by lambda_n + lambda_m:
     a dict tau -> list of (n, m), every pair under exactly one tau."""

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from talbotlab import __version__, cli, experiments, fractal, gaunt
+from talbotlab import __version__, cli, experiments, fractal, gaunt, strichartz, znls
 from talbotlab.experiments import (
     ExperimentResult,
     run_bilinear_contrast,
@@ -106,24 +106,41 @@ def test_kappa_suite_fails_on_an_asymmetric_quad(monkeypatch):
     assert result.measured["d2_support_max"] < result.criteria["support_tol"]
 
 
-def test_kappa_suite_builds_one_rule_and_table_per_dimension(monkeypatch):
-    """Each kappa is computed once: one quadrature rule and one harmonic
-    table per dimension."""
+# Study -> (small driver arguments, Gauss rules and harmonic tables it
+# builds).  Each rule is sized once for the largest degree of its
+# integrals: one per dimension in kappa-table, the sphere's and the
+# meridian's in resonance, one for every M in strichartz, and the
+# sphere's and meridian's for each of nls-smoothing's two solves.
+RULE_BUILDS = {
+    "kappa-table": (dict(n_max=4, dims=(2, 3), scan_n_max=8), 2),
+    "resonance": (dict(degrees=(16, 32, 64)), 2),
+    "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)), 1),
+    "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2,
+                           single_mode_dt=5e-3), 4),
+    "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), 1),
+}
+
+
+@pytest.mark.parametrize("study", sorted(RULE_BUILDS))
+def test_sphere_study_builds_each_rule_once(study, monkeypatch):
+    """A sphere study builds each Gauss rule once, whatever the number
+    of its degrees, and one harmonic table at each rule's nodes."""
     calls = []
 
-    def counting(owner, name):
-        real = getattr(owner, name)
-
+    def counting(real, name):
         def wrapper(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(gaunt.QuadratureRule, "for_degree",
-                        staticmethod(counting(gaunt.QuadratureRule, "for_degree")))
-    monkeypatch.setattr(gaunt, "zonal_harmonic_table", counting(gaunt, "zonal_harmonic_table"))
-    assert run_kappa_suite(n_max=4, dims=(2, 3), scan_n_max=8).passed
-    assert sorted(calls) == ["for_degree"] * 2 + ["zonal_harmonic_table"] * 2
+    monkeypatch.setattr(gaunt.QuadratureRule, "for_degree", staticmethod(
+        counting(gaunt.QuadratureRule.for_degree, "for_degree")))
+    for module in (experiments, gaunt, strichartz, znls):
+        monkeypatch.setattr(module, "zonal_harmonic_table",
+                            counting(module.zonal_harmonic_table, "zonal_harmonic_table"))
+    kwargs, builds = RULE_BUILDS[study]
+    cli._SPECS[study]["driver"](**kwargs)
+    assert sorted(calls) == ["for_degree"] * builds + ["zonal_harmonic_table"] * builds
 
 
 def test_resonance_decay_small():
@@ -211,14 +228,14 @@ NAN_CASES = {
     "weyl": (dict(exponent_range=(3, 6)), "weyl_block_sup",
              lambda out: dataclasses.replace(out, sup=math.nan)),
     "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)),
-                   "bilinear_l2", lambda out: math.nan),
+                   "bilinear_l2", _nan_array),
     "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2,
                            single_mode_dt=5e-3), "smoothing_residual",
                       lambda out: dataclasses.replace(out, r_norms=_nan_array(out.r_norms))),
     "zonal-holder": (dict(n_max=255, j_max=7, window=(2, 7)), "block_norm_table",
                      _nan_array),
     "resonance": (dict(degrees=(16, 32)), "resonance_compare",
-                  lambda out: (out[0], out[1], math.nan)),
+                  lambda out: (_nan_array(out[0]), out[1])),
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kappa_vector, quad_line_integral, quad_product_integral
+from conftest import kappa, kappa_vector, quad_line_integral, quad_product_integral
 from talbotlab import cli
 from talbotlab.gaunt import (
     FROZEN_LAMBDA_CONSTANTS,
@@ -21,7 +21,6 @@ from talbotlab.gaunt import (
     QuadratureRule,
     admissible,
     count_unclassified,
-    kappa,
     resonance_compare,
 )
 from talbotlab.znls import _Workspace
@@ -166,10 +165,16 @@ def kappa_mpmath_d2(n1, n2, n3, n4):
 
 
 def test_kappa_at_acceptance_scale_against_mpmath():
+    """Criterion 7's kappa(n, n, 3, 5), n = 16 .. 256: every value of
+    the shared rule of ``resonance_compare`` (measured within 2.2e-14)
+    and the per-tuple oracle at n = 256 (5.5e-14), against 50 digits."""
+    degrees = (16, 32, 64, 128, 256)
     with mpmath.workdps(50):
         assert float(kappa_mpmath_d2(1, 1, 1, 1)) == pytest.approx(1.8, rel=1e-15, abs=0.0)
-        exact = float(kappa_mpmath_d2(256, 256, 3, 5))
-    assert kappa((256, 256, 3, 5), d=2) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        exact = [float(kappa_mpmath_d2(n, n, 3, 5)) for n in degrees]
+    np.testing.assert_allclose(resonance_compare(degrees, 3, 5, 2)[0], exact,
+                               rtol=1e-13, atol=0.0)
+    assert kappa((256, 256, 3, 5), d=2) == pytest.approx(exact[-1], rel=1e-13, abs=0.0)
 
 
 def test_kappa_is_exactly_permutation_invariant():
@@ -428,8 +433,8 @@ def test_line_integral_table_against_quadrature(d):
     """The meridian line integral of ``resonance_compare`` against scipy
     quad, and symmetric in its two degrees."""
     for n1, n2 in [(0, 0), (1, 1), (2, 4), (3, 5), (8, 8), (0, 6)]:
-        line = resonance_compare(8, n1, n2, d)[1]
-        assert line == resonance_compare(8, n2, n1, d)[1], (n1, n2)
+        line = resonance_compare([8], n1, n2, d)[1]
+        assert line == resonance_compare([8], n2, n1, d)[1], (n1, n2)
         ref = quad_line_integral(n1, n2, d)
         assert line == pytest.approx(ref, abs=1e-10), (n1, n2)
 
@@ -469,17 +474,36 @@ def test_line_integral_table_at_acceptance_scale_against_mpmath():
 
 
 def test_resonance_compare_structure():
-    full, line, diff = resonance_compare(32, 3, 5)
-    assert diff == pytest.approx(full - line, abs=1e-15)
+    """One kappa per degree, in the given order, each equal to the
+    per-tuple oracle on its own smaller rule; one line integral."""
+    degrees = (32, 5, 9, 5)
+    kappas, line = resonance_compare(degrees, 3, 5)
+    assert kappas.shape == (4,) and kappas[1] == kappas[3]
+    np.testing.assert_allclose(kappas, [kappa((n, n, 3, 5)) for n in degrees],
+                               rtol=1e-13, atol=1e-15)
     # 40-digit oracle; the float sum is 2.5e-15 from it.
     exact = meridian_mpmath_d2([(3, 5)], 5, count=16)[0]
     assert line == pytest.approx(exact, abs=1e-14)
-    with pytest.raises(ValueError):
-        resonance_compare(4, 3, 5)  # needs n2, n3 <= n
+    assert resonance_compare((7,), 3, 5)[1] == line
+
+
+@pytest.mark.parametrize("args, message", [
+    (((), 3, 5), "at least one degree"),
+    (((16, 4, 32), 3, 5), "n2, n3 <= n"),  # n3 above the smallest n
+    (((16, 4), 5, 3), "n2, n3 <= n"),  # n2 above it
+    (((4,), 3, 5), "n2, n3 <= n"),
+    (((16,), -1, 5), "non-negative"),
+    (((16,), 3, 5, 1), "at least 2"),
+    (((16,), 3, 5, 0), "at least 2"),
+])
+def test_resonance_compare_rejects_bad_degrees(args, message):
+    with pytest.raises(ValueError, match=message):
+        resonance_compare(*args)
 
 
 def test_resonance_difference_shrinks_with_degree():
-    diffs = [abs(resonance_compare(n, 3, 5)[2]) for n in (16, 64, 256)]
+    kappas, line = resonance_compare((16, 64, 256), 3, 5)
+    diffs = np.abs(kappas - line)
     assert diffs[2] < diffs[0]
     assert diffs[2] < 0.01
 

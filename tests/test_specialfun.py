@@ -105,10 +105,10 @@ def test_gauss_rule_against_scipy_nodes(d):
 def test_recurrence_walks_keep_a_few_rows():
     """gauss_rule keeps only the last two rows of each Newton walk and a
     running sum of squares for its weights, and jacobi_symmetric only
-    row n.  Walks that store the whole row table peak at 8.2 MiB for the
-    1032-node rule of strichartz.l4_norm_beam(512) on S^2 and at 2.1 MB
-    for specfun-check's largest degree (n = 512 at 512 points); these
-    peak at 0.07 MiB and 29 kB."""
+    row n.  The largest rule a study builds has 528 nodes (criterion 9
+    on S^2); at 1032 nodes a walk that stores the whole row table
+    peaks at 8.2 MiB, and one at specfun-check's largest degree (n = 512
+    at 512 points) at 2.1 MB; these peak at 0.07 MiB and 29 kB."""
     x = np.cos(np.linspace(0.1, 3.0, 512))
     tracemalloc.start()
     try:

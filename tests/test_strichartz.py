@@ -3,15 +3,23 @@
 import math
 import tracemalloc
 
+import mpmath
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, roots_legendre
 
-from conftest import bilinear_l2_by_class, gaussian_beam, pair_frequency_classes, random_phase
+from conftest import (
+    bilinear_l2_by_class,
+    gaussian_beam,
+    kappa,
+    pair_frequency_classes,
+    random_phase,
+)
 from talbotlab.evolve import propagate_sphere
-from talbotlab.gaunt import QuadratureRule, kappa
+from talbotlab.gaunt import QuadratureRule
 from talbotlab.specialfun import zonal_harmonic_table
 from talbotlab.spectra import ZonalSpectrum, zonal_decay_family
 from talbotlab.strichartz import bilinear_l2, l4_norm_beam
@@ -29,9 +37,24 @@ def beam_l4_closed(n):
     return math.exp(2 * log_c2 + log_int - math.log(2))
 
 
+def beam_l4_quadrature(n):
+    """||Y_n^n||^4_{L^4(S^2)} by exact quadrature (oracle of the closed
+    form of ``strichartz.l4_norm_beam``): c_n^4 (1 - x^2)^{2n}, with
+    c_n^2 in log-gamma form, summed on the library's rule of degree 4n."""
+    rule = QuadratureRule.for_degree(4 * n, 2)
+    log_c2 = (
+        math.log(2 * n + 1)
+        + math.lgamma(2 * n + 1)
+        - 2.0 * math.lgamma(n + 1)
+        - n * math.log(4.0)
+    )
+    values = np.exp(2.0 * log_c2 + 2.0 * n * np.log1p(-rule.nodes**2))
+    return rule.integrate(values)
+
+
 def l4_norm_spacetime(f, block_n):
     """||P_N e^{it Delta} f||_{L^4(S^d x [0, 2 pi])} = ||u^2||_{L^2}^{1/2}."""
-    return math.sqrt(bilinear_l2(f, f, block_n, block_n))
+    return math.sqrt(bilinear_l2(f, f, block_n, [block_n])[0])
 
 
 def alpha_count(block_n, block_m, tau, d=2):
@@ -128,27 +151,32 @@ def test_bilinear_single_modes_reduce_to_kappa():
     for n, m in [(8, 4), (16, 5), (9, 9)]:
         f = ZonalSpectrum(d=2, coef=np.eye(1, 2 * n, n).ravel().astype(complex))
         g = ZonalSpectrum(d=2, coef=np.eye(1, 2 * m, m).ravel().astype(complex))
-        ours = bilinear_l2(f, g, n, m)
+        ours = bilinear_l2(f, g, n, [m])[0]
         assert ours == pytest.approx(math.sqrt(kappa((n, n, m, m))), rel=1e-10, abs=0.0)
 
 
 def test_bilinear_vanishes_for_zero_factor():
     f = block_data(1.5, 8)
     g = ZonalSpectrum(d=2, coef=np.zeros(8, dtype=complex))
-    assert bilinear_l2(f, g, 8, 4) == 0.0
+    assert bilinear_l2(f, g, 8, [4])[0] == 0.0
     # N = M: every off-diagonal class {(n, m), (m, n)} has a cross term.
     zero = ZonalSpectrum(d=2, coef=np.zeros(16, dtype=complex))
-    assert bilinear_l2(f, zero, 8, 8) == 0.0
-    assert bilinear_l2(zero, f, 8, 8) == 0.0
+    np.testing.assert_array_equal(bilinear_l2(f, zero, 8, [8, 2]), 0.0)
+    np.testing.assert_array_equal(bilinear_l2(zero, f, 8, [8, 2]), 0.0)
 
 
-@pytest.mark.parametrize("block_m", [4, 8, 16, 32, 64])
+CRITERION_8_BLOCKS = (4, 8, 16, 32, 64)
+
+
+@pytest.mark.parametrize("block_m", CRITERION_8_BLOCKS)
 def test_bilinear_matches_class_sum_at_criterion_8(block_m):
     """Criterion-8 data (p = 1.5, n_max 256, N = 128): moments plus
-    cross terms agree with the class-by-class sum."""
+    cross terms on the one rule of M = 64 agree with the class-by-class
+    sum on a rule sized for M alone."""
     data = zonal_decay_family(1.5, 256, d=2)
     expected = bilinear_l2_by_class(data, data, 128, block_m)
-    assert bilinear_l2(data, data, 128, block_m) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    ours = bilinear_l2(data, data, 128, CRITERION_8_BLOCKS)[CRITERION_8_BLOCKS.index(block_m)]
+    assert ours == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @st.composite
@@ -175,7 +203,20 @@ def test_bilinear_matches_class_sum_on_random_data(case):
 
     f, g = spectrum(f_top), spectrum(g_top)
     expected = bilinear_l2_by_class(f, g, block_n, block_m)
-    assert bilinear_l2(f, g, block_n, block_m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert bilinear_l2(f, g, block_n, [block_m])[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("g_d, block_ms, message", [
+    (2, (), "at least one block start"),
+    (2, (4, 16), "N >= M"),
+    (2, (16,), "N >= M"),
+    (3, (4,), "sphere dimension"),
+])
+def test_bilinear_rejects_bad_blocks(g_d, block_ms, message):
+    f = block_data(1.5, 8)
+    g = ZonalSpectrum(d=g_d, coef=np.ones(32, dtype=complex))
+    with pytest.raises(ValueError, match=message):
+        bilinear_l2(f, g, 8, block_ms)
 
 
 def test_bilinear_peak_memory_at_criterion_8():
@@ -186,7 +227,7 @@ def test_bilinear_peak_memory_at_criterion_8():
     data = zonal_decay_family(1.5, 256, d=2)
     tracemalloc.start()
     try:
-        bilinear_l2(data, data, 128, 64)
+        bilinear_l2(data, data, 128, CRITERION_8_BLOCKS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,7 +237,7 @@ def test_bilinear_peak_memory_at_criterion_8():
 def test_l4_spacetime_is_bilinear_self_pairing():
     f = block_data(1.5, 16)
     l4 = l4_spacetime_grid(f, 16)
-    assert l4**2 == pytest.approx(bilinear_l2(f, f, 16, 16), rel=1e-12, abs=0.0)
+    assert l4**2 == pytest.approx(bilinear_l2(f, f, 16, [16])[0], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("block_n", [4, 8])
@@ -230,10 +271,28 @@ def test_l4_spacetime_brute_force_oracle():
 
 
 def test_beam_l4_closed_form_values():
-    """I_1 = 6/5 exactly; closed form matches direct quadrature."""
+    """I_0 = 1 and I_1 = 6/5 exactly; the running products match the
+    log-gamma form and the exact quadrature of the integrand."""
+    assert l4_norm_beam(0) == 1.0
     assert beam_l4_closed(1) == pytest.approx(6.0 / 5.0, rel=1e-12, abs=0.0)
+    assert l4_norm_beam(1) == pytest.approx(6.0 / 5.0, rel=1e-15, abs=0.0)
     for n in (1, 2, 5, 16, 64, 256):
         assert l4_norm_beam(n) == pytest.approx(beam_l4_closed(n), rel=1e-10, abs=0.0)
+        assert l4_norm_beam(n) == pytest.approx(beam_l4_quadrature(n), rel=1e-11, abs=0.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        l4_norm_beam(-1)
+
+
+def test_beam_l4_at_criterion_8_degrees_against_mpmath():
+    """Criterion 8's beam degrees n = 8 .. 512 against 40 digits of
+    c_n^4 B(1/2, 2n + 1) / 2, c_n^2 = (2n + 1) binom(2n, n) / 4^n.
+    Measured within 2.9e-15; the quadrature route was 8.6e-13 off and
+    the log-gamma form 1.75e-12."""
+    degrees = [2**k for k in range(3, 10)]
+    with mpmath.workdps(40):
+        exact = [float(((2 * n + 1) * mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n) ** 2
+                       * mpmath.beta(0.5, 2 * n + 1) / 2) for n in degrees]
+    np.testing.assert_allclose([l4_norm_beam(n) for n in degrees], exact, rtol=1e-14, atol=0.0)
 
 
 def test_beam_l4_closed_form_oracle():
@@ -258,6 +317,6 @@ def test_bilinear_contrast_between_close_and_separated_blocks():
     f = block_data(1.5, 64, seed=13)
     g_far = block_data(1.5, 4, seed=14)
     g_near = block_data(1.5, 64, seed=14)
-    far = bilinear_l2(f, g_far, 64, 4) / (f.l2_norm() * g_far.l2_norm())
-    near = bilinear_l2(f, g_near, 64, 64) / (f.l2_norm() * g_near.l2_norm())
+    far = bilinear_l2(f, g_far, 64, [4])[0] / (f.l2_norm() * g_far.l2_norm())
+    near = bilinear_l2(f, g_near, 64, [64])[0] / (f.l2_norm() * g_near.l2_norm())
     assert far < near
