@@ -6,7 +6,8 @@ measured value against its threshold, and asserts the verdict.  The
 the whole suite reads as a checklist.  The rational-time controls
 show that the gates of criteria 2-5 can fail on real data, where the
 paper says they must; the no-phase control shows that criterion 9's
-gate sees the resonant phase.
+gate sees the resonant phase, and the flipped-sign control that its
+single-mode gate sees the sign at the study's step.
 """
 
 import dataclasses
@@ -23,7 +24,12 @@ from talbotlab.expsum import weyl_block_sup
 from talbotlab.fitting import fit_line, fit_loglog
 from talbotlab.fractal import dim_t
 from talbotlab.lpbesov import block_norm_table
-from talbotlab.spectra import torus_polygon_indicator, torus_step, zonal_decay_family
+from talbotlab.spectra import (
+    ZonalSpectrum,
+    torus_polygon_indicator,
+    torus_step,
+    zonal_decay_family,
+)
 from talbotlab.znls import smoothing_residual, solve
 
 TRIANGLE = ex.DEFAULT_TRIANGLE
@@ -239,9 +245,7 @@ def test_criterion_08_bilinear_beam_contrast():
 
 
 def test_criterion_09_cubic_smoothing():
-    result = ex.run_nls_smoothing(
-        p=1.1, n_max=256, dt=1e-3, t_final=0.1, single_mode_dt=1e-4,
-    )
+    result = ex.run_nls_smoothing(p=1.1, n_max=256, dt=1e-3, t_final=0.1)
     m = result.measured
     report(
         "criterion 9 cubic smoothing",
@@ -250,7 +254,7 @@ def test_criterion_09_cubic_smoothing():
         f" tail {m['solution_tail_exponent']:.2f} by"
         f" {m['smoothing_gain']:.2f} >= 0.2;"
         f" single-mode closed-form error {m['single_mode_error']:.2e}"
-        " < 1e-10 at dt=1e-4",
+        " < 1e-10 at dt=1e-3",
         result.passed,
     )
     assert m["mass_drift"] < 1e-8
@@ -278,6 +282,23 @@ def test_smoothing_gate_fails_without_the_resonant_phase():
     report("criterion 9 control",
            f"gain {without:.3f} without the resonant phase lies below 0.2;"
            f" with it {with_phase:.3f}", ok)
+    assert ok
+
+
+def test_single_mode_gate_fails_with_the_sign_flipped():
+    """Criterion 9 solves its single mode at the study's dt = 1e-3,
+    where the split step is exact for constant data.  The 1e-10 gate
+    still separates the two signs at that step: the sigma = -1 solution
+    misses the sigma = +1 rotation a e^{i |a|^2 t} by
+    2 |a| sin(|a|^2 t), 0.049 at t = 0.1."""
+    amp = 0.55 - 0.3j
+    single = ZonalSpectrum(d=2, coef=np.array([amp, 0, 0, 0], dtype=complex))
+    run = solve(single, 1e-3, 0.1, sign=-1)
+    error = float(abs(run.final.coef[0] - amp * np.exp(1j * abs(amp) ** 2 * 0.1)))
+    ok = error >= 1e-10
+    report("criterion 9 single-mode control",
+           f"sigma = -1 solution misses the sigma = +1 closed form by"
+           f" {error:.3f} >= 1e-10 at dt=1e-3", ok)
     assert ok
 
 

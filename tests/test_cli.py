@@ -451,6 +451,8 @@ def test_specfun_dimension_is_a_flag(tmp_path):
     # The weight exponent of the weighted columns is fixed at s + eps = 3/4.
     ("nls-smoothing", "--s", "0.5"),
     ("nls-smoothing", "--eps", "0.25"),
+    # The single-mode check runs at the study's --dt; it has no step of its own.
+    ("nls-smoothing", "--single-mode-dt", "1e-4"),
 ])
 def test_foreign_or_malformed_flags_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as info:

@@ -115,8 +115,7 @@ RULE_BUILDS = {
     "kappa-table": (dict(n_max=4, dims=(2, 3), scan_n_max=8), 2),
     "resonance": (dict(degrees=(16, 32, 64)), 2),
     "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)), 1),
-    "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2,
-                           single_mode_dt=5e-3), 4),
+    "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2), 4),
     "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), 1),
 }
 
@@ -165,6 +164,23 @@ def test_nls_smoothing_small():
     assert result.measured["mass_drift"] < 1e-8
     assert result.measured["smoothing_gain"] >= 0.2
     assert result.measured["single_mode_error"] < 1e-10
+
+
+def test_nls_smoothing_solves_at_the_study_step(monkeypatch):
+    """Both solves, the decay family's and the single mode's, run at
+    the study's dt: the split step is exact for constant data at any
+    step, so the single-mode check needs no step of its own."""
+    steps = []
+    real_solve = experiments.solve
+
+    def recording(initial, dt, t_final, sign=1):
+        steps.append((dt, t_final, sign))
+        return real_solve(initial, dt, t_final, sign=sign)
+
+    monkeypatch.setattr(experiments, "solve", recording)
+    kwargs, _ = RULE_BUILDS["nls-smoothing"]
+    run_nls_smoothing(**kwargs, sign=-1)
+    assert steps == [(kwargs["dt"], kwargs["t_final"], -1)] * 2
 
 
 def test_specialfun_driver():
@@ -229,8 +245,8 @@ NAN_CASES = {
              lambda out: dataclasses.replace(out, sup=math.nan)),
     "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)),
                    "bilinear_l2", _nan_array),
-    "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2,
-                           single_mode_dt=5e-3), "smoothing_residual",
+    "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2),
+                      "smoothing_residual",
                       lambda out: dataclasses.replace(out, r_norms=_nan_array(out.r_norms))),
     "zonal-holder": (dict(n_max=255, j_max=7, window=(2, 7)), "block_norm_table",
                      _nan_array),

@@ -312,8 +312,7 @@ def test_smoothing_table_structure():
     assert list(table.n_values) == [1, 2, 4, 8, 16]
     assert all(r >= 0 for r in table.r_norms)
     # both weighted columns of the study's rows carry the N^{s+eps} factor
-    rows = run_nls_smoothing(n_max=32, dt=1e-3, t_final=0.02, fit_n_min=2,
-                             single_mode_dt=1e-3).rows
+    rows = run_nls_smoothing(n_max=32, dt=1e-3, t_final=0.02, fit_n_min=2).rows
     assert [row["N"] for row in rows] == [1, 2, 4, 8, 16]
     for row in rows:
         assert row["residual_weighted"] == pytest.approx(
