@@ -241,9 +241,12 @@ def run_zonal_holder(
         raise ValueError(f"window must satisfy 0 <= start < end <= j_max = {j_max}")
     data = zonal_decay_family(p, n_max, d=2)
     levels = np.arange(window[0], window[1] + 1)
+    panel = time_panel(seed=seed)
+    table = dict(zip(panel, block_norm_table(
+        (propagate_sphere(data, t) for t in panel), j_max)[:, levels]))
 
     def measure(t):
-        norms = block_norm_table(propagate_sphere(data, t), j_max)[levels]
+        norms = table[t]
         weighted = weight_exponent * levels + np.log2(norms)
         slope = fit_line(levels, weighted).slope
         return slope, [{"slope": slope,

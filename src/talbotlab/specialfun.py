@@ -267,8 +267,8 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     return sums
 
 
-def zonal_cosine_blocks(coef, d: int, edges) -> list:
-    """Each degree block of a zonal expansion as a T^1 spectrum in theta.
+def zonal_cosine_blocks(coef, d: int, edges):
+    """Each degree block of zonal expansions as T^1 spectra in theta.
 
     With lambda = (d-1)/2, Y_n(theta) = sqrt(dim_n) C_n^lambda(cos theta)
     / C_n^lambda(1), and the Gegenbauer cosine expansion (DLMF 18.5.11)
@@ -281,11 +281,17 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
     C_n^lambda(1) = (2 lambda)_n / n! are running products of (c+i)/(1+i),
     and dim_n = (n + lambda) / lambda * C_n^lambda(1) turns w_n into
     coef[n] sqrt((n + lambda) / (lambda C_n^lambda(1))): no log or exp.
+    The j-loop runs on whole rows of ``coef``, so one slice update
+    serves every expansion; each entry is the product and the sum, in j
+    order, of a single expansion's loop.  Blocks are built one at a
+    time, as the caller reaches them, and each column's spectrum only
+    when its own iterator reaches it.
 
     Parameters
     ----------
     coef : array_like
-        Complex coefficients a_0 .. a_{n_max}.
+        Complex coefficients of shape ``(n_max+1, k)``: column i holds
+        a_0 .. a_{n_max} of expansion i.
     d : int
         Sphere dimension, at least 2.
     edges : array_like
@@ -294,33 +300,36 @@ def zonal_cosine_blocks(coef, d: int, edges) -> list:
 
     Returns
     -------
-    list of TorusSpectrum
-        One even d = 1 spectrum per block edges[b] <= n < edges[b+1],
-        with m_max = min(edges[b+1], n_max + 1) - 1 and beta_m at
-        frequency m; a block past n_max is the zero spectrum with
-        m_max 0.  Its samples on the uniform grid of period 2 (G - 1)
-        start with the polar grid linspace(0, pi, G).
+    iterator of iterators of TorusSpectrum
+        Per block edges[b] <= n < edges[b+1], the k even d = 1 spectra,
+        one per column, with m_max = min(edges[b+1], n_max + 1) - 1 and
+        beta_m at frequency m; a block past n_max is the zero spectrum
+        with m_max 0.
     """
     if d < 2:
         raise ValueError("sphere dimension must be at least 2")
     coef = np.asarray(coef, dtype=complex)
-    ranges = _block_ranges(edges, coef.size - 1)
+    if coef.ndim != 2:
+        raise ValueError("coefficients must have shape (n_max+1, k)")
+    ranges = _block_ranges(edges, coef.shape[0] - 1)
     top = max(ranges[-1][1], 1)
     lam = (d - 1) / 2.0
     g = _pochhammer_ratios(lam, top)
     n = np.arange(top)
-    w = coef[:top] * np.sqrt((n + lam) / (lam * _pochhammer_ratios(2.0 * lam, top)))
-    blocks = []
-    for lo, hi in ranges:
-        beta = np.zeros(hi if lo < hi else 1, dtype=complex)
+    w = coef[:top] * np.sqrt((n + lam) / (lam * _pochhammer_ratios(2.0 * lam, top)))[:, None]
+
+    def block(lo, hi):
+        beta = np.zeros((hi if lo < hi else 1, w.shape[1]), dtype=complex)
         # Term j pairs degree n = m + 2j with g_j g_{n-j}, for the
         # block degrees n >= 2j.
         for j in range((hi + 1) // 2 if lo < hi else 0):
             n0 = max(lo, 2 * j)
-            beta[n0 - 2 * j:hi - 2 * j] += w[n0:hi] * (g[j] * g[n0 - j:hi - j])
-        blocks.append(TorusSpectrum(d=1, m_max=beta.size - 1,
-                                    coef=np.concatenate((beta[:0:-1], beta))))
-    return blocks
+            beta[n0 - 2 * j:hi - 2 * j] += w[n0:hi] * (g[j] * g[n0 - j:hi - j])[:, None]
+        return (TorusSpectrum(d=1, m_max=beta.shape[0] - 1,
+                              coef=np.concatenate((column[:0:-1], column)))
+                for column in beta.T)
+
+    return (block(lo, hi) for lo, hi in ranges)
 
 
 def jacobi_asymptotic(n: int, d: int, theta):

@@ -65,6 +65,32 @@ def cosine_series_fft(block, period):
     return np.fft.fft(0.5 * (folded + np.roll(folded[::-1], 1)))
 
 
+def cosine_blocks_one_spectrum(coef, d, edges):
+    """The even coefficient arrays of each degree block of one zonal
+    expansion (oracle of ``specialfun.zonal_cosine_blocks``, which runs
+    the j-loop for all columns at once): the same running products and
+    the same slice updates, in the same j order, on one 1-d spectrum."""
+    coef = np.asarray(coef, dtype=complex)
+    clipped = np.clip(np.asarray(edges, dtype=int), 0, coef.size)
+    top = max(int(clipped[-1]), 1)
+    lam = (d - 1) / 2.0
+
+    def ratios(c):
+        i = np.arange(top - 1, dtype=float)
+        return np.concatenate(([1.0], np.cumprod((c + i) / (1.0 + i))))
+
+    g = ratios(lam)
+    w = coef[:top] * np.sqrt((np.arange(top) + lam) / (lam * ratios(2.0 * lam)))
+    blocks = []
+    for lo, hi in zip(clipped[:-1].tolist(), clipped[1:].tolist()):
+        beta = np.zeros(hi if lo < hi else 1, dtype=complex)
+        for j in range((hi + 1) // 2 if lo < hi else 0):
+            n0 = max(lo, 2 * j)
+            beta[n0 - 2 * j:hi - 2 * j] += w[n0:hi] * (g[j] * g[n0 - j:hi - j])
+        blocks.append(np.concatenate((beta[:0:-1], beta)))
+    return blocks
+
+
 def signed_polygon_box_whole(verts, m_max, area):
     """The whole polygon box at once (oracle of the row-chunked build of
     ``spectra._signed_polygon_box``): every per-edge temporary covers

@@ -155,7 +155,7 @@ def test_holder_gate_fails_at_rational_time():
     0.02 gate (frozen window 2..12, weight exponent 0.4)."""
     levels = np.arange(2, 13)
     data = zonal_decay_family(1.5, 8191, d=2)
-    norms = block_norm_table(propagate_sphere(data, 2.0 * math.pi / 5), 12)[levels]
+    norms = block_norm_table([propagate_sphere(data, 2.0 * math.pi / 5)], 12)[0, levels]
     slope = fit_line(levels, 0.4 * levels + np.log2(norms)).slope
     ok = slope > 0.02
     report("criterion 4 control",

@@ -109,7 +109,7 @@ def test_kappa_suite_fails_on_an_asymmetric_quad(monkeypatch):
 # Study -> (small driver arguments, Gauss rules and harmonic tables it
 # builds).  Each rule is sized once for the largest degree of its
 # integrals: one per dimension in kappa-table, the sphere's and the
-# meridian's in resonance, one for every M in strichartz, and the
+# meridian's in resonance, one for the largest M in strichartz, and the
 # sphere's and meridian's for each of nls-smoothing's two solves.
 RULE_BUILDS = {
     "kappa-table": (dict(n_max=4, dims=(2, 3), scan_n_max=8), 2),

@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre, sph_harm_y
 
-from conftest import gaussian_beam, sphere_rule, zonal_oracle
-from talbotlab.evolve import evaluate_torus
+from conftest import (
+    cosine_blocks_one_spectrum,
+    gaussian_beam,
+    sphere_rule,
+    zonal_oracle,
+)
+from talbotlab.evolve import evaluate_torus, propagate_sphere, time_panel
+from talbotlab.lpbesov import probe_edges
 from talbotlab.specialfun import (
     SZEGO_REMAINDER_C,
     eigenspace_dimension,
@@ -22,6 +28,7 @@ from talbotlab.specialfun import (
     zonal_harmonic_table,
     zonal_series_blocks,
 )
+from talbotlab.spectra import zonal_decay_family
 
 X_GRID = np.linspace(-1.0, 1.0, 201)
 
@@ -277,7 +284,7 @@ def test_torus_sampled_blocks_match_recurrence_table(case):
     coef = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     scale = 1.0 + np.sum(np.abs(coef) * np.sqrt(
         [eigenspace_dimension(n, d) for n in range(n_max + 1)]))
-    blocks = zonal_cosine_blocks(coef, d, edges)
+    blocks = [block for block, in zonal_cosine_blocks(coef[:, None], d, edges)]
     assert len(blocks) == len(edges) - 1
 
     theta = np.linspace(0.0, math.pi, n_points)
@@ -303,7 +310,7 @@ def test_single_degree_cosine_block_matches_mpmath(d):
     n = 8191
     coef = np.zeros(n + 1)
     coef[n] = 1.0
-    block = zonal_cosine_blocks(coef, d, [n, n + 1])[0]
+    (block,), = zonal_cosine_blocks(coef[:, None], d, [n, n + 1])
     assert block.d == 1 and block.m_max == n
     beta = block.coef
     assert np.array_equal(beta, beta[::-1])
@@ -323,7 +330,7 @@ def test_zonal_block_folds_past_its_period():
     summation, so the samples stay exact: a six-degree block on circles
     of 1 to 12 points against the recurrence rows at cos(s_k)."""
     coef = np.array([0.5, 1.0, -2.0, 0.25j, 3.0, 1.5])
-    block = zonal_cosine_blocks(coef, 2, [0, coef.size])[0]
+    (block,), = zonal_cosine_blocks(coef[:, None], 2, [0, coef.size])
     for period in (1, 2, 3, 4, 5, 7, 12):
         s = 2.0 * math.pi * np.arange(period) / period
         direct = coef @ zonal_harmonic_table(coef.size - 1, 2, np.cos(s))
@@ -335,6 +342,29 @@ def test_zonal_blocks_reject_bad_edges():
     coef = np.ones(5)
     for edges in ([0], [0, 3, 3], [4, 2]):
         with pytest.raises(ValueError):
-            zonal_cosine_blocks(coef, 2, edges)
+            zonal_cosine_blocks(coef[:, None], 2, edges)
         with pytest.raises(ValueError):
             zonal_series_blocks(coef, 2, [0.5], edges)
+    with pytest.raises(ValueError, match="shape"):
+        zonal_cosine_blocks(coef, 2, [0, 5])
+
+
+@pytest.mark.parametrize("d, n_max, edges", [
+    (2, 8191, probe_edges(12)),
+    (3, 100, [3, 17, 64, 200, 300]),
+])
+def test_cosine_blocks_of_many_spectra_equal_the_one_spectrum_loop(d, n_max, edges):
+    """The j-loop over the columns of all the panel's spectra at once
+    gives every beta entry bit for bit as the loop over one spectrum
+    (conftest.cosine_blocks_one_spectrum): the criterion-4 data at
+    n_max = 8191 at its 8 panel times, and the same family on S^3 at
+    n_max = 100 with a block that straddles n_max and one past it."""
+    data = zonal_decay_family(1.5, n_max, d=d)
+    specs = [propagate_sphere(data, t) for t in time_panel()]
+    coef = np.stack([spec.coef for spec in specs], axis=1)
+    blocks = [list(per_spec) for per_spec in zonal_cosine_blocks(coef, d, edges)]
+    assert len(blocks) == len(edges) - 1
+    for i, spec in enumerate(specs):
+        for per_spec, beta in zip(blocks, cosine_blocks_one_spectrum(spec.coef, d, edges)):
+            assert per_spec[i].m_max == beta.size // 2
+            assert np.array_equal(per_spec[i].coef, beta)
