@@ -13,7 +13,9 @@ Newton's method and a running sum of squares for its weights, and
 cosine expansion each degree block is an even trigonometric polynomial
 in the polar angle, returned as a T^1 spectrum
 (``zonal_cosine_blocks``), so uniform polar grids are sampled by the
-torus transform of ``evolve``.
+torus transform of ``evolve``.  The conversion of a block is a
+Toeplitz-times-Hankel matrix per parity, applied in cache-sized row
+chunks by matrix products.
 
 Conventions
 -----------
@@ -32,6 +34,7 @@ import math
 from collections import deque
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectra import TorusSpectrum
 
@@ -267,6 +270,11 @@ def zonal_series_blocks(coef, d: int, x, edges) -> np.ndarray:
     return sums
 
 
+# Entries per chunk of a block's conversion matrix: 2^14 doubles are
+# 128 KiB, and OpenBLAS runs a product of that size on one thread.
+_CONVERSION_CHUNK = 1 << 14
+
+
 def zonal_cosine_blocks(coef, d: int, edges):
     """Each degree block of zonal expansions as T^1 spectra in theta.
 
@@ -281,11 +289,18 @@ def zonal_cosine_blocks(coef, d: int, edges):
     C_n^lambda(1) = (2 lambda)_n / n! are running products of (c+i)/(1+i),
     and dim_n = (n + lambda) / lambda * C_n^lambda(1) turns w_n into
     coef[n] sqrt((n + lambda) / (lambda C_n^lambda(1))): no log or exp.
-    The j-loop runs on whole rows of ``coef``, so one slice update
-    serves every expansion; each entry is the product and the sum, in j
-    order, of a single expansion's loop.  Blocks are built one at a
-    time, as the caller reaches them, and each column's spectrum only
-    when its own iterator reaches it.
+    Split by parity p, with m = 2a + p and n = 2b + p, this is
+    beta_m = sum_b g_{b-a} g_{a+b+p} w_{2b+p}: a matrix that is a
+    Toeplitz matrix times a Hankel matrix, entry by entry, applied to
+    the block's w.  Both factors are strided windows of one zero-padded
+    g, so a chunk of rows costs one elementwise product and one real
+    matrix product per expansion, with each complex column read as two
+    real ones; an expansion's beta does not depend on the other
+    columns.  A chunk holds at most 2^14 entries, so OpenBLAS runs each
+    product on one thread, and skips the columns b < a where g_{b-a}
+    vanishes.  Blocks are built one at a time, as the caller reaches
+    them, and each column's spectrum only when its own iterator reaches
+    it.
 
     Parameters
     ----------
@@ -317,14 +332,31 @@ def zonal_cosine_blocks(coef, d: int, edges):
     g = _pochhammer_ratios(lam, top)
     n = np.arange(top)
     w = coef[:top] * np.sqrt((n + lam) / (lam * _pochhammer_ratios(2.0 * lam, top)))[:, None]
+    # g_{-k} = 0: the Toeplitz rows of a chunk reach at most its row
+    # count below index 0.
+    padded = np.concatenate((np.zeros(top), g))
 
     def block(lo, hi):
         beta = np.zeros((hi if lo < hi else 1, w.shape[1]), dtype=complex)
-        # Term j pairs degree n = m + 2j with g_j g_{n-j}, for the
-        # block degrees n >= 2j.
-        for j in range((hi + 1) // 2 if lo < hi else 0):
-            n0 = max(lo, 2 * j)
-            beta[n0 - 2 * j:hi - 2 * j] += w[n0:hi] * (g[j] * g[n0 - j:hi - j])[:, None]
+        for p in (0, 1):
+            # m = 2a + p and n = 2b + p for the block degrees lo <= n < hi.
+            rows, b0 = (hi + 1 - p) // 2, (lo + 1 - p) // 2
+            width = rows - b0
+            if width <= 0:
+                continue
+            wp = np.ascontiguousarray(w[2 * b0 + p:hi:2].T).view(float).reshape(-1, width, 2)
+            windows = sliding_window_view(padded, width)
+            step = max(1, _CONVERSION_CHUNK // width)
+            for a0 in range(0, rows, step):
+                a1 = min(a0 + step, rows)
+                # Row a holds g_{b-a} g_{a+b+p} for b0 <= b < rows; the
+                # entries with b < a vanish, so the chunk starts at
+                # column b = max(b0, a0).
+                skip = max(b0, a0) - b0
+                toeplitz = windows[top + b0 - a1 + 1:top + b0 - a0 + 1][::-1, skip:]
+                hankel = windows[top + a0 + b0 + p:top + a1 + b0 + p, skip:]
+                part = np.matmul(toeplitz * hankel, wp[:, skip:])
+                beta[2 * a0 + p:2 * a1 + p:2] = part.view(complex)[..., 0].T
         return (TorusSpectrum(d=1, m_max=beta.shape[0] - 1,
                               coef=np.concatenate((column[:0:-1], column)))
                 for column in beta.T)

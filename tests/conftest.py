@@ -67,9 +67,9 @@ def cosine_series_fft(block, period):
 
 def cosine_blocks_one_spectrum(coef, d, edges):
     """The even coefficient arrays of each degree block of one zonal
-    expansion (oracle of ``specialfun.zonal_cosine_blocks``, which runs
-    the j-loop for all columns at once): the same running products and
-    the same slice updates, in the same j order, on one 1-d spectrum."""
+    expansion (oracle of ``specialfun.zonal_cosine_blocks``, which sums
+    the same terms as Toeplitz-times-Hankel matrix products): the same
+    running products, summed by one slice update per j, in j order."""
     coef = np.asarray(coef, dtype=complex)
     clipped = np.clip(np.asarray(edges, dtype=int), 0, coef.size)
     top = max(int(clipped[-1]), 1)

@@ -148,6 +148,26 @@ def test_criterion_04_zonal_holder_trend():
     assert result.passed
 
 
+def test_criterion_04_holds_at_twice_the_frozen_degree():
+    """The criterion-4 verdict is not an artifact of truncating at degree
+    8191: the frozen panel at n_max = 16383, with one more level (j_max
+    13, window 2..13) and the frozen p, weight exponent and seed, passes
+    the same gate (measured median slope -0.1259, against -0.1281 at
+    8191 and -0.1159 at 32767)."""
+    result = ex.run_zonal_holder(
+        p=1.5, n_max=16383, j_max=13, weight_exponent=0.4, window=(2, 13),
+    )
+    slope = result.measured["median_slope"]
+    report(
+        "criterion 4 at n_max 16383",
+        f"panel-median trend of 2^(0.4j)*sup-norm has slope {slope:+.4f}"
+        " <= 0.02 (no growth, j <= 13)",
+        result.passed,
+    )
+    assert slope <= 0.02
+    assert result.passed
+
+
 def test_holder_gate_fails_at_rational_time():
     """At t = 2 pi / 5 the phases e^{i t n(n+1)} take only five values, so
     the flow brings no cancellation across a dyadic block and the

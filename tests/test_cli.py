@@ -270,9 +270,15 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     assert s1["seed"] == 5
 
 
-def test_nls_smoothing_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """The matrix-free substep makes no LAPACK call: one and two BLAS
-    threads give the same bytes."""
+@pytest.mark.parametrize("argv", [
+    ("nls-smoothing",),
+    ("zonal-holder", "--n-max", "2047", "--j-max", "10", "--window", "2,10", "--seed", "1729"),
+], ids=lambda argv: argv[0])
+def test_study_outputs_do_not_depend_on_blas_threads(argv, tmp_path):
+    """One and two BLAS threads give the same bytes: the matrix-free NLS
+    substep makes no LAPACK call, and each product of criterion 4's
+    block conversion is small enough for OpenBLAS to run on one thread."""
+    study = argv[0]
     src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -280,12 +286,10 @@ def test_nls_smoothing_outputs_do_not_depend_on_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
-            [sys.executable, "-m", "talbotlab.cli", "nls-smoothing", "--out", str(out)],
+            [sys.executable, "-m", "talbotlab.cli", *argv, "--out", str(out)],
             env=env, check=True, capture_output=True,
         )
-        outputs.append(
-            [(out / name).read_bytes() for name in ("nls-smoothing.json", "nls-smoothing.csv")]
-        )
+        outputs.append([(out / f"{study}.{ext}").read_bytes() for ext in ("json", "csv")])
     assert outputs[0] == outputs[1]
 
 
