@@ -11,8 +11,9 @@ import math
 from talbotlab.experiments import run_weyl_decay
 from talbotlab.expsum import weyl_block_sup
 
-result = run_weyl_decay(exponent_range=(4, 8))
-blocks = result.criteria["blocks"]
+exponents = (4, 8)
+result = run_weyl_decay(exponent_range=exponents)
+blocks = [2**k for k in range(exponents[0], exponents[1] + 1)]
 print("panel time   weighted block sup for N = "
       + ", ".join(str(n) for n in blocks))
 for first in range(0, len(result.rows), len(blocks)):

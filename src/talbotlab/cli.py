@@ -18,8 +18,10 @@ keyword is both a flag and a config-file key
 full (no prefix matching), and ``dimension <variant>`` takes only that
 variant's flags.  A negative number written with an exponent needs the
 ``--flag=-1e-9`` form, because argparse reads a separate ``-1e-9`` as
-an option.  A study records ``seed`` in its config exactly when its
-driver takes one.
+an option.  A summary's config lists every driver parameter, defaults
+included, so runs with equal effective parameters get equal config
+hashes however their values were given; it records ``seed`` exactly
+when the driver takes one.
 
 Configuration precedence: built-in defaults, then a JSON config file
 (``--config``), then explicit flags.  Outputs are never overwritten
@@ -137,9 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
-    """The driver's keyword arguments and the seed, flags over file."""
+    """Every driver keyword argument, in signature order, and the seed:
+    flags over file over driver defaults."""
     params = inspect.signature(driver).parameters
-    config: dict = {}
+    config = {key: p.default for key, p in params.items() if key != "seed"}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:

@@ -154,7 +154,7 @@ def run_quantization(m_max: int = 2**12, q_max: int = 12) -> ExperimentResult:
                 rows.append({"p": p, "q": q, "grid_size": check.grid_size,
                              "residual": check.residual})
     worst = _nan_max(row["residual"] for row in rows)
-    criteria = {"max_residual_lt": 1e-8, "q_max": q_max, "m_max": m_max}
+    criteria = {"max_residual_lt": 1e-8}
     return ExperimentResult(
         name="quantize",
         passed=worst < criteria["max_residual_lt"],
@@ -166,28 +166,29 @@ def run_quantization(m_max: int = 2**12, q_max: int = 12) -> ExperimentResult:
 
 def _panel(measure, seed: int):
     """The rows, each led by "t" and "kind", and the median statistic of
-    ``measure(t) -> (statistic, rows)`` over the time panel."""
+    ``measure(panel)``, which yields one ``(statistic, rows)`` per time
+    of the panel, in panel order."""
+    panel = time_panel(seed=seed)
     rows, statistics = [], []
-    for t in time_panel(seed=seed):
-        statistic, measured = measure(t)
+    for t, (statistic, measured) in zip(panel, measure(panel), strict=True):
         statistics.append(statistic)
         rows += ({"t": t, "kind": _PANEL_KIND, **row} for row in measured)
     return tuple(rows), float(np.median(statistics))
 
 
-def _dimension_study(name, spec, m_max, grid, window, seed, expected, tol):
+def _dimension_study(name, spec, grid, window, seed, expected, tol):
     """Panel-median graph dimension of the evolved ``spec``; it passes
     within ``tol`` of ``expected``."""
 
-    def measure(t):
-        report = dim_t(spec, t, grid, window)
-        return report.max_slope, [{"dim_real": report.real.slope,
-                                   "dim_imag": report.imag.slope,
-                                   "dim_max": report.max_slope}]
+    def measure(panel):
+        for t in panel:
+            report = dim_t(spec, t, grid, window)
+            yield report.max_slope, [{"dim_real": report.real.slope,
+                                      "dim_imag": report.imag.slope,
+                                      "dim_max": report.max_slope}]
 
     rows, median = _panel(measure, seed)
-    criteria = {"expected": expected, "tol": tol, "m_max": m_max,
-                "grid": grid, "window": list(window)}
+    criteria = {"expected": expected, "tol": tol}
     return ExperimentResult(
         name=name,
         passed=abs(median - criteria["expected"]) <= criteria["tol"],
@@ -205,8 +206,8 @@ def run_torus_step_dimension(
 ) -> ExperimentResult:
     """Panel-median graph dimension of evolved step data on T^1."""
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
-    return _dimension_study("dimension-torus-step", spec, m_max, grid, window,
-                            seed, expected=1.5, tol=0.1)
+    return _dimension_study("dimension-torus-step", spec, grid, window, seed,
+                            expected=1.5, tol=0.1)
 
 
 def run_polygon_dimension(
@@ -218,8 +219,8 @@ def run_polygon_dimension(
 ) -> ExperimentResult:
     """Panel-median graph dimension of an evolved polygon indicator on T^2."""
     spec = torus_polygon_indicator(list(vertices), m_max=m_max)
-    return _dimension_study("dimension-torus-polygon", spec, m_max, grid, window,
-                            seed, expected=2.5, tol=0.2)
+    return _dimension_study("dimension-torus-polygon", spec, grid, window, seed,
+                            expected=2.5, tol=0.2)
 
 
 def run_zonal_holder(
@@ -235,27 +236,28 @@ def run_zonal_holder(
     For power-law zonal data the evolved field stays Holder
     continuous, so the weighted dyadic sup norms must show no growth
     trend in j; the verdict bounds the panel-median fitted slope over
-    the levels of ``window``, which must lie in 0..j_max.
+    the levels of ``window``, which must lie in 0..j_max and each hold
+    a degree, 2^end <= n_max.
     """
     if not 0 <= window[0] < window[1] <= j_max:
         raise ValueError(f"window must satisfy 0 <= start < end <= j_max = {j_max}")
+    if 2 ** window[1] > n_max:
+        raise ValueError(f"window must satisfy 2**end <= n_max = {n_max}: "
+                         f"level {window[1]} holds no degree")
     data = zonal_decay_family(p, n_max, d=2)
     levels = np.arange(window[0], window[1] + 1)
-    panel = time_panel(seed=seed)
-    table = dict(zip(panel, block_norm_table(
-        (propagate_sphere(data, t) for t in panel), j_max)[:, levels]))
 
-    def measure(t):
-        norms = table[t]
-        weighted = weight_exponent * levels + np.log2(norms)
-        slope = fit_line(levels, weighted).slope
-        return slope, [{"slope": slope,
-                        "peak_level": int(levels[np.argmax(weighted)]),
-                        "peak_weighted_norm": float(2.0 ** weighted.max())}]
+    def measure(panel):
+        table = block_norm_table((propagate_sphere(data, t) for t in panel), j_max)
+        for norms in table[:, levels]:
+            weighted = weight_exponent * levels + np.log2(norms)
+            slope = fit_line(levels, weighted).slope
+            yield slope, [{"slope": slope,
+                           "peak_level": int(levels[np.argmax(weighted)]),
+                           "peak_weighted_norm": float(2.0 ** weighted.max())}]
 
     rows, median = _panel(measure, seed)
-    criteria = {"slope_tol": 0.02, "p": p, "n_max": n_max,
-                "weight_exponent": weight_exponent, "window": list(window)}
+    criteria = {"slope_tol": 0.02}
     return ExperimentResult(
         name="zonal-holder",
         passed=median <= criteria["slope_tol"],
@@ -277,22 +279,22 @@ def run_weyl_decay(
     so the running sup should scale like N^{1/2 - p}.
     """
     blocks = [2**k for k in range(exponent_range[0], exponent_range[1] + 1)]
-    # Every (time, block) pair is one pool job, the largest blocks first:
-    # a block costs about N^2, so the longest jobs start before the rest
-    # fill in around them.
-    jobs = [(t, block) for block in reversed(blocks) for t in time_panel(seed=seed)]
-    found = _map_pool(lambda job: weyl_block_sup(
-        *job, weights=lambda m: float(m) ** (-p), grid_factor=grid_factor).sup, jobs)
-    block_sups = dict(zip(jobs, found))
 
-    def measure(t):
-        sups = [block_sups[t, block] for block in blocks]
-        return (fit_loglog(blocks, sups).slope,
-                [{"N": block, "sup": sup} for block, sup in zip(blocks, sups)])
+    def measure(panel):
+        # Every (time, block) pair is one pool job, the largest blocks
+        # first: a block costs about N^2, so the longest jobs start
+        # before the rest fill in around them.
+        found = _map_pool(lambda job: weyl_block_sup(
+            *job, weights=lambda m: float(m) ** (-p), grid_factor=grid_factor).sup,
+            [(t, block) for block in reversed(blocks) for t in panel])
+        # found runs block by block, largest first, each over the panel.
+        for i in range(len(panel)):
+            sups = found[i::len(panel)][::-1]
+            yield (fit_loglog(blocks, sups).slope,
+                   [{"N": block, "sup": sup} for block, sup in zip(blocks, sups)])
 
     rows, median = _panel(measure, seed)
-    criteria = {"expected": -1.0, "tol": 0.1, "p": p,
-                "blocks": blocks, "grid_factor": grid_factor}
+    criteria = {"expected": -1.0, "tol": 0.1}
     return ExperimentResult(
         name="weyl",
         passed=abs(median - criteria["expected"]) <= criteria["tol"],
@@ -325,8 +327,6 @@ def run_kappa_suite(
         "support_tol": 1e-10,
         "parseval_tol": 1e-8,
         "perm_tol": 1e-12,
-        "scan_n_max": scan_n_max,
-        "n_max": n_max,
     }
     rows = []
     passed = True
@@ -404,7 +404,7 @@ def run_resonance_decay(
              "difference": float(diff)}
             for n, k_val, diff in zip(degrees, kappas, diffs)]
     fit = fit_loglog(list(degrees), np.abs(diffs))
-    criteria = {"max_exponent": -0.9, "n2": n2, "n3": n3, "d": d}
+    criteria = {"max_exponent": -0.9}
     return ExperimentResult(
         name="resonance",
         passed=fit.slope <= criteria["max_exponent"],
@@ -444,14 +444,7 @@ def run_bilinear_contrast(
         rows.append({"study": "beam-quartic", "index": int(n), "value": q,
                      "ratio": float("nan")})
     beam_fit = fit_loglog(list(beam_degrees), quartics)
-    criteria = {
-        "bilinear_tol": 0.15,
-        "beam_expected": 0.5,
-        "beam_tol": 0.1,
-        "block_n": block_n,
-        "m_blocks": list(m_blocks),
-        "beam_degrees": list(beam_degrees),
-    }
+    criteria = {"bilinear_tol": 0.15, "beam_expected": 0.5, "beam_tol": 0.1}
     passed = (
         bil_fit.slope <= criteria["bilinear_tol"]
         and abs(beam_fit.slope - criteria["beam_expected"]) <= criteria["beam_tol"]
@@ -500,13 +493,7 @@ def run_nls_smoothing(
     single_run = solve(single, dt, t_final, sign=sign)
     exact = amp * np.exp(1j * sign * abs(amp) ** 2 * t_final)
     single_err = float(abs(single_run.final.coef[0] - exact))
-    criteria = {
-        "mass_tol": 1e-8,
-        "gain_min": 0.2,
-        "single_mode_tol": 1e-10,
-        "p": p, "n_max": n_max, "dt": dt, "t_final": t_final,
-        "fit_n_min": fit_n_min,
-    }
+    criteria = {"mass_tol": 1e-8, "gain_min": 0.2, "single_mode_tol": 1e-10}
     passed = (
         drift < criteria["mass_tol"]
         and gain >= criteria["gain_min"]
@@ -570,12 +557,7 @@ def run_specialfun_checks(
         c_n = float(scaled.max())
         rows.append({"n": int(n), "envelope_constant": c_n})
     fitted_c = _nan_max(row["envelope_constant"] for row in rows)
-    criteria = {
-        "ortho_tol": 1e-10,
-        "envelope_constant_max": SZEGO_REMAINDER_C[d],
-        "ortho_n_max": ortho_n_max,
-        "szego_degrees": list(szego_degrees),
-    }
+    criteria = {"ortho_tol": 1e-10, "envelope_constant_max": SZEGO_REMAINDER_C[d]}
     passed = (ortho_defect < criteria["ortho_tol"]
               and fitted_c <= criteria["envelope_constant_max"])
     return ExperimentResult(

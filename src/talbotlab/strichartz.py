@@ -65,7 +65,7 @@ def bilinear_l2(
     block_n : int
         Dyadic block start N.
     block_ms : sequence of int
-        Dyadic block starts M, at least one, each with M <= N.
+        Dyadic block starts M, at least one, each with 1 <= M <= N.
 
     Returns
     -------
@@ -76,6 +76,8 @@ def bilinear_l2(
         raise ValueError("spectra must share the sphere dimension")
     if len(block_ms) == 0:
         raise ValueError("needs at least one block start M")
+    if min(block_ms) < 1:
+        raise ValueError("block starts M must be at least 1")
     if max(block_ms) > block_n:
         raise ValueError("expects N >= M")
     d = f.d

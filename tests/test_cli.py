@@ -198,6 +198,12 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
     (("resonance", "--d", "0"), "sphere dimension must be at least 2"),
     # A negative horizon is not a run of zero steps.
     (("nls-smoothing", "--n-max", "16", "--t-final=-0.1"), "t_final must be"),
+    # An empty block M has zero norm, so its bilinear ratio divides by zero.
+    (("strichartz", "--m-blocks", "0,4"), "block starts M must be at least 1"),
+    (("strichartz", "--m-blocks=-2,4"), "block starts M must be at least 1"),
+    # Levels 7 and 8 hold no degree <= 100: their sup norms are 0.
+    (("zonal-holder", "--n-max", "100", "--j-max", "8", "--window", "2,8"),
+     "window must satisfy 2**end <= n_max"),
 ])
 def test_degenerate_study_parameters_exit_two_without_outputs(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
@@ -409,6 +415,11 @@ def test_every_driver_parameter_is_a_flag(tmp_path, monkeypatch, study):
     assert seen == {**params, **({"seed": 1729} if seeded else {})}
     summary = json.loads((tmp_path / f"{study}.json").read_text())
     assert list(summary["config"]) == list(params) + (["seed"] if seeded else [])
+    # Every default spelled as a flag is the run at defaults.
+    assert main([*_argv_prefix(study), "--out", str(tmp_path / "defaults")]) == 0
+    at_defaults = json.loads((tmp_path / "defaults" / f"{study}.json").read_text())
+    assert at_defaults["config"] == summary["config"]
+    assert at_defaults["config_hash"] == summary["config_hash"]
 
 
 @pytest.mark.parametrize("study", sorted(cli._SPECS))

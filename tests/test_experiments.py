@@ -1,6 +1,7 @@
 """Experiment drivers at reduced scale: pass flags, rows, determinism."""
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from talbotlab import __version__, cli, experiments, fractal, gaunt, strichartz, znls
+from talbotlab.evolve import DEFAULT_PANEL_SEED
 from talbotlab.experiments import (
     ExperimentResult,
     run_bilinear_contrast,
@@ -63,6 +65,7 @@ def test_zonal_holder_small():
 @pytest.mark.parametrize("kwargs", [
     dict(n_max=255, j_max=6),  # the default window (2, 12) reaches past j_max
     dict(n_max=255, j_max=6, window=(-1, 6)),  # a negative level would wrap to j_max
+    dict(n_max=100, j_max=8, window=(2, 8)),  # levels 7 and 8 hold no degree <= 100
 ])
 def test_zonal_holder_rejects_a_window_outside_its_levels(kwargs):
     with pytest.raises(ValueError, match="window must satisfy"):
@@ -269,6 +272,33 @@ def test_nan_from_an_inner_kernel_fails_the_verdict(case, monkeypatch):
     assert result.failure.startswith("non-finite measured value: ")
     summary = cli._summary(result, config={}, seed=0, config_hash="")
     assert summary["passed"] is False and summary["failure"] == result.failure
+
+
+@pytest.mark.parametrize("study", sorted(cli._SPECS))
+def test_criteria_hold_thresholds_not_parameters(study):
+    """A run's parameters are recorded once, in the summary's config."""
+    driver = cli._SPECS[study]["driver"]
+    result = driver(**NAN_CASES[study][0])
+    assert not set(result.criteria) & set(inspect.signature(driver).parameters)
+
+
+PANEL_STUDIES = sorted(study for study, spec in cli._SPECS.items()
+                       if "seed" in inspect.signature(spec["driver"]).parameters)
+
+
+@pytest.mark.parametrize("study", PANEL_STUDIES)
+def test_panel_drivers_build_the_time_panel_once(study, monkeypatch):
+    calls = []
+    real = experiments.time_panel
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "time_panel", counted)
+    result = cli._SPECS[study]["driver"](**NAN_CASES[study][0])
+    assert len(calls) == 1
+    assert list(dict.fromkeys(row["t"] for row in result.rows)) == real(DEFAULT_PANEL_SEED)
 
 
 def test_non_finite_measured_value_fails_any_verdict():
