@@ -210,10 +210,10 @@ def test_bilinear_matches_class_sum_on_random_data(case):
     (2, (), "at least one block start"),
     (2, (4, 16), "N >= M"),
     (2, (16,), "N >= M"),
+    (3, (4,), "sphere dimension"),
     # M below 1 leaves an empty block: a zero norm the study divides by.
     (2, (0, 4), "at least 1"),
     (2, (-2, 4), "at least 1"),
-    (3, (4,), "sphere dimension"),
 ])
 def test_bilinear_rejects_bad_blocks(g_d, block_ms, message):
     f = block_data(1.5, 8)
