@@ -1,27 +1,29 @@
 """Command-line experiment driver.
 
 Each subcommand runs one reproducible study and writes a CSV of row
-data plus a JSON summary carrying the library version, the seed, the
-effective configuration and its hash, the measured headline numbers,
-and a pass/fail verdict against the study's fixed thresholds (recorded
-under "criteria"); a value table a study builds goes next to it as a
-JSON header and a CSV body.  This module writes every output file.
-Summaries are strict JSON: a non-finite measured value is written as
-null and named in the summary's "failure" key; any other non-finite
-value, such as ``weyl --p nan``, is a configuration error.
+data plus a JSON summary with the keys ``subcommand``, ``version``,
+``config``, ``config_hash``, ``measured`` (the headline numbers),
+``criteria`` (the study's fixed thresholds) and ``passed``.  A value
+table a study builds goes next to it as a JSON header and a CSV body.
+This module writes every output file.  Summaries are strict JSON: a
+non-finite measured value is written as null and named in the
+summary's "failure" key; any other non-finite value, such as
+``weyl --p nan``, is a configuration error.
 
 A study's driver signature in ``experiments`` is its only parameter
 list: what the study measures, never its thresholds.  Every driver
-keyword is both a flag and a config-file key
-(``n_max`` <-> ``--n-max``), parsed as its annotation says: tuples as
-``a,b``, tuples of pairs as ``x0,y0;x1,y1``.  A flag is spelled out in
-full (no prefix matching), and ``dimension <variant>`` takes only that
-variant's flags.  A negative number written with an exponent needs the
-``--flag=-1e-9`` form, because argparse reads a separate ``-1e-9`` as
-an option.  A summary's config lists every driver parameter, defaults
-included, so runs with equal effective parameters get equal config
-hashes however their values were given; it records ``seed`` exactly
-when the driver takes one.
+keyword is both a flag and a config-file key (``n_max`` <->
+``--n-max``), so only the panel studies (``zonal-holder``,
+``dimension``, ``weyl``) take ``seed``.  The converter the annotation
+selects parses every value: tuples as ``a,b``, tuples of pairs as
+``x0,y0;x1,y1``.  A config value is its flag text or the JSON
+equivalent, so ``[2, 6]``, ``"2,6"`` and ``--window 2,6`` give one
+window; a value the converter refuses exits 2.  A flag is spelled out
+in full (no prefix matching), and ``dimension <variant>`` takes only
+that variant's flags.  A negative number with an exponent needs
+``--flag=-1e-9``: argparse reads a separate ``-1e-9`` as an option.
+A summary's config lists every driver parameter, defaults included,
+so equal effective parameters give equal config hashes.
 
 Configuration precedence: built-in defaults, then a JSON config file
 (``--config``), then explicit flags.  Outputs are never overwritten
@@ -43,7 +45,6 @@ import sys
 import typing
 
 from . import __version__, experiments
-from .evolve import DEFAULT_PANEL_SEED
 
 __all__ = ["main"]
 
@@ -95,21 +96,17 @@ def _converter(hint):
 
 
 def _add_study(sp: argparse.ArgumentParser, study: str, driver) -> None:
-    """Common flags plus one flag per driver parameter except ``seed``."""
+    """Common flags plus one flag per driver parameter."""
     sp.set_defaults(study=study)
     sp.add_argument("--config", help="JSON config file (flat key map)")
     sp.add_argument("--out", default="results", help="output directory")
     sp.add_argument("--force", action="store_true",
                     help="overwrite existing outputs")
-    sp.add_argument("--seed", type=int,
-                    help=f"time-panel seed, recorded in every summary "
-                         f"(default {DEFAULT_PANEL_SEED})")
     hints = typing.get_type_hints(driver)
     for param in inspect.signature(driver).parameters.values():
-        if param.name != "seed":
-            sp.add_argument("--" + param.name.replace("_", "-"), dest=param.name,
-                            type=_converter(hints[param.name]),
-                            help=f"{param.annotation} (default {param.default!r})")
+        sp.add_argument("--" + param.name.replace("_", "-"), dest=param.name,
+                        type=_converter(hints[param.name]),
+                        help=f"{param.annotation} (default {param.default!r})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,11 +135,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
-    """Every driver keyword argument, in signature order, and the seed:
-    flags over file over driver defaults."""
+def _flag_text(value) -> str:
+    """The flag text a config-file value stands for: a string as given,
+    another scalar as JSON writes it, a list joined as its tuple's flag."""
+    if isinstance(value, list):
+        sep = ";" if value and isinstance(value[0], list) else ","
+        return sep.join(_flag_text(item) for item in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _effective_config(args: argparse.Namespace, driver) -> dict:
+    """Every driver keyword argument, in signature order: flags over
+    file over driver defaults."""
     params = inspect.signature(driver).parameters
-    config = {key: p.default for key, p in params.items() if key != "seed"}
+    config = {key: p.default for key, p in params.items()}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -151,21 +157,17 @@ def _effective_config(args: argparse.Namespace, driver) -> tuple[dict, int]:
             raise _UsageError(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):
             raise _UsageError("config must be a JSON object")
-        bad = sorted(set(loaded) - set(params) - {"seed"})
-        if bad:
-            raise _UsageError(
-                f"unknown config keys for {args.study}: {', '.join(bad)}"
-            )
-        config.update(loaded)
-    for key in params:
-        value = getattr(args, key, None)
-        if key != "seed" and value is not None:
-            config[key] = value
-    file_seed = config.pop("seed", DEFAULT_PANEL_SEED)
-    seed = int(file_seed) if args.seed is None else args.seed
-    if "seed" in params:
-        config["seed"] = seed
-    return config, seed
+        if bad := sorted(set(loaded) - set(params)):
+            raise _UsageError(f"unknown config keys for {args.study}: {', '.join(bad)}")
+        hints = typing.get_type_hints(driver)
+        for key, value in loaded.items():
+            text = _flag_text(value)
+            try:
+                config[key] = _converter(hints[key])(text)
+            except ValueError:
+                raise _UsageError(f"invalid config value for {key}: {text!r}")
+    config.update((k, v) for k, v in vars(args).items() if k in params and v is not None)
+    return config
 
 
 def _fmt(value) -> str:
@@ -183,11 +185,10 @@ def _write_rows(path, rows) -> None:
             fh.write(",".join(_fmt(row[k]) for k in fields) + "\n")
 
 
-def _summary(result, config: dict, seed: int, config_hash: str) -> dict:
+def _summary(result, config: dict, config_hash: str) -> dict:
     out = {
         "subcommand": result.name,
         "version": __version__,
-        "seed": seed,
         "config": config,
         "config_hash": config_hash,
         # JSON has no NaN or inf: such a value is null, and
@@ -202,17 +203,15 @@ def _summary(result, config: dict, seed: int, config_hash: str) -> dict:
     return out
 
 
-def _write_outputs(result, config: dict, seed: int, args) -> None:
+def _write_outputs(result, config: dict, args) -> None:
     bases = [os.path.join(args.out, stem) for stem in (result.name, *result.tables)]
     for path in (base + ext for base in bases for ext in (".csv", ".json")):
         if os.path.exists(path) and not args.force:
             raise _UsageError(f"refusing to overwrite {path} (use --force)")
-    canonical = json.dumps(
-        {"subcommand": result.name, "seed": seed, **config}, sort_keys=True,
-    )
+    canonical = json.dumps({"subcommand": result.name, **config}, sort_keys=True)
     digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
     # A header names its body relative to itself, however --out is spelled.
-    outputs = [(_summary(result, config, seed, digest), result.rows)] + [
+    outputs = [(_summary(result, config, digest), result.rows)] + [
         ({**header, "body": stem + ".csv"}, rows)
         for stem, (header, rows) in result.tables.items()
     ]
@@ -245,9 +244,9 @@ def main(argv=None) -> int:
         return 2
     driver = _SPECS[args.study]["driver"]
     try:
-        config, seed = _effective_config(args, driver)
+        config = _effective_config(args, driver)
         result = driver(**config)
-        _write_outputs(result, config, seed, args)
+        _write_outputs(result, config, args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

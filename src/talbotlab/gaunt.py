@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -166,12 +165,13 @@ def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:
     if top_p >= np.iinfo(np.int64).max:
         raise ValueError(f"n_max {n_max} overflows the int64 bracket products; "
                          "the largest n_max is 1448")
-    c1_squared = Fraction(c1) ** 2
+    num, den = c1.as_integer_ratio()
 
     def need(n: int) -> int:
-        # Capped one above the largest P, so it fits an int64 and
-        # every comparison keeps its truth value.
-        return min(math.ceil(c1_squared * n**3), top_p + 1)
+        # ceil(num^2 n^3 / den^2) in integers, capped one above the
+        # largest P, so it fits an int64 and every comparison keeps its
+        # truth value.
+        return min(-(-num * num * n**3 // (den * den)), top_p + 1)
 
     rng = np.arange(n_max + 1, dtype=np.int64)
     br = 1 + rng * rng

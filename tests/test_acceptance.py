@@ -5,9 +5,12 @@ measured value against its threshold, and asserts the verdict.  The
 -rP pytest option surfaces the printed lines in the run summary, so
 the whole suite reads as a checklist.  The rational-time controls
 show that the gates of criteria 2-5 can fail on real data, where the
-paper says they must; the no-phase control shows that criterion 9's
-gate sees the resonant phase, and the flipped-sign control that its
-single-mode gate sees the sign at the study's step.
+paper says they must; the unseparated-block control shows that
+criterion 8's gate sees frequency separation; the no-phase control
+shows that criterion 9's gate sees the resonant phase, and the
+flipped-sign control that its single-mode gate sees the sign at the
+study's step.  Criterion 9's smoothing is also checked in the sup norm,
+which the paper's nonlinear dimension corollary needs.
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from talbotlab.spectra import (
     torus_step,
     zonal_decay_family,
 )
+from talbotlab.strichartz import bilinear_l2
 from talbotlab.znls import smoothing_residual, solve
 
 TRIANGLE = ex.DEFAULT_TRIANGLE
@@ -264,6 +268,31 @@ def test_criterion_08_bilinear_beam_contrast():
     assert result.passed
 
 
+def test_bilinear_gate_fails_for_unseparated_blocks():
+    """Criterion 8 bounds frequency-separated pairs, a block at N against
+    blocks at M < N.  Let M reach N and the fitted growth of the
+    bilinear ratio ||fg|| / (||f|| ||g||) crosses the gate: measured
+    slopes 0.0972 at the frozen N = 128, M = 4..64, against 0.1911 at
+    N = 128, M = 8..128, and 0.1971 at N = 64, M = 4..64."""
+    tol = ex.run_bilinear_contrast().criteria["bilinear_tol"]
+    data = zonal_decay_family(1.5, 256, d=2)
+
+    def slope(block_n, m_blocks):
+        f_norm = np.linalg.norm(data.coef[block_n:2 * block_n])
+        ratios = [value / (f_norm * np.linalg.norm(data.coef[m:2 * m]))
+                  for m, value in zip(m_blocks, bilinear_l2(data, data, block_n, m_blocks))]
+        return fit_loglog(list(m_blocks), ratios).slope
+
+    frozen = slope(128, (4, 8, 16, 32, 64))
+    unseparated = (slope(128, (8, 16, 32, 64, 128)), slope(64, (4, 8, 16, 32, 64)))
+    ok = frozen <= tol < min(unseparated)
+    report("criterion 8 control",
+           f"slope {frozen:.4f} <= {tol} at N = 128, M = 4..64; with M up to N"
+           f" {unseparated[0]:.4f} (N = 128) and {unseparated[1]:.4f} (N = 64)"
+           f" lie above", ok)
+    assert ok
+
+
 def test_criterion_09_cubic_smoothing():
     result = ex.run_nls_smoothing(p=1.1, n_max=256, dt=1e-3, t_final=0.1)
     m = result.measured
@@ -302,6 +331,36 @@ def test_smoothing_gate_fails_without_the_resonant_phase():
     report("criterion 9 control",
            f"gain {without:.3f} without the resonant phase lies below 0.2;"
            f" with it {with_phase:.3f}", ok)
+    assert ok
+
+
+def test_smoothing_holds_in_the_sup_norm():
+    """The nonlinear dimension corollary needs the residual
+    r = u(t) - e^{it Delta} e^{i sigma Phi} u(0) of criterion 9 to be
+    smoother than u(t) in L^infinity, not only in its L^2 tails.  The
+    gap, the fitted log2 slope of u's block sup norms (levels 2..7)
+    minus that of r's, clears criterion 9's gain_min at the frozen dt
+    (measured 0.758) and at dt/16 (0.739); with Phi dropped from the
+    reference it falls below (0.179)."""
+    gain_min = ex.run_nls_smoothing().criteria["gain_min"]
+    levels = np.arange(2, 8)
+
+    def gap(run):
+        phased = np.exp(1j * run.sign * run.phase)
+        residual = ZonalSpectrum(d=2, coef=run.final.coef
+                                 - phased * propagate_sphere(run.initial, run.t).coef)
+        norms = block_norm_table([run.final, residual], 7)[:, levels]
+        u_slope, r_slope = (fit_line(levels, np.log2(row)).slope for row in norms)
+        return u_slope - r_slope
+
+    data = zonal_decay_family(1.1, 256, d=2)
+    frozen = solve(data, 1e-3, 0.1, sign=1)
+    gaps = (gap(frozen), gap(solve(data, 1e-3 / 16, 0.1, sign=1)))
+    without = gap(dataclasses.replace(frozen, phase=0.0))
+    ok = without < gain_min <= min(gaps)
+    report("criterion 9 in L^infinity",
+           f"sup-norm gap {gaps[0]:.3f} at dt=1e-3 and {gaps[1]:.3f} at dt/16"
+           f" >= {gain_min}; without the resonant phase {without:.3f} lies below", ok)
     assert ok
 
 

@@ -52,10 +52,9 @@ def test_quantize_writes_csv_and_summary(tmp_path, capsys):
 def test_config_hash_is_canonical_sha256(tmp_path):
     assert run(tmp_path, "quantize", "--m-max", "64", "--q-max", "3") == 0
     summary = json.loads((tmp_path / "quantize.json").read_text())
-    canonical = json.dumps(
-        {"subcommand": "quantize", "seed": summary["seed"], **summary["config"]},
-        sort_keys=True,
-    )
+    assert list(summary) == ["subcommand", "version", "config", "config_hash",
+                             "measured", "criteria", "passed"]
+    canonical = json.dumps({"subcommand": "quantize", **summary["config"]}, sort_keys=True)
     digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
     assert summary["config_hash"] == digest
 
@@ -94,13 +93,15 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert summary["config"]["q_max"] == 3
 
 
-def test_config_seed_key_is_recorded(tmp_path):
+def test_config_seed_key_is_recorded(tmp_path, monkeypatch):
+    seen = {}
+    _recording_driver(monkeypatch, "weyl", seen)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m_max": 64, "q_max": 3, "seed": 7}))
+    cfg.write_text(json.dumps({"grid_factor": 8, "seed": 7}))
     out_dir = tmp_path / "out"
-    assert main(["quantize", "--config", str(cfg), "--out", str(out_dir)]) == 0
-    summary = json.loads((out_dir / "quantize.json").read_text())
-    assert summary["seed"] == 7
+    assert main(["weyl", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert seen["seed"] == 7
+    assert json.loads((out_dir / "weyl.json").read_text())["config"]["seed"] == 7
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -273,7 +274,7 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     s1 = json.loads((d1 / "weyl.json").read_text())
     s2 = json.loads((d2 / "weyl.json").read_text())
     assert s1 == s2
-    assert s1["seed"] == 5
+    assert s1["config"]["seed"] == 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -326,12 +327,14 @@ def test_pooled_study_outputs_do_not_depend_on_cpu_count(study, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    """The library needs NumPy alone; scipy is a test-only oracle."""
+    """The library needs NumPy alone; scipy is a test-only oracle.  Exact
+    rationals come from int arithmetic, so neither fractions nor decimal
+    is imported either."""
     src = str(pathlib.Path(talbotlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, talbotlab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys, talbotlab.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout.strip() == "[]"
@@ -389,7 +392,7 @@ def _flag_text(value):
 def _driver_params(study):
     sig = inspect.signature(cli._SPECS[study]["driver"])
     # Defaults stand in for user values.
-    return {name: p.default for name, p in sig.parameters.items() if name != "seed"}
+    return {name: p.default for name, p in sig.parameters.items()}
 
 
 def _recording_driver(monkeypatch, study, seen):
@@ -402,36 +405,81 @@ def _recording_driver(monkeypatch, study, seen):
                                 criteria={}, rows=({"x": 1},))
 
     monkeypatch.setitem(cli._SPECS[study], "driver", fake)
-    return "seed" in inspect.signature(real).parameters
+
+
+def _summary_at(out_dir, study, *argv):
+    assert main([*_argv_prefix(study), *argv, "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / f"{study}.json").read_text())
+    return summary["config"], summary["config_hash"]
 
 
 @pytest.mark.parametrize("study", sorted(cli._SPECS))
 def test_every_driver_parameter_is_a_flag(tmp_path, monkeypatch, study):
     seen = {}
-    seeded = _recording_driver(monkeypatch, study, seen)
+    _recording_driver(monkeypatch, study, seen)
     params = _driver_params(study)
     flags = [f"--{k.replace('_', '-')}={_flag_text(v)}" for k, v in params.items()]
-    assert run(tmp_path, *_argv_prefix(study), *flags) == 0
-    assert seen == {**params, **({"seed": 1729} if seeded else {})}
-    summary = json.loads((tmp_path / f"{study}.json").read_text())
-    assert list(summary["config"]) == list(params) + (["seed"] if seeded else [])
+    spelled = _summary_at(tmp_path, study, *flags)
+    assert seen == params
+    assert list(spelled[0]) == list(params)
     # Every default spelled as a flag is the run at defaults.
-    assert main([*_argv_prefix(study), "--out", str(tmp_path / "defaults")]) == 0
-    at_defaults = json.loads((tmp_path / "defaults" / f"{study}.json").read_text())
-    assert at_defaults["config"] == summary["config"]
-    assert at_defaults["config_hash"] == summary["config_hash"]
+    assert _summary_at(tmp_path / "defaults", study) == spelled
 
 
 @pytest.mark.parametrize("study", sorted(cli._SPECS))
 def test_every_driver_parameter_is_a_config_key(tmp_path, monkeypatch, study):
+    """Every default in a config file, as JSON or as its flag text, is
+    the run at defaults: the driver gets the flags' tuples, and the
+    summary the same config and hash."""
     seen = {}
-    seeded = _recording_driver(monkeypatch, study, seen)
-    params = json.loads(json.dumps(_driver_params(study)))
+    _recording_driver(monkeypatch, study, seen)
+    params = _driver_params(study)
+    at_defaults = _summary_at(tmp_path / "defaults", study)
+    for form, values in [("json", params),
+                         ("text", {k: _flag_text(v) for k, v in params.items()})]:
+        seen.clear()
+        cfg = tmp_path / f"{form}.json"
+        cfg.write_text(json.dumps(values))
+        assert _summary_at(tmp_path / form, study, "--config", str(cfg)) == at_defaults
+        assert seen == params
+
+
+def test_config_number_is_read_as_its_flag_text(tmp_path, monkeypatch):
+    """``"p": 1`` is ``--p 1``: both run p = 1.0 under one hash."""
+    seen = {}
+    _recording_driver(monkeypatch, "nls-smoothing", seen)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**params, "seed": 11}))
-    assert main([*_argv_prefix(study), "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == 0
-    assert seen == {**params, **({"seed": 11} if seeded else {})}
+    cfg.write_text(json.dumps({"p": 1, "n_max": 32}))
+    from_file = _summary_at(tmp_path / "file", "nls-smoothing", "--config", str(cfg))
+    assert seen["p"] == 1.0 and isinstance(seen["p"], float)
+    assert _summary_at(tmp_path / "flags", "nls-smoothing", "--p", "1",
+                       "--n-max", "32") == from_file
+
+
+@pytest.mark.parametrize("study, argv, config", [
+    # Only the panel studies draw random times, so only they take a seed.
+    ("quantize", ("--seed", "5"), None),
+    ("quantize", (), {"seed": 5}),
+    # A config value goes through the flag's converter, which refuses these.
+    ("weyl", (), {"seed": 1.7}),
+    ("weyl", (), {"p": True}),
+    ("zonal-holder", (), {"window": "2,x"}),
+], ids=["quantize-seed-flag", "quantize-seed-key", "seed-float", "p-bool", "window-text"])
+def test_refused_parameter_values_exit_two_without_outputs(tmp_path, monkeypatch,
+                                                          study, argv, config):
+    seen = {}
+    _recording_driver(monkeypatch, study, seen)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = (*argv, "--config", str(tmp_path / "cfg.json"))
+    out_dir = tmp_path / "out"
+    try:
+        code = main([*_argv_prefix(study), *argv, "--out", str(out_dir)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert seen == {}
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("study", sorted(cli._SPECS))
@@ -439,7 +487,10 @@ def test_every_subcommand_has_help(study, capsys):
     with pytest.raises(SystemExit) as info:
         main([*_argv_prefix(study), "--help"])
     assert info.value.code == 0
-    assert "--config" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--config" in out
+    seeded = "seed" in inspect.signature(cli._SPECS[study]["driver"]).parameters
+    assert ("--seed" in out) == seeded
 
 
 def test_specfun_dimension_is_a_flag(tmp_path):
@@ -483,13 +534,16 @@ def test_invalid_sign_exits_two_without_outputs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_seed_flag_beats_config_seed(tmp_path):
+def test_seed_flag_beats_config_seed(tmp_path, monkeypatch):
+    seen = {}
+    _recording_driver(monkeypatch, "weyl", seen)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m_max": 64, "q_max": 3, "seed": 7}))
+    cfg.write_text(json.dumps({"grid_factor": 8, "seed": 7}))
     out_dir = tmp_path / "out"
-    assert main(["quantize", "--config", str(cfg), "--seed", "5",
+    assert main(["weyl", "--config", str(cfg), "--seed", "5",
                  "--out", str(out_dir)]) == 0
-    assert json.loads((out_dir / "quantize.json").read_text())["seed"] == 5
+    assert seen["seed"] == 5
+    assert json.loads((out_dir / "weyl.json").read_text())["config"]["seed"] == 5
 
 
 def test_refused_kappa_overwrite_writes_nothing(tmp_path, capsys):

@@ -205,7 +205,7 @@ def test_nan_residual_fails_the_verdict(monkeypatch):
     assert result.passed is False
     assert math.isnan(result.measured["max_residual"])
     assert "max_residual" in result.failure
-    summary = cli._summary(result, config={}, seed=0, config_hash="")
+    summary = cli._summary(result, config={}, config_hash="")
     assert summary["passed"] is False and "max_residual" in summary["failure"]
 
 
@@ -270,7 +270,7 @@ def test_nan_from_an_inner_kernel_fails_the_verdict(case, monkeypatch):
     result = cli._SPECS[case.split(":")[0]]["driver"](**kwargs)
     assert result.passed is False
     assert result.failure.startswith("non-finite measured value: ")
-    summary = cli._summary(result, config={}, seed=0, config_hash="")
+    summary = cli._summary(result, config={}, config_hash="")
     assert summary["passed"] is False and summary["failure"] == result.failure
 
 
@@ -305,26 +305,26 @@ def test_non_finite_measured_value_fails_any_verdict():
     result = ExperimentResult("x", True, {"a": 1.0, "b": math.inf, "n": 3}, {}, ())
     assert result.passed is False
     assert result.failure == "non-finite measured value: b"
-    assert cli._summary(result, config={}, seed=0, config_hash="")["measured"] == {
+    assert cli._summary(result, config={}, config_hash="")["measured"] == {
         "a": 1.0, "b": None, "n": 3,
     }
     clean = ExperimentResult("x", True, {"a": 1.0, "n": 3}, {}, ())
     assert clean.passed is True
-    assert "failure" not in cli._summary(clean, config={}, seed=0, config_hash="")
+    assert "failure" not in cli._summary(clean, config={}, config_hash="")
 
 
 def test_summary_embeds_reproducibility_fields():
     result = run_quantization(m_max=64, q_max=3)
-    summary = cli._summary(result, config={"m_max": 64, "q_max": 3}, seed=7,
+    summary = cli._summary(result, config={"m_max": 64, "q_max": 3},
                            config_hash="abc123")
     payload = json.loads(json.dumps(summary))
+    assert list(payload) == ["subcommand", "version", "config", "config_hash",
+                             "measured", "criteria", "passed"]
     assert payload["subcommand"] == "quantize"
     assert payload["version"] == __version__
-    assert payload["seed"] == 7
     assert payload["config"]["m_max"] == 64
     assert payload["config_hash"] == "abc123"
     assert payload["passed"] is True
-    assert "measured" in payload and "criteria" in payload
 
 
 def test_write_rows_deterministic(tmp_path):
