@@ -44,8 +44,9 @@ flows numerically:
     drivers are the only code that fits a study's statistic; the demos
     run them.  The panel criteria share one loop over the time panel.
 ``cli``
-    Command line entry points that drive each experiment.  The only
-    module that writes files: CSV rows, JSON summaries, value tables.
+    Command line entry points that drive each experiment, each named by
+    its subcommand alone.  The only module that writes files: CSV rows,
+    JSON summaries, value tables.
 """
 
 __version__ = "0.1.0"

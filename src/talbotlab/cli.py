@@ -1,7 +1,8 @@
 """Command-line experiment driver.
 
 Each subcommand runs one reproducible study and writes a CSV of row
-data plus a JSON summary with the keys ``subcommand``, ``version``,
+data plus a JSON summary, both named by the subcommand, the study's
+only name.  The summary has the keys ``subcommand``, ``version``,
 ``config``, ``config_hash``, ``measured`` (the headline numbers),
 ``criteria`` (the study's fixed thresholds) and ``passed``.  A value
 table a study builds goes next to it as a JSON header and a CSV body.
@@ -170,24 +171,19 @@ def _effective_config(args: argparse.Namespace, driver) -> dict:
     return config
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path, rows) -> None:
-    """Deterministic CSV: keys of the first row, repr-exact floats."""
+    """Deterministic CSV: keys of the first row, each value as ``str``
+    writes it (the shortest round-trip text of a float)."""
     fields = list(rows[0].keys())
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(fields) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in fields) + "\n")
+            fh.write(",".join(str(row[k]) for k in fields) + "\n")
 
 
-def _summary(result, config: dict, config_hash: str) -> dict:
+def _summary(study: str, result, config: dict, config_hash: str) -> dict:
     out = {
-        "subcommand": result.name,
+        "subcommand": study,
         "version": __version__,
         "config": config,
         "config_hash": config_hash,
@@ -204,14 +200,17 @@ def _summary(result, config: dict, config_hash: str) -> dict:
 
 
 def _write_outputs(result, config: dict, args) -> None:
-    bases = [os.path.join(args.out, stem) for stem in (result.name, *result.tables)]
+    """Every file of a run: the summary and rows of ``args.study``, named
+    by that subcommand, and each value table of the result."""
+    study = args.study
+    bases = [os.path.join(args.out, stem) for stem in (study, *result.tables)]
     for path in (base + ext for base in bases for ext in (".csv", ".json")):
         if os.path.exists(path) and not args.force:
             raise _UsageError(f"refusing to overwrite {path} (use --force)")
-    canonical = json.dumps({"subcommand": result.name, **config}, sort_keys=True)
+    canonical = json.dumps({"subcommand": study, **config}, sort_keys=True)
     digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
     # A header names its body relative to itself, however --out is spelled.
-    outputs = [(_summary(result, config, digest), result.rows)] + [
+    outputs = [(_summary(study, result, config, digest), result.rows)] + [
         ({**header, "body": stem + ".csv"}, rows)
         for stem, (header, rows) in result.tables.items()
     ]
@@ -224,7 +223,7 @@ def _write_outputs(result, config: dict, args) -> None:
              for head, _ in outputs]
     os.makedirs(args.out, exist_ok=True)
     status = "pass" if result.passed else "FAIL"
-    print(f"{result.name}: {status}")
+    print(f"{study}: {status}")
     if result.failure:
         print(f"  {result.failure}")
     for key, value in result.measured.items():

@@ -295,9 +295,8 @@ def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
     The field is assembled from the column strips of ``torus_strips``:
     one axis at a time, last axis first, each axis is placed on the grid
     and inverse-transformed in place, unscaled, so the first pass
-    touches only the 2 m_max + 1 nonzero rows.  Row chunks and strips
-    run on a thread pool of one worker per CPU the process may use, at
-    most four; the samples do not depend on the worker count.
+    touches only the 2 m_max + 1 nonzero rows.  ``torus_strips`` gives
+    the pool policy; the samples do not depend on the worker count.
 
     Parameters
     ----------

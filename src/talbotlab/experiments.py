@@ -3,13 +3,13 @@
 Each driver runs one quantitative study end to end with explicit
 parameters, evaluates its pass criterion, and returns an
 ExperimentResult holding headline numbers plus per-row data for the
-CLI to write.  A study's thresholds are fixed: each is written once,
-as a literal in the ``criteria`` dict the result records, and the
-verdict reads it from there, so no caller can loosen one.  The
-parameters are what the study measures.  Time-dependent studies follow
-the panel protocol, in one loop: a fixed set of sampled irrational
-times plus seeded random draws, with the median across the panel as
-the reported statistic.
+CLI to write under the study's subcommand name.  A study's thresholds
+are fixed: each is written once, as a literal in the ``criteria`` dict
+the result records, and the verdict reads it from there, so no caller
+can loosen one.  The parameters are what the study measures.
+Time-dependent studies follow the panel protocol, in one loop: a fixed
+set of sampled irrational times plus seeded random draws, with the
+median across the panel as the reported statistic.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ class ExperimentResult:
 
     Attributes
     ----------
-    name : str
-        Driver identifier (matches the CLI subcommand).
     passed : bool
         All criteria met.
     measured : dict
@@ -108,7 +106,6 @@ class ExperimentResult:
         measured value is NaN or infinite, which always fails.
     """
 
-    name: str
     passed: bool
     measured: dict
     criteria: dict
@@ -156,7 +153,6 @@ def run_quantization(m_max: int = 2**12, q_max: int = 12) -> ExperimentResult:
     worst = _nan_max(row["residual"] for row in rows)
     criteria = {"max_residual_lt": 1e-8}
     return ExperimentResult(
-        name="quantize",
         passed=worst < criteria["max_residual_lt"],
         measured={"max_residual": worst, "pairs": len(rows)},
         criteria=criteria,
@@ -176,7 +172,7 @@ def _panel(measure, seed: int):
     return tuple(rows), float(np.median(statistics))
 
 
-def _dimension_study(name, spec, grid, window, seed, expected, tol):
+def _dimension_study(spec, grid, window, seed, expected, tol):
     """Panel-median graph dimension of the evolved ``spec``; it passes
     within ``tol`` of ``expected``."""
 
@@ -190,7 +186,6 @@ def _dimension_study(name, spec, grid, window, seed, expected, tol):
     rows, median = _panel(measure, seed)
     criteria = {"expected": expected, "tol": tol}
     return ExperimentResult(
-        name=name,
         passed=abs(median - criteria["expected"]) <= criteria["tol"],
         measured={"median_dim": median},
         criteria=criteria,
@@ -206,8 +201,7 @@ def run_torus_step_dimension(
 ) -> ExperimentResult:
     """Panel-median graph dimension of evolved step data on T^1."""
     spec = torus_step(list(DEFAULT_STEP_JUMPS), m_max=m_max)
-    return _dimension_study("dimension-torus-step", spec, grid, window, seed,
-                            expected=1.5, tol=0.1)
+    return _dimension_study(spec, grid, window, seed, expected=1.5, tol=0.1)
 
 
 def run_polygon_dimension(
@@ -219,8 +213,7 @@ def run_polygon_dimension(
 ) -> ExperimentResult:
     """Panel-median graph dimension of an evolved polygon indicator on T^2."""
     spec = torus_polygon_indicator(list(vertices), m_max=m_max)
-    return _dimension_study("dimension-torus-polygon", spec, grid, window, seed,
-                            expected=2.5, tol=0.2)
+    return _dimension_study(spec, grid, window, seed, expected=2.5, tol=0.2)
 
 
 def run_zonal_holder(
@@ -259,7 +252,6 @@ def run_zonal_holder(
     rows, median = _panel(measure, seed)
     criteria = {"slope_tol": 0.02}
     return ExperimentResult(
-        name="zonal-holder",
         passed=median <= criteria["slope_tol"],
         measured={"median_slope": median},
         criteria=criteria,
@@ -296,7 +288,6 @@ def run_weyl_decay(
     rows, median = _panel(measure, seed)
     criteria = {"expected": -1.0, "tol": 0.1}
     return ExperimentResult(
-        name="weyl",
         passed=abs(median - criteria["expected"]) <= criteria["tol"],
         measured={"median_exponent": median},
         criteria=criteria,
@@ -367,7 +358,6 @@ def run_kappa_suite(
         c1, c2 = FROZEN_LAMBDA_CONSTANTS[d]
         rows.append({"d": d, **row, "c1": c1, "c2": c2, "passed": ok})
     return ExperimentResult(
-        name="kappa-table",
         passed=passed,
         measured=measured,
         criteria=criteria,
@@ -406,7 +396,6 @@ def run_resonance_decay(
     fit = fit_loglog(list(degrees), np.abs(diffs))
     criteria = {"max_exponent": -0.9}
     return ExperimentResult(
-        name="resonance",
         passed=fit.slope <= criteria["max_exponent"],
         measured={"decay_exponent": fit.slope, "stderr": fit.stderr},
         criteria=criteria,
@@ -450,7 +439,6 @@ def run_bilinear_contrast(
         and abs(beam_fit.slope - criteria["beam_expected"]) <= criteria["beam_tol"]
     )
     return ExperimentResult(
-        name="strichartz",
         passed=passed,
         measured={
             "bilinear_exponent": bil_fit.slope,
@@ -511,7 +499,6 @@ def run_nls_smoothing(
         for nv, rn, un in zip(table.n_values, table.r_norms, table.u_norms)
     ]
     return ExperimentResult(
-        name="nls-smoothing",
         passed=passed,
         measured={
             "mass_drift": drift,
@@ -561,7 +548,6 @@ def run_specialfun_checks(
     passed = (ortho_defect < criteria["ortho_tol"]
               and fitted_c <= criteria["envelope_constant_max"])
     return ExperimentResult(
-        name="specfun-check",
         passed=passed,
         measured={
             "orthonormality_defect": ortho_defect,

@@ -11,12 +11,12 @@ against k over a window of levels, reported per component (real and
 imaginary parts) with the maximum as the headline value.
 
 ``dim_t`` never builds the propagated spectrum or the sampled field:
-the column strips of ``evolve.torus_strips``, which applies the time
-phases in its row pass, made on a thread pool of one worker per CPU
-the process may use (at most four), are reduced as they come to the max and min of
-their finest cells, and the same pyramid runs on the joined extrema.
-Max and min are exact, so the counts equal those of the whole field
-and do not depend on the worker count.
+the column strips of ``evolve.torus_strips`` (which applies the time
+phases in its row pass; its docstring gives the pool policy) are
+reduced as they come to the max and min of their finest cells, and the
+same pyramid runs on the joined extrema.  Max and min are exact, so the
+counts equal those of the whole field and do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -164,7 +164,11 @@ class DimReport:
 
     real: LineFit
     imag: LineFit
-    max_slope: float
+
+    @property
+    def max_slope(self) -> float:
+        """The larger slope, NaN if either slope is NaN."""
+        return float(np.maximum(self.real.slope, self.imag.slope))
 
 
 def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
@@ -172,16 +176,13 @@ def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
     """Graph dimension of the evolved torus field at time t.
 
     Evaluates the evolution on the uniform torus grid one column strip
-    at a time, with the time phases applied in the row pass, on a
-    thread pool of one worker per CPU the process may use (at most
-    four), and reduces each strip at once to the max and min of its
-    finest cells; box counts the real and imaginary parts at
-    every level of the window from those extrema, exactly as for the
-    whole field, and fits both slopes of log2 N(k) against k.  The
-    result does not depend on the worker count, and equals that of the
-    propagated spectrum (``propagate_torus``) bit for bit.  At
-    criterion-3 scale (grid 2048^2) the peak is about 36 MiB for the
-    row-pass slab plus about 4 MiB per worker.
+    at a time (``evolve.torus_strips`` sets the pool and its memory),
+    and reduces each strip at once to the max and min of its finest
+    cells; box counts the real and imaginary parts at every level of
+    the window from those extrema, exactly as for the whole field, and
+    fits both slopes of log2 N(k) against k.  The result does not depend
+    on the worker count, and equals that of the propagated spectrum
+    (``propagate_torus``) bit for bit.
 
     Parameters
     ----------
@@ -204,4 +205,4 @@ def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
         raise ValueError("need at least four levels inside the fit window")
     counts = _torus_box_counts(spec, grid_size, levels.tolist(), t)
     real, imag = (fit_line(levels, np.log2(count)) for count in counts)
-    return DimReport(real=real, imag=imag, max_slope=float(np.maximum(real.slope, imag.slope)))
+    return DimReport(real=real, imag=imag)

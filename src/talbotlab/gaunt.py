@@ -104,21 +104,24 @@ class KappaTable:
     Attributes
     ----------
     d : int
-    n_max : int
     node_count : int
         Nodes in the shared exact quadrature rule.
     triple : ndarray
         ``triple[n, a, b]`` = kappa(n, a, b) for n <= 2 n_max and
         a, b <= n_max: every degree in the product of two harmonics.
     quad : ndarray
-        ``quad[a, b, c, e]`` = kappa(a, b, c, e) for indices <= n_max.
+        ``quad[a, b, c, e]`` = kappa(a, b, c, e) for indices <= n_max,
+        the largest degree, read from its shape.
     """
 
     d: int
-    n_max: int
     node_count: int
     triple: np.ndarray
     quad: np.ndarray
+
+    @property
+    def n_max(self) -> int:
+        return self.quad.shape[0] - 1
 
     @classmethod
     def build(cls, n_max: int, d: int = 2) -> "KappaTable":
@@ -131,8 +134,7 @@ class KappaTable:
         triple = np.einsum("nk,abk->nab", table, weighted)
         quad = np.einsum("abk,cek->abce", weighted, pairs)
         triple.flags.writeable = quad.flags.writeable = False
-        return cls(d=d, n_max=n_max, node_count=rule.node_count,
-                   triple=triple, quad=quad)
+        return cls(d=d, node_count=rule.node_count, triple=triple, quad=quad)
 
 
 def count_unclassified(n_max: int, d: int = 2, constants=None) -> int:

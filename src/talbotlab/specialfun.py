@@ -158,12 +158,12 @@ def jacobi_symmetric(n: int, d: int, x):
         Degree, non-negative.
     d : int
         Sphere dimension, at least 2.
-    x : float or array_like
+    x : array_like
         Points in [-1, 1].
 
     Returns
     -------
-    float or ndarray
+    ndarray
         Row n of ``zonal_harmonic_table`` times P_n(1) / sqrt(dim_n),
         with P_n(1) = (alpha + 1)_n / n!; the recurrence keeps only
         its last two rows.
@@ -172,8 +172,7 @@ def jacobi_symmetric(n: int, d: int, x):
     alpha = (d - 2) / 2.0
     at_one = _pochhammer_ratios(alpha + 1.0, n + 1)[n]
     scale = at_one / math.sqrt(eigenspace_dimension(n, d))
-    out = deque(_zonal_rows(n, d, points), maxlen=1)[0] * scale
-    return float(out[0]) if np.isscalar(x) else out
+    return deque(_zonal_rows(n, d, points), maxlen=1)[0] * scale
 
 
 _NEWTON_CAP = 30
@@ -357,8 +356,7 @@ def zonal_cosine_blocks(coef, d: int, edges):
                 hankel = windows[top + a0 + b0 + p:top + a1 + b0 + p, skip:]
                 part = np.matmul(toeplitz * hankel, wp[:, skip:])
                 beta[2 * a0 + p:2 * a1 + p:2] = part.view(complex)[..., 0].T
-        return (TorusSpectrum(d=1, m_max=beta.shape[0] - 1,
-                              coef=np.concatenate((column[:0:-1], column)))
+        return (TorusSpectrum(np.concatenate((column[:0:-1], column)))
                 for column in beta.T)
 
     return (block(lo, hi) for lo, hi in ranges)
@@ -373,13 +371,13 @@ def jacobi_asymptotic(n: int, d: int, theta):
         Degree, positive.
     d : int
         Sphere dimension.
-    theta : float or array_like
+    theta : array_like
         Polar angles inside the validity window [c/n, pi - c/n] with
         c = ``SZEGO_WINDOW_C``.
 
     Returns
     -------
-    float or ndarray
+    ndarray
         n^{-1/2} k(theta) cos(M theta + gamma) with
         k(theta) = 2^{(d-1)/2} pi^{-1/2} sin(theta)^{-(d-1)/2},
         M = n + (d-1)/2 and gamma = -(d-1) pi / 4.  Its error is at
@@ -388,8 +386,7 @@ def jacobi_asymptotic(n: int, d: int, theta):
     """
     if n < 1:
         raise ValueError("asymptotic form needs n >= 1")
-    scalar = np.isscalar(theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    th = np.asarray(theta, dtype=float)
     lo = SZEGO_WINDOW_C / n
     hi = math.pi - SZEGO_WINDOW_C / n
     if np.any(th < lo) or np.any(th > hi):
@@ -400,5 +397,4 @@ def jacobi_asymptotic(n: int, d: int, theta):
     k_amp = 2.0 ** ((d - 1) / 2.0) / math.sqrt(math.pi) * sin_t ** (-(d - 1) / 2.0)
     big_m = n + (d - 1) / 2.0
     phase = -(d - 1) * math.pi / 4.0
-    value = n ** (-0.5) * k_amp * np.cos(big_m * th + phase)
-    return float(value[0]) if scalar else value
+    return n ** (-0.5) * k_amp * np.cos(big_m * th + phase)

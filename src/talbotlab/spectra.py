@@ -4,7 +4,8 @@ Frequency-side representations of functions on the torus and the
 sphere: a dense-box container for T^d Fourier coefficients and a
 coefficient sequence for zonal expansions on S^d, plus the
 constructors used throughout the experiments (step functions, polygon
-indicators, the zonal power-law family).
+indicators, the zonal power-law family).  A container's sizes (a box's
+d and m_max, a sequence's n_max) are read from its array's shape.
 
 Conventions
 -----------
@@ -36,26 +37,30 @@ class TorusSpectrum:
 
     Attributes
     ----------
-    d : int
-        Torus dimension (1 and 2 are exercised; the container is
-        generic).
-    m_max : int
-        Box radius: support lies in max_i |m_i| <= m_max.
     coef : ndarray
         Dense complex box of shape (2*m_max+1,)*d; entry for frequency
-        m sits at index tuple m + m_max.
+        m sits at index tuple m + m_max.  The box alone fixes the torus
+        dimension ``d`` (1 and 2 are exercised; the container is
+        generic) and the box radius ``m_max``: support lies in
+        max_i |m_i| <= m_max.
     """
 
-    d: int
-    m_max: int
     coef: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = (2 * self.m_max + 1,) * self.d
-        if self.coef.shape != expected:
-            raise ValueError(f"coefficient box must have shape {expected}")
+        shape = np.shape(self.coef)
+        if not shape or shape != shape[:1] * len(shape) or shape[0] % 2 == 0:
+            raise ValueError("coefficient box must be a cube of odd side 2*m_max+1")
         object.__setattr__(self, "coef", np.ascontiguousarray(self.coef, dtype=complex))
         self.coef.setflags(write=False)
+
+    @property
+    def d(self) -> int:
+        return self.coef.ndim
+
+    @property
+    def m_max(self) -> int:
+        return self.coef.shape[0] // 2
 
     def frequencies(self) -> np.ndarray:
         """The 1-D frequency axis -m_max .. m_max."""
@@ -63,7 +68,7 @@ class TorusSpectrum:
 
     def scaled(self, multiplier: np.ndarray) -> "TorusSpectrum":
         """New spectrum with coefficients multiplied entrywise."""
-        return TorusSpectrum(d=self.d, m_max=self.m_max, coef=self.coef * multiplier)
+        return TorusSpectrum(self.coef * multiplier)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ def torus_step(jumps, m_max: int) -> TorusSpectrum:
     nz = m != 0
     phases = np.exp(-1j * np.outer(m[nz], pos))
     box[nz] = (phases @ jump_mass) / (2.0j * math.pi * m[nz])
-    return TorusSpectrum(d=1, m_max=m_max, coef=box)
+    return TorusSpectrum(box)
 
 
 # m_1 rows per chunk of the polygon box: 128 rows of a 1025-wide box
@@ -222,7 +227,7 @@ def torus_polygon_indicator(vertices, m_max: int) -> TorusSpectrum:
     if area < 0.0:
         verts = verts[::-1]
     box = _signed_polygon_box(verts, m_max, abs(area))
-    return TorusSpectrum(d=2, m_max=m_max, coef=box)
+    return TorusSpectrum(box)
 
 
 def zonal_decay_family(p: float, n_max: int, d: int = 2) -> ZonalSpectrum:

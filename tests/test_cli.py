@@ -227,8 +227,7 @@ def test_empty_outputs_exit_two_before_any_verdict_or_file(tmp_path, capsys, mon
 
     @functools.wraps(real)
     def empty(**kwargs):
-        return ExperimentResult(name="quantize", passed=True, measured={},
-                                criteria={}, rows=())
+        return ExperimentResult(passed=True, measured={}, criteria={}, rows=())
 
     monkeypatch.setitem(cli._SPECS["quantize"], "driver", empty)
     assert main(["quantize", "--out", str(out_dir)]) == 2
@@ -401,8 +400,8 @@ def _recording_driver(monkeypatch, study, seen):
     @functools.wraps(real)
     def fake(**kwargs):
         seen.update(kwargs)
-        return ExperimentResult(name=study, passed=True, measured={},
-                                criteria={}, rows=({"x": 1},))
+        return ExperimentResult(passed=True, measured={}, criteria={},
+                                rows=({"x": 1},))
 
     monkeypatch.setitem(cli._SPECS[study], "driver", fake)
 
@@ -411,6 +410,17 @@ def _summary_at(out_dir, study, *argv):
     assert main([*_argv_prefix(study), *argv, "--out", str(out_dir)]) == 0
     summary = json.loads((out_dir / f"{study}.json").read_text())
     return summary["config"], summary["config_hash"]
+
+
+@pytest.mark.parametrize("study", sorted(cli._SPECS))
+def test_the_subcommand_names_every_output(tmp_path, monkeypatch, capsys, study):
+    """A result carries no name: the summary, its rows and the status
+    line are named by the subcommand alone."""
+    _recording_driver(monkeypatch, study, {})
+    assert main([*_argv_prefix(study), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(f"{study}: pass\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{study}.csv", f"{study}.json"]
+    assert json.loads((tmp_path / f"{study}.json").read_text())["subcommand"] == study
 
 
 @pytest.mark.parametrize("study", sorted(cli._SPECS))

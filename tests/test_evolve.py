@@ -31,7 +31,7 @@ def torus_decay_family_2d(s, m_max):
     """T^2 data with f_hat(m) = <m>^{-1-s}."""
     m = np.arange(-m_max, m_max + 1, dtype=float)
     box = (1.0 + m[:, None] ** 2 + m[None, :] ** 2) ** (-(1.0 + s) / 2.0)
-    return TorusSpectrum(d=2, m_max=m_max, coef=box.astype(complex))
+    return TorusSpectrum(box.astype(complex))
 
 
 def evaluate_torus_direct(spec, sizes):
@@ -100,7 +100,7 @@ def test_torus_propagator_is_unitary_and_additive():
 
 
 def test_torus_propagator_phase_convention():
-    spec = TorusSpectrum(d=1, m_max=3, coef=np.ones(7, dtype=complex))
+    spec = TorusSpectrum(np.ones(7, dtype=complex))
     t = 0.7
     out = propagate_torus(spec, t)
     for m in range(-3, 4):
@@ -252,7 +252,7 @@ def test_evaluate_torus_folds_aliased_frequencies(d):
     at d = 1 and 0.94 at d = 2)."""
     m = np.arange(-5, 6, dtype=float)
     box = 1.0 / (1.0 + sum(a * a for a in np.meshgrid(*([m] * d), indexing="ij")))
-    spec = random_phase(TorusSpectrum(d=d, m_max=5, coef=box.astype(complex)), seed=d)
+    spec = random_phase(TorusSpectrum(box.astype(complex)), seed=d)
     with pytest.warns(UserWarning, match=r"grid smaller than 2\*m_max\+1 aliases"):
         samples = evaluate_torus(spec, 8)
     np.testing.assert_allclose(samples, evaluate_torus_direct(spec, (8,) * d),

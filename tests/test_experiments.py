@@ -205,7 +205,7 @@ def test_nan_residual_fails_the_verdict(monkeypatch):
     assert result.passed is False
     assert math.isnan(result.measured["max_residual"])
     assert "max_residual" in result.failure
-    summary = cli._summary(result, config={}, config_hash="")
+    summary = cli._summary("quantize", result, config={}, config_hash="")
     assert summary["passed"] is False and "max_residual" in summary["failure"]
 
 
@@ -216,6 +216,11 @@ def _nan_after(real, patch):
 
 def _nan_array(values):
     return np.full(np.shape(values), math.nan)
+
+
+def _nan_real_slope(report):
+    """A dimension report whose real-part fit has a NaN slope."""
+    return dataclasses.replace(report, real=dataclasses.replace(report.real, slope=math.nan))
 
 
 def _nan_imag_extrema(strips):
@@ -237,13 +242,13 @@ NAN_CASES = {
     "quantize": (dict(m_max=64, q_max=3), "quantization_check",
                  lambda out: dataclasses.replace(out, residual=math.nan)),
     "dimension-torus-step": (dict(m_max=64, grid=512, window=(3, 6)), "dim_t",
-                             lambda out: dataclasses.replace(out, max_slope=math.nan)),
+                             _nan_real_slope),
     # Only the imaginary part goes NaN: a maximum of the two component
     # slopes that drops NaN would pass on the real part alone.
     "dimension-torus-step:imag": (dict(m_max=64, grid=512, window=(3, 6)),
                                   (fractal, "torus_strips"), _nan_imag_extrema),
     "dimension-torus-polygon": (dict(m_max=16, grid=256, window=(3, 6)), "dim_t",
-                                lambda out: dataclasses.replace(out, max_slope=math.nan)),
+                                _nan_real_slope),
     "weyl": (dict(exponent_range=(3, 6)), "weyl_block_sup",
              lambda out: dataclasses.replace(out, sup=math.nan)),
     "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)),
@@ -270,7 +275,7 @@ def test_nan_from_an_inner_kernel_fails_the_verdict(case, monkeypatch):
     result = cli._SPECS[case.split(":")[0]]["driver"](**kwargs)
     assert result.passed is False
     assert result.failure.startswith("non-finite measured value: ")
-    summary = cli._summary(result, config={}, config_hash="")
+    summary = cli._summary(case.split(":")[0], result, config={}, config_hash="")
     assert summary["passed"] is False and summary["failure"] == result.failure
 
 
@@ -302,20 +307,20 @@ def test_panel_drivers_build_the_time_panel_once(study, monkeypatch):
 
 
 def test_non_finite_measured_value_fails_any_verdict():
-    result = ExperimentResult("x", True, {"a": 1.0, "b": math.inf, "n": 3}, {}, ())
+    result = ExperimentResult(True, {"a": 1.0, "b": math.inf, "n": 3}, {}, ())
     assert result.passed is False
     assert result.failure == "non-finite measured value: b"
-    assert cli._summary(result, config={}, config_hash="")["measured"] == {
+    assert cli._summary("x", result, config={}, config_hash="")["measured"] == {
         "a": 1.0, "b": None, "n": 3,
     }
-    clean = ExperimentResult("x", True, {"a": 1.0, "n": 3}, {}, ())
+    clean = ExperimentResult(True, {"a": 1.0, "n": 3}, {}, ())
     assert clean.passed is True
-    assert "failure" not in cli._summary(clean, config={}, config_hash="")
+    assert "failure" not in cli._summary("x", clean, config={}, config_hash="")
 
 
 def test_summary_embeds_reproducibility_fields():
     result = run_quantization(m_max=64, q_max=3)
-    summary = cli._summary(result, config={"m_max": 64, "q_max": 3},
+    summary = cli._summary("quantize", result, config={"m_max": 64, "q_max": 3},
                            config_hash="abc123")
     payload = json.loads(json.dumps(summary))
     assert list(payload) == ["subcommand", "version", "config", "config_hash",
@@ -334,6 +339,12 @@ def test_write_rows_deterministic(tmp_path):
     cli._write_rows(p2, rows)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "a,b"
+
+
+def test_write_rows_writes_numpy_floats_as_numbers(tmp_path):
+    path = tmp_path / "r.csv"
+    cli._write_rows(path, [{"a": np.float64(0.5), "b": 0.1, "n": np.int64(3)}])
+    assert path.read_text() == "a,b,n\n0.5,0.1,3\n"
 
 
 def test_experiment_result_shape():

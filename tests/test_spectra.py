@@ -15,6 +15,7 @@ from conftest import (
     torus_coefficient,
 )
 from talbotlab.spectra import (
+    TorusSpectrum,
     _signed_polygon_box,
     torus_polygon_indicator,
     torus_step,
@@ -93,6 +94,22 @@ def triangle_coefficient_mpmath(m1, m2):
     else:  # int_0^pi x e^{-i m1 x} dx
         value = mpmath.pi * (-1) ** m1 / mpmath.mpc(0, -m1) + arc(m1) / mpmath.mpc(0, m1)
     return complex(value / (4 * mpmath.pi ** 2))
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 5)])
+def test_torus_box_fixes_dimension_and_radius(shape):
+    spec = TorusSpectrum(np.ones(shape))
+    assert (spec.d, spec.m_max) == (len(shape), shape[0] // 2)
+    assert spec.coef.dtype == complex and not spec.coef.flags.writeable
+    assert np.array_equal(spec.frequencies(), np.arange(-(shape[0] // 2), shape[0] // 2 + 1))
+
+
+@pytest.mark.parametrize("box", [np.ones(6), np.ones((4, 4)), np.ones((5, 3)),
+                                 np.ones((5, 5, 3)), np.array(1.0), np.ones(0)],
+                         ids=["even", "even-square", "not-square", "not-cube", "0-d", "empty"])
+def test_torus_box_must_be_an_odd_cube(box):
+    with pytest.raises(ValueError, match="cube of odd side"):
+        TorusSpectrum(box)
 
 
 def test_square_wave_closed_form():
