@@ -16,10 +16,9 @@ list: what the study measures, never its thresholds.  Every driver
 keyword is both a flag and a config-file key (``n_max`` <->
 ``--n-max``), so only the panel studies (``zonal-holder``,
 ``dimension``, ``weyl``) take ``seed``.  The converter the annotation
-selects parses every value: tuples as ``a,b``, tuples of pairs as
-``x0,y0;x1,y1``.  A config value is its flag text or the JSON
-equivalent, so ``[2, 6]``, ``"2,6"`` and ``--window 2,6`` give one
-window; a value the converter refuses exits 2.  A flag is spelled out
+selects parses every value, tuples as ``a,b``.  A config value is its
+flag text or the JSON equivalent, so ``[2, 6]``, ``"2,6"`` and
+``--window 2,6`` give one window; a value the converter refuses exits 2.  A flag is spelled out
 in full (no prefix matching), and ``dimension <variant>`` takes only
 that variant's flags.  A negative number with an exponent needs
 ``--flag=-1e-9``: argparse reads a separate ``-1e-9`` as an option.
@@ -76,18 +75,16 @@ def _converter(hint):
     """Flag text -> value, as the driver annotation ``hint`` says.
 
     A scalar type is its own parser, and ``tuple[X, Y]`` or
-    ``tuple[X, ...]`` splits on "," (on ";" when the items are tuples
-    themselves).
+    ``tuple[X, ...]`` splits on ",".
     """
     if typing.get_origin(hint) is not tuple:
         return hint
     args = typing.get_args(hint)
     variadic = args[-1] is Ellipsis
-    items = [_converter(a) for a in (args[:1] if variadic else args)]
-    sep = ";" if typing.get_origin(args[0]) is tuple else ","
+    items = args[:1] if variadic else args
 
     def convert(text: str) -> tuple:
-        parts = [part for part in text.split(sep) if part != ""]
+        parts = [part for part in text.split(",") if part != ""]
         if not variadic and len(parts) != len(items):
             raise ValueError(f"expected {len(items)} values")
         return tuple(items[0 if variadic else i](part) for i, part in enumerate(parts))
@@ -140,8 +137,7 @@ def _flag_text(value) -> str:
     """The flag text a config-file value stands for: a string as given,
     another scalar as JSON writes it, a list joined as its tuple's flag."""
     if isinstance(value, list):
-        sep = ";" if value and isinstance(value[0], list) else ","
-        return sep.join(_flag_text(item) for item in value)
+        return ",".join(_flag_text(item) for item in value)
     return value if isinstance(value, str) else json.dumps(value)
 
 

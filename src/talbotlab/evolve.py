@@ -9,10 +9,9 @@ measures how exactly the implementation realizes that collapse, with
 the phases e^{2 pi i p lambda / q} reduced mod q so they stay exact.
 
 Grid evaluation on T^d (``torus_strips``) runs an inverse FFT one
-axis at a time: each axis is zero-padded to the grid, or folded onto it
-by summation when the grid is too small to hold every frequency, and
-transformed in place.  Every pass but the last runs on the 2 m_max + 1
-nonzero rows; the last pass makes the field one column strip at a time,
+axis at a time: each axis is zero-padded to the grid, which must hold
+all 2 m_max + 1 frequencies, and transformed in place.  Every pass but
+the last runs on the 2 m_max + 1 nonzero rows; the last pass makes the field one column strip at a time,
 and a caller reduces each strip as it comes, so a consumer such as box
 counting never holds the whole field (``evaluate_torus`` assembles the
 strips).  Given a time t, the first pass multiplies each row chunk by
@@ -32,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,23 +187,17 @@ def _slices(size: int, width: int) -> list:
 
 def _place_axis(values: np.ndarray, axis: int, grid_size: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Frequencies -m_max .. m_max of one axis put in FFT bins m mod grid_size.
-
-    Zero-padding is two slice copies; below 2 m_max + 1 bins the
-    wrapped coefficients are folded by summation.  Fills ``out`` if given.
-    """
+    """Frequencies -m_max .. m_max of one axis zero-padded into FFT bins
+    m mod grid_size, grid_size >= 2 m_max + 1: two slice copies.  Fills
+    ``out`` if given."""
     m_max = values.shape[axis] // 2
     lead = (slice(None),) * axis
     if out is None:
         out = np.empty(values.shape[:axis] + (grid_size,) + values.shape[axis + 1:],
                        dtype=complex)
-    if grid_size < 2 * m_max + 1:
-        out[...] = 0.0
-        np.add.at(out, lead + (np.arange(-m_max, m_max + 1) % grid_size,), values)
-    else:
-        out[lead + (slice(0, m_max + 1),)] = values[lead + (slice(m_max, None),)]
-        out[lead + (slice(m_max + 1, grid_size - m_max),)] = 0.0
-        out[lead + (slice(grid_size - m_max, grid_size),)] = values[lead + (slice(0, m_max),)]
+    out[lead + (slice(0, m_max + 1),)] = values[lead + (slice(m_max, None),)]
+    out[lead + (slice(m_max + 1, grid_size - m_max),)] = 0.0
+    out[lead + (slice(grid_size - m_max, grid_size),)] = values[lead + (slice(0, m_max),)]
     return out
 
 
@@ -245,7 +237,8 @@ def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1,
     ----------
     spec : TorusSpectrum
     grid_size : int
-        Points per axis, as in ``evaluate_torus``.
+        Points per axis, as in ``evaluate_torus``.  A grid below
+        2 m_max + 1, which would sample another field, is a ValueError.
     reduce : callable
         Maps a complex strip of shape (grid_size,) * (d - 1) + (w,) to
         the value reported for it.
@@ -262,9 +255,8 @@ def torus_strips(spec: TorusSpectrum, grid_size: int, reduce, cell: int = 1,
     """
     size = int(grid_size)
     if size < 2 * spec.m_max + 1:
-        warnings.warn(
-            "grid smaller than 2*m_max+1 aliases high frequencies", stacklevel=3
-        )
+        raise ValueError(f"grid {size} is smaller than 2*m_max+1 = "
+                         f"{2 * spec.m_max + 1}: it cannot hold every frequency")
     coef = spec.coef
     phases = None if t is None else _torus_phases(spec, t)
 
@@ -302,10 +294,7 @@ def evaluate_torus(spec: TorusSpectrum, grid_size: int) -> np.ndarray:
     ----------
     spec : TorusSpectrum
     grid_size : int
-        Points per axis, at x_j = 2 pi j / grid_size; alias-free
-        evaluation needs >= 2 * m_max + 1.  On a smaller grid a
-        warning is emitted and the coefficients that share a bin are
-        summed, so the samples are still exact.
+        Points per axis, at x_j = 2 pi j / grid_size, at least 2 m_max + 1.
 
     Returns
     -------

@@ -205,14 +205,13 @@ def run_torus_step_dimension(
 
 
 def run_polygon_dimension(
-    vertices: tuple[tuple[float, float], ...] = DEFAULT_TRIANGLE,
     m_max: int = 2**9,
     grid: int = 2048,
     window: tuple[int, int] = (3, 8),
     seed: int = DEFAULT_PANEL_SEED,
 ) -> ExperimentResult:
-    """Panel-median graph dimension of an evolved polygon indicator on T^2."""
-    spec = torus_polygon_indicator(list(vertices), m_max=m_max)
+    """Panel-median graph dimension of the evolved triangle indicator on T^2."""
+    spec = torus_polygon_indicator(list(DEFAULT_TRIANGLE), m_max=m_max)
     return _dimension_study(spec, grid, window, seed, expected=2.5, tol=0.2)
 
 
@@ -220,7 +219,6 @@ def run_zonal_holder(
     p: float = 1.5,
     n_max: int = 8191,
     j_max: int = 12,
-    weight_exponent: float = 0.4,
     window: tuple[int, int] = (2, 12),
     seed: int = DEFAULT_PANEL_SEED,
 ) -> ExperimentResult:
@@ -239,18 +237,18 @@ def run_zonal_holder(
                          f"level {window[1]} holds no degree")
     data = zonal_decay_family(p, n_max, d=2)
     levels = np.arange(window[0], window[1] + 1)
+    criteria = {"weight_exponent": 0.4, "slope_tol": 0.02}
 
     def measure(panel):
         table = block_norm_table((propagate_sphere(data, t) for t in panel), j_max)
         for norms in table[:, levels]:
-            weighted = weight_exponent * levels + np.log2(norms)
+            weighted = criteria["weight_exponent"] * levels + np.log2(norms)
             slope = fit_line(levels, weighted).slope
             yield slope, [{"slope": slope,
                            "peak_level": int(levels[np.argmax(weighted)]),
                            "peak_weighted_norm": float(2.0 ** weighted.max())}]
 
     rows, median = _panel(measure, seed)
-    criteria = {"slope_tol": 0.02}
     return ExperimentResult(
         passed=median <= criteria["slope_tol"],
         measured={"median_slope": median},
@@ -268,7 +266,8 @@ def run_weyl_decay(
     """Panel-median decay exponent of weighted Weyl block suprema.
 
     Weights b_n = n^{-p} give square-root cancellation over the block,
-    so the running sup should scale like N^{1/2 - p}.
+    so the running sup should scale like N^{1/2 - p}: the verdict bounds
+    the distance of the median exponent plus p from 1/2.
     """
     blocks = [2**k for k in range(exponent_range[0], exponent_range[1] + 1)]
 
@@ -286,9 +285,9 @@ def run_weyl_decay(
                    [{"N": block, "sup": sup} for block, sup in zip(blocks, sups)])
 
     rows, median = _panel(measure, seed)
-    criteria = {"expected": -1.0, "tol": 0.1}
+    criteria = {"cancellation_exponent": 0.5, "tol": 0.1}
     return ExperimentResult(
-        passed=abs(median - criteria["expected"]) <= criteria["tol"],
+        passed=abs(median + p - criteria["cancellation_exponent"]) <= criteria["tol"],
         measured={"median_exponent": median},
         criteria=criteria,
         rows=rows,
@@ -387,7 +386,14 @@ def run_resonance_decay(
     d: int = 2,
     degrees: tuple[int, ...] = (16, 32, 64, 128, 256),
 ) -> ExperimentResult:
-    """Decay of kappa(n, n, n2, n3) toward its meridian line integral."""
+    """Decay of kappa(n, n, n2, n3) toward its meridian line integral.
+
+    Both sides vanish by parity for odd n2 + n3 and equal 1 for
+    n2 = n3 = 0; such a pair leaves only roundoff to fit.
+    """
+    if (n2 + n3) % 2 or n2 == n3 == 0:
+        raise ValueError(f"degrees n2, n3 = {n2}, {n3} give an identically zero "
+                         "difference: n2 + n3 must be even and not both zero")
     kappas, line = resonance_compare(degrees, n2, n3, d)
     diffs = kappas - line
     rows = [{"n": n, "kappa": float(k_val), "line_integral": line,

@@ -190,7 +190,7 @@ def dim_t(spec: TorusSpectrum, t: float, grid_size: int,
         Data on T^1 (graph is a curve) or T^2 (graph is a surface).
     t : float
     grid_size : int
-        Samples per axis for the physical-space evaluation.
+        Samples per axis for the physical-space evaluation, >= 2 m_max + 1.
     window : (int, int)
         Inclusive dyadic fit window (k_lo, k_hi), at least four levels.
 

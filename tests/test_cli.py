@@ -205,6 +205,14 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
     # Levels 7 and 8 hold no degree <= 100: their sup norms are 0.
     (("zonal-holder", "--n-max", "100", "--j-max", "8", "--window", "2,8"),
      "window must satisfy 2**end <= n_max"),
+    # m_max 2^14 needs 32769 points: a smaller grid samples another field.
+    (("dimension", "torus-step", "--grid", "16384", "--window", "3,9"),
+     "grid 16384 is smaller than 2*m_max+1 = 32769"),
+    # kappa(n, n, n2, n3) and the line integral vanish together for odd
+    # n2 + n3, and are both 1 for n2 = n3 = 0: the fit would see roundoff.
+    (("resonance", "--n2", "2", "--n3", "5"), "identically zero difference"),
+    (("resonance", "--n2", "0", "--n3", "1"), "identically zero difference"),
+    (("resonance", "--n2", "0", "--n3", "0"), "identically zero difference"),
 ])
 def test_degenerate_study_parameters_exit_two_without_outputs(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
@@ -383,8 +391,7 @@ def _argv_prefix(study):
 
 def _flag_text(value):
     if isinstance(value, tuple):
-        sep = ";" if value and isinstance(value[0], tuple) else ","
-        return sep.join(_flag_text(v) for v in value)
+        return ",".join(_flag_text(v) for v in value)
     return repr(value)
 
 
@@ -474,7 +481,14 @@ def test_config_number_is_read_as_its_flag_text(tmp_path, monkeypatch):
     ("weyl", (), {"seed": 1.7}),
     ("weyl", (), {"p": True}),
     ("zonal-holder", (), {"window": "2,x"}),
-], ids=["quantize-seed-flag", "quantize-seed-key", "seed-float", "p-bool", "window-text"])
+    # The weight exponent is part of the verdict, and the triangle is
+    # the study's fixed data: neither is a flag or a config key.
+    ("zonal-holder", ("--weight-exponent", "0"), None),
+    ("zonal-holder", (), {"weight_exponent": 0}),
+    ("dimension-torus-polygon", ("--vertices", "0,0;1,0;1,1"), None),
+    ("dimension-torus-polygon", (), {"vertices": [[0, 0], [1, 0], [1, 1]]}),
+], ids=["quantize-seed-flag", "quantize-seed-key", "seed-float", "p-bool", "window-text",
+        "weight-exponent-flag", "weight-exponent-key", "vertices-flag", "vertices-key"])
 def test_refused_parameter_values_exit_two_without_outputs(tmp_path, monkeypatch,
                                                           study, argv, config):
     seen = {}

@@ -17,6 +17,7 @@ from talbotlab.evolve import (
     time_panel,
 )
 from talbotlab.experiments import DEFAULT_STEP_JUMPS, DEFAULT_TRIANGLE
+from talbotlab.fractal import dim_t
 from talbotlab.spectra import (
     TorusSpectrum,
     torus_polygon_indicator,
@@ -246,17 +247,22 @@ def test_evaluate_torus_parseval():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_evaluate_torus_folds_aliased_frequencies(d):
-    """Below 2 m_max + 1 points the frequencies sharing a bin are summed,
-    so the samples stay exact (a scatter that overwrote them was 0.18 off
-    at d = 1 and 0.94 at d = 2)."""
-    m = np.arange(-5, 6, dtype=float)
+def test_grid_below_the_spectrum_is_refused(d):
+    """A grid of fewer than 2 m_max + 1 points per axis would sample a
+    different field, so evaluate_torus and dim_t refuse it; at exactly
+    2 m_max + 1 points, with no zero bin between the two halves of the
+    spectrum, the samples are the direct sums."""
+    m = np.arange(-20, 21, dtype=float)
     box = 1.0 / (1.0 + sum(a * a for a in np.meshgrid(*([m] * d), indexing="ij")))
     spec = random_phase(TorusSpectrum(box.astype(complex)), seed=d)
-    with pytest.warns(UserWarning, match=r"grid smaller than 2\*m_max\+1 aliases"):
-        samples = evaluate_torus(spec, 8)
-    np.testing.assert_allclose(samples, evaluate_torus_direct(spec, (8,) * d),
+    refused = r"grid 32 is smaller than 2\*m_max\+1 = 41"
+    with pytest.raises(ValueError, match=refused):
+        evaluate_torus(spec, 32)
+    with pytest.raises(ValueError, match=refused):
+        dim_t(spec, time_panel()[0], 32, (0, 3))
+    np.testing.assert_allclose(evaluate_torus(spec, 41), evaluate_torus_direct(spec, (41,) * d),
                                rtol=0.0, atol=1e-13)
+    assert np.isfinite(dim_t(spec, time_panel()[0], 64, (0, 3)).max_slope)
 
 
 @pytest.mark.parametrize("case", ["polygon", "step"])
@@ -280,9 +286,3 @@ def test_field_at_acceptance_scale_against_direct_sums(case):
     new_err, old_err = np.max(np.abs(new - exact)), np.max(np.abs(old - exact))
     assert new_err < 1e-13
     assert old_err < 1e-9
-
-
-def test_evaluate_torus_warns_on_aliasing():
-    spec = torus_step(SQUARE_WAVE, 40)
-    with pytest.warns(UserWarning):
-        evaluate_torus(spec, 32)

@@ -60,6 +60,9 @@ def test_zonal_holder_small():
     result = run_zonal_holder(p=1.5, n_max=1023, j_max=9, window=(2, 9))
     assert result.passed
     assert result.measured["median_slope"] <= 0.02
+    # The weight 2^{0.4 j} is part of the verdict, not a parameter that
+    # a caller could set to 0 to pass.
+    assert result.criteria == {"weight_exponent": 0.4, "slope_tol": 0.02}
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -76,6 +79,17 @@ def test_weyl_decay_small():
     result = run_weyl_decay(p=1.5, exponent_range=(3, 7))
     assert result.passed
     assert result.measured["median_exponent"] == pytest.approx(-1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_weyl_verdict_holds_at_any_weight_power(p):
+    """Square-root cancellation gives sups like N^{1/2 - p} for every p,
+    so the verdict bounds the median exponent plus p against 1/2:
+    measured 0.518 at p = 1 and 0.516 at p = 2 (blocks 2^4..2^9)."""
+    result = run_weyl_decay(p=p, exponent_range=(4, 9))
+    assert result.criteria == {"cancellation_exponent": 0.5, "tol": 0.1}
+    assert result.measured["median_exponent"] + p == pytest.approx(0.5, abs=0.1)
+    assert result.passed
 
 
 def test_kappa_suite_small():

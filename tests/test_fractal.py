@@ -254,19 +254,17 @@ def test_worker_count_follows_the_cpus_up_to_the_cap(monkeypatch):
 
 # Case -> (data, grid, fit window).  The criterion-3 triangle gives 16
 # full strips of 128 columns; the criterion-2 step data are one strip;
-# the aliasing grid (256 < 2 * 160 + 1) folds in each of its two
-# strips; at grid 640 and top level 5 a strip holds 6 cells of 20
-# columns, so the last strip is 40 columns wide.
+# at grid 640 and top level 5 a strip holds 6 cells of 20 columns, so
+# the last strip is 40 columns wide.
 STRIP_CASES = {
     "criterion-3": (lambda: torus_polygon_indicator(DEFAULT_TRIANGLE, 512), 2048, (3, 8)),
     "step": (lambda: torus_step(DEFAULT_STEP_JUMPS, 2**14), 2**16, (5, 11)),
-    "aliasing": (lambda: torus_polygon_indicator(DEFAULT_TRIANGLE, 160), 256, (2, 6)),
     "short-last-strip": (lambda: torus_polygon_indicator(DEFAULT_TRIANGLE, 100), 640, (2, 5)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRIP_CASES))
-def test_strip_counts_equal_whole_field_counts(case, recwarn):
+def test_strip_counts_equal_whole_field_counts(case):
     """The box counts dim_t takes from column strips equal, exactly,
     the counts of the whole field built at once, whether the strips
     apply the time phases in their row pass or get the propagated data,
@@ -282,7 +280,6 @@ def test_strip_counts_equal_whole_field_counts(case, recwarn):
     assert _torus_box_counts(spec, grid, levels).tolist() == expected
     assert _torus_box_counts(data, grid, levels, t).tolist() == expected
     assert np.array_equal(evaluate_torus(spec, grid), whole)
-    assert bool(recwarn.list) == (case == "aliasing")
 
 
 def test_strips_on_more_workers_than_cores(monkeypatch):

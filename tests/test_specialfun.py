@@ -261,16 +261,12 @@ def _table_block_sums(coef, d, x, edges):
     return np.array([coef[lo:hi] @ table[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])])
 
 
-ALIAS_WARNING = r"grid smaller than 2\*m_max\+1 aliases"
-
-
 def _block_samples(block, grid_size):
-    """evaluate_torus of a block, which must warn exactly when the grid
-    folds its frequencies."""
-    if grid_size < 2 * block.m_max + 1:
-        with pytest.warns(UserWarning, match=ALIAS_WARNING):
-            return evaluate_torus(block, grid_size)
-    return evaluate_torus(block, grid_size)
+    """A block's samples at 2 pi k / grid_size: every r-th point of
+    evaluate_torus on r * grid_size points, the smallest multiple of the
+    grid that holds the block's 2 m_max + 1 frequencies."""
+    r = -(-(2 * block.m_max + 1) // grid_size)
+    return evaluate_torus(block, r * grid_size)[::r]
 
 
 @settings(max_examples=60)
@@ -278,7 +274,7 @@ def _block_samples(block, grid_size):
 def test_torus_sampled_blocks_match_recurrence_table(case):
     """Torus-transform samples of each block agree with the recurrence
     rows, on the polar grid [0, pi] and on the great circle, for any
-    grid length (short grids fold high frequencies)."""
+    number of points."""
     d, n_max, seed, edges, n_points = case
     rng = np.random.default_rng(seed)
     coef = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
@@ -323,19 +319,6 @@ def test_single_degree_cosine_block_matches_mpmath(d):
         exact = np.array([float(norm * g[j] * g[n - j]) for j in range(n // 2 + 1)])
     got = beta.real[2 * n::-2][:n // 2 + 1]
     assert np.max(np.abs(got - exact) / exact) < 1e-14
-
-
-def test_zonal_block_folds_past_its_period():
-    """Grids shorter than a block's 2 m_max + 1 frequencies fold them by
-    summation, so the samples stay exact: a six-degree block on circles
-    of 1 to 12 points against the recurrence rows at cos(s_k)."""
-    coef = np.array([0.5, 1.0, -2.0, 0.25j, 3.0, 1.5])
-    (block,), = zonal_cosine_blocks(coef[:, None], 2, [0, coef.size])
-    for period in (1, 2, 3, 4, 5, 7, 12):
-        s = 2.0 * math.pi * np.arange(period) / period
-        direct = coef @ zonal_harmonic_table(coef.size - 1, 2, np.cos(s))
-        np.testing.assert_allclose(_block_samples(block, period), direct,
-                                   rtol=0, atol=1e-13)
 
 
 def test_zonal_blocks_reject_bad_edges():
