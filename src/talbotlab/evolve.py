@@ -151,7 +151,7 @@ _STRIP_WIDTH = 128
 
 # Most pool workers.  Each live worker holds one strip and its
 # reduction, about 4 MiB at criterion 3 on top of the 32 MiB row-pass
-# slab, or one Weyl block's scratch, about 14 MiB at criterion 5, so
+# slab, or one Weyl block's scratch, about 16 MiB at criterion 5, so
 # the cap keeps either study near 55 MiB on any machine.
 _MAX_WORKERS = 4
 

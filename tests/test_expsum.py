@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from talbotlab import evolve
 from talbotlab.evolve import time_panel
 from talbotlab.experiments import run_weyl_decay
-from talbotlab.expsum import weyl_block_sup
+from talbotlab.expsum import _chunk_reach, weyl_block_sup
 
 
 def unit(n):
@@ -104,21 +104,11 @@ def test_block_sup_property_matches_brute_force(case):
     assert attained == pytest.approx(res.sup, rel=1e-12, abs=0.0)
 
 
-def test_block_sup_at_acceptance_scale_matches_direct_phase_oracle():
-    """One N = 2048, grid_factor 16 block of the weyl study at a panel time.
-
-    The reference takes every prefix u at every grid point: phases
-    e^{i n^2 t} from mpmath, e^{i n x_j} from exact indices (n j) mod G,
-    cumulative sums over n in column chunks.  The sup must agree to
-    1e-12 relative, and the reported argmax must attain the sup to
-    1e-13 relative when S(u, x) is summed in 30-digit arithmetic.  At
-    this time the reference is within 7e-16 of mpmath, the FFT path
-    within 5e-16, and the former phase recurrence was off by 1.8e-12.
-    """
-    big_n, grid_factor, p = 2048, 16, 1.5
+def _direct_phase_sup(t, big_n, grid_factor, p):
+    """max over every prefix u and grid point x_j of |S(u, x_j)|, with
+    phases e^{i n^2 t} from mpmath, e^{i n x_j} from exact indices
+    (n j) mod G and cumulative sums over n in column chunks."""
     grid = grid_factor * big_n
-    t = time_panel(seed=1729)[0]
-    res = weyl_block_sup(t, big_n, weights=lambda m: float(m) ** -p, grid_factor=grid_factor)
     n = np.arange(big_n, 2 * big_n + 1)
     coef = n.astype(float) ** -p * quadratic_phases(t, n)
     roots = np.exp(2j * np.pi * np.arange(grid) / grid)
@@ -126,13 +116,102 @@ def test_block_sup_at_acceptance_scale_matches_direct_phase_oracle():
     for cols in np.array_split(np.arange(grid), 64):
         terms = coef[:, None] * roots[n[:, None] * cols[None, :] % grid]
         ref = max(ref, float(np.max(np.abs(np.cumsum(terms, axis=0)))))
-    assert res.sup == pytest.approx(ref, rel=1e-12, abs=0.0)
+    return ref
+
+
+def _attained_30_digits(t, big_n, grid, p, res):
+    """|S(argmax_u, argmax_x)| summed in 30-digit arithmetic."""
     with mpmath.workdps(30):
         x = 2 * mpmath.pi * round(res.argmax_x * grid / (2 * math.pi)) / grid
-        exact = abs(mpmath.fsum(
+        return float(abs(mpmath.fsum(
             mpmath.mpf(v) ** -p * mpmath.expj(v * v * mpmath.mpf(t) + v * x)
-            for v in range(big_n, res.argmax_u + 1)))
-    assert res.sup == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+            for v in range(big_n, res.argmax_u + 1))))
+
+
+def test_block_sup_at_acceptance_scale_matches_direct_phase_oracle():
+    """One N = 2048, grid_factor 16 block of the weyl study at a panel time.
+
+    The reference takes every prefix u at every grid point
+    (``_direct_phase_sup``).  The sup must agree to 1e-12 relative, and
+    the reported argmax must attain the sup to 1e-13 relative when
+    S(u, x) is summed in 30-digit arithmetic.  At this time the
+    reference is within 7e-16 of mpmath, the FFT path within 5e-16, and
+    the former phase recurrence was off by 1.8e-12.
+    """
+    big_n, grid_factor, p = 2048, 16, 1.5
+    t = time_panel(seed=1729)[0]
+    res = weyl_block_sup(t, big_n, weights=lambda m: float(m) ** -p, grid_factor=grid_factor)
+    ref = _direct_phase_sup(t, big_n, grid_factor, p)
+    assert res.sup == pytest.approx(ref, rel=1e-12, abs=0.0)
+    exact = _attained_30_digits(t, big_n, grid_factor * big_n, p, res)
+    assert res.sup == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_block_sup_at_a_rational_time_matches_direct_phase_oracle():
+    """An N = 1024, grid_factor 16 block at t = 2 pi / 3, where the terms
+    of a chunk do not cancel, so the chunk bounds that prune the refine
+    pass are loosest: 0.63 of the triangle bound sum_chunk |c_n| at 32
+    terms, against 0.35 at the first panel time.  The sup must match
+    ``_direct_phase_sup`` to 1e-12 relative, and the reported argmax
+    must attain it in 30-digit arithmetic."""
+    big_n, grid_factor, p = 1024, 16, 1.5
+    t = 2 * math.pi / 3
+    res = weyl_block_sup(t, big_n, weights=lambda m: float(m) ** -p, grid_factor=grid_factor)
+    ref = _direct_phase_sup(t, big_n, grid_factor, p)
+    assert res.sup == pytest.approx(ref, rel=1e-12, abs=0.0)
+    exact = _attained_30_digits(t, big_n, grid_factor * big_n, p, res)
+    assert res.sup == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_acceptance_block_makes_few_fft_rows(monkeypatch):
+    """One N = 2048, grid_factor 16 block at the first panel time
+    requests 42 inverse-FFT rows of 32768 points: 9 for the bound pass
+    (256-term chunks) and 33 for the refine pass (64-term chunks).
+    Pruning 16-term chunks with the triangle inequality took 33 + 129 =
+    162; the guard allows half of that."""
+    big_n, grid_factor = 2048, 16
+    rows = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(a, *args, **kwargs):
+        rows.append(np.size(a) // (grid_factor * big_n))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    weyl_block_sup(time_panel(seed=1729)[0], big_n,
+                   weights=lambda m: float(m) ** -1.5, grid_factor=grid_factor)
+    assert 0 < sum(rows) <= 81
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((1, 2, 5, 16, 64)), st.data())
+def test_chunk_reach_bounds_every_partial_sum(size, data):
+    """Each chunk's reach is at least every partial sum of the chunk on a
+    grid 256 times finer than its M = 4 size samples, shifted by half a
+    step, and at most sec(pi (size - 1) / (2 M)) times that maximum (up
+    to the fine grid's own factor sec(pi (size - 1) / (512 M)), since
+    the fine grid misses the samples).  All-ones chunks do not cancel
+    at x = 0."""
+    length = data.draw(st.integers(1, 3 * size))
+    if data.draw(st.booleans()):
+        coef = np.ones(length, dtype=complex)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        coef = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    reach = _chunk_reach(coef, size)
+    assert reach.shape == (-(-length // size),)
+    samples = 4 * size
+    fine = 256 * samples
+    step = np.exp(2j * np.pi * (np.arange(fine) + 0.5) / fine)
+    loose = 1 / math.cos(math.pi * (size - 1) / (2 * samples))
+    loose /= math.cos(math.pi * (size - 1) / (2 * fine))
+    for k, lo in enumerate(range(0, length, size)):
+        partial, power, top = np.zeros(fine, dtype=complex), np.ones(fine, dtype=complex), 0.0
+        for c in coef[lo:lo + size]:
+            partial += c * power
+            power *= step
+            top = max(top, float(np.max(np.abs(partial))))
+        assert top <= reach[k] <= loose * top
 
 
 def test_block_validation():
@@ -163,8 +242,8 @@ def _weyl_panel_peak(monkeypatch, workers):
 
 
 def test_weyl_panel_peak_memory_per_worker(monkeypatch):
-    """Each job holds one block's scratch, about 14 MiB at N = 2048, and
-    the pool runs one job per worker.  Measured 14.8 / 28.2 / 54.5 MiB
+    """Each job holds one block's scratch, about 16 MiB at N = 2048, and
+    the pool runs one job per worker.  Measured 16.1 / 28.6 / 54.7 MiB
     at 1 / 2 / 4 workers, so criterion 5 stays below criterion 3's
     43.5 MiB dim_t at two workers."""
     two = _weyl_panel_peak(monkeypatch, 2)
