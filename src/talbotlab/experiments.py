@@ -260,14 +260,15 @@ def run_zonal_holder(
 def run_weyl_decay(
     p: float = 1.5,
     exponent_range: tuple[int, int] = (4, 11),
-    grid_factor: int = 16,
     seed: int = DEFAULT_PANEL_SEED,
 ) -> ExperimentResult:
     """Panel-median decay exponent of weighted Weyl block suprema.
 
     Weights b_n = n^{-p} give square-root cancellation over the block,
     so the running sup should scale like N^{1/2 - p}: the verdict bounds
-    the distance of the median exponent plus p from 1/2.
+    the distance of the median exponent plus p from 1/2.  Each block is
+    sampled on the kernel's 16N-point x grid, whose max is within
+    sec(pi/32), about 1.005, of the sup over all real x.
     """
     blocks = [2**k for k in range(exponent_range[0], exponent_range[1] + 1)]
 
@@ -276,7 +277,7 @@ def run_weyl_decay(
         # first: a block costs about N^2, so the longest jobs start
         # before the rest fill in around them.
         found = _map_pool(lambda job: weyl_block_sup(
-            *job, weights=lambda m: float(m) ** (-p), grid_factor=grid_factor).sup,
+            *job, weights=lambda m: float(m) ** (-p)).sup,
             [(t, block) for block in reversed(blocks) for t in panel])
         # found runs block by block, largest first, each over the panel.
         for i in range(len(panel)):
@@ -296,20 +297,14 @@ def run_weyl_decay(
 
 def run_kappa_suite(
     n_max: int = 12,
-    dims: tuple[int, ...] = (2, 3),
     scan_n_max: int = 64,
 ) -> ExperimentResult:
     """Gaunt-integral identities and the Lambda classification scan.
 
-    Each of ``dims`` must have frozen Lambda constants (d = 2, 3) and
-    appear once; the scan needs at least one degree, scan_n_max >= 1.
+    Always runs both sphere dimensions whose Lambda constants are
+    frozen, d = 2 and 3; the scan needs at least one degree,
+    scan_n_max >= 1.
     """
-    unsupported = sorted(set(dims) - set(FROZEN_LAMBDA_CONSTANTS))
-    if unsupported:
-        raise ValueError(f"unsupported sphere dimension {unsupported[0]}: "
-                         f"dims must be among {sorted(FROZEN_LAMBDA_CONSTANTS)}")
-    if len(set(dims)) < len(dims):
-        raise ValueError("dims must not repeat a dimension")
     if scan_n_max < 1:
         raise ValueError("scan_n_max must be at least 1")
     criteria = {
@@ -322,7 +317,7 @@ def run_kappa_suite(
     passed = True
     measured = {}
     tables = {}
-    for d in dims:
+    for d, (c1, c2) in FROZEN_LAMBDA_CONSTANTS.items():
         table = KappaTable.build(n_max, d)
         tables[f"kappa-values-d{d}"] = _table_output(table)
         min_entry = float(np.min([table.triple.min(), table.quad.min()]))
@@ -354,7 +349,6 @@ def run_kappa_suite(
                "permutation_defect": perm_defect, "parseval_max": parseval_max,
                "unclassified": unclassified}
         measured.update({f"d{d}_{key}": value for key, value in row.items()})
-        c1, c2 = FROZEN_LAMBDA_CONSTANTS[d]
         rows.append({"d": d, **row, "c1": c1, "c2": c2, "passed": ok})
     return ExperimentResult(
         passed=passed,
@@ -383,18 +377,20 @@ def _table_output(table: KappaTable):
 def run_resonance_decay(
     n2: int = 3,
     n3: int = 5,
-    d: int = 2,
     degrees: tuple[int, ...] = (16, 32, 64, 128, 256),
 ) -> ExperimentResult:
-    """Decay of kappa(n, n, n2, n3) toward its meridian line integral.
+    """Decay of kappa(n, n, n2, n3) toward its meridian line integral on S^2.
 
-    Both sides vanish by parity for odd n2 + n3 and equal 1 for
-    n2 = n3 = 0; such a pair leaves only roundoff to fit.
+    The sphere is fixed: on S^3, where Y_n is proportional to
+    sin((n + 1) theta) / sin(theta), kappa(n, n, n2, n3) equals its
+    meridian limit exactly, so there is no decay to fit.  Both sides
+    also vanish by parity for odd n2 + n3 and equal 1 for n2 = n3 = 0;
+    such a pair leaves only roundoff to fit.
     """
     if (n2 + n3) % 2 or n2 == n3 == 0:
         raise ValueError(f"degrees n2, n3 = {n2}, {n3} give an identically zero "
                          "difference: n2 + n3 must be even and not both zero")
-    kappas, line = resonance_compare(degrees, n2, n3, d)
+    kappas, line = resonance_compare(degrees, n2, n3)
     diffs = kappas - line
     rows = [{"n": n, "kappa": float(k_val), "line_integral": line,
              "difference": float(diff)}

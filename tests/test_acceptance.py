@@ -11,8 +11,8 @@ shows that criterion 9's gate sees the resonant phase, and the
 flipped-sign control that its single-mode gate sees the sign at the
 study's step.  Criterion 9's smoothing is also checked in the sup norm,
 which the paper's nonlinear dimension corollary needs.  The refinement
-rungs pass each panel verdict (criteria 2-5 and 9), and criterion 10's
-envelope, one step beyond its frozen resolution.
+rungs pass the verdicts of criteria 2-5 and 7-9, and criterion 10's
+envelope, one step beyond their frozen resolution.
 """
 
 import dataclasses
@@ -212,29 +212,37 @@ def test_weyl_gate_fails_at_rational_time(p, q):
     assert ok
 
 
-# Case -> (driver, refined parameters, headline key): each panel study
-# one refinement step beyond its frozen resolution, with every other
+# Case -> (driver, refined parameters, headline key): each study one
+# refinement step beyond its frozen resolution, with every other
 # parameter, the seed and every threshold frozen.  Criterion 4's rung is
 # its own test above.
-REFINED_PANELS = {
+REFINED_STUDIES = {
     "criterion-2": (ex.run_torus_step_dimension,
                     dict(m_max=2**15, grid=2**17, window=(5, 12)), "median_dim"),
     "criterion-3": (ex.run_polygon_dimension,
                     dict(m_max=2**10, grid=4096, window=(3, 9)), "median_dim"),
     "criterion-5": (ex.run_weyl_decay, dict(exponent_range=(4, 12)), "median_exponent"),
+    "criterion-7": (ex.run_resonance_decay, dict(degrees=(32, 64, 128, 256, 512)),
+                    "decay_exponent"),
+    "criterion-8": (ex.run_bilinear_contrast,
+                    dict(block_n=256, m_blocks=(8, 16, 32, 64, 128),
+                         beam_degrees=(16, 32, 64, 128, 256, 512, 1024)),
+                    "bilinear_exponent"),
     "criterion-9": (ex.run_nls_smoothing, dict(dt=5e-4), "smoothing_gain"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REFINED_PANELS))
+@pytest.mark.parametrize("case", sorted(REFINED_STUDIES))
 def test_verdict_holds_one_refinement_step_beyond_the_frozen_resolution(case):
-    """A panel verdict is not an artifact of where its study truncates:
-    twice the frequency box and grid, with one more dyadic level, for
-    criteria 2 and 3 (measured 1.4706 and 2.4017), blocks up to 2^12 for
-    criterion 5 (-0.9861), and half the step for criterion 9 (gain
-    0.963).  Criterion 3's rung runs the whole panel, about 3.3 s at a
-    275 MB peak, against 100 MB at the frozen grid."""
-    driver, refined, key = REFINED_PANELS[case]
+    """A verdict is not an artifact of where its study truncates: twice
+    the frequency box and grid, with one more dyadic level, for criteria
+    2 and 3 (measured 1.4706 and 2.4017), blocks up to 2^12 for
+    criterion 5 (-0.9861), every degree doubled for criterion 7
+    (-1.9929), the block, its M and the beam degrees doubled for
+    criterion 8 (bilinear 0.0912, beam 0.4928), and half the step for
+    criterion 9 (gain 0.963).  Criterion 3's rung runs the whole panel,
+    about 3.3 s at a 275 MB peak, against 100 MB at the frozen grid."""
+    driver, refined, key = REFINED_STUDIES[case]
     result = driver(**refined)
     report(f"{case} refined", f"{key} {result.measured[key]:.4f} at {refined}",
            result.passed)
@@ -242,7 +250,7 @@ def test_verdict_holds_one_refinement_step_beyond_the_frozen_resolution(case):
 
 
 def test_criterion_06_triple_integral_suite():
-    result = ex.run_kappa_suite(n_max=12, dims=(2, 3), scan_n_max=64)
+    result = ex.run_kappa_suite(n_max=12, scan_n_max=64)
     m = result.measured
     detail = "; ".join(
         f"d={d}: min {m[f'd{d}_min_entry']:.1e} >= -1e-10,"
@@ -263,7 +271,7 @@ def test_criterion_06_triple_integral_suite():
 
 
 def test_criterion_07_resonance_asymptotics():
-    result = ex.run_resonance_decay(n2=3, n3=5, d=2, degrees=(16, 32, 64, 128, 256))
+    result = ex.run_resonance_decay(n2=3, n3=5, degrees=(16, 32, 64, 128, 256))
     exponent = result.measured["decay_exponent"]
     report(
         "criterion 7 resonance asymptotics",

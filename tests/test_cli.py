@@ -97,7 +97,7 @@ def test_config_seed_key_is_recorded(tmp_path, monkeypatch):
     seen = {}
     _recording_driver(monkeypatch, "weyl", seen)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_factor": 8, "seed": 7}))
+    cfg.write_text(json.dumps({"seed": 7}))
     out_dir = tmp_path / "out"
     assert main(["weyl", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert seen["seed"] == 7
@@ -147,7 +147,7 @@ def test_non_finite_measured_value_is_written_as_null(tmp_path, monkeypatch):
 
 def test_non_finite_config_value_exits_two_without_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    assert main(["weyl", "--p", "nan", "--exponent-range", "3,5", "--grid-factor", "8",
+    assert main(["weyl", "--p", "nan", "--exponent-range", "3,5",
                  "--out", str(out_dir)]) == 2
     assert "not JSON compliant" in capsys.readouterr().err
     assert not out_dir.exists()
@@ -164,7 +164,6 @@ def test_driver_value_error_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("specfun-check", "--d", "4"),
-    ("kappa-table", "--n-max", "4", "--dims", "2,4", "--scan-n-max", "8"),
 ])
 def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys, argv):
     out_dir = tmp_path / "out"
@@ -182,21 +181,21 @@ def test_unsupported_sphere_dimension_exits_two_without_outputs(tmp_path, capsys
     # One theta per degree samples only the window edge, not a max over theta.
     (("specfun-check", "--theta-points", "1", "--szego-degrees", "64,128"),
      "theta_points must be at least 2"),
-    (("kappa-table", "--n-max", "4", "--dims", "2,2", "--scan-n-max", "8"),
-     "dims must not repeat a dimension"),
+    # One block leaves no exponent to fit.
+    (("weyl", "--exponent-range", "4,4"), "need at least two points to fit a line"),
     # A negative degree leaves no harmonic table to build.
-    (("kappa-table", "--n-max", "-1", "--dims", "2", "--scan-n-max", "8"),
+    (("kappa-table", "--n-max", "-1", "--scan-n-max", "8"),
      "n_max must be non-negative"),
     (("specfun-check", "--ortho-n-max", "-1", "--szego-degrees", "64,128"),
      "n_max must be non-negative"),
     # An empty Lambda scan counts nothing unclassified whatever the constants.
-    (("kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "0"),
+    (("kappa-table", "--n-max", "4", "--scan-n-max", "0"),
      "scan_n_max must be at least 1"),
-    (("kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "-3"),
+    (("kappa-table", "--n-max", "4", "--scan-n-max", "-3"),
      "scan_n_max must be at least 1"),
-    # Zonal harmonics need a sphere: S^1 has no kappa, and d = 0 no measure.
-    (("resonance", "--d", "1"), "sphere dimension must be at least 2"),
-    (("resonance", "--d", "0"), "sphere dimension must be at least 2"),
+    # kappa(n, n, n2, n3) needs n >= n2, n3, and the fit at least one n.
+    (("resonance", "--degrees", "4,16"), "needs n2, n3 <= n"),
+    (("resonance", "--degrees="), "needs at least one degree n"),
     # A negative horizon is not a run of zero steps.
     (("nls-smoothing", "--n-max", "16", "--t-final=-0.1"), "t_final must be"),
     # An empty block M has zero norm, so its bilinear ratio divides by zero.
@@ -259,22 +258,19 @@ def test_dimension_variant_dispatch(tmp_path):
 
 
 def test_kappa_table_writes_value_tables(tmp_path):
-    code = run(tmp_path, "kappa-table", "--n-max", "4", "--dims", "2",
-               "--scan-n-max", "16")
+    code = run(tmp_path, "kappa-table", "--n-max", "4", "--scan-n-max", "16")
     assert code == 0
     assert (tmp_path / "kappa-table.csv").exists()
-    assert (tmp_path / "kappa-values-d2.json").exists()
-    csv_lines = (tmp_path / "kappa-values-d2.csv").read_text().splitlines()
-    assert csv_lines[0] == "n1,n2,n3,n4,value"
-    assert not (tmp_path / "kappa-values-d3.json").exists()
-    payload = json.loads((tmp_path / "kappa-values-d2.json").read_text())
-    assert payload["d"] == 2 and payload["n_max"] == 4
+    for d in (2, 3):
+        csv_lines = (tmp_path / f"kappa-values-d{d}.csv").read_text().splitlines()
+        assert csv_lines[0] == "n1,n2,n3,n4,value"
+        payload = json.loads((tmp_path / f"kappa-values-d{d}.json").read_text())
+        assert payload["d"] == d and payload["n_max"] == 4
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    argv = ["weyl", "--p", "1.5", "--exponent-range", "3,6",
-            "--grid-factor", "8", "--seed", "5"]
+    argv = ["weyl", "--p", "1.5", "--exponent-range", "3,6", "--seed", "5"]
     assert main([*argv, "--out", str(d1)]) == 0
     assert main([*argv, "--out", str(d2)]) == 0
     assert (d1 / "weyl.csv").read_bytes() == (d2 / "weyl.csv").read_bytes()
@@ -371,8 +367,7 @@ def test_sphere_studies_never_import_the_pool(tmp_path):
 
 def test_different_seed_changes_panel(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    base = ["weyl", "--p", "1.5", "--exponent-range", "3,6",
-            "--grid-factor", "8"]
+    base = ["weyl", "--p", "1.5", "--exponent-range", "3,6"]
     assert main([*base, "--seed", "5", "--out", str(d1)]) == 0
     assert main([*base, "--seed", "6", "--out", str(d2)]) == 0
     assert (d1 / "weyl.csv").read_bytes() != (d2 / "weyl.csv").read_bytes()
@@ -487,8 +482,18 @@ def test_config_number_is_read_as_its_flag_text(tmp_path, monkeypatch):
     ("zonal-holder", (), {"weight_exponent": 0}),
     ("dimension-torus-polygon", ("--vertices", "0,0;1,0;1,1"), None),
     ("dimension-torus-polygon", (), {"vertices": [[0, 0], [1, 0], [1, 1]]}),
+    # Criterion 7 is stated on S^2, criterion 6 runs both frozen
+    # dimensions, and criterion 5's 16N grid is its envelope constant.
+    ("resonance", ("--d", "3"), None),
+    ("resonance", (), {"d": 3}),
+    ("kappa-table", ("--dims", "2"), None),
+    ("kappa-table", (), {"dims": [2]}),
+    ("weyl", ("--grid-factor", "8"), None),
+    ("weyl", (), {"grid_factor": 8}),
 ], ids=["quantize-seed-flag", "quantize-seed-key", "seed-float", "p-bool", "window-text",
-        "weight-exponent-flag", "weight-exponent-key", "vertices-flag", "vertices-key"])
+        "weight-exponent-flag", "weight-exponent-key", "vertices-flag", "vertices-key",
+        "resonance-d-flag", "resonance-d-key", "kappa-dims-flag", "kappa-dims-key",
+        "weyl-grid-factor-flag", "weyl-grid-factor-key"])
 def test_refused_parameter_values_exit_two_without_outputs(tmp_path, monkeypatch,
                                                           study, argv, config):
     seen = {}
@@ -562,7 +567,7 @@ def test_seed_flag_beats_config_seed(tmp_path, monkeypatch):
     seen = {}
     _recording_driver(monkeypatch, "weyl", seen)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_factor": 8, "seed": 7}))
+    cfg.write_text(json.dumps({"seed": 7}))
     out_dir = tmp_path / "out"
     assert main(["weyl", "--config", str(cfg), "--seed", "5",
                  "--out", str(out_dir)]) == 0
@@ -571,7 +576,7 @@ def test_seed_flag_beats_config_seed(tmp_path, monkeypatch):
 
 
 def test_refused_kappa_overwrite_writes_nothing(tmp_path, capsys):
-    argv = ("kappa-table", "--n-max", "4", "--dims", "2,3", "--scan-n-max", "16")
+    argv = ("kappa-table", "--n-max", "4", "--scan-n-max", "16")
     (tmp_path / "kappa-values-d3.json").write_text("kept\n")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert run(tmp_path, *argv) == 2

@@ -93,7 +93,7 @@ def test_weyl_verdict_holds_at_any_weight_power(p):
 
 
 def test_kappa_suite_small():
-    result = run_kappa_suite(n_max=8, dims=(2, 3), scan_n_max=24)
+    result = run_kappa_suite(n_max=8, scan_n_max=24)
     assert result.passed
     for d in (2, 3):
         assert result.measured[f"d{d}_unclassified"] == 0
@@ -116,7 +116,7 @@ def test_kappa_suite_fails_on_an_asymmetric_quad(monkeypatch):
         return dataclasses.replace(table, quad=quad)
 
     monkeypatch.setattr(experiments.KappaTable, "build", staticmethod(perturbed))
-    result = run_kappa_suite(n_max=6, dims=(2,), scan_n_max=8)
+    result = run_kappa_suite(n_max=6, scan_n_max=8)
     assert result.passed is False
     assert result.measured["d2_permutation_defect"] >= 1e-9
     assert result.measured["d2_parseval_max"] < result.criteria["parseval_tol"]
@@ -129,7 +129,7 @@ def test_kappa_suite_fails_on_an_asymmetric_quad(monkeypatch):
 # meridian's in resonance, one for the largest M in strichartz, and the
 # sphere's and meridian's for each of nls-smoothing's two solves.
 RULE_BUILDS = {
-    "kappa-table": (dict(n_max=4, dims=(2, 3), scan_n_max=8), 2),
+    "kappa-table": (dict(n_max=4, scan_n_max=8), 2),
     "resonance": (dict(degrees=(16, 32, 64)), 2),
     "strichartz": (dict(block_n=16, m_blocks=(2, 4, 8), beam_degrees=(8, 16, 32)), 1),
     "nls-smoothing": (dict(n_max=16, dt=5e-3, t_final=0.01, fit_n_min=2), 4),
@@ -251,7 +251,7 @@ def _nan_imag_extrema(strips):
 NAN_CASES = {
     "specfun-check": (dict(ortho_n_max=8, szego_degrees=(64, 128)), "jacobi_asymptotic",
                       _nan_array),
-    "kappa-table": (dict(n_max=4, dims=(2,), scan_n_max=8),
+    "kappa-table": (dict(n_max=4, scan_n_max=8),
                     (gaunt, "zonal_harmonic_table"), _nan_array),
     "quantize": (dict(m_max=64, q_max=3), "quantization_check",
                  lambda out: dataclasses.replace(out, residual=math.nan)),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import kappa, kappa_vector, quad_line_integral, quad_product_integral
 from talbotlab import cli
+from talbotlab.fitting import fit_loglog
 from talbotlab.gaunt import (
     FROZEN_LAMBDA_CONSTANTS,
     KappaTable,
@@ -508,6 +509,26 @@ def test_resonance_difference_shrinks_with_degree():
     assert diffs[2] < 0.01
 
 
+@pytest.mark.parametrize("n2, n3", [(1, 1), (2, 2), (3, 5), (4, 6), (2, 8)])
+def test_resonance_difference_vanishes_on_s3(n2, n3):
+    """On S^3, Y_n is proportional to sin((n + 1) theta) / sin(theta), and
+    kappa(n, n, n2, n3) equals its meridian limit at every n: the largest
+    difference is 1.45e-13.  So criterion 7 has no decay to fit there,
+    and its study runs on S^2 only."""
+    kappas, line = resonance_compare((16, 32, 64), n2, n3, 3)
+    np.testing.assert_allclose(kappas, line, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_resonance_difference_decays_above_s3(d):
+    """Above S^3 the difference decays again, at the gate of criterion 7:
+    fitted slopes -1.95, -1.92 and -1.90 at d = 4, 5 and 6 over
+    n = 16..256, against the gate -0.9."""
+    degrees = (16, 32, 64, 128, 256)
+    kappas, line = resonance_compare(degrees, 3, 5, d)
+    assert fit_loglog(list(degrees), np.abs(kappas - line)).slope <= -0.9
+
+
 def load_kappa_table(json_path, csv_path):
     """Read a value table the kappa-table study wrote back (round-trip oracle).
 
@@ -542,7 +563,7 @@ def test_kappa_table_build_value_and_roundtrip(tmp_path):
     assert min(table.triple.min(), table.quad.min()) > -1e-12
     with pytest.raises(ValueError, match="read-only"):
         table.quad[0, 0, 0, 0] = 2.0
-    assert cli.main(["kappa-table", "--n-max", "6", "--dims", "2", "--scan-n-max", "8",
+    assert cli.main(["kappa-table", "--n-max", "6", "--scan-n-max", "8",
                      "--out", str(tmp_path)]) == 0
     jp, cp = tmp_path / "kappa-values-d2.json", tmp_path / "kappa-values-d2.csv"
     assert cp.read_text().splitlines()[0] == "n1,n2,n3,n4,value"
@@ -596,7 +617,7 @@ def test_kappa_table_header_names_its_body_relative_to_itself(tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     texts = []
     for out in ("out", str(tmp_path / "elsewhere" / ".." / "out")):
-        assert cli.main(["kappa-table", "--n-max", "4", "--dims", "2", "--scan-n-max", "8",
+        assert cli.main(["kappa-table", "--n-max", "4", "--scan-n-max", "8",
                          "--out", out, "--force"]) == 0
         texts.append((tmp_path / "out" / "kappa-values-d2.json").read_bytes())
     assert texts[0] == texts[1]
